@@ -87,6 +87,13 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _int(key: str, value) -> int:
+    """A config value as an int; anything but an integral number names its key."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -119,15 +126,16 @@ def _write_json(path: Path, doc: dict, manifest: str):
 
 
 def _density_from_config(cfg: dict) -> HerglotzDensity:
-    n = int(cfg.get("n", 3))
-    resolution = int(cfg.get("resolution", 24))
+    n = _int("n", cfg.get("n", 3))
+    resolution = _int("resolution", cfg.get("resolution", 24))
     kind = cfg.get("density", "constant")
     if kind == "constant":
         return HerglotzDensity.constant(n, 1.0, resolution)
     if kind == "linear_z":
         return HerglotzDensity.from_function(n, lambda xi: xi[:, -1].astype(complex), resolution)
     if kind == "random":
-        rng = np.random.default_rng(int(cfg.get("density_seed", cfg.get("seed", 0))))
+        seed = _int("seed", cfg.get("seed", 0))
+        rng = np.random.default_rng(_int("density_seed", cfg.get("density_seed", seed)))
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         b = rng.normal(size=(n, n))
 
@@ -147,7 +155,8 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
     (chart frame aligned with the left-invariant frame at the base point);
     scalar synthesis is chart-insensitive and defaults to a seeded frame."""
     kind = cfg.get("chart", default_kind)
-    seed = int(cfg.get("chart_seed", cfg.get("seed", 0)))
+    seed = _int("seed", cfg.get("seed", 0))
+    seed = _int("chart_seed", cfg.get("chart_seed", seed))
     base = cfg.get("chart_base")
     if kind == "adapted":
         if n != 3:
@@ -170,7 +179,7 @@ def cmd_approximate(cfg: dict) -> int:
         density,
         delta,
         radius=float(cfg.get("radius", 2.5)),
-        seed=int(cfg.get("seed", 0)),
+        seed=_int("seed", cfg.get("seed", 0)),
     )
     doc = bsum.to_dict()
     doc["achieved_error"] = bsum.report.achieved
@@ -183,7 +192,7 @@ def cmd_approximate(cfg: dict) -> int:
 def cmd_synthesize(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
-    k = int(_require(cfg, "k"))
+    k = _int("k", _require(cfg, "k"))
     bsum = _load_bessel(src)
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(out, cfg, [src])
@@ -207,7 +216,7 @@ def cmd_spinorize(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src1 = str(_require(cfg, "input1"))
     src2 = str(_require(cfg, "input2"))
-    k = int(_require(cfg, "k"))
+    k = _int("k", _require(cfg, "k"))
     b1, b2 = _load_bessel(src1), _load_bessel(src2)
     chart = _chart_from_config(cfg, 3, default_kind="adapted")
     manifest = write_manifest(out, cfg, [src1, src2])
@@ -219,7 +228,7 @@ def cmd_spinorize(cfg: dict) -> int:
         doc = y.to_dict()
         doc["chart"] = chart.to_dict()
         _write_json(path, doc, manifest)
-    resid = spinor3.dirac_residual(psi, 1.5 + k, samples=32, seed=int(cfg.get("seed", 0)))
+    resid = spinor3.dirac_residual(psi, 1.5 + k, samples=32, seed=_int("seed", cfg.get("seed", 0)))
     _write_json(
         out,
         {
@@ -252,12 +261,13 @@ def cmd_verify(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
     sweep = cfg.get("k_sweep", [40, 80, 160])
-    if isinstance(sweep, (int, float)):
+    if not isinstance(sweep, list):
         sweep = [sweep]
-    sweep = [int(k) for k in sweep]
+    sweep = [_int("k_sweep", k) for k in sweep]
     if sweep != sorted(sweep) or len(set(sweep)) != len(sweep):
         raise ConfigError("k_sweep must be strictly increasing")
-    m = int(cfg.get("m", 2))
+    m = _int("m", cfg.get("m", 2))
+    seed = _int("seed", cfg.get("seed", 0))
     h = float(cfg.get("h", 0.125))
     bsum = _load_bessel(src)
     chart = _chart_from_config(cfg, bsum.n)
@@ -267,7 +277,7 @@ def cmd_verify(cfg: dict) -> int:
         Y = harmonics.synthesize(bsum, k, chart)
         report = harmonics.localization_error(bsum, Y, m=m, h=h)
         rows.extend(report.to_csv_rows())
-        lap = harmonics.laplace_residual(Y, samples=16, h=1e-3, seed=int(cfg.get("seed", 0)))
+        lap = harmonics.laplace_residual(Y, samples=16, h=1e-3, seed=seed)
         rows.append(("laplace", lap, 1e-3, k))
     lines = [f"# manifest {manifest}", "order,sup_error,h,k"]
     for order, err, step, k in rows:
@@ -343,13 +353,14 @@ def cmd_nodal(cfg: dict) -> int:
 
 def cmd_torus(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
-    n = int(cfg.get("n", 3))
-    ks = cfg.get("k_sweep", cfg.get("k", [3]))
-    if isinstance(ks, (int, float)):
+    n = _int("n", cfg.get("n", 3))
+    key = "k_sweep" if "k_sweep" in cfg else "k"
+    ks = cfg.get(key, [3])
+    if not isinstance(ks, list):
         ks = [ks]
-    ks = [int(k) for k in ks]
-    trials = int(cfg.get("trials", 4000))
-    seed = int(cfg.get("seed", 0))
+    ks = [_int(key, k) for k in ks]
+    trials = _int("trials", cfg.get("trials", 4000))
+    seed = _int("seed", cfg.get("seed", 0))
     manifest = write_manifest(out, cfg, [])
     lines = [f"# manifest {manifest}", "k,count,discrepancy,localization_sup_error"]
     for k in ks:

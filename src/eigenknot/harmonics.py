@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sphere
 from .helmholtz import BesselSum, eval_bessel_sum
-from .specialfn import gegenbauer_cnk_derivatives, gegenbauer_ratio, jacobi_p
+from .specialfn import gegenbauer_cnk, gegenbauer_cnk_derivatives, gegenbauer_ratio, jacobi_p
 
 __all__ = [
     "UltrasphericalSum",
@@ -147,38 +147,27 @@ def _dots(Y: UltrasphericalSum, p: np.ndarray) -> np.ndarray:
     return np.clip(p @ Y.centers.T, -1.0, 1.0)
 
 
-def eval_harmonic(Y: UltrasphericalSum, p, chunk: int = 4096):
+def eval_harmonic(Y: UltrasphericalSum, p):
     """Evaluate Y at sphere points (batched)."""
-    p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
     nu = kernel_norm(Y.n)
-    alpha = 0.5 * Y.n - 1.0
-    ratio = gegenbauer_ratio(Y.n, Y.k)
-    out = np.empty(len(p), dtype=complex)
-    for s in range(0, len(p), chunk):
-        t = _dots(Y, p[s : s + chunk])
-        out[s : s + chunk] = (ratio * jacobi_p(Y.k, alpha, alpha, t)) @ Y.coeffs * nu
-    return out[0] if single else out
+    return sphere.eval_rows(
+        lambda pb: gegenbauer_cnk(Y.n, Y.k, _dots(Y, pb)) @ Y.coeffs * nu, p, Y.n + 1
+    )
 
 
-def eval_harmonic_grad(Y: UltrasphericalSum, p, chunk: int = 4096):
+def eval_harmonic_grad(Y: UltrasphericalSum, p):
     """Tangential gradient of Y in ambient coordinates."""
-    p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
     nu = kernel_norm(Y.n)
-    out = np.empty((len(p), Y.n + 1), dtype=complex)
-    for s in range(0, len(p), chunk):
-        pc = p[s : s + chunk]
-        t = _dots(Y, pc)
-        dC = gegenbauer_cnk_derivatives(Y.n, Y.k, t, 1)[1]
+
+    def block(pb):
+        dC = gegenbauer_cnk_derivatives(Y.n, Y.k, _dots(Y, pb), 1)[1]
         ambient = nu * ((dC * Y.coeffs[None, :]) @ Y.centers)
-        radial = np.einsum("md,md->m", ambient.real, pc) + 1j * np.einsum(
-            "md,md->m", ambient.imag, pc
+        radial = np.einsum("md,md->m", ambient.real, pb) + 1j * np.einsum(
+            "md,md->m", ambient.imag, pb
         )
-        out[s : s + chunk] = ambient - radial[:, None] * pc
-    return out[0] if single else out
+        return ambient - radial[:, None] * pb
+
+    return sphere.eval_rows(block, p, Y.n + 1)
 
 
 def rescaled_pullback(Y: UltrasphericalSum, x, chart: sphere.Chart | None = None):
@@ -202,13 +191,11 @@ def laplace_residual(
     rng = np.random.default_rng(seed)
     p = rng.normal(size=(samples, Y.n + 1))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
-    vals = eval_harmonic(Y, p)
-    lap = -2.0 * Y.n * vals.copy()
-    for i in range(samples):
-        chart = sphere.random_chart(Y.n, seed + 1000 + i, p0=p[i])
-        offsets = np.concatenate([h * np.eye(Y.n), -h * np.eye(Y.n)])
-        pts = sphere.chart_to_sphere(chart, offsets)
-        lap[i] += np.sum(eval_harmonic(Y, pts))
+    offsets = np.concatenate([h * np.eye(Y.n), -h * np.eye(Y.n)])
+    charts = [sphere.random_chart(Y.n, seed + 1000 + i, p0=p[i]) for i in range(samples)]
+    pts = np.concatenate([p] + [sphere.chart_to_sphere(c, offsets) for c in charts])
+    vals, stencil = np.split(eval_harmonic(Y, pts), [samples])
+    lap = -2.0 * Y.n * vals + stencil.reshape(samples, 2 * Y.n).sum(axis=1)
     resid = np.abs(-lap / (h * h) - Y.energy * vals)
     return float(resid.max() / np.abs(vals).max())
 

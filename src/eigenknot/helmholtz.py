@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import roots_gegenbauer, spherical_jn, sph_harm_y
 
 from .specialfn import bessel_kernel
+from .sphere import eval_rows
 
 _TWO_PI = 2.0 * math.pi
 
@@ -116,16 +117,10 @@ class HerglotzDensity:
         return cls(d["n"], np.array(d["nodes"]), np.array(d["weights"]), vals)
 
 
-def eval_herglotz(f: HerglotzDensity, x, chunk: int = 8192):
+def eval_herglotz(f: HerglotzDensity, x):
     """Quadrature value of integral f(xi) e^{i x.xi} dsigma(xi)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
     coef = f.weights * f.values
-    out = np.empty(len(x), dtype=complex)
-    for s in range(0, len(x), chunk):
-        out[s : s + chunk] = np.exp(1j * (x[s : s + chunk] @ f.nodes.T)) @ coef
-    return out[0] if single else out
+    return eval_rows(lambda xb: np.exp(1j * (xb @ f.nodes.T)) @ coef, x, f.n)
 
 
 @dataclass
@@ -176,29 +171,24 @@ class BesselSum:
         return cls.from_dict(json.loads(s))
 
 
-def eval_bessel_sum(s: BesselSum, x, chunk: int = 4096):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    out = np.empty(len(x), dtype=complex)
-    for i in range(0, len(x), chunk):
-        d = np.linalg.norm(x[i : i + chunk, None, :] - s.centers[None, :, :], axis=2)
-        out[i : i + chunk] = bessel_kernel(s.n, d) @ s.coeffs
-    return out[0] if single else out
+def _kernel_matrix(n: int, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """bessel_kernel(n, |x_i - c_j|) for point rows x_i and centers c_j."""
+    return bessel_kernel(n, np.linalg.norm(x[:, None, :] - centers[None, :, :], axis=2))
 
 
-def eval_bessel_sum_grad(s: BesselSum, x, chunk: int = 4096):
+def eval_bessel_sum(s: BesselSum, x):
+    return eval_rows(lambda xb: _kernel_matrix(s.n, xb, s.centers) @ s.coeffs, x, s.n)
+
+
+def eval_bessel_sum_grad(s: BesselSum, x):
     """Gradient in C^n; the kernel derivative -r * kernel_{n+2}(r) is smooth at 0."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    out = np.empty((len(x), s.n), dtype=complex)
-    for i in range(0, len(x), chunk):
-        diff = x[i : i + chunk, None, :] - s.centers[None, :, :]
-        d = np.linalg.norm(diff, axis=2)
-        w = -bessel_kernel(s.n + 2, d) * s.coeffs[None, :]
-        out[i : i + chunk] = np.einsum("mj,mjd->md", w, diff)
-    return out[0] if single else out
+
+    def block(xb):
+        diff = xb[:, None, :] - s.centers[None, :, :]
+        w = -bessel_kernel(s.n + 2, np.linalg.norm(diff, axis=2)) * s.coeffs[None, :]
+        return np.einsum("mj,mjd->md", w, diff)
+
+    return eval_rows(block, x, s.n)
 
 
 def helmholtz_residual(fieldfn, box, h: float) -> float:
@@ -340,7 +330,7 @@ def _fit_kernel_sum(targetfn, n, radius, spacing, fit_radius, fit_spacing, rcond
         raise NotImplementedError("kernel-sum fitting is implemented for n = 3")
     centers = _ball_grid(radius, spacing)
     fit_pts = _ball_grid(fit_radius, fit_spacing)
-    K = bessel_kernel(n, np.linalg.norm(fit_pts[:, None] - centers[None], axis=2))
+    K = _kernel_matrix(n, fit_pts, centers)
     target = np.asarray(targetfn(fit_pts), dtype=complex)
     u, sing, vh = np.linalg.svd(K, full_matrices=False)
     keep = sing > rcond * sing[0]
@@ -461,16 +451,8 @@ class PlaneWaveSpinor:
     spinor_coeffs: np.ndarray
 
     def component(self, a: int, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.exp(1j * (x @ self.directions.T)) @ self.spinor_coeffs[:, a]
-
-    def component_grad(self, a: int, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ph = np.exp(1j * (x @ self.directions.T))
-        return np.stack(
-            [((1j * self.directions[:, mu])[None, :] * ph) @ self.spinor_coeffs[:, a] for mu in range(3)],
-            axis=-1,
-        )
+        w = self.spinor_coeffs[:, a]
+        return eval_rows(lambda xb: np.exp(1j * (xb @ self.directions.T)) @ w, x, 3)
 
     def dirac_residual(self, x) -> float:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -173,14 +173,11 @@ def _stitch(segs, h):
 
 
 def _jacobians(fieldfn, pts, step):
-    jac = np.zeros((len(pts), 2, 3))
-    for mu in range(3):
-        e = np.zeros(3)
-        e[mu] = step
-        d = (np.asarray(fieldfn(pts + e)) - np.asarray(fieldfn(pts - e))) / (2 * step)
-        jac[:, 0, mu] = d.real
-        jac[:, 1, mu] = d.imag
-    return jac
+    """Central-difference (M, 2, 3) Jacobians of (Re f, Im f), one field call."""
+    shifted = pts + step * np.concatenate([np.eye(3), -np.eye(3)])[:, None, :]
+    plus, minus = np.asarray(fieldfn(shifted.reshape(-1, 3))).reshape(2, 3, len(pts))
+    d = (plus - minus).T / (2 * step)
+    return np.stack([d.real, d.imag], axis=1)
 
 
 def newton_polish(fieldfn, pts, tol=1e-9, max_iter=10, fd_step=1e-6):
@@ -192,8 +189,7 @@ def newton_polish(fieldfn, pts, tol=1e-9, max_iter=10, fd_step=1e-6):
             break
         jac = _jacobians(fieldfn, pts, fd_step)
         rhs = np.stack([vals.real, vals.imag], axis=-1)
-        for i in range(len(pts)):
-            pts[i] -= np.linalg.pinv(jac[i], rcond=1e-8) @ rhs[i]
+        pts -= (np.linalg.pinv(jac, rcond=1e-8) @ rhs[:, :, None])[:, :, 0]
     return pts
 
 

@@ -15,6 +15,10 @@ import numpy as np
 
 _UNIT_TOL = 1e-12
 
+#: Rows per block of the batched field evaluators; bounds the (rows x terms)
+#: intermediates they build.
+ROW_BLOCK = 4096
+
 
 def _as_batch(x, dim):
     x = np.asarray(x, dtype=float)
@@ -23,6 +27,22 @@ def _as_batch(x, dim):
     if x.shape[1] != dim:
         raise ValueError(f"expected vectors of length {dim}, got {x.shape[1]}")
     return x, single
+
+
+def eval_rows(fn, x, dim):
+    """fn applied to the rows of x in blocks of ROW_BLOCK rows.
+
+    fn maps an (m, dim) block to an array, or a list of arrays, with m leading
+    rows.  A 1-D x is one point and gives fn's value there without the row
+    axis; an (0, dim) x gives empty arrays.
+    """
+    x, single = _as_batch(x, dim)
+    blocks = [fn(x[s : s + ROW_BLOCK]) for s in range(0, max(len(x), 1), ROW_BLOCK)]
+    if isinstance(blocks[0], list):
+        out = [np.concatenate(parts) for parts in zip(*blocks)]
+        return [a[0] for a in out] if single else out
+    out = np.concatenate(blocks)
+    return out[0] if single else out
 
 
 @dataclass

@@ -24,8 +24,7 @@ projection and its residuals exactly computable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,12 +33,6 @@ from . import sphere
 from .harmonics import UltrasphericalSum, kernel_norm
 from .helmholtz import FLAT_GAMMA, helmholtz_residual
 from .specialfn import gegenbauer_cnk_derivatives
-
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 #: X_i(p) = E_i p for the left-invariant frame (right quaternion multiplication).
 FRAME_E = (
@@ -80,11 +73,10 @@ def standard_clifford3() -> CliffordRep3:
     -gamma_1 cyclically; if a candidate set satisfies it only after swapping
     two frame legs the flip is recorded as orientation -1.
     """
-    cand = tuple(1j * s for s in _SIGMA)
-    if _structure_defect(cand) < 1e-14:
-        rep = CliffordRep3(cand, +1)
+    if _structure_defect(FLAT_GAMMA) < 1e-14:
+        rep = CliffordRep3(FLAT_GAMMA, +1)
     else:
-        flipped = (cand[1], cand[0], cand[2])
+        flipped = (FLAT_GAMMA[1], FLAT_GAMMA[0], FLAT_GAMMA[2])
         if _structure_defect(flipped) >= 1e-14:
             raise RuntimeError("no orientation of the Pauli set matches the frame algebra")
         rep = CliffordRep3(flipped, -1)
@@ -166,7 +158,7 @@ def _jet_terms(word: tuple):
     return out
 
 
-def zonal_jet(Y: UltrasphericalSum, p, order: int, chunk: int = 3000):
+def zonal_jet(Y: UltrasphericalSum, p, order: int):
     """Frame jets [J0, J1, ..., J_order] of a zonal harmonic sum on S^3.
 
     J_m has shape (M, 3, ..., 3) with J_m[i1..im] = X_{i1}...X_{im} Y (the
@@ -174,17 +166,16 @@ def zonal_jet(Y: UltrasphericalSum, p, order: int, chunk: int = 3000):
     """
     if Y.n != 3:
         raise ValueError("frame jets are specific to S^3")
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    m_total = len(p)
-    jets = [np.zeros((m_total,) + (3,) * m, dtype=complex) for m in range(order + 1)]
     nu = kernel_norm(3)
     words_by_m = [list(np.ndindex(*(3,) * m)) for m in range(order + 1)]
-    for s in range(0, m_total, chunk):
-        pc = p[s : s + chunk]
+
+    def block(pc):
         T = np.clip(pc @ Y.centers.T, -1.0, 1.0)
         A = [T] + [(pc @ E.T) @ Y.centers.T for E in FRAME_E]
         CD = [nu * arr for arr in gegenbauer_cnk_derivatives(3, Y.k, T, order)]
+        jets = []
         for m in range(order + 1):
+            jet = np.empty((len(pc),) + (3,) * m, dtype=complex)
             for word in words_by_m[m]:
                 terms = _jet_terms(tuple(i + 1 for i in word))
                 acc = None
@@ -193,42 +184,24 @@ def zonal_jet(Y: UltrasphericalSum, p, order: int, chunk: int = 3000):
                     for axis in factors:
                         arr = arr * A[axis]
                     acc = arr if acc is None else acc + arr
-                idx = (slice(s, s + len(pc)),) + word
-                jets[m][idx] = acc @ Y.coeffs
-    return jets
+                jet[(slice(None),) + word] = acc @ Y.coeffs
+            jets.append(jet)
+        return jets
+
+    return sphere.eval_rows(block, p, 4)
 
 
 def _fd_frame_jet(fn, p, order: int, step: float):
     """Frame jets of a callable component by symmetric geodesic differences."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    vals = np.asarray(fn(p), dtype=complex)
-    jets = [vals]
-    if order >= 1:
-        X = frame_vectors(p)
-        grad = np.zeros((len(p), 3), dtype=complex)
-        for i in range(3):
-            plus = p + step * X[:, i]
-            plus /= np.linalg.norm(plus, axis=1, keepdims=True)
-            minus = p - step * X[:, i]
-            minus /= np.linalg.norm(minus, axis=1, keepdims=True)
-            grad[:, i] = (np.asarray(fn(plus)) - np.asarray(fn(minus))) / (2 * step)
-        jets.append(grad)
     if order >= 2:
         raise NotImplementedError("finite-difference jets stop at first order")
+    jets = [np.asarray(fn(p), dtype=complex)]
+    if order == 1:
+        shifted = p[:, None, :] + np.array([step, -step])[:, None, None, None] * frame_vectors(p)
+        shifted /= np.linalg.norm(shifted, axis=-1, keepdims=True)
+        vals = np.asarray(fn(shifted.reshape(-1, 4)), dtype=complex).reshape(2, len(p), 3)
+        jets.append((vals[0] - vals[1]) / (2 * step))
     return jets
-
-
-def component_values(comp, p):
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    if isinstance(comp, UltrasphericalSum):
-        from .harmonics import eval_harmonic
-
-        return eval_harmonic(comp, p)
-    if isinstance(comp, _ProjectedComponent):
-        return comp.values(p)
-    if isinstance(comp, (int, float, complex)):
-        return np.full(len(p), complex(comp))
-    return np.asarray(comp(p), dtype=complex)
 
 
 def component_jet(comp, p, order: int, fd_step: float = 1e-6):
@@ -244,6 +217,10 @@ def component_jet(comp, p, order: int, fd_step: float = 1e-6):
     return _fd_frame_jet(comp, p, order, fd_step)
 
 
+def component_values(comp, p):
+    return component_jet(comp, p, 0)[0]
+
+
 @dataclass
 class SpinorField3:
     """Two scalar components in the Killing frame, plus the sign convention."""
@@ -253,17 +230,7 @@ class SpinorField3:
     k: int | None = None
 
     def values(self, p):
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        return np.stack([component_values(c, p) for c in self.components], axis=-1)
-
-    def component_degree(self) -> int | None:
-        degrees = [
-            c.k if isinstance(c, (UltrasphericalSum, _ProjectedComponent)) else None
-            for c in self.components
-        ]
-        if degrees[0] is not None and degrees[0] == degrees[1]:
-            return degrees[0]
-        return self.k
+        return _pair_jets(self, p, 0)[0]
 
 
 def _pair_jets(psi: SpinorField3, p, order: int, fd_step: float = 1e-6):
@@ -271,22 +238,23 @@ def _pair_jets(psi: SpinorField3, p, order: int, fd_step: float = 1e-6):
     return [np.stack([jets[0][m], jets[1][m]], axis=-1) for m in range(order + 1)]
 
 
-def dirac_apply(psi: SpinorField3, p, fd_step: float = 1e-6):
-    """D psi = sum_i gamma_i X_i psi + (3/2) psi at batched points: (M, 2)."""
+def _dirac_stencil(psi: SpinorField3, p, shift: float, fd_step: float):
+    """sum_i gamma_i X_i psi + shift * psi at batched points: (M, 2)."""
     J = _pair_jets(psi, p, 1, fd_step)
-    out = 1.5 * J[0]
+    out = shift * J[0]
     for i in range(3):
         out = out + J[1][:, i, :] @ GAMMA[i].T
     return out
+
+
+def dirac_apply(psi: SpinorField3, p, fd_step: float = 1e-6):
+    """D psi = sum_i gamma_i X_i psi + (3/2) psi at batched points: (M, 2)."""
+    return _dirac_stencil(psi, p, 1.5, fd_step)
 
 
 def dirac_slash_apply(psi: SpinorField3, p, fd_step: float = 1e-6):
     """(D - 1/2) psi."""
-    J = _pair_jets(psi, p, 1, fd_step)
-    out = J[0].copy()
-    for i in range(3):
-        out = out + J[1][:, i, :] @ GAMMA[i].T
-    return out
+    return _dirac_stencil(psi, p, 1.0, fd_step)
 
 
 class _ProjectedComponent:
@@ -315,10 +283,6 @@ class _ProjectedComponent:
                     acc = acc + base_jets[m + 2][..., l, i, :] @ (GAMMA[l] @ GAMMA[i]).T
             out.append(acc / (2.0 * mu * mu))
         return out
-
-    def values(self, p):
-        base_jets = _pair_jets(self.base, p, 2)
-        return self._assemble(base_jets, 0)[0][..., self.index]
 
     def jet(self, p, order: int):
         base_jets = _pair_jets(self.base, p, order + 2)
@@ -385,8 +349,8 @@ def component_pullback(psi: SpinorField3, index: int, chart: sphere.Chart, k: in
     """Callable x -> psi_index(Psi^{-1}(x/k)) for nodal extraction in the chart."""
 
     def fn(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return component_values(psi.components[index], sphere.chart_to_sphere(chart, x / k))
+        p = sphere.chart_to_sphere(chart, np.asarray(x, dtype=float) / k)
+        return component_values(psi.components[index], p)
 
     return fn
 

@@ -230,3 +230,29 @@ def test_full_spinor_nodal_pipeline(tmp_path):
     assert cross and abs(cross[0]["link"]) == 1
     closed = [e for e in topo["curves"] if e["closed"]]
     assert all(e["min_margin"] > 0 for e in closed)
+
+
+@pytest.mark.parametrize(
+    "command, setting, key",
+    [
+        ("synthesize", "k=abc", "k"),
+        ("verify", "k_sweep=40,abc", "k_sweep"),
+        ("synthesize", "k=0.3", "k"),
+    ],
+)
+def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, key):
+    code = main(
+        [
+            command,
+            "--out",
+            str(tmp_path / "out"),
+            "--set",
+            "input=" + data_path("single_center.json"),
+            "--set",
+            setting,
+        ]
+    )
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert f"config key {key} " in err["detail"]

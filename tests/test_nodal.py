@@ -143,6 +143,59 @@ def test_newton_polish_converges():
     assert np.max(np.abs(circle_field(polished))) <= 1e-9
 
 
+def _loop_newton(fieldfn, pts, tol=1e-9, max_iter=10, step=1e-6):
+    """Reference Newton polish: per-vertex stencils and per-vertex pseudo-inverses."""
+    pts = np.array(pts, dtype=float)
+    for _ in range(max_iter):
+        vals = fieldfn(pts)
+        if np.max(np.abs(vals)) <= tol:
+            break
+        for i in range(len(pts)):
+            jac = np.zeros((2, 3))
+            for mu in range(3):
+                e = step * np.eye(3)[mu]
+                d = (fieldfn(pts[i] + e) - fieldfn(pts[i] - e))[0] / (2 * step)
+                jac[:, mu] = d.real, d.imag
+            pts[i] -= np.linalg.pinv(jac, rcond=1e-8) @ [vals[i].real, vals[i].imag]
+    return pts
+
+
+def test_newton_polish_matches_vertex_loop():
+    rng = np.random.default_rng(1)
+    pts = circle(32, 0.5) + 0.02 * rng.normal(size=(32, 3))
+    assert np.max(np.abs(newton_polish(circle_field, pts) - _loop_newton(circle_field, pts))) <= 1e-12
+
+
+class CountingField:
+    """A field that records the number of rows of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(len(x))
+        return self.fn(x)
+
+
+def test_newton_polish_field_calls():
+    # per iteration: the residual, then one call with six stencil points per vertex
+    rng = np.random.default_rng(2)
+    pts = circle(32, 0.5) + 0.02 * rng.normal(size=(32, 3))
+    field = CountingField(circle_field)
+    polished = newton_polish(field, pts, max_iter=3)
+    assert np.max(np.abs(circle_field(polished))) <= 1e-9
+    assert len(field.calls) <= 2 * 3
+    assert set(field.calls) == {32, 6 * 32}
+
+
+def test_stability_margin_field_calls():
+    curve = extract_nodal(circle_field, BOX, 0.05).closed_curves()[0]
+    field = CountingField(circle_field)
+    assert stability_margin(field, curve) == stability_margin(circle_field, curve)
+    assert field.calls == [len(curve), 6 * len(curve)]
+
+
 def test_serialization_roundtrip():
     nset = extract_nodal(circle_field, BOX, 0.08)
     text = curves_to_json(nset.curves)
