@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -92,6 +93,13 @@ def _int(key: str, value) -> int:
     if type(value) is not int and not (type(value) is float and value.is_integer()):
         raise ConfigError(f"config key {key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _float(key: str, value) -> float:
+    """A config value as a float; anything but a finite number names its key."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _canonical(obj) -> str:
@@ -173,12 +181,12 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
 def cmd_approximate(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     density = _density_from_config(cfg)
-    delta = float(cfg.get("delta", 1e-3))
+    delta = _float("delta", cfg.get("delta", 1e-3))
     manifest = write_manifest(out, cfg, [])
     bsum = herglotz_discretize(
         density,
         delta,
-        radius=float(cfg.get("radius", 2.5)),
+        radius=_float("radius", cfg.get("radius", 2.5)),
         seed=_int("seed", cfg.get("seed", 0)),
     )
     doc = bsum.to_dict()
@@ -268,7 +276,7 @@ def cmd_verify(cfg: dict) -> int:
         raise ConfigError("k_sweep must be strictly increasing")
     m = _int("m", cfg.get("m", 2))
     seed = _int("seed", cfg.get("seed", 0))
-    h = float(cfg.get("h", 0.125))
+    h = _float("h", cfg.get("h", 0.125))
     bsum = _load_bessel(src)
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(out, cfg, [src])
@@ -277,8 +285,11 @@ def cmd_verify(cfg: dict) -> int:
         Y = harmonics.synthesize(bsum, k, chart)
         report = harmonics.localization_error(bsum, Y, m=m, h=h)
         rows.extend(report.to_csv_rows())
-        lap = harmonics.laplace_residual(Y, samples=16, h=1e-3, seed=seed)
-        rows.append(("laplace", lap, 1e-3, k))
+        # a step proportional to the wavelength keeps the O((kh)^2) stencil
+        # error of the eigenvalue-relative residual the same at every k
+        lap_h = 0.04 / k
+        lap = harmonics.laplace_residual(Y, samples=16, h=lap_h, seed=seed)
+        rows.append(("laplace", lap, lap_h, k))
     lines = [f"# manifest {manifest}", "order,sup_error,h,k"]
     for order, err, step, k in rows:
         lines.append(f"{order},{err:.17g},{step:.17g},{k}")
@@ -291,7 +302,7 @@ def cmd_verify(cfg: dict) -> int:
 def cmd_nodal(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
-    h = float(cfg.get("h", 0.05))
+    h = _float("h", cfg.get("h", 0.05))
     lo = np.asarray(cfg.get("box_lo", [-0.8, -0.8, -0.8]), dtype=float)
     hi = np.asarray(cfg.get("box_hi", [0.8, 0.8, 0.8]), dtype=float)
     doc = json.loads(Path(src).read_text())

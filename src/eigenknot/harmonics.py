@@ -182,11 +182,13 @@ def rescaled_pullback(Y: UltrasphericalSum, x, chart: sphere.Chart | None = None
 def laplace_residual(
     Y: UltrasphericalSum, samples: int = 64, h: float = 1e-3, seed: int = 0
 ) -> float:
-    """max |Delta_h Y - k(n+k-1) Y| / max|Y| over random sphere points.
+    """max |Delta_h Y - lambda Y| / (lambda max|Y|) over random sphere points.
 
-    Delta is the positive-spectrum sphere Laplacian; at the center of normal
-    coordinates it equals minus the sum of chart second differences, exactly
-    to O(h^2).
+    Delta is the positive-spectrum sphere Laplacian and lambda = k(n+k-1) its
+    eigenvalue on degree k; at the center of normal coordinates Delta equals
+    minus the sum of chart second differences, exactly to O(h^2).  Relative
+    to lambda the stencil error is O((kh)^2), so a step h ~ 1/k measures the
+    same thing at every degree.
     """
     rng = np.random.default_rng(seed)
     p = rng.normal(size=(samples, Y.n + 1))
@@ -197,7 +199,7 @@ def laplace_residual(
     vals, stencil = np.split(eval_harmonic(Y, pts), [samples])
     lap = -2.0 * Y.n * vals + stencil.reshape(samples, 2 * Y.n).sum(axis=1)
     resid = np.abs(-lap / (h * h) - Y.energy * vals)
-    return float(resid.max() / np.abs(vals).max())
+    return float(resid.max() / (Y.energy * np.abs(vals).max()))
 
 
 @dataclass

@@ -171,22 +171,42 @@ class BesselSum:
         return cls.from_dict(json.loads(s))
 
 
+def _pair_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """|x_i - c_j| as an (N, M) array, built one coordinate plane at a time."""
+    dist = np.subtract.outer(x[:, 0], centers[:, 0])
+    dist *= dist
+    plane = np.empty_like(dist)
+    for a in range(1, x.shape[1]):
+        np.subtract.outer(x[:, a], centers[:, a], out=plane)
+        plane *= plane
+        dist += plane
+    return np.sqrt(dist, out=dist)
+
+
 def _kernel_matrix(n: int, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """bessel_kernel(n, |x_i - c_j|) for point rows x_i and centers c_j."""
-    return bessel_kernel(n, np.linalg.norm(x[:, None, :] - centers[None, :, :], axis=2))
+    return bessel_kernel(n, _pair_distances(x, centers))
+
+
+def _real_times_complex(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """a @ coeffs for a real array a, without promoting a to complex."""
+    pair = np.stack([coeffs.real, coeffs.imag], axis=1)
+    return (a @ pair).view(complex)[..., 0]
 
 
 def eval_bessel_sum(s: BesselSum, x):
-    return eval_rows(lambda xb: _kernel_matrix(s.n, xb, s.centers) @ s.coeffs, x, s.n)
+    return eval_rows(
+        lambda xb: _real_times_complex(_kernel_matrix(s.n, xb, s.centers), s.coeffs), x, s.n
+    )
 
 
 def eval_bessel_sum_grad(s: BesselSum, x):
     """Gradient in C^n; the kernel derivative -r * kernel_{n+2}(r) is smooth at 0."""
 
     def block(xb):
-        diff = xb[:, None, :] - s.centers[None, :, :]
-        w = -bessel_kernel(s.n + 2, np.linalg.norm(diff, axis=2)) * s.coeffs[None, :]
-        return np.einsum("mj,mjd->md", w, diff)
+        diff = xb.T[:, :, None] - s.centers.T[:, None, :]
+        diff *= bessel_kernel(s.n + 2, _pair_distances(xb, s.centers))
+        return -_real_times_complex(diff, s.coeffs).T
 
     return eval_rows(block, x, s.n)
 

@@ -4,7 +4,11 @@ Everything downstream depends on three conventions fixed here:
 
 * ``bessel_kernel(n, r)`` is J_{n/2-1}(r) / r^{n/2-1}, the radial profile of
   the uniform plane-wave average over S^{n-1} (up to a (2*pi)^{n/2} factor),
-  with the removable singularity at r=0 filled in by its power series.
+  with the removable singularity at r=0 filled in by its power series.  For
+  n = 3 and for its gradient kernel n = 5 the half-integer order makes it
+  elementary (DLMF 10.49.3): sqrt(2/pi) sin(r)/r and
+  sqrt(2/pi) (sin r - r cos r)/r^3, evaluated with sin/cos; other n go
+  through scipy's jv.
 * ``gegenbauer_cnk(n, k, t)`` is the ultraspherical polynomial of dimension
   n+1 and degree k normalized so that C(1) = 1, i.e.
   Gamma(k+1) Gamma(n/2) / Gamma(k+n/2) * P_k^{(n/2-1, n/2-1)}(t).
@@ -23,6 +27,8 @@ import math
 
 import numpy as np
 from scipy.special import jv
+
+_SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 
 def bessel_j(nu: float, t):
@@ -44,7 +50,10 @@ def bessel_kernel(n: int, r):
 
     The limit at r=0 is 1 / (2^{n/2-1} Gamma(n/2)).  For r < 1/2 the power
     series is summed directly (it converges to machine precision in a dozen
-    terms there); the quotient of library values is used elsewhere.
+    terms there).  Elsewhere n = 3 and n = 5 use the closed forms
+    J_{1/2}(r)/r^{1/2} = sqrt(2/pi) sin(r)/r and
+    J_{3/2}(r)/r^{3/2} = sqrt(2/pi) (sin r - r cos r)/r^3 (DLMF 10.49.3), and
+    every other n the quotient of library values.
     """
     if n < 2:
         raise ValueError("dimension n must be >= 2")
@@ -54,9 +63,19 @@ def bessel_kernel(n: int, r):
     r = np.atleast_1d(r)
     if np.any(r < 0):
         raise ValueError("bessel_kernel requires r >= 0")
-    out = np.empty_like(r)
     small = r < 0.5
-    if np.any(small):
+    if n in (3, 5):
+        # the closed form on every radius; the series overwrites r < 1/2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sin = np.sin(r)
+            out = sin / r if n == 3 else (sin - r * np.cos(r)) / (r * r * r)
+        out *= _SQRT_2_PI
+    else:
+        out = np.empty_like(r)
+        if not small.all():
+            rl = r[~small]
+            out[~small] = jv(nu, rl) / rl**nu
+    if small.any():
         rs = r[small]
         x = 0.25 * rs * rs
         term = np.full_like(rs, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
@@ -65,9 +84,6 @@ def bessel_kernel(n: int, r):
             term = -term * x / (m * (nu + m))
             acc += term
         out[small] = acc
-    if np.any(~small):
-        rl = r[~small]
-        out[~small] = jv(nu, rl) / rl**nu
     return out[0] if scalar else out
 
 

@@ -232,15 +232,7 @@ def test_full_spinor_nodal_pipeline(tmp_path):
     assert all(e["min_margin"] > 0 for e in closed)
 
 
-@pytest.mark.parametrize(
-    "command, setting, key",
-    [
-        ("synthesize", "k=abc", "k"),
-        ("verify", "k_sweep=40,abc", "k_sweep"),
-        ("synthesize", "k=0.3", "k"),
-    ],
-)
-def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, key):
+def _config_error_names_key(tmp_path, capsys, command, setting, key):
     code = main(
         [
             command,
@@ -256,3 +248,53 @@ def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, 
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert f"config key {key} " in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "command, setting, key",
+    [
+        ("synthesize", "k=abc", "k"),
+        ("verify", "k_sweep=40,abc", "k_sweep"),
+        ("synthesize", "k=0.3", "k"),
+    ],
+)
+def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, key):
+    _config_error_names_key(tmp_path, capsys, command, setting, key)
+
+
+@pytest.mark.parametrize(
+    "command, setting, key",
+    [
+        ("approximate", "delta=abc", "delta"),
+        ("approximate", "delta=nan", "delta"),
+        ("approximate", "radius=abc", "radius"),
+        ("verify", "h=abc", "h"),
+        ("nodal", "h=abc", "h"),
+    ],
+)
+def test_non_numeric_float_config_value_exit_code(tmp_path, capsys, command, setting, key):
+    _config_error_names_key(tmp_path, capsys, command, setting, key)
+
+
+def test_verify_laplace_row_certifies_at_high_degree(tmp_path):
+    out = tmp_path / "errors.csv"
+    code = main(
+        [
+            "verify",
+            "--out",
+            str(out),
+            "--set",
+            "input=" + data_path("single_center.json"),
+            "--set",
+            "k_sweep=40,320",
+            "--set",
+            "m=0",
+        ]
+    )
+    assert code == EXIT_OK
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+    laplace = {int(r[3]): (float(r[1]), float(r[2])) for r in rows if r[0] == "laplace"}
+    assert sorted(laplace) == [40, 320]
+    for k, (resid, h) in laplace.items():
+        assert h == 0.04 / k
+        assert resid < 1e-3, (k, resid)

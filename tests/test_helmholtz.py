@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from eigenknot.helmholtz import (
     BesselSum,
@@ -60,6 +61,50 @@ def test_bessel_sum_single_term():
     x = np.array([0.3, -1.2, 0.4])
     r = np.linalg.norm(x)
     assert eval_bessel_sum(s, x) == pytest.approx((2 - 1j) * SQRT_2_PI * math.sin(r) / r)
+
+
+def _many_term_sum(rng, count=50):
+    centers = rng.uniform(-1.5, 1.5, (count, 3))
+    coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
+    return BesselSum(3, coeffs, centers, 3.0)
+
+
+def _probe_points(rng, s):
+    # generic points, one on a center and one 0.2 from it (the series branch)
+    return np.vstack([ball_points(rng, 40, radius=2.0), s.centers[:1], s.centers[1:2] + 0.2])
+
+
+def test_bessel_sum_many_terms_against_pair_sum():
+    rng = np.random.default_rng(11)
+    s = _many_term_sum(rng)
+    pts = _probe_points(rng, s)
+    # per-pair oracle: J_{1/2}(r)/r^{1/2} = sqrt(2/pi) j_0(r), and the gradient
+    # kernel J_{3/2}(r)/r^{3/2} = sqrt(2/pi) j_1(r)/r (1/3 sqrt(2/pi) at r = 0)
+    val = np.zeros(len(pts), dtype=complex)
+    grad = np.zeros((len(pts), 3), dtype=complex)
+    for i, x in enumerate(pts):
+        for c, xj in zip(s.coeffs, s.centers):
+            r = math.dist(x, xj)
+            val[i] += c * SQRT_2_PI * spherical_jn(0, r)
+            k5 = SQRT_2_PI * (spherical_jn(1, r) / r if r > 0 else 1.0 / 3.0)
+            grad[i] -= c * k5 * (x - xj)
+    assert np.max(np.abs(eval_bessel_sum(s, pts) - val)) <= 1e-13 * np.max(np.abs(val))
+    assert np.max(np.abs(eval_bessel_sum_grad(s, pts) - grad)) <= 1e-13 * np.max(np.abs(grad))
+
+
+def test_bessel_sum_n3_needs_no_library_bessel(monkeypatch):
+    # n = 3 and its gradient kernel n = 5 are elementary; jv must stay unused
+    import eigenknot.specialfn
+
+    def refuse(*args):
+        raise AssertionError("jv called for an n = 3 or n = 5 kernel")
+
+    monkeypatch.setattr(eigenknot.specialfn, "jv", refuse)
+    rng = np.random.default_rng(12)
+    s = _many_term_sum(rng)
+    pts = _probe_points(rng, s)
+    assert np.all(np.isfinite(eval_bessel_sum(s, pts)))
+    assert np.all(np.isfinite(eval_bessel_sum_grad(s, pts)))
 
 
 def test_bessel_sum_kernel_limit_general_n():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from eigenknot.specialfn import (
     bessel_j,
@@ -84,6 +85,27 @@ def test_kernel_limit_at_zero():
         nu = 0.5 * n - 1.0
         direct = bessel_j(nu, 0.49) / 0.49**nu
         assert bessel_kernel(n, 0.49) == pytest.approx(direct, rel=1e-13)
+
+
+def test_kernel_closed_forms_match_jv_quotient():
+    # n = 3 and n = 5 use sin/cos from r = 1/2 on; the grid starts on the seam
+    r = np.concatenate([[np.nextafter(0.5, 0.0)], np.linspace(0.5, 60.0, 200_001)])
+    for n in (3, 5):
+        nu = 0.5 * n - 1.0
+        got = bessel_kernel(n, r)
+        ref = jv(nu, r) / r**nu
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(got)), n
+
+
+def test_kernel_library_path_unchanged_for_other_n():
+    r = np.linspace(0.0, 60.0, 20_001)
+    large = r >= 0.5
+    for n in (2, 4, 6, 7):
+        nu = 0.5 * n - 1.0
+        got = bessel_kernel(n, r)
+        assert np.array_equal(got[large], jv(nu, r[large]) / r[large] ** nu), n
+        series = [bessel_series(nu, t) / t**nu if t > 0 else bessel_kernel(n, 0.0) for t in r[~large]]
+        assert np.allclose(got[~large], series, rtol=1e-14, atol=0.0), n
 
 
 def test_kernel_n4_vs_bessel_series():
