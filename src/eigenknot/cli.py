@@ -102,6 +102,13 @@ def _float(key: str, value) -> float:
     return float(value)
 
 
+def _floats(key: str, value, length: int) -> np.ndarray:
+    """A config list as floats; anything but `length` finite numbers names its key."""
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise ConfigError(f"config key {key} must be {length} comma-separated numbers, got {value!r}")
+    return np.array([_float(key, v) for v in value])
+
+
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -166,16 +173,17 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
     seed = _int("seed", cfg.get("seed", 0))
     seed = _int("chart_seed", cfg.get("chart_seed", seed))
     base = cfg.get("chart_base")
+    if base is not None:
+        base = _floats("chart_base", base, n + 1)
+        if not base.any():
+            raise ConfigError("config key chart_base must not be the zero vector")
     if kind == "adapted":
         if n != 3:
             raise ConfigError("adapted charts are specific to S^3")
-        p0 = np.asarray(base, dtype=float) if base is not None else np.array([1.0, 0, 0, 0])
-        return spinor3.adapted_chart(p0)
+        return spinor3.adapted_chart(base if base is not None else np.array([1.0, 0, 0, 0]))
     if kind != "random":
         raise ConfigError(f"unknown chart kind: {kind}")
-    if base is not None:
-        return sphere.random_chart(n, seed, p0=np.asarray(base, dtype=float))
-    return sphere.random_chart(n, seed)
+    return sphere.random_chart(n, seed, p0=base)
 
 
 def cmd_approximate(cfg: dict) -> int:
@@ -303,8 +311,8 @@ def cmd_nodal(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
     h = _float("h", cfg.get("h", 0.05))
-    lo = np.asarray(cfg.get("box_lo", [-0.8, -0.8, -0.8]), dtype=float)
-    hi = np.asarray(cfg.get("box_hi", [0.8, 0.8, 0.8]), dtype=float)
+    lo = _floats("box_lo", cfg.get("box_lo", [-0.8, -0.8, -0.8]), 3)
+    hi = _floats("box_hi", cfg.get("box_hi", [0.8, 0.8, 0.8]), 3)
     doc = json.loads(Path(src).read_text())
     manifest = write_manifest(out, cfg, [src])
     fields = []
@@ -320,11 +328,9 @@ def cmd_nodal(cfg: dict) -> int:
     closed_by_field = []
     topo = {"curves": [], "linking": []}
     for name, fn in fields:
-        box = (cfg.get(f"{name}_box_lo"), cfg.get(f"{name}_box_hi"))
-        bounds = (
-            (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
-            if box[0] is not None and box[1] is not None
-            else (lo, hi)
+        bounds = tuple(
+            _floats(key, cfg[key], 3) if key in cfg else default
+            for key, default in ((f"{name}_box_lo", lo), (f"{name}_box_hi", hi))
         )
         nset = nodal.extract_nodal(fn, bounds, h)
         for idx, curve in enumerate(nset.curves):

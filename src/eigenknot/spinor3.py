@@ -161,8 +161,10 @@ def _jet_terms(word: tuple):
 def zonal_jet(Y: UltrasphericalSum, p, order: int):
     """Frame jets [J0, J1, ..., J_order] of a zonal harmonic sum on S^3.
 
-    J_m has shape (M, 3, ..., 3) with J_m[i1..im] = X_{i1}...X_{im} Y (the
-    first index is the outermost derivative).  All derivatives are analytic.
+    J_m has shape (M, 3, ..., 3) + Y.coeffs.shape[1:] with J_m[i1..im] =
+    X_{i1}...X_{im} Y (the first index is the outermost derivative), so a
+    coefficient array with trailing columns evaluates several sums over the
+    same centers at once.  All derivatives are analytic.
     """
     if Y.n != 3:
         raise ValueError("frame jets are specific to S^3")
@@ -175,7 +177,7 @@ def zonal_jet(Y: UltrasphericalSum, p, order: int):
         CD = [nu * arr for arr in gegenbauer_cnk_derivatives(3, Y.k, T, order)]
         jets = []
         for m in range(order + 1):
-            jet = np.empty((len(pc),) + (3,) * m, dtype=complex)
+            jet = np.empty((len(pc),) + (3,) * m + Y.coeffs.shape[1:], dtype=complex)
             for word in words_by_m[m]:
                 terms = _jet_terms(tuple(i + 1 for i in word))
                 acc = None
@@ -191,7 +193,7 @@ def zonal_jet(Y: UltrasphericalSum, p, order: int):
     return sphere.eval_rows(block, p, 4)
 
 
-def _fd_frame_jet(fn, p, order: int, step: float):
+def _fd_frame_jet(fn, p, order: int, step: float = 1e-6):
     """Frame jets of a callable component by symmetric geodesic differences."""
     if order >= 2:
         raise NotImplementedError("finite-difference jets stop at first order")
@@ -204,7 +206,7 @@ def _fd_frame_jet(fn, p, order: int, step: float):
     return jets
 
 
-def component_jet(comp, p, order: int, fd_step: float = 1e-6):
+def component_jet(comp, p, order: int):
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if isinstance(comp, UltrasphericalSum):
         return zonal_jet(comp, p, order)
@@ -214,7 +216,7 @@ def component_jet(comp, p, order: int, fd_step: float = 1e-6):
         out = [np.full(len(p), complex(comp))]
         out += [np.zeros((len(p),) + (3,) * m, dtype=complex) for m in range(1, order + 1)]
         return out
-    return _fd_frame_jet(comp, p, order, fd_step)
+    return _fd_frame_jet(comp, p, order)
 
 
 def component_values(comp, p):
@@ -233,36 +235,44 @@ class SpinorField3:
         return _pair_jets(self, p, 0)[0]
 
 
-def _pair_jets(psi: SpinorField3, p, order: int, fd_step: float = 1e-6):
-    jets = [component_jet(c, p, order, fd_step) for c in psi.components]
+def _pair_jets(psi: SpinorField3, p, order: int):
+    """Jets of both components on a last axis; a harmonic pair shares one pass."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    a, b = psi.components
+    pair = isinstance(a, UltrasphericalSum) and isinstance(b, UltrasphericalSum)
+    if pair and (a.n, a.k) == (b.n, b.k):
+        centers, inv = np.unique(np.concatenate([a.centers, b.centers]), axis=0, return_inverse=True)
+        coeffs = np.zeros((len(centers), 2), dtype=complex)
+        column = np.repeat([0, 1], [len(a), len(b)])
+        np.add.at(coeffs, (inv.ravel(), column), np.concatenate([a.coeffs, b.coeffs]))
+        return zonal_jet(UltrasphericalSum(a.n, a.k, coeffs, centers), p, order)
+    jets = [component_jet(c, p, order) for c in psi.components]
     return [np.stack([jets[0][m], jets[1][m]], axis=-1) for m in range(order + 1)]
 
 
-def _dirac_stencil(psi: SpinorField3, p, shift: float, fd_step: float):
-    """sum_i gamma_i X_i psi + shift * psi at batched points: (M, 2)."""
-    J = _pair_jets(psi, p, 1, fd_step)
-    out = shift * J[0]
-    for i in range(3):
-        out = out + J[1][:, i, :] @ GAMMA[i].T
-    return out
+def _dirac_jets(jets, shift: float, order: int):
+    """Jets through `order` of sum_i gamma_i X_i psi + shift psi, from pair jets to order + 1."""
+    return [
+        shift * jets[m] + sum(jets[m + 1][..., i, :] @ GAMMA[i].T for i in range(3))
+        for m in range(order + 1)
+    ]
 
 
-def dirac_apply(psi: SpinorField3, p, fd_step: float = 1e-6):
+def dirac_apply(psi: SpinorField3, p):
     """D psi = sum_i gamma_i X_i psi + (3/2) psi at batched points: (M, 2)."""
-    return _dirac_stencil(psi, p, 1.5, fd_step)
+    return _dirac_jets(_pair_jets(psi, p, 1), 1.5, 0)[0]
 
 
-def dirac_slash_apply(psi: SpinorField3, p, fd_step: float = 1e-6):
+def dirac_slash_apply(psi: SpinorField3, p):
     """(D - 1/2) psi."""
-    return _dirac_stencil(psi, p, 1.0, fd_step)
+    return _dirac_jets(_pair_jets(psi, p, 1), 1.0, 0)[0]
 
 
 class _ProjectedComponent:
     """Component a of the projected eigenfield built from a harmonic pair.
 
-    psi = Dslash(Dslash + mu) psit / (2 mu^2) with mu = k + 1; every frame
-    jet of psi at word w is an assembly of base jets at words (w, l, i),
-    (w, i), (w), so analytic derivatives remain available at all orders.
+    psi = (Dslash + mu) psit / (2 mu) with mu = k + 1 is linear in D, so its
+    frame jets through order m need base jets through order m + 1 only.
     """
 
     def __init__(self, base: SpinorField3, k: int, index: int):
@@ -270,23 +280,9 @@ class _ProjectedComponent:
         self.k = k
         self.index = index
 
-    def _assemble(self, base_jets, order: int):
-        k = self.k
-        mu = k + 1.0
-        out = []
-        for m in range(order + 1):
-            acc = (k + 2.0) * base_jets[m]
-            for i in range(3):
-                acc = acc + (k + 3.0) * (base_jets[m + 1][..., i, :] @ GAMMA[i].T)
-            for l in range(3):
-                for i in range(3):
-                    acc = acc + base_jets[m + 2][..., l, i, :] @ (GAMMA[l] @ GAMMA[i]).T
-            out.append(acc / (2.0 * mu * mu))
-        return out
-
     def jet(self, p, order: int):
-        base_jets = _pair_jets(self.base, p, order + 2)
-        return [arr[..., self.index] for arr in self._assemble(base_jets, order)]
+        jets = _dirac_jets(_pair_jets(self.base, p, order + 1), self.k + 2.0, order)
+        return [arr[..., self.index] / (2.0 * (self.k + 1)) for arr in jets]
 
 
 def component_harmonicity(comp, k: int, samples: int = 32, seed: int = 0) -> float:
@@ -302,43 +298,41 @@ def component_harmonicity(comp, k: int, samples: int = 32, seed: int = 0) -> flo
     return float(np.abs(lap - k * (k + 2.0) * jets[0]).max() / scale)
 
 
-def dirac_project(psi_tilde: SpinorField3, k: int, check: bool = True, check_tol: float = 1e-6) -> SpinorField3:
+def dirac_project(psi_tilde: SpinorField3, k: int) -> SpinorField3:
     """Project a spinor with degree-k harmonic components onto the D-eigenspace.
 
-    psi = Dslash(Dslash psit + ((n-1)/2 + k) psit) / (2 ((n-1)/2 + k)^2),
-    n = 3.  For exact harmonic components this satisfies
-    D psi = (3/2 + k) psi identically, and re-projection is the identity.
+    psi = (Dslash + mu) psit / (2 mu), Dslash = D - 1/2, mu = k + 1.  With
+    S = sum_i gamma_i X_i, gamma_2 gamma_3 = -gamma_1 gives S^2 = Delta_chi - 2S,
+    and Delta_chi = k(k+2) on degree-k components, so there D has only the
+    eigenvalues k + 3/2 and -(k + 1/2): D psi = (3/2 + k) psi identically and
+    re-projection is the identity.  That needs degree-k input, so every
+    component must pass the harmonicity check (tolerance 1e-6).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     for comp in psi_tilde.components:
         if callable(comp) and not isinstance(comp, (UltrasphericalSum, _ProjectedComponent)):
             raise TypeError("dirac_project needs analytic components (harmonic sums or constants)")
-        if check:
-            resid = component_harmonicity(comp, k)
-            if resid > check_tol:
-                raise ValueError(
-                    f"component is not a degree-{k} spherical harmonic "
-                    f"(laplace residual {resid:.2e})"
-                )
-    out = SpinorField3(
-        (
-            _ProjectedComponent(psi_tilde, k, 0),
-            _ProjectedComponent(psi_tilde, k, 1),
-        ),
+        resid = component_harmonicity(comp, k)
+        if resid > 1e-6:
+            raise ValueError(
+                f"component is not a degree-{k} spherical harmonic "
+                f"(laplace residual {resid:.2e})"
+            )
+    return SpinorField3(
+        (_ProjectedComponent(psi_tilde, k, 0), _ProjectedComponent(psi_tilde, k, 1)),
         orientation=psi_tilde.orientation,
         k=k,
     )
-    return out
 
 
-def dirac_residual(psi: SpinorField3, lam: float, samples: int = 64, seed: int = 0, fd_step: float = 1e-6) -> float:
+def dirac_residual(psi: SpinorField3, lam: float, samples: int = 64, seed: int = 0) -> float:
     """max |D psi - lam psi| / max |psi| over seeded random sphere points."""
     rng = np.random.default_rng(seed)
     p = rng.normal(size=(samples, 4))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
     vals = psi.values(p)
-    dv = dirac_apply(psi, p, fd_step)
+    dv = dirac_apply(psi, p)
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return 0.0

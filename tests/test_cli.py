@@ -232,7 +232,7 @@ def test_full_spinor_nodal_pipeline(tmp_path):
     assert all(e["min_margin"] > 0 for e in closed)
 
 
-def _config_error_names_key(tmp_path, capsys, command, setting, key):
+def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):
     code = main(
         [
             command,
@@ -240,6 +240,7 @@ def _config_error_names_key(tmp_path, capsys, command, setting, key):
             str(tmp_path / "out"),
             "--set",
             "input=" + data_path("single_center.json"),
+            *(arg for item in extra for arg in ("--set", item)),
             "--set",
             setting,
         ]
@@ -274,6 +275,41 @@ def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, 
 )
 def test_non_numeric_float_config_value_exit_code(tmp_path, capsys, command, setting, key):
     _config_error_names_key(tmp_path, capsys, command, setting, key)
+
+
+@pytest.mark.parametrize(
+    "command, setting, key",
+    [
+        ("nodal", "box_lo=abc", "box_lo"),
+        ("nodal", "box_lo=1,2", "box_lo"),
+        ("nodal", "box_lo=-1", "box_lo"),
+        ("nodal", "box_hi=1,nan,1", "box_hi"),
+        ("nodal", "field_box_lo=1,2", "field_box_lo"),
+        ("synthesize", "chart_base=1,0", "chart_base"),
+        ("synthesize", "chart_base=0,0,0,0", "chart_base"),
+    ],
+)
+def test_bad_list_config_value_exit_code(tmp_path, capsys, command, setting, key):
+    _config_error_names_key(tmp_path, capsys, command, setting, key, extra=["k=3"])
+
+
+def test_nodal_field_box_sides_fall_back_separately(tmp_path, monkeypatch):
+    from eigenknot import nodal
+
+    seen = []
+    extract = nodal.extract_nodal
+
+    def spy(fn, box, h):
+        seen.append(box)
+        return extract(fn, box, h)
+
+    monkeypatch.setattr(nodal, "extract_nodal", spy)
+    settings = ["h=0.2", "box_hi=0.6,0.6,0.6", "field_box_lo=0,-0.8,-0.8"]
+    argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", "input=" + data_path("single_center.json")]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_OK
+    assert [np.asarray(b).tolist() for b in seen[0]] == [[0, -0.8, -0.8], [0.6, 0.6, 0.6]]
 
 
 def test_verify_laplace_row_certifies_at_high_degree(tmp_path):

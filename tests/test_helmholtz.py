@@ -10,6 +10,7 @@ from eigenknot.helmholtz import (
     BesselSum,
     FourierBesselSeries,
     HerglotzDensity,
+    PlaneWaveSpinor,
     ToleranceError,
     eval_bessel_sum,
     eval_bessel_sum_grad,
@@ -53,6 +54,21 @@ def test_herglotz_linear_density_oracle():
     f = HerglotzDensity.from_function(3, lambda xi: xi[:, 2].astype(complex))
     val = eval_herglotz(f, np.array([0.0, 0.0, 1.0]))
     assert val == pytest.approx(3.7845972369939314j, rel=1e-11)
+
+
+def test_plane_wave_sums_match_complex_exponential():
+    # reference: the complex phase block e^{i x.xi} times the coefficients
+    rng = np.random.default_rng(3)
+    x = ball_points(rng, 500, radius=30.0)
+    f = HerglotzDensity.from_function(3, lambda xi: np.exp(1j * xi[:, 0]) + xi[:, 1], 12)
+    ref = np.exp(1j * (x @ f.nodes.T)) @ (f.weights * f.values)
+    assert np.max(np.abs(eval_herglotz(f, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    dirs = rng.normal(size=(9, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pw = PlaneWaveSpinor(dirs, rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))
+    for a in (0, 1):
+        ref = np.exp(1j * (x @ dirs.T)) @ pw.spinor_coeffs[:, a]
+        assert np.max(np.abs(pw.component(a, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_bessel_sum_single_term():

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigenknot as ek
+from eigenknot import spinor3
+from eigenknot.harmonics import UltrasphericalSum
 from eigenknot.helmholtz import BesselSum, eval_bessel_sum, eval_bessel_sum_grad, FLAT_GAMMA
 from eigenknot.spinor3 import (
     adapted_chart,
     CLIFFORD,
     GAMMA,
     SpinorField3,
+    _pair_jets,
     component_harmonicity,
+    component_jet,
     component_pullback,
     component_values,
     dirac_apply,
@@ -124,6 +129,94 @@ def test_projection_idempotence(harmonic_pair):
     p = sphere_points(4, 40)
     v1 = psi.values(p)
     v2 = psi2.values(p)
+    assert np.max(np.abs(v2 - v1)) <= 1e-9 * np.max(np.abs(v1))
+
+
+def quadratic_projection_jets(psit, p, k):
+    """Reference Dslash(Dslash + mu) psit / (2 mu^2), mu = k + 1, through first jets.
+
+    Built from separate zonal_jet passes through third order, with the
+    gamma_l gamma_i products written out.
+    """
+    jets = [zonal_jet(c, p, 3) for c in psit.components]
+    J = [np.stack([jets[0][m], jets[1][m]], axis=-1) for m in range(4)]
+    mu = k + 1.0
+    out = []
+    for m in range(2):
+        acc = (k + 2.0) * J[m]
+        for i in range(3):
+            acc = acc + (k + 3.0) * (J[m + 1][..., i, :] @ GAMMA[i].T)
+            for l in range(3):
+                acc = acc + J[m + 2][..., l, i, :] @ (GAMMA[l] @ GAMMA[i]).T
+        out.append(acc / (2.0 * mu * mu))
+    return out
+
+
+def harmonic_pair_at(k, chart, shared):
+    s1 = rand_sum(100 + k)
+    s2 = rand_sum(200 + k)
+    if shared:  # same centers, other coefficients
+        s2 = BesselSum(3, s2.coeffs, s1.centers, s1.radius)
+    return SpinorField3((ek.synthesize(s1, k, chart), ek.synthesize(s2, k, chart)), k=k)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("k", [10, 30, 120])
+def test_linear_projector_matches_quadratic_form(chart, k, shared):
+    psit = harmonic_pair_at(k, chart, shared)
+    assert (len(np.unique(np.concatenate([c.centers for c in psit.components]), axis=0)) == 4) == shared
+    p = sphere_points(20, 50)
+    ref = quadratic_projection_jets(psit, p, k)
+    psi = dirac_project(psit, k)
+    for a in (0, 1):
+        jets = component_jet(psi.components[a], p, 1)
+        for m in (0, 1):
+            scale = np.max(np.abs(ref[m][..., a]))
+            assert np.max(np.abs(jets[m] - ref[m][..., a])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_pooled_pair_jets_match_separate_passes(chart, shared):
+    psit = harmonic_pair_at(30, chart, shared)
+    p = sphere_points(21, 40)
+    pooled = _pair_jets(psit, p, 2)
+    for a, comp in enumerate(psit.components):
+        for m, ref in enumerate(zonal_jet(comp, p, 2)):
+            assert pooled[m].shape == ref.shape + (2,)
+            assert np.max(np.abs(pooled[m][..., a] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_projected_values_make_one_first_order_pass(monkeypatch):
+    design = ek.hopf_link_design()
+    chart = adapted_chart(np.array([0.3, -0.5, 0.7, 0.4]))
+    k = 60
+    ys = tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1))
+    psi = dirac_project(SpinorField3(ys, k=k), k)
+    orders = []
+    inner = spinor3.zonal_jet
+
+    def counting(Y, p, order):
+        orders.append(order)
+        return inner(Y, p, order)
+
+    monkeypatch.setattr(spinor3, "zonal_jet", counting)
+    component_values(psi.components[0], sphere_points(22, 30))
+    assert orders == [1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 80))
+def test_projection_property(seed, k):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    centers = rng.normal(size=(2, 4, 4))
+    centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
+    ys = tuple(UltrasphericalSum(3, k, coeffs[a], centers[a]) for a in (0, 1))
+    psi = dirac_project(SpinorField3(ys, k=k), k)
+    assert dirac_residual(psi, k + 1.5) <= 1e-9
+    p = sphere_points(seed + 1, 32)
+    v1 = psi.values(p)
+    v2 = dirac_project(psi, k).values(p)
     assert np.max(np.abs(v2 - v1)) <= 1e-9 * np.max(np.abs(v1))
 
 
