@@ -102,6 +102,14 @@ def _float(key: str, value) -> float:
     return float(value)
 
 
+def _positive(cast, key: str, value):
+    """cast(key, value) for a key whose value must be > 0."""
+    out = cast(key, value)
+    if out <= 0:
+        raise ConfigError(f"config key {key} must be positive, got {value!r}")
+    return out
+
+
 def _floats(key: str, value, length: int) -> np.ndarray:
     """A config list as floats; anything but `length` finite numbers names its key."""
     if not isinstance(value, (list, tuple)) or len(value) != length:
@@ -142,7 +150,7 @@ def _write_json(path: Path, doc: dict, manifest: str):
 
 def _density_from_config(cfg: dict) -> HerglotzDensity:
     n = _int("n", cfg.get("n", 3))
-    resolution = _int("resolution", cfg.get("resolution", 24))
+    resolution = _positive(_int, "resolution", cfg.get("resolution", 24))
     kind = cfg.get("density", "constant")
     if kind == "constant":
         return HerglotzDensity.constant(n, 1.0, resolution)
@@ -189,14 +197,11 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
 def cmd_approximate(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     density = _density_from_config(cfg)
-    delta = _float("delta", cfg.get("delta", 1e-3))
+    delta = _positive(_float, "delta", cfg.get("delta", 1e-3))
+    radius = _positive(_float, "radius", cfg.get("radius", 2.5))
+    seed = _int("seed", cfg.get("seed", 0))
     manifest = write_manifest(out, cfg, [])
-    bsum = herglotz_discretize(
-        density,
-        delta,
-        radius=_float("radius", cfg.get("radius", 2.5)),
-        seed=_int("seed", cfg.get("seed", 0)),
-    )
+    bsum = herglotz_discretize(density, delta, radius=radius, seed=seed)
     doc = bsum.to_dict()
     doc["achieved_error"] = bsum.report.achieved
     doc["error_constant"] = bsum.report.constant
@@ -208,7 +213,7 @@ def cmd_approximate(cfg: dict) -> int:
 def cmd_synthesize(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
-    k = _int("k", _require(cfg, "k"))
+    k = _positive(_int, "k", _require(cfg, "k"))
     bsum = _load_bessel(src)
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(out, cfg, [src])
@@ -232,7 +237,7 @@ def cmd_spinorize(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src1 = str(_require(cfg, "input1"))
     src2 = str(_require(cfg, "input2"))
-    k = _int("k", _require(cfg, "k"))
+    k = _positive(_int, "k", _require(cfg, "k"))
     b1, b2 = _load_bessel(src1), _load_bessel(src2)
     chart = _chart_from_config(cfg, 3, default_kind="adapted")
     manifest = write_manifest(out, cfg, [src1, src2])
@@ -279,12 +284,14 @@ def cmd_verify(cfg: dict) -> int:
     sweep = cfg.get("k_sweep", [40, 80, 160])
     if not isinstance(sweep, list):
         sweep = [sweep]
-    sweep = [_int("k_sweep", k) for k in sweep]
+    sweep = [_positive(_int, "k_sweep", k) for k in sweep]
     if sweep != sorted(sweep) or len(set(sweep)) != len(sweep):
         raise ConfigError("k_sweep must be strictly increasing")
     m = _int("m", cfg.get("m", 2))
+    if m not in (0, 1, 2):
+        raise ConfigError(f"config key m must be 0, 1 or 2, got {m!r}")
     seed = _int("seed", cfg.get("seed", 0))
-    h = _float("h", cfg.get("h", 0.125))
+    h = _positive(_float, "h", cfg.get("h", 0.125))
     bsum = _load_bessel(src)
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(out, cfg, [src])
@@ -310,7 +317,7 @@ def cmd_verify(cfg: dict) -> int:
 def cmd_nodal(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
-    h = _float("h", cfg.get("h", 0.05))
+    h = _positive(_float, "h", cfg.get("h", 0.05))
     lo = _floats("box_lo", cfg.get("box_lo", [-0.8, -0.8, -0.8]), 3)
     hi = _floats("box_hi", cfg.get("box_hi", [0.8, 0.8, 0.8]), 3)
     doc = json.loads(Path(src).read_text())
@@ -375,8 +382,8 @@ def cmd_torus(cfg: dict) -> int:
     ks = cfg.get(key, [3])
     if not isinstance(ks, list):
         ks = [ks]
-    ks = [_int(key, k) for k in ks]
-    trials = _int("trials", cfg.get("trials", 4000))
+    ks = [_positive(_int, key, k) for k in ks]
+    trials = _positive(_int, "trials", cfg.get("trials", 4000))
     seed = _int("seed", cfg.get("seed", 0))
     manifest = write_manifest(out, cfg, [])
     lines = [f"# manifest {manifest}", "k,count,discrepancy,localization_sup_error"]

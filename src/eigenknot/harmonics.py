@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sphere
 from .helmholtz import BesselSum, eval_bessel_sum
-from .specialfn import gegenbauer_cnk, gegenbauer_cnk_derivatives, gegenbauer_ratio, jacobi_p
+from .specialfn import gegenbauer_cnk_derivatives, gegenbauer_ratio, jacobi_p
 
 __all__ = [
     "UltrasphericalSum",
@@ -32,6 +32,7 @@ __all__ = [
     "kernel_norm",
     "synthesize",
     "multi_synthesize",
+    "zonal_derivatives",
     "eval_harmonic",
     "eval_harmonic_grad",
     "rescaled_pullback",
@@ -143,31 +144,41 @@ def multi_synthesize(pairs, k: int, min_separation: float = 1e-6) -> Ultraspheri
     return out
 
 
-def _dots(Y: UltrasphericalSum, p: np.ndarray) -> np.ndarray:
-    return np.clip(p @ Y.centers.T, -1.0, 1.0)
+def zonal_derivatives(Y: UltrasphericalSum, p, order: int):
+    """Ambient derivative tensors [G_0, ..., G_order] of Y at sphere points.
+
+    G_d = kernel_norm(n) sum_j c_j C^{(d)}(p . p_j) p_j^{(x)d} is the d-th
+    derivative of x -> sum_j c_j kernel_norm(n) C(x . p_j) on R^{n+1}, with
+    shape (M,) + (n+1,)*d + Y.coeffs.shape[1:].  Each order is one real
+    matmul of C^{(d)} against a p_j^{(x)d} (x) (Re c, Im c) table, read back
+    as complex, so the (points x centers) block is never promoted to complex.
+    """
+    dim, count = Y.n + 1, len(Y)
+    c = np.ascontiguousarray(Y.coeffs).reshape(count, 1, -1).view(float)
+    tables = [kernel_norm(Y.n) * c]  # (N, dim^d, 2r)
+    for _ in range(order):
+        tables.append((tables[-1][:, :, None] * Y.centers[:, None, :, None]).reshape(count, -1, c.shape[2]))
+
+    def block(pb):
+        derivs = gegenbauer_cnk_derivatives(Y.n, Y.k, np.clip(pb @ Y.centers.T, -1.0, 1.0), order)
+        return [
+            (cd @ table.reshape(count, -1)).view(complex).reshape((len(pb),) + (dim,) * d + Y.coeffs.shape[1:])
+            for d, (cd, table) in enumerate(zip(derivs, tables))
+        ]
+
+    return sphere.eval_rows(block, p, dim)
 
 
 def eval_harmonic(Y: UltrasphericalSum, p):
-    """Evaluate Y at sphere points (batched)."""
-    nu = kernel_norm(Y.n)
-    return sphere.eval_rows(
-        lambda pb: gegenbauer_cnk(Y.n, Y.k, _dots(Y, pb)) @ Y.coeffs * nu, p, Y.n + 1
-    )
+    """Evaluate Y at sphere points (batched): G_0 of zonal_derivatives."""
+    return zonal_derivatives(Y, p, 0)[0]
 
 
 def eval_harmonic_grad(Y: UltrasphericalSum, p):
-    """Tangential gradient of Y in ambient coordinates."""
-    nu = kernel_norm(Y.n)
-
-    def block(pb):
-        dC = gegenbauer_cnk_derivatives(Y.n, Y.k, _dots(Y, pb), 1)[1]
-        ambient = nu * ((dC * Y.coeffs[None, :]) @ Y.centers)
-        radial = np.einsum("md,md->m", ambient.real, pb) + 1j * np.einsum(
-            "md,md->m", ambient.imag, pb
-        )
-        return ambient - radial[:, None] * pb
-
-    return sphere.eval_rows(block, p, Y.n + 1)
+    """Tangential gradient of Y in ambient coordinates: G_1 minus its radial part."""
+    p = np.asarray(p, dtype=float)
+    g = zonal_derivatives(Y, p, 1)[1]
+    return g - np.sum(g * p, axis=-1, keepdims=True) * p
 
 
 def rescaled_pullback(Y: UltrasphericalSum, x, chart: sphere.Chart | None = None):

@@ -208,6 +208,8 @@ def extract_nodal(
     value of the real 2x3 Jacobian); a curve's ``stable`` flag compares the
     worst margin against 10 * h * (local Lipschitz estimate of df).
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"grid step h must be finite and positive, got {h!r}")
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     ns = np.maximum(np.round((hi - lo) / h).astype(int), 2)
     axes = [np.linspace(lo[d], hi[d], ns[d] + 1) for d in range(3)]

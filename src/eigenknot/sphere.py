@@ -96,15 +96,19 @@ def standard_chart(n: int) -> Chart:
     return Chart(p0, np.eye(n + 1)[1:])
 
 
+def unit_vector(v) -> np.ndarray:
+    """v / |v|; a zero or non-finite v has no direction and is refused."""
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValueError(f"need a finite nonzero vector, got {v.tolist()}")
+    return v / norm
+
+
 def random_chart(n: int, seed: int, p0=None) -> Chart:
     """Gram-Schmidt frame from a seeded Gaussian basis; seed is recorded."""
     rng = np.random.default_rng(seed)
-    if p0 is None:
-        p0 = rng.normal(size=n + 1)
-        p0 = p0 / np.linalg.norm(p0)
-    else:
-        p0 = np.asarray(p0, dtype=float)
-        p0 = p0 / np.linalg.norm(p0)
+    p0 = unit_vector(rng.normal(size=n + 1) if p0 is None else p0)
     vecs = [p0]
     while len(vecs) < n + 1:
         v = rng.normal(size=n + 1)

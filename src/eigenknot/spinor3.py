@@ -15,24 +15,23 @@ positive-spectrum scalar Laplacian -sum_i X_i X_i.  Constants are then
 eigenfields of eigenvalue 3/2 = n/2, which pins every sign convention.
 
 Scalar components evaluate together with their frame derivatives
-("jets"): for a zonal harmonic sum every multi-derivative
-X_{i1}...X_{im} psi is a finite combination of C^{(d)}(p.p_j) times factors
-(p u . p_j) with u a quaternion unit, because differentiating a factor just
-multiplies its unit on the left.  That closure is what makes the Dirac
-projection and its residuals exactly computable.
+("jets").  A zonal sum extends to R^4 as sum_j c_j C(x . p_j), with ambient
+derivative tensors G_d from harmonics.zonal_derivatives.  Each X_i is linear
+and X_a maps the linear field E_b p to E_b E_a p, so X_{i1}...X_{im} psi is a
+finite sum of G_d evaluated on such fields.  That closure is what makes the
+Dirac projection and its residuals exactly computable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import sphere
-from .harmonics import UltrasphericalSum, kernel_norm
+from .harmonics import UltrasphericalSum, zonal_derivatives
 from .helmholtz import FLAT_GAMMA, helmholtz_residual
-from .specialfn import gegenbauer_cnk_derivatives
 
 #: X_i(p) = E_i p for the left-invariant frame (right quaternion multiplication).
 FRAME_E = (
@@ -90,9 +89,9 @@ GAMMA = CLIFFORD.gammas
 
 
 def frame_vectors(p):
-    """X_i(p) for batched sphere points: returns (M, 3, 4)."""
+    """X_i(p) = E_i p for sphere points of shape (M, 4), or (..., 4): returns (..., 3, 4)."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    return np.stack([p @ E.T for E in FRAME_E], axis=1)
+    return np.stack([p @ E.T for E in FRAME_E], axis=-2)
 
 
 def adapted_chart(p0) -> sphere.Chart:
@@ -104,8 +103,7 @@ def adapted_chart(p0) -> sphere.Chart:
     coincide at the base point.  In a generic chart the comparison picks up
     a constant frame rotation (scalar synthesis is insensitive to it).
     """
-    p0 = np.asarray(p0, dtype=float)
-    p0 = p0 / np.linalg.norm(p0)
+    p0 = sphere.unit_vector(p0)
     return sphere.Chart(p0, np.stack([E @ p0 for E in FRAME_E]))
 
 
@@ -113,48 +111,19 @@ def adapted_chart(p0) -> sphere.Chart:
 # Frame jets of scalar components
 # ---------------------------------------------------------------------------
 
-# Quaternion units as (sign, axis) with axis 0 = 1, 1..3 = i, j, k.
-_QTAB = {
-    (1, 2): (1, 3), (2, 1): (-1, 3),
-    (2, 3): (1, 1), (3, 2): (-1, 1),
-    (3, 1): (1, 2), (1, 3): (-1, 2),
-}
+def _form(G, *vecs):
+    """G[V_1, ..., V_d] for a complex symmetric (M, 4, ..., 4, *tail) G and real V (M, *s, 4).
 
-
-def _qmul(a: int, axis: int):
-    """Left multiplication e_a * e_axis of quaternion units (axis 0 is 1)."""
-    if axis == 0:
-        return 1, a
-    if axis == a:
-        return -1, 0
-    return _QTAB[(a, axis)]
-
-
-@lru_cache(maxsize=512)
-def _jet_terms(word: tuple):
-    """Symbolic expansion of X_{word} applied to C(p.p_j).
-
-    Terms map (derivative order d, sorted factor axes) -> integer coefficient;
-    the value of a term is coeff * C^{(d)}(T) * prod_axes A_axis, where A_0 is
-    T itself and A_i = (p e_i . p_j).
+    The result has shape (M, *s_1, ..., *s_d, *tail).  Each slot is one real
+    batched matmul on the float view of G, several times faster than a complex one.
     """
-    if not word:
-        return {(0, ()): 1}
-    a = word[0]
-    inner = _jet_terms(word[1:])
-    out: dict = {}
-
-    def add(key, c):
-        out[key] = out.get(key, 0) + c
-        if out[key] == 0:
-            del out[key]
-
-    for (d, factors), coeff in inner.items():
-        add((d + 1, tuple(sorted(factors + (a,)))), coeff)
-        for r, axis in enumerate(factors):
-            sign, new_axis = _qmul(a, axis)
-            rest = factors[:r] + factors[r + 1 :]
-            add((d, tuple(sorted(rest + (new_axis,)))), coeff * sign)
+    out, done = G, 0
+    for V in reversed(vecs):
+        moved = np.moveaxis(out, 1 + done, 1)
+        rows, cols = math.prod(V.shape[1:-1]), math.prod(moved.shape[2:])
+        pairs = np.ascontiguousarray(moved.reshape(len(V), 4, cols)).view(float)
+        out = (V.reshape(len(V), rows, 4) @ pairs).view(complex).reshape(V.shape[:-1] + moved.shape[2:])
+        done += V.ndim - 2
     return out
 
 
@@ -164,31 +133,26 @@ def zonal_jet(Y: UltrasphericalSum, p, order: int):
     J_m has shape (M, 3, ..., 3) + Y.coeffs.shape[1:] with J_m[i1..im] =
     X_{i1}...X_{im} Y (the first index is the outermost derivative), so a
     coefficient array with trailing columns evaluates several sums over the
-    same centers at once.  All derivatives are analytic.
+    same centers at once.  All derivatives are analytic, through order 3.
     """
     if Y.n != 3:
         raise ValueError("frame jets are specific to S^3")
-    nu = kernel_norm(3)
-    words_by_m = [list(np.ndindex(*(3,) * m)) for m in range(order + 1)]
+    if order > 3:
+        raise ValueError("frame jets are implemented through order 3")
 
     def block(pc):
-        T = np.clip(pc @ Y.centers.T, -1.0, 1.0)
-        A = [T] + [(pc @ E.T) @ Y.centers.T for E in FRAME_E]
-        CD = [nu * arr for arr in gegenbauer_cnk_derivatives(3, Y.k, T, order)]
-        jets = []
-        for m in range(order + 1):
-            jet = np.empty((len(pc),) + (3,) * m + Y.coeffs.shape[1:], dtype=complex)
-            for word in words_by_m[m]:
-                terms = _jet_terms(tuple(i + 1 for i in word))
-                acc = None
-                for (d, factors), coeff in terms.items():
-                    arr = coeff * CD[d]
-                    for axis in factors:
-                        arr = arr * A[axis]
-                    acc = arr if acc is None else acc + arr
-                jet[(slice(None),) + word] = acc @ Y.coeffs
-            jets.append(jet)
-        return jets
+        G = zonal_derivatives(Y, pc, order)
+        V = [pc]  # V[m][i1..im] = E_im...E_i1 p: X_a turns the field E_c...E_b p into E_c...E_b E_a p
+        for _ in range(order):
+            V.append(frame_vectors(V[-1]))
+        jets = [
+            lambda: G[0],
+            lambda: _form(G[1], V[1]),
+            lambda: _form(G[2], V[1], V[1]) + _form(G[1], V[2]),
+            lambda: _form(G[3], V[1], V[1], V[1]) + _form(G[2], V[2], V[1]) + _form(G[2], V[1], V[2])
+            + _form(G[2], V[1], V[2]).swapaxes(1, 2) + _form(G[1], V[3]),
+        ]
+        return [jet() for jet in jets[: order + 1]]
 
     return sphere.eval_rows(block, p, 4)
 

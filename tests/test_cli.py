@@ -257,6 +257,13 @@ def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):
         ("synthesize", "k=abc", "k"),
         ("verify", "k_sweep=40,abc", "k_sweep"),
         ("synthesize", "k=0.3", "k"),
+        # integers out of range
+        ("synthesize", "k=0", "k"),
+        ("verify", "k_sweep=0,40", "k_sweep"),
+        ("torus", "k=0", "k"),
+        ("torus", "trials=0", "trials"),
+        ("approximate", "resolution=0", "resolution"),
+        ("verify", "m=5", "m"),
     ],
 )
 def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, key):
@@ -271,6 +278,13 @@ def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, 
         ("approximate", "radius=abc", "radius"),
         ("verify", "h=abc", "h"),
         ("nodal", "h=abc", "h"),
+        # numbers out of range
+        ("nodal", "h=0", "h"),
+        ("nodal", "h=-0.1", "h"),
+        ("verify", "h=0", "h"),
+        ("approximate", "radius=0", "radius"),
+        ("approximate", "radius=-1", "radius"),
+        ("approximate", "delta=-1", "delta"),
     ],
 )
 def test_non_numeric_float_config_value_exit_code(tmp_path, capsys, command, setting, key):

@@ -59,6 +59,12 @@ def test_axis_field_extraction():
     assert np.max(np.abs(helical(curve.vertices))) <= 1e-9  # Newton-polished
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+def test_extraction_refuses_bad_step(h):
+    with pytest.raises(ValueError, match="grid step"):
+        extract_nodal(helical, BOX, h)
+
+
 def test_linear_field_margins():
     nset = extract_nodal(linear, BOX, 0.1)
     assert len(nset.curves) == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eigenknot.harmonics import eval_harmonic, eval_harmonic_grad, synthesize
+from eigenknot.harmonics import eval_harmonic, eval_harmonic_grad, synthesize, zonal_derivatives
 from eigenknot.helmholtz import (
     BesselSum,
     HerglotzDensity,
@@ -36,6 +36,7 @@ EVALUATORS = {
     "eval_harmonic_grad": (lambda p: eval_harmonic_grad(Y, p), 4),
     "PlaneWaveSpinor.component": (lambda x: PLANE_WAVES.component(1, x), 3),
     "zonal_jet": (lambda p: zonal_jet(Y, p, 2), 4),
+    "zonal_derivatives": (lambda p: zonal_derivatives(Y, p, 2), 4),
 }
 
 

@@ -57,6 +57,12 @@ def test_domain_checks():
         sphere_to_chart(c, -c.p0)
 
 
+@pytest.mark.parametrize("p0", [np.zeros(4), np.array([1.0, math.nan, 0.0, 0.0]), np.array([math.inf, 0, 0, 0])])
+def test_random_chart_refuses_degenerate_base(p0):
+    with pytest.raises(ValueError, match="finite nonzero"):
+        random_chart(3, 0, p0=p0)
+
+
 def test_distance_basics():
     rng = np.random.default_rng(9)
     p = rng.normal(size=4)

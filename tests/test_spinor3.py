@@ -107,6 +107,95 @@ def test_zonal_jets_match_geodesic_differences(chart):
         assert np.max(np.abs(fd2 - jets[2][:, i, :])) <= 1e-5
 
 
+# Levi-Civita symbol: [X_i, X_l] = 2 eps_ilr X_r for the left-invariant frame
+EPS = np.zeros((3, 3, 3))
+for _i, _j, _l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPS[_i, _j, _l], EPS[_j, _i, _l] = 1.0, -1.0
+
+
+def jet_points(kind, k, chart, count=40):
+    """Random sphere points, or points within 2/k of the chart base (among the centers)."""
+    rng = np.random.default_rng(k)
+    if kind == "spread":
+        return sphere_points(k, count)
+    return ek.sphere.chart_to_sphere(chart, rng.uniform(-2, 2, size=(count, 3)) / k)
+
+
+@pytest.mark.parametrize("kind, tol", [("spread", 1e-13), ("localized", 1e-10)])
+@pytest.mark.parametrize("k", [9, 60, 240])
+def test_zonal_jet_structure_identities(chart, k, kind, tol):
+    Y = ek.synthesize(rand_sum(k), k, chart)
+    J = zonal_jet(Y, jet_points(kind, k, chart), 3)
+    lam = k * (k + 2.0)
+    defects = {
+        "commutator J2": (J[2] - J[2].swapaxes(1, 2) - 2 * np.einsum("ilr,mr->mil", EPS, J[1]), J[2]),
+        "outer commutator J3": (
+            J[3] - J[3].swapaxes(1, 2) - 2 * np.einsum("ilr,mrj->milj", EPS, J[2]),
+            J[3],
+        ),
+        "inner commutator J3": (
+            J[3] - J[3].swapaxes(2, 3) - 2 * np.einsum("ilr,mjr->mjil", EPS, J[2]),
+            J[3],
+        ),
+        "laplacian J2": (np.einsum("mll->m", J[2]) + lam * J[0], J[2]),
+        "laplacian J3": (np.einsum("mill->mi", J[3]) + lam * J[1], J[3]),
+    }
+    for name, (defect, jet) in defects.items():
+        assert np.max(np.abs(defect)) <= tol * np.max(np.abs(jet)), name
+
+
+def mp_zonal_jets(Y, p):
+    """Frame jets through order 2 at 40 digits: C = U_k / (k + 1) and its derivatives.
+
+    d^d/dt^d C^{(1)}_k = 2^d d! C^{(1+d)}_{k-d}, so C' and C'' are
+    Gegenbauer polynomials of parameters 2 and 3.  The frame derivatives
+    act as X_i X_l C(p . q) = C'' (E_i p . q)(E_l p . q) + C' (E_l E_i p . q).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    out = [[], [], []]
+    with mpmath.workdps(40):
+        E = [mpmath.matrix(e.tolist()) for e in spinor3.FRAME_E]
+        nu = mpmath.sqrt(2 / mpmath.pi)  # kernel_norm(3)
+        for point in p:
+            P = mpmath.matrix(point.tolist())
+            J0, J1, J2 = mpmath.mpc(0), [mpmath.mpc(0)] * 3, [[mpmath.mpc(0)] * 3 for _ in range(3)]
+            for c, center in zip(Y.coeffs.tolist(), Y.centers):
+                q = mpmath.matrix(center.tolist()).T
+                t = (q * P)[0]
+                C0 = mpmath.chebyu(Y.k, t) / (Y.k + 1)
+                C1 = 2 * mpmath.gegenbauer(Y.k - 1, 2, t) / (Y.k + 1)
+                C2 = 8 * mpmath.gegenbauer(Y.k - 2, 3, t) / (Y.k + 1)
+                u = [(q * E[i] * P)[0] for i in range(3)]
+                J0 += c * C0
+                for i in range(3):
+                    J1[i] += c * C1 * u[i]
+                    for l in range(3):
+                        J2[i][l] += c * (C2 * u[i] * u[l] + C1 * (q * E[l] * E[i] * P)[0])
+            out[0].append(complex(nu * J0))
+            out[1].append([complex(nu * v) for v in J1])
+            out[2].append([[complex(nu * v) for v in row] for row in J2])
+    return [np.array(o) for o in out]
+
+
+@pytest.mark.parametrize("k", [60, 240])
+def test_zonal_jet_matches_high_precision_reference(chart, k):
+    Y = ek.synthesize(rand_sum(k), k, chart)
+    p = jet_points("localized", k, chart, count=6)
+    for m, (jet, ref) in enumerate(zip(zonal_jet(Y, p, 2), mp_zonal_jets(Y, p))):
+        assert np.max(np.abs(jet - ref)) <= 1e-11 * np.max(np.abs(ref)), m
+
+
+def test_zonal_jet_refuses_order_four(chart):
+    Y = ek.synthesize(rand_sum(7), 9, chart)
+    with pytest.raises(ValueError, match="through order 3"):
+        zonal_jet(Y, sphere_points(3, 2), 4)
+
+
+def test_adapted_chart_refuses_zero_base():
+    with pytest.raises(ValueError):
+        adapted_chart(np.zeros(4))
+
+
 def test_zonal_laplacian_identity(chart):
     k = 14
     Y = ek.synthesize(rand_sum(9), k, chart)
