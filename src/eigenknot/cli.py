@@ -110,6 +110,13 @@ def _positive(cast, key: str, value):
     return out
 
 
+def _choice(key: str, value, options: tuple) -> str:
+    """A config value that must be one of `options`; anything else names its key."""
+    if value not in options:
+        raise ConfigError(f"config key {key} must be one of {', '.join(options)}, got {value!r}")
+    return value
+
+
 def _floats(key: str, value, length: int) -> np.ndarray:
     """A config list as floats; anything but `length` finite numbers names its key."""
     if not isinstance(value, (list, tuple)) or len(value) != length:
@@ -151,22 +158,20 @@ def _write_json(path: Path, doc: dict, manifest: str):
 def _density_from_config(cfg: dict) -> HerglotzDensity:
     n = _int("n", cfg.get("n", 3))
     resolution = _positive(_int, "resolution", cfg.get("resolution", 24))
-    kind = cfg.get("density", "constant")
+    kind = _choice("density", cfg.get("density", "constant"), ("constant", "linear_z", "random"))
     if kind == "constant":
         return HerglotzDensity.constant(n, 1.0, resolution)
     if kind == "linear_z":
         return HerglotzDensity.from_function(n, lambda xi: xi[:, -1].astype(complex), resolution)
-    if kind == "random":
-        seed = _int("seed", cfg.get("seed", 0))
-        rng = np.random.default_rng(_int("density_seed", cfg.get("density_seed", seed)))
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        b = rng.normal(size=(n, n))
+    seed = _int("seed", cfg.get("seed", 0))
+    rng = np.random.default_rng(_int("density_seed", cfg.get("density_seed", seed)))
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b = rng.normal(size=(n, n))
 
-        def fn(xi):
-            return xi @ a + np.einsum("mi,ij,mj->m", xi, b, xi) + 1.0
+    def fn(xi):
+        return xi @ a + np.einsum("mi,ij,mj->m", xi, b, xi) + 1.0
 
-        return HerglotzDensity.from_function(n, fn, resolution)
-    raise ConfigError(f"unknown density kind: {kind}")
+    return HerglotzDensity.from_function(n, fn, resolution)
 
 
 def _load_bessel(path: str) -> BesselSum:
@@ -177,7 +182,7 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
     """chart = random | adapted.  Spinor work defaults to the adapted gauge
     (chart frame aligned with the left-invariant frame at the base point);
     scalar synthesis is chart-insensitive and defaults to a seeded frame."""
-    kind = cfg.get("chart", default_kind)
+    kind = _choice("chart", cfg.get("chart", default_kind), ("adapted", "random"))
     seed = _int("seed", cfg.get("seed", 0))
     seed = _int("chart_seed", cfg.get("chart_seed", seed))
     base = cfg.get("chart_base")
@@ -189,8 +194,6 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
         if n != 3:
             raise ConfigError("adapted charts are specific to S^3")
         return spinor3.adapted_chart(base if base is not None else np.array([1.0, 0, 0, 0]))
-    if kind != "random":
-        raise ConfigError(f"unknown chart kind: {kind}")
     return sphere.random_chart(n, seed, p0=base)
 
 

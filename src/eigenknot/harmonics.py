@@ -20,8 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sphere
-from .helmholtz import BesselSum, eval_bessel_sum
-from .specialfn import gegenbauer_cnk_derivatives, gegenbauer_ratio, jacobi_p
+from .helmholtz import BesselSum, _pair_distances, eval_bessel_sum
+from .specialfn import (
+    gegenbauer3_chord_derivatives,
+    gegenbauer_cnk_derivatives,
+    gegenbauer_ratio,
+    jacobi_p,
+)
 
 __all__ = [
     "UltrasphericalSum",
@@ -144,6 +149,24 @@ def multi_synthesize(pairs, k: int, min_separation: float = 1e-6) -> Ultraspheri
     return out
 
 
+def _signed_chords(p: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """|p_i - c_j|, or -|p_i + c_j| where the antipode -c_j is nearer.
+
+    The negative chord is gegenbauer3_chord_derivatives' antipodal form, so
+    every pair carries its angle to the nearer pole at full relative precision.
+    """
+    chord = _pair_distances(p, centers)
+    far = np.flatnonzero(chord > math.sqrt(2.0))
+    rows, cols = np.divmod(far, len(centers))
+    anti = np.zeros(len(far))
+    for a in range(p.shape[1]):
+        plane = p[rows, a] + centers[cols, a]
+        plane *= plane
+        anti += plane
+    chord.flat[far] = -np.sqrt(anti)
+    return chord
+
+
 def zonal_derivatives(Y: UltrasphericalSum, p, order: int):
     """Ambient derivative tensors [G_0, ..., G_order] of Y at sphere points.
 
@@ -152,6 +175,10 @@ def zonal_derivatives(Y: UltrasphericalSum, p, order: int):
     shape (M,) + (n+1,)*d + Y.coeffs.shape[1:].  Each order is one real
     matmul of C^{(d)} against a p_j^{(x)d} (x) (Re c, Im c) table, read back
     as complex, so the (points x centers) block is never promoted to complex.
+    On S^3 the kernel is the closed form of gegenbauer3_chord_derivatives,
+    read from the chords |p - p_j| (or |p + p_j| past a right angle), so no
+    p . p_j is formed or clipped; other n take p . p_j, clipped to [-1, 1],
+    through the Jacobi recurrence.
     """
     dim, count = Y.n + 1, len(Y)
     c = np.ascontiguousarray(Y.coeffs).reshape(count, 1, -1).view(float)
@@ -160,7 +187,10 @@ def zonal_derivatives(Y: UltrasphericalSum, p, order: int):
         tables.append((tables[-1][:, :, None] * Y.centers[:, None, :, None]).reshape(count, -1, c.shape[2]))
 
     def block(pb):
-        derivs = gegenbauer_cnk_derivatives(Y.n, Y.k, np.clip(pb @ Y.centers.T, -1.0, 1.0), order)
+        if Y.n == 3:
+            derivs = gegenbauer3_chord_derivatives(Y.k, _signed_chords(pb, Y.centers), order)
+        else:
+            derivs = gegenbauer_cnk_derivatives(Y.n, Y.k, np.clip(pb @ Y.centers.T, -1.0, 1.0), order)
         return [
             (cd @ table.reshape(count, -1)).view(complex).reshape((len(pb),) + (dim,) * d + Y.coeffs.shape[1:])
             for d, (cd, table) in enumerate(zip(derivs, tables))

@@ -249,6 +249,7 @@ def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert f"config key {key} " in err["detail"]
+    return err["detail"]
 
 
 @pytest.mark.parametrize(
@@ -305,6 +306,20 @@ def test_non_numeric_float_config_value_exit_code(tmp_path, capsys, command, set
 )
 def test_bad_list_config_value_exit_code(tmp_path, capsys, command, setting, key):
     _config_error_names_key(tmp_path, capsys, command, setting, key, extra=["k=3"])
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("approximate", "density=bogus", "config key density must be one of constant, linear_z, random, got 'bogus'"),
+        ("approximate", "density=3", "config key density must be one of constant, linear_z, random, got 3"),
+        ("verify", "chart=bogus", "config key chart must be one of adapted, random, got 'bogus'"),
+        ("synthesize", "chart=Random", "config key chart must be one of adapted, random, got 'Random'"),
+    ],
+)
+def test_unknown_string_config_value_exit_code(tmp_path, capsys, command, setting, message):
+    key = setting.split("=")[0]
+    assert _config_error_names_key(tmp_path, capsys, command, setting, key, extra=["k=3"]) == message
 
 
 def test_nodal_field_box_sides_fall_back_separately(tmp_path, monkeypatch):

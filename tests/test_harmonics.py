@@ -1,6 +1,7 @@
 """Synthesis, localization rates, parity, decay, and multi-ball behavior."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -220,3 +221,28 @@ def test_decay_n4_decreasing():
     vals = [k * decay_profile(4, k, 0.3) for k in (100, 200, 400)]
     assert vals[0] > vals[1] > vals[2]
     assert max(vals) <= 1.5
+
+
+def test_localization_rate_at_high_energy():
+    # the paper's "sufficiently high energies": the 1/k rate and the laplace
+    # row hold at k = 2500 -> 10^4, and since the S^3 kernel's cost does not
+    # grow with k, each degree stays under a second
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=3) + 1j * rng.normal(size=3)
+    b = rng.normal(size=(3, 3))
+    density = ek.HerglotzDensity.from_function(
+        3, lambda xi: xi @ a + np.einsum("mi,ij,mj->m", xi, b, xi) + 1.0
+    )
+    phi = ek.herglotz_discretize(density, 1e-3)
+    chart = ek.random_chart(3, 5)
+    sup0 = []
+    for k in (2500, 5000, 10_000):
+        start = time.perf_counter()
+        Y = ek.synthesize(phi, k, chart)
+        sup0.append(H.localization_error(phi, Y, m=0, h=0.125).orders[0])
+        lap = H.laplace_residual(Y, samples=16, h=0.04 / k)
+        elapsed = time.perf_counter() - start
+        assert lap <= 1e-3, (k, lap)
+        assert elapsed < 1.0, (k, elapsed)
+    for lo, hi in zip(sup0, sup0[1:]):
+        assert 0.45 <= hi / lo <= 0.55, sup0

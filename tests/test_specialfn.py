@@ -1,9 +1,11 @@
 """Special-function conventions against closed forms and independent oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
 from eigenknot.specialfn import (
@@ -12,8 +14,10 @@ from eigenknot.specialfn import (
     bessel_kernel_deriv,
     darboux_error,
     darboux_limit,
+    gegenbauer3_chord_derivatives,
     gegenbauer_cnk,
     gegenbauer_cnk_deriv,
+    gegenbauer_cnk_derivatives,
     jacobi_p,
     jacobi_p_deriv,
 )
@@ -200,3 +204,120 @@ def test_darboux_rate_window():
             for k in (50, 100, 200):
                 ratio = darboux_error(n, 2 * k, t) / darboux_error(n, k, t)
                 assert 0.3 <= ratio <= 0.8, (n, t, k, ratio)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form S^3 kernel read from chords
+# ---------------------------------------------------------------------------
+
+
+def c3_at_pole(k: int, d: int) -> float:
+    """C^(d)(1) for the normalized n = 3 kernel: prod_{i<d} (k(k+2) - i(i+2)) / (2i+3)."""
+    out = 1.0
+    for i in range(d):
+        out *= (k * (k + 2) - i * (i + 2)) / (2 * i + 3)
+    return out
+
+
+def c3_scale(k: int, d: int) -> float:
+    # C^(d)(1) >= 1 up to the degree; past it C^(d) vanishes and errors are absolute
+    return max(c3_at_pole(k, d), 1.0)
+
+
+def chebyu_reference(k: int, chord: float, order: int):
+    """[C, ..., C^(order)] from 50-digit U_k, T_{k+1} and the Gegenbauer equation."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        c = mpmath.mpf(chord)
+        t = 1 - c * c / 2 if chord >= 0 else c * c / 2 - 1
+        u = mpmath.chebyu(k, t)
+        y = [u / (k + 1), ((k + 1) * mpmath.chebyt(k + 1, t) - t * u) / ((t * t - 1) * (k + 1))]
+        for d in range(order - 1):
+            y.append(((2 * d + 3) * t * y[d + 1] + (d * (d + 2) - k * (k + 2)) * y[d]) / (1 - t * t))
+        return [float(v) for v in y[: order + 1]]
+
+
+def _kernel_chords(k: int):
+    """Chords near the pole, across the seams (k+1) theta = 2 and 3, through the bulk and near the antipode."""
+    seam = 2.0 * math.sin(1.0 / (k + 1))
+    near = [seam * f for f in (1e-3, 0.3, 0.999, 1.001, 1.499, 1.501, 4.0)]
+    bulk = [0.31, math.sqrt(2.0), 1.7]
+    anti = [2.0 * math.cos(f / (k + 1)) for f in (0.5, 1.001, 3.0)] + [1.9999]
+    chords = [c for c in near + bulk + anti if 0.0 < c < 2.0]
+    return chords + [-c for c in near[:3]]  # the antipodal form, t = c^2/2 - 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 60, 320, 2000, 10_000])
+def test_gegenbauer3_chord_matches_mpmath_chebyu(k):
+    chords = _kernel_chords(k)
+    got = gegenbauer3_chord_derivatives(k, np.array(chords), 3)
+    for i, chord in enumerate(chords):
+        ref = chebyu_reference(k, chord, 3)
+        for d in range(4):
+            assert abs(got[d][i] - ref[d]) <= 1e-14 * c3_scale(k, d), (k, chord, d, got[d][i], ref[d])
+
+
+def test_gegenbauer3_chord_agrees_with_recurrence():
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 7, 40, 120, 320):
+        seam = 2.0 * math.sin(1.5 / (k + 1))  # (k+1) theta = 3
+        near = np.minimum(seam * rng.uniform(0.0, 3.0, 100), 2.0)
+        chords = np.concatenate([rng.uniform(0.0, 2.0, 400), near, [0.0, 2.0]])
+        got = gegenbauer3_chord_derivatives(k, chords, 3)
+        ref = gegenbauer_cnk_derivatives(3, k, 1.0 - 0.5 * chords**2, 3)
+        for d in range(4):
+            assert np.max(np.abs(got[d] - ref[d])) <= 1e-10 * c3_scale(k, d), (k, d)
+
+
+def test_gegenbauer3_chord_keeps_shape_and_refuses_negative_degree():
+    assert [np.shape(v) for v in gegenbauer3_chord_derivatives(5, 0.3, 2)] == [(), (), ()]
+    assert [v.shape for v in gegenbauer3_chord_derivatives(5, np.zeros((2, 3)), 1)] == [(2, 3), (2, 3)]
+    assert gegenbauer3_chord_derivatives(0, np.array([0.0, 1.0, 2.0]), 1)[0].tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        gegenbauer3_chord_derivatives(-1, 0.3, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 10_000), theta=st.floats(0.0, math.pi / 2))
+def test_gegenbauer3_chord_parity(k, theta):
+    # C^(d)(-t) = (-1)^(k+d) C^(d)(t): the chord to p_j at angle theta against
+    # the chord at pi - theta, which the kernel folds back through sqrt((1-a)(1+a))
+    near, far = 2.0 * math.sin(theta / 2), 2.0 * math.cos(theta / 2)
+    a = gegenbauer3_chord_derivatives(k, near, 3)
+    b = gegenbauer3_chord_derivatives(k, far, 3)
+    # the two float chords need not give exactly opposite t; bound the slack by
+    # sup |C^(d+1)| = C^(d+1)(1) times the exact mismatch in t
+    dt = abs(float(2 - (Fraction(near) ** 2 + Fraction(far) ** 2) / 2))
+    signed = gegenbauer3_chord_derivatives(k, -near, 3)
+    for d in range(4):
+        sign = (-1.0) ** (k + d)
+        slack = 2e-14 * c3_scale(k, d) + dt * c3_at_pole(k, d + 1)
+        assert abs(float(b[d]) - sign * float(a[d])) <= slack, (d, float(a[d]), float(b[d]))
+        assert float(signed[d]) == sign * float(a[d])
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 10_000))
+def test_gegenbauer3_chord_exact_at_both_poles(k):
+    at_p, at_antipode, signed_zero = (gegenbauer3_chord_derivatives(k, c, 3) for c in (0.0, 2.0, -0.0))
+    for d in range(4):
+        pole = c3_at_pole(k, d)
+        assert float(at_p[d]) == pytest.approx(pole, rel=1e-14, abs=0.0)
+        assert float(at_antipode[d]) == (-1.0) ** (k + d) * float(at_p[d])
+        assert float(signed_zero[d]) == float(at_antipode[d])
+    assert float(at_p[0]) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 10_000), seam=st.sampled_from([1.0, 1.5]))
+def test_gegenbauer3_chord_continuous_across_seams(k, seam):
+    # consecutive floats around a seam, (k+1) theta = 2 for C and C' or 3 for
+    # higher orders, where the Taylor series hands over to the closed form;
+    # each side is within 1e-14 of the reference
+    chord = 2.0 * math.sin(seam / (k + 1))
+    chords = chord + np.arange(-40, 41) * np.spacing(chord)
+    taylor = chords / 2 < math.sin(seam / (k + 1))
+    assert taylor.any() and not taylor.all()
+    got = gegenbauer3_chord_derivatives(k, chords, 3)
+    for d in range(4):
+        assert np.max(np.abs(np.diff(got[d]))) <= 1e-14 * c3_scale(k, d), d

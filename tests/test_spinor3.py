@@ -211,6 +211,23 @@ def test_projection_eigen_residual(chart):
         assert dirac_residual(psi, 2.5 + k, samples=40) >= 0.5
 
 
+@pytest.mark.parametrize("k, bound", [(10, 1e-10), (30, 1e-10), (240, 1e-10), (1000, 1e-9)])
+def test_hopf_dirac_residual_over_seeded_bases(k, bound):
+    # the projected Hopf eigenfield in twelve adapted charts; samples that land
+    # near the antipode of the centers need the kernel's antipodal chord, since
+    # |p - p_j| ~ 2 alone fixes 1 + t too coarsely (one base then reads 4e-10
+    # at k = 240)
+    design = ek.hopf_link_design()
+    bases = np.random.default_rng(2024).normal(size=(12, 4))
+    worst = 0.0
+    for base in bases:
+        chart = adapted_chart(base)
+        pair = tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1))
+        psi = dirac_project(SpinorField3(pair, k=k), k)
+        worst = max(worst, dirac_residual(psi, 1.5 + k))
+    assert worst <= bound, worst
+
+
 def test_projection_idempotence(harmonic_pair):
     psit, k = harmonic_pair
     psi = dirac_project(psit, k)
