@@ -5,9 +5,9 @@
   the achieved error and every row of the verify CSV (sup errors of orders
   0-2 and the eigenvalue-relative laplace residual).
 * ``spinorize -> nodal`` of the Hopf design at k = 60, 120, 240 for two chart
-  bases: the Dirac residual, each curve's field and closedness, every linking
-  number, and the Hausdorff distance from each component's closed curves to
-  its design target.
+  bases: the Dirac residual, each curve's field, closedness, vertex count and
+  smallest stability margin, every linking number, and the Hausdorff distance
+  from each component's closed curves to its design target.
 
 tests/test_golden.py recomputes the same dict with ``compute`` and compares it
 with the file, so a refactor that moves a result beyond round-off shows up
@@ -90,6 +90,8 @@ def hopf_case(work: pathlib.Path, base) -> dict:
         out["k"][str(k)] = {
             "dirac_residual": json.loads(spinor.read_text())["dirac_residual"],
             "curves": [[e["field"], e["closed"]] for e in topo["curves"]],
+            "vertices": [e["vertices"] for e in topo["curves"]],
+            "min_margin": [e["min_margin"] for e in topo["curves"]],
             "links": [[e["field"], e["pair"], e["link"]] for e in topo["linking"]],
             "hausdorff": hausdorff,
         }

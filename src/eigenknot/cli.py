@@ -155,10 +155,14 @@ def _write_json(path: Path, doc: dict, manifest: str):
     path.write_text(_canonical(doc) + "\n")
 
 
+def _density_kind(cfg: dict) -> str:
+    return _choice("density", cfg.get("density", "constant"), ("constant", "linear_z", "random"))
+
+
 def _density_from_config(cfg: dict) -> HerglotzDensity:
     n = _int("n", cfg.get("n", 3))
     resolution = _positive(_int, "resolution", cfg.get("resolution", 24))
-    kind = _choice("density", cfg.get("density", "constant"), ("constant", "linear_z", "random"))
+    kind = _density_kind(cfg)
     if kind == "constant":
         return HerglotzDensity.constant(n, 1.0, resolution)
     if kind == "linear_z":
@@ -317,6 +321,14 @@ def cmd_verify(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _link_entry(name: str, pair: list, c1, c2) -> dict:
+    """A topology linking entry; a null link carries the reason it could not be certified."""
+    try:
+        return {"field": name, "pair": pair, "link": nodal.linking_number(c1, c2)}
+    except ValueError as exc:
+        return {"field": name, "pair": pair, "link": None, "reason": str(exc)}
+
+
 def cmd_nodal(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
@@ -359,18 +371,10 @@ def cmd_nodal(cfg: dict) -> int:
         closed_by_field.append(closed)
         for i in range(len(closed)):
             for j in range(i + 1, len(closed)):
-                try:
-                    lk = nodal.linking_number(closed[i], closed[j])
-                except ValueError:
-                    lk = None
-                topo["linking"].append({"field": name, "pair": [i, j], "link": lk})
+                topo["linking"].append(_link_entry(name, [i, j], closed[i], closed[j]))
     if len(fields) == 2 and closed_by_field[0] and closed_by_field[1]:
         # principal (largest) closed curve of each component
-        try:
-            lk = nodal.linking_number(closed_by_field[0][0], closed_by_field[1][0])
-        except ValueError:
-            lk = None
-        topo["linking"].append({"field": "cross", "pair": [0, 0], "link": lk})
+        topo["linking"].append(_link_entry("cross", [0, 0], closed_by_field[0][0], closed_by_field[1][0]))
     Path(f"{out}.ply").write_text(nodal.curves_to_ply(all_curves, comment=f"manifest {manifest}"))
     _write_json(Path(f"{out}.json"), json.loads(nodal.curves_to_json(all_curves)), manifest)
     _write_json(Path(f"{out}.topology.json"), topo, manifest)
@@ -388,14 +392,15 @@ def cmd_torus(cfg: dict) -> int:
     ks = [_positive(_int, key, k) for k in ks]
     trials = _positive(_int, "trials", cfg.get("trials", 4000))
     seed = _int("seed", cfg.get("seed", 0))
+    _density_kind(cfg)  # checked even when the run does not localize
+    density = _density_from_config(cfg) if cfg.get("localize", False) else None
     manifest = write_manifest(out, cfg, [])
     lines = [f"# manifest {manifest}", "k,count,discrepancy,localization_sup_error"]
     for k in ks:
         dirs = torus.lattice_directions(n, k)
         disc = torus.cap_discrepancy(dirs, trials=trials, seed=seed)
         loc = ""
-        if cfg.get("localize", False):
-            density = _density_from_config(cfg)
+        if density is not None:
             _, report = torus.torus_localize(density, k, trials=trials, seed=seed)
             loc = f"{report.sup_error:.17g}"
         lines.append(f"{k},{len(dirs)},{disc:.17g},{loc}")

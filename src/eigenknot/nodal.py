@@ -4,13 +4,18 @@ Extraction runs marching tetrahedra on the Kuhn (6 tets per cube, shared
 main diagonal) decomposition: inside each tetrahedron the real part's zero
 set is a triangle or quad by linear interpolation, and the imaginary part
 cut through it yields at most one segment per triangle, so there are no
-ambiguous cases.  Segments are stitched into polylines by quantized
-endpoint matching, then Newton-polished onto the true zero set with the
-pseudo-inverse of the 2x3 Jacobian.
+ambiguous cases.  The march runs on arrays: each cube packs the signs at its
+8 corners into one byte per part, each Kuhn type reads its 4-bit sign mask
+from that byte, and a 16-entry sign-mask table gives the cut edges of every
+active tetrahedron.  Segments are stitched into polylines by sorting the
+integer endpoint keys round(p / (1e-6 h)) into node ids and walking them,
+then Newton-polished onto the true zero set with the pseudo-inverse of the
+2x3 Jacobian; steps longer than h are refused.
 
 The linking number of two closed polylines uses the exact solid-angle form
-of the Gauss integral for segment pairs; a signed-crossing count of a
-projection is available as an independent cross-check.
+of the Gauss integral for segment pairs, summed over blocks of rows; a
+signed-crossing count of a projection is available as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -72,99 +77,110 @@ class NodalSet:
         return [c for c in self.curves if c.closed]
 
 
-_KUHN = []
-for _perm in itertools.permutations(range(3)):
-    _v = [np.zeros(3, dtype=int)]
-    _acc = np.zeros(3, dtype=int)
-    for _p in _perm:
-        _acc = _acc + np.eye(3, dtype=int)[_p]
-        _v.append(_acc.copy())
-    _KUHN.append(np.array(_v))
+# vertices of the 6 Kuhn tetrahedra of the unit cube, (6, 4, 3)
+_KUHN = np.array(
+    [np.cumsum([(0, 0, 0), *np.eye(3, dtype=int)[list(p)]], axis=0) for p in itertools.permutations(range(3))]
+)
+# _TET_MASK[t, code]: 4-bit sign mask of Kuhn tetrahedron t from the 8-bit code
+# of a cube whose corner (dx, dy, dz) holds bit 4 dx + 2 dy + dz
+_TET_MASK = sum(((np.arange(256)[None, :] >> (_KUHN[:, v] @ (4, 2, 1))[:, None]) & 1) << v for v in range(4))
 
 
-def _tet_segments(pos, u, w, degeneracy_scale):
-    """Segments of {u=0, w=0} in one tetrahedron; returns (segments, degenerate)."""
-    positive = [i for i in range(4) if u[i] > 0]
-    negative = [i for i in range(4) if u[i] <= 0]
-    if not positive or not negative:
-        return [], False
+def _cut_table():
+    """Per sign mask of u > 0, the cut edges (i, j) of the triangles of {u = 0}:
+    the apex against the rest, or the quad p1..p4 as [p1, p2, p3], [p1, p3, p4]."""
+    pairs = np.zeros((16, 2, 3, 2), dtype=np.intp)
+    count = np.zeros(16, dtype=np.intp)
+    for mask in range(1, 15):
+        positive = [v for v in range(4) if mask >> v & 1]
+        negative = [v for v in range(4) if not mask >> v & 1]
+        if len(positive) == 1 or len(negative) == 1:
+            apex = positive[0] if len(positive) == 1 else negative[0]
+            tris = [[(apex, o) for o in range(4) if o != apex]]
+        else:
+            (a, b), (c, d) = positive, negative
+            tris = [[(a, c), (a, d), (b, d)], [(a, c), (b, d), (b, c)]]
+        pairs[mask, : len(tris)] = tris
+        count[mask] = len(tris)
+    return pairs, count
 
-    def epoint(i, j):
-        t = u[i] / (u[i] - u[j])
-        return pos[i] + t * (pos[j] - pos[i]), w[i] + t * (w[j] - w[i])
 
-    if len(positive) == 1 or len(negative) == 1:
-        apex = positive[0] if len(positive) == 1 else negative[0]
-        tris = [[epoint(apex, o) for o in range(4) if o != apex]]
-    else:
-        a, b = positive
-        c, d = negative
-        p1, p2, p3, p4 = epoint(a, c), epoint(a, d), epoint(b, d), epoint(b, c)
-        tris = [[p1, p2, p3], [p1, p3, p4]]
+_CUT_PAIRS, _CUT_COUNT = _cut_table()
 
-    segs = []
-    degenerate = False
-    for tri in tris:
-        crossings = []
-        wvals = [t[1] for t in tri]
-        for i in range(3):
-            (qi, wi), (qj, wj) = tri[i], tri[(i + 1) % 3]
-            if (wi > 0) != (wj > 0):
-                s = wi / (wi - wj)
-                crossings.append(qi + s * (qj - qi))
-        if len(crossings) == 2:
-            segs.append((crossings[0], crossings[1]))
-            if max(abs(x) for x in wvals) < degeneracy_scale:
-                degenerate = True
-    return segs, degenerate
+
+def _march(u, w, lo, hvec, degeneracy_scale):
+    """Segments (m, 2, 3) of {u = w = 0} by Kuhn type, cell and triangle, and the
+    number of tetrahedra with a cut triangle whose |w| < `degeneracy_scale`."""
+    ns = np.array(u.shape) - 1
+
+    def corner_code(positive):
+        code = np.zeros(tuple(ns), dtype=np.uint8)
+        for bit, (dx, dy, dz) in enumerate(itertools.product((0, 1), repeat=3)):
+            code |= positive[dx : dx + ns[0], dy : dy + ns[1], dz : dz + ns[2]].astype(np.uint8) << bit
+        return code.ravel()
+
+    ucode, wcode = corner_code(u > 0), corner_code(w > 0)
+    cells = np.nonzero((ucode % 255 != 0) & (wcode % 255 != 0))[0]
+    umask, wmask = _TET_MASK[:, ucode[cells]], _TET_MASK[:, wcode[cells]]
+    kind, sel = np.nonzero((umask % 15 != 0) & (wmask % 15 != 0))
+    umask = umask[kind, sel]
+    idx = np.stack(np.unravel_index(cells[sel], ns), axis=-1)[:, None, :] + _KUHN[kind]
+    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), u.shape)
+    uu, ww, pos = u.ravel()[flat], w.ravel()[flat], lo + idx * hvec
+
+    # corners of every cut triangle: the zero of u on tetrahedron edge (i, j)
+    row, slot = np.nonzero(np.arange(2) < _CUT_COUNT[umask][:, None])
+    ij = _CUT_PAIRS[umask[row], slot]
+    r, i, j = row[:, None], ij[..., 0], ij[..., 1]
+    t = uu[r, i] / (uu[r, i] - uu[r, j])
+    q = pos[r, i] + t[..., None] * (pos[r, j] - pos[r, i])
+    wq = ww[r, i] + t * (ww[r, j] - ww[r, i])
+
+    # triangle edge e joins corners e and e + 1; w changes sign on none or two
+    cross = (wq > 0) != np.roll(wq > 0, -1, axis=1)
+    keep = cross.any(axis=1)
+    degenerate = np.unique(row[keep & (np.abs(wq).max(axis=1) < degeneracy_scale)]).size
+    q, wq, cross = q[keep], wq[keep], cross[keep]
+    a = np.stack([np.argmax(cross, axis=1), np.where(cross[:, 2], 2, 1)], axis=1)
+    b, k = (a + 1) % 3, np.arange(len(q))[:, None]
+    s = wq[k, a] / (wq[k, a] - wq[k, b])
+    return q[k, a] + s[..., None] * (q[k, b] - q[k, a]), degenerate
 
 
 def _stitch(segs, h):
+    """Chains (points, closed) of segments joined where endpoint keys agree.
+
+    Zero-length and repeated segments (exact grid/zero-set alignment makes
+    neighboring tetrahedra emit coincident ones) are dropped; a chain grows
+    from the second, then the first end along the first unused segment.
+    """
     quant = 1e-6 * h
-
-    def key(p):
-        return tuple(np.round(p / quant).astype(np.int64))
-
-    # drop zero-length segments and duplicates (exact grid/zero-set alignment
-    # makes neighboring tetrahedra emit coincident segments)
-    seen = set()
-    unique = []
-    for a, b in segs:
-        ka, kb = key(a), key(b)
-        if ka == kb:
-            continue
-        sig = (ka, kb) if ka < kb else (kb, ka)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        unique.append((a, b))
-    segs = unique
-
-    adjacency = {}
-    for si, (a, b) in enumerate(segs):
-        adjacency.setdefault(key(a), []).append((si, 0))
-        adjacency.setdefault(key(b), []).append((si, 1))
-    used = set()
+    if not len(segs):
+        return []
+    keys = np.round(segs.reshape(-1, 3) / quant).astype(np.int64)
+    node = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1, 2)
+    lo, hi = node.min(axis=1), node.max(axis=1)
+    live = np.nonzero(lo != hi)[0]
+    first = np.unique(lo[live] * len(keys) + hi[live], return_index=True)[1]
+    keep = live[np.sort(first)]
+    ends, node = segs[keep].reshape(-1, 3), node[keep].ravel().tolist()
+    at = [[] for _ in range(max(node) + 1)]  # segment ends 2 si + e at each node, in order
+    for e, n in enumerate(node):
+        at[n].append(e)
+    used = [False] * len(keep)
     chains = []
-    for si in range(len(segs)):
-        if si in used:
+    for si in range(len(keep)):
+        if used[si]:
             continue
-        used.add(si)
-        chain = [segs[si][0], segs[si][1]]
-        for grow_end in (1, 0):
-            while True:
-                p = chain[-1] if grow_end == 1 else chain[0]
-                cands = [c for c in adjacency.get(key(p), []) if c[0] not in used]
-                if not cands:
-                    break
-                sj, endj = cands[0]
-                used.add(sj)
-                nxt = segs[sj][1 - endj]
-                if grow_end == 1:
-                    chain.append(nxt)
-                else:
-                    chain.insert(0, nxt)
-        pts = np.array(chain)
+        used[si] = True
+        grown = []
+        for end in (2 * si + 1, 2 * si):
+            run = [end]
+            while (e := next((e for e in at[node[run[-1]]] if not used[e >> 1]), None)) is not None:
+                used[e >> 1] = True
+                run.append(e ^ 1)
+            grown.append(run[1:])
+        pts = ends[grown[1][::-1] + [2 * si, 2 * si + 1] + grown[0]]
         closed = np.linalg.norm(pts[0] - pts[-1]) < 10 * quant
         if closed:
             pts = pts[:-1]
@@ -180,16 +196,28 @@ def _jacobians(fieldfn, pts, step):
     return np.stack([d.real, d.imag], axis=1)
 
 
-def newton_polish(fieldfn, pts, tol=1e-9, max_iter=10, fd_step=1e-6):
-    """Project points onto {f = 0} with pseudo-inverse Newton steps."""
+def newton_polish(fieldfn, pts, tol=1e-9, max_iter=10, fd_step=1e-6, *, max_step=math.inf, converged=None):
+    """Project points onto {f = 0} with pseudo-inverse Newton steps.
+
+    A vertex whose step would be longer than `max_step` stays where it is.  If
+    `converged` is given, it receives per vertex whether the last residual
+    evaluated there was within `tol` and no step was refused.
+    """
     pts = np.array(pts, dtype=float)
+    refused = np.zeros(len(pts), dtype=bool)
+    vals = np.full(len(pts), np.inf)
     for _ in range(max_iter):
         vals = np.asarray(fieldfn(pts))
         if np.max(np.abs(vals)) <= tol:
             break
         jac = _jacobians(fieldfn, pts, fd_step)
         rhs = np.stack([vals.real, vals.imag], axis=-1)
-        pts -= (np.linalg.pinv(jac, rcond=1e-8) @ rhs[:, :, None])[:, :, 0]
+        step = (np.linalg.pinv(jac, rcond=1e-8) @ rhs[:, :, None])[:, :, 0]
+        far = np.linalg.norm(step, axis=1) > max_step
+        refused |= far
+        pts -= np.where(far[:, None], 0.0, step)
+    if converged is not None:
+        converged[:] = (np.abs(vals) <= tol) & ~refused
     return pts
 
 
@@ -206,7 +234,9 @@ def extract_nodal(
     Curves whose endpoints meet are closed; curves reaching the box boundary
     are marked open.  Vertices carry stability margins (smallest singular
     value of the real 2x3 Jacobian); a curve's ``stable`` flag compares the
-    worst margin against 10 * h * (local Lipschitz estimate of df).
+    worst margin against 10 * h * (local Lipschitz estimate of df), and it is
+    False when Newton polish, with steps capped at h, leaves a vertex off the
+    zero set.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid step h must be finite and positive, got {h!r}")
@@ -222,26 +252,8 @@ def extract_nodal(
     scale = float(np.percentile(np.abs(vals), 95))
     degeneracy_scale = 1e-9 * max(scale, 1e-30)
 
-    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in ns), indexing="ij")
-    bases = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
     hvec = (hi - lo) / ns
-    segs = []
-    degenerate = 0
-    for tet in _KUHN:
-        idx = bases[:, None, :] + tet[None, :, :]
-        uu = u[idx[..., 0], idx[..., 1], idx[..., 2]]
-        ww = w[idx[..., 0], idx[..., 1], idx[..., 2]]
-        active = ~(
-            np.all(uu > 0, axis=1)
-            | np.all(uu < 0, axis=1)
-            | np.all(ww > 0, axis=1)
-            | np.all(ww < 0, axis=1)
-        )
-        pos = lo + idx * hvec
-        for c in np.nonzero(active)[0]:
-            s, dg = _tet_segments(pos[c], uu[c], ww[c], degeneracy_scale)
-            segs.extend(s)
-            degenerate += dg
+    segs, degenerate = _march(u, w, lo, hvec, degeneracy_scale)
 
     curves = []
     boundary_tol = 1e-3 * h
@@ -251,8 +263,9 @@ def extract_nodal(
         on_boundary = bool(
             np.any(pts <= lo + boundary_tol) or np.any(pts >= hi - boundary_tol)
         )
+        converged = np.ones(len(pts), dtype=bool)
         if polish:
-            pts = newton_polish(fieldfn, pts)
+            pts = newton_polish(fieldfn, pts, max_step=h, converged=converged)
         jac = _jacobians(fieldfn, pts, margin_step)
         margins = np.linalg.svd(jac, compute_uv=False)[:, -1]
         curve = NodalCurve(pts, bool(closed and not on_boundary), margins)
@@ -262,7 +275,7 @@ def extract_nodal(
         dx = np.linalg.norm(pts - np.roll(pts, 1, axis=0), axis=1)
         ok = dx > 1e-12
         lip = float(np.max(dj[ok] / dx[ok])) if np.any(ok) else 0.0
-        curve.stable = bool(margins.min() > 10.0 * h * lip)
+        curve.stable = bool(margins.min() > 10.0 * h * lip and converged.all())
         curves.append(curve)
     curves.sort(key=lambda c: -len(c.vertices))
     return NodalSet(curves, degenerate, h)
@@ -286,36 +299,26 @@ def _as_closed_vertices(c) -> np.ndarray:
 
 
 def gauss_linking_integral(p1, p2) -> float:
-    """Exact Gauss integral for polyline pairs (sum of segment solid angles)."""
-    a0 = p1
-    da = np.roll(p1, -1, axis=0) - p1
-    c0 = p2
-    dc = np.roll(p2, -1, axis=0) - p2
+    """Exact Gauss integral for polyline pairs (sum of segment solid angles).
+
+    Segments i and j see r1..r4 = d[i, j], d[i+1, j], d[i+1, j+1], d[i, j+1] with
+    d = p1[:, None] - p2, so each block of rows reads them, their norms and
+    neighbour products as shifts of one block of d.
+    """
+    a, c = (np.concatenate([p, p[:1]]) for p in (np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)))
+    rows = max(1, (1 << 16) // len(c))
     total = 0.0
-    for i in range(len(a0)):
-        a = a0[i]
-        b = a0[i] + da[i]
-        r1 = a - c0
-        r2 = b - c0
-        r3 = b - (c0 + dc)
-        r4 = a - (c0 + dc)
-        n1 = np.linalg.norm(r1, axis=1)
-        n2 = np.linalg.norm(r2, axis=1)
-        n3 = np.linalg.norm(r3, axis=1)
-        n4 = np.linalg.norm(r4, axis=1)
-        triple = np.einsum("ij,ij->i", r1, np.cross(r2, r3))
-        d1 = (
-            n1 * n2 * n3
-            + np.einsum("ij,ij->i", r1, r2) * n3
-            + np.einsum("ij,ij->i", r2, r3) * n1
-            + np.einsum("ij,ij->i", r3, r1) * n2
-        )
-        d2 = (
-            n1 * n4 * n3
-            + np.einsum("ij,ij->i", r1, r4) * n3
-            + np.einsum("ij,ij->i", r4, r3) * n1
-            + np.einsum("ij,ij->i", r3, r1) * n4
-        )
+    for s in range(0, len(p1), rows):
+        d = a[s : s + rows + 1, None, :] - c[None, :, :]
+        n = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+        down = np.einsum("ijk,ijk->ij", d[:-1], d[1:])
+        right = np.einsum("ijk,ijk->ij", d[:, :-1], d[:, 1:])
+        r1, r3 = d[:-1, :-1], d[1:, 1:]
+        triple = np.einsum("ijk,ijk->ij", r1, np.cross(d[1:, :-1], r3))
+        r31 = np.einsum("ijk,ijk->ij", r3, r1)
+        n1, n2, n3, n4 = n[:-1, :-1], n[1:, :-1], n[1:, 1:], n[:-1, 1:]
+        d1 = n1 * n2 * n3 + down[:, :-1] * n3 + right[1:] * n1 + r31 * n2
+        d2 = n1 * n4 * n3 + right[:-1] * n3 + down[:, 1:] * n1 + r31 * n4
         total += float(np.sum(np.arctan2(triple, d1) + np.arctan2(triple, d2)))
     return total / (2.0 * math.pi)
 
@@ -381,19 +384,15 @@ def projected_crossing_number(c1, c2, direction=None, seed: int = 0) -> int:
 
 
 def _densify(p: np.ndarray, closed: bool, step: float) -> np.ndarray:
-    out = []
-    m = len(p)
-    last = m if closed else m - 1
-    for i in range(last):
-        a = p[i]
-        b = p[(i + 1) % m]
-        seg = np.linalg.norm(b - a)
-        k = max(1, int(math.ceil(seg / step)))
-        for t in range(k):
-            out.append(a + (t / k) * (b - a))
-    if not closed:
-        out.append(p[-1])
-    return np.array(out)
+    """Each edge split into ceil(length / step) equal parts (at least one)."""
+    last = len(p) if closed else len(p) - 1
+    a = p[:last]
+    diff = p[(np.arange(last) + 1) % len(p)] - a
+    k = np.maximum(1, np.ceil(np.linalg.norm(diff, axis=1) / step)).astype(int)
+    edge = np.repeat(np.arange(last), k)
+    frac = (np.arange(len(edge)) - np.repeat(np.cumsum(k) - k, k)) / k[edge]
+    out = a[edge] + frac[:, None] * diff[edge]
+    return out if closed else np.concatenate([out, p[-1:]])
 
 
 def hausdorff_dist(curve_a, curve_b, densify_step: float | None = None) -> float:

@@ -13,17 +13,15 @@ Weyl sums put k = 401 above k = 201 too.  test_torus.py keeps that
 non-monotone triple pinned.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 import eigenknot as ek
 from eigenknot import harmonics as H
 from eigenknot import nodal, torus
 from eigenknot.cli import main as cli_main
-from eigenknot.helmholtz import BesselSum, eval_bessel_sum
+from eigenknot.helmholtz import BesselSum
 from eigenknot.specialfn import darboux_error, gegenbauer_cnk
 from eigenknot.spinor3 import (
     SpinorField3,

@@ -315,6 +315,7 @@ def test_bad_list_config_value_exit_code(tmp_path, capsys, command, setting, key
         ("approximate", "density=3", "config key density must be one of constant, linear_z, random, got 3"),
         ("verify", "chart=bogus", "config key chart must be one of adapted, random, got 'bogus'"),
         ("synthesize", "chart=Random", "config key chart must be one of adapted, random, got 'Random'"),
+        ("torus", "density=bogus", "config key density must be one of constant, linear_z, random, got 'bogus'"),
     ],
 )
 def test_unknown_string_config_value_exit_code(tmp_path, capsys, command, setting, message):
@@ -339,6 +340,25 @@ def test_nodal_field_box_sides_fall_back_separately(tmp_path, monkeypatch):
         argv += ["--set", item]
     assert main(argv) == EXIT_OK
     assert [np.asarray(b).tolist() for b in seen[0]] == [[0, -0.8, -0.8], [0.6, 0.6, 0.6]]
+
+
+def test_nodal_null_link_says_why(tmp_path, monkeypatch):
+    from eigenknot import nodal
+
+    t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    ring = np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1)
+    hoop = np.stack([1 + np.cos(t), 0 * t, np.sin(t)], axis=-1)
+    # curve 2 repeats curve 0, so that pair intersects; both link curve 1
+    curves = [nodal.NodalCurve(p, True, np.ones(64)) for p in (ring, hoop, ring)]
+    monkeypatch.setattr(nodal, "extract_nodal", lambda fn, box, h: nodal.NodalSet(curves, 0, h))
+    out = tmp_path / "curves"
+    assert main(["nodal", "--out", str(out), "--set", "input=" + data_path("single_center.json")]) == EXIT_OK
+    links = json.loads(Path(f"{out}.topology.json").read_text())["linking"]
+    assert [e["pair"] for e in links] == [[0, 1], [0, 2], [1, 2]]
+    for entry in (links[0], links[2]):
+        assert sorted(entry) == ["field", "link", "pair"]
+        assert abs(entry["link"]) == 1
+    assert links[1] == {"field": "field", "pair": [0, 2], "link": None, "reason": "curves intersect"}
 
 
 def test_verify_laplace_row_certifies_at_high_degree(tmp_path):

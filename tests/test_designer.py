@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import eigenknot as ek
 from eigenknot import nodal
 from eigenknot.helmholtz import (
     DesignError,

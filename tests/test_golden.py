@@ -9,7 +9,10 @@ to the pinned values, not to a second run of itself.  Tolerances:
   recurrence's k^2 eps, about 2e-11 at k = 320, grows by up to 4/h^2 = 256
   in a second difference at h = 0.125, against sup values above 0.03);
 * Hausdorff distances 1e-6 absolute;
-* curve counts, closedness and linking numbers exactly;
+* curve counts, closedness, per-curve vertex counts and linking numbers
+  exactly;
+* each curve's smallest stability margin 1e-9 relative (these two Hopf
+  entries were added from the code before the array nodal march);
 * the Dirac residual only against its bound.
 """
 
@@ -28,6 +31,7 @@ _spec.loader.exec_module(make_golden)
 
 RTOL = {"0": 1e-8, "1": 1e-6, "2": 1e-6, "laplace": 1e-4}
 HAUSDORFF_ATOL = 1e-6
+MARGIN_RTOL = 1e-9
 DIRAC_BOUND = 1e-10
 
 
@@ -51,5 +55,8 @@ def test_hopf_nodal_results_match_golden(tmp_path, case):
         assert have["dirac_residual"] <= DIRAC_BOUND, k
         assert have["curves"] == want["curves"], k
         assert have["links"] == want["links"], k
+        assert have["vertices"] == want["vertices"], k
+        for mine, theirs in zip(have["min_margin"], want["min_margin"], strict=True):
+            assert mine == pytest.approx(theirs, rel=MARGIN_RTOL), k
         for mine, theirs in zip(have["hausdorff"], want["hausdorff"], strict=True):
             assert mine == pytest.approx(theirs, abs=HAUSDORFF_ATOL, rel=0), k

@@ -13,7 +13,6 @@ from eigenknot.harmonics import (
     decay_profile,
     dirac_multiplicity,
     harmonic_space_dim,
-    kernel_norm,
     spinor_rank,
 )
 from eigenknot.helmholtz import BesselSum, eval_bessel_sum

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eigenknot import nodal
 from eigenknot.nodal import (
     NodalCurve,
     extract_nodal,
@@ -89,6 +91,17 @@ def test_closed_circle_extraction():
     assert hausdorff_dist(closed[0], target, densify_step=5e-4) <= 2e-3
 
 
+def test_closed_circle_extraction_on_shifted_grid():
+    # the same circle with every grid plane moved by half a cell, so no grid
+    # plane contains the zero set
+    h = 0.05
+    nset = extract_nodal(circle_field, (BOX[0] + h / 2, BOX[1] + h / 2), h)
+    assert len(nset.curves) == 1
+    closed = nset.closed_curves()
+    assert len(closed) == 1
+    assert hausdorff_dist(closed[0], circle(256, 0.5), densify_step=5e-4) <= 2e-3
+
+
 def test_extraction_refinement_stability():
     c1 = extract_nodal(circle_field, BOX, 0.08).closed_curves()[0]
     c2 = extract_nodal(circle_field, BOX, 0.04).closed_curves()[0]
@@ -104,6 +117,85 @@ def test_linking_hopf_configuration():
     fine = gauss_linking_integral(circle(512, 1.0, (0, 0, 0), "xy"), circle(512, 1.0, (1.0, 0, 0), "xz"))
     assert fine == pytest.approx(lk, abs=1e-6)
     assert projected_crossing_number(c1, c2, seed=3) == lk
+
+
+def _loop_gauss(p1, p2):
+    """Reference Gauss integral: one vertex of p1 against all segments of p2 at a time."""
+    a0 = p1
+    da = np.roll(p1, -1, axis=0) - p1
+    c0 = p2
+    dc = np.roll(p2, -1, axis=0) - p2
+    total = 0.0
+    for i in range(len(a0)):
+        a = a0[i]
+        b = a0[i] + da[i]
+        r1 = a - c0
+        r2 = b - c0
+        r3 = b - (c0 + dc)
+        r4 = a - (c0 + dc)
+        n1 = np.linalg.norm(r1, axis=1)
+        n2 = np.linalg.norm(r2, axis=1)
+        n3 = np.linalg.norm(r3, axis=1)
+        n4 = np.linalg.norm(r4, axis=1)
+        triple = np.einsum("ij,ij->i", r1, np.cross(r2, r3))
+        d1 = (
+            n1 * n2 * n3
+            + np.einsum("ij,ij->i", r1, r2) * n3
+            + np.einsum("ij,ij->i", r2, r3) * n1
+            + np.einsum("ij,ij->i", r3, r1) * n2
+        )
+        d2 = (
+            n1 * n4 * n3
+            + np.einsum("ij,ij->i", r1, r4) * n3
+            + np.einsum("ij,ij->i", r4, r3) * n1
+            + np.einsum("ij,ij->i", r3, r1) * n4
+        )
+        total += float(np.sum(np.arctan2(triple, d1) + np.arctan2(triple, d2)))
+    return total / (2.0 * math.pi)
+
+
+def test_gauss_integral_matches_vertex_loop():
+    rng = np.random.default_rng(5)
+    pairs = [
+        (rng.normal(size=(40, 3)), rng.normal(size=(33, 3))),
+        (rng.normal(size=(3, 3)), rng.normal(size=(700, 3))),
+        (circle(128, 1.0), circle(128, 1.0, (1.0, 0, 0), "xz")),
+        (circle(517, 1.0), circle(96, 1.0, (1.0, 0, 0), "xz")),
+    ]
+    for p1, p2 in pairs:
+        assert abs(gauss_linking_integral(p1, p2) - _loop_gauss(p1, p2)) <= 1e-12
+
+
+def _rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n1=st.integers(24, 90),
+    n2=st.integers(24, 90),
+    quat=st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    shift=st.lists(st.floats(-5, 5), min_size=3, max_size=3),
+    roll1=st.integers(0, 89),
+    roll2=st.integers(0, 89),
+)
+def test_linking_sign_and_invariance(n1, n2, quat, shift, roll1, roll2):
+    c1 = circle(n1, 1.0)
+    c2 = circle(n2, 1.0, (1.0, 0, 0), "xz")
+    lk = linking_number(c1, c2)
+    assert abs(lk) == 1
+    assert linking_number(c1[::-1], c2) == -lk
+    assert linking_number(c1, c2[::-1]) == -lk
+    rot, move = _rotation(quat), np.array(shift)
+    assert linking_number(c1 @ rot.T + move, c2 @ rot.T + move) == lk
+    assert linking_number(np.roll(c1, roll1, axis=0), np.roll(c2, roll2, axis=0)) == lk
 
 
 def test_linking_separated_and_translated():
@@ -142,6 +234,33 @@ def test_hausdorff_basics():
     assert hausdorff_dist(c, shifted) == pytest.approx(0.3, rel=1e-3)
 
 
+def _loop_densify(p, closed, step):
+    """Reference densification: one edge and one inserted point at a time."""
+    out = []
+    m = len(p)
+    last = m if closed else m - 1
+    for i in range(last):
+        a = p[i]
+        b = p[(i + 1) % m]
+        seg = np.linalg.norm(b - a)
+        k = max(1, int(math.ceil(seg / step)))
+        for t in range(k):
+            out.append(a + (t / k) * (b - a))
+    if not closed:
+        out.append(p[-1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_densify_matches_edge_loop(closed):
+    rng = np.random.default_rng(6)
+    for p, step in [(rng.normal(size=(30, 3)), 0.07), (circle(64, 0.7), 0.5), (rng.normal(size=(2, 3)), 1e-2)]:
+        want = _loop_densify(p, closed, step)
+        got = nodal._densify(p, closed, step)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_newton_polish_converges():
     rng = np.random.default_rng(0)
     pts = circle(32, 0.5) + 0.02 * rng.normal(size=(32, 3))
@@ -170,6 +289,36 @@ def test_newton_polish_matches_vertex_loop():
     rng = np.random.default_rng(1)
     pts = circle(32, 0.5) + 0.02 * rng.normal(size=(32, 3))
     assert np.max(np.abs(newton_polish(circle_field, pts) - _loop_newton(circle_field, pts))) <= 1e-12
+
+
+def test_newton_polish_refuses_long_steps():
+    pts = circle(16, 0.5) + np.array([0.0, 0.0, 0.3])
+    flags = np.ones(len(pts), dtype=bool)
+    far = newton_polish(circle_field, pts, max_step=0.1, converged=flags)
+    assert np.array_equal(far, pts)
+    assert not flags.any()
+    near = newton_polish(circle_field, pts, max_step=0.5, converged=flags)
+    assert np.max(np.abs(circle_field(near))) <= 1e-9
+    assert flags.all()
+    # a refused step leaves its vertex unconverged even within the tolerance
+    squared = lambda x: linear(x) ** 2
+    pts = np.array([[3e-5, 0.0, 0.0], [0.1, 0.0, 0.0]])
+    assert abs(squared(pts[0])[0]) <= 1e-9
+    assert np.array_equal(newton_polish(squared, pts, max_step=1e-5, converged=flags[:2]), pts)
+    assert not flags[:2].any()
+
+
+def test_unconverged_newton_marks_curve_unstable():
+    # a double zero: Newton only halves the distance per step, so ten steps
+    # from the grid cut points stay far above the tolerance
+    squared = lambda x: linear(x) ** 2
+    pts = np.array([[0.02, -0.03, z] for z in np.linspace(-0.5, 0.5, 9)])
+    flags = np.ones(len(pts), dtype=bool)
+    newton_polish(squared, pts, converged=flags)
+    assert not flags.any()
+    nset = extract_nodal(squared, BOX, 0.1)
+    assert nset.curves
+    assert not any(c.stable for c in nset.curves)
 
 
 class CountingField:

@@ -1,7 +1,5 @@
 """Dirac operator on S^3: conventions, projection, residuals, flat checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 import eigenknot as ek
 from eigenknot import spinor3
 from eigenknot.harmonics import UltrasphericalSum
-from eigenknot.helmholtz import BesselSum, eval_bessel_sum, eval_bessel_sum_grad, FLAT_GAMMA
+from eigenknot.helmholtz import BesselSum, eval_bessel_sum, FLAT_GAMMA
 from eigenknot.spinor3 import (
     adapted_chart,
-    CLIFFORD,
     GAMMA,
     SpinorField3,
     _pair_jets,
