@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write tests/data/golden.json: pinned observables of two CLI pipelines.
+"""Write tests/data/golden.json: pinned observables of two CLI pipelines and the designer.
 
 * ``approximate -> verify`` for two seeded random densities over k = 40..320:
   the achieved error and every row of the verify CSV (sup errors of orders
@@ -8,19 +8,28 @@
   bases: the Dirac residual, each curve's field, closedness, vertex count and
   smallest stability margin, every linking number, and the Hausdorff distance
   from each component's closed curves to its design target.
+* ``design_bessel_sum`` on a seeded, slightly tilted unit circle (budget 240,
+  verify_tol 0.02, grid_h 0.07): each curve of the designer's own nodal
+  extraction with its closedness and vertex count, the best Hausdorff
+  distance from a closed curve to the target, the curve residual and the
+  conversion error.
 
-tests/test_golden.py recomputes the same dict with ``compute`` and compares it
-with the file, so a refactor that moves a result beyond round-off shows up
-against these values rather than against a second run of itself.  Rerun only
-when a change of results is intended:
+tests/test_golden.py recomputes these entries with the functions below and
+compares them with the file, so a refactor that moves a result beyond
+round-off shows up against these values rather than against a second run of
+itself.  Rerun only when a change of results is intended.  With section names
+(verify, hopf, circle) only those sections are recomputed and merged into the
+existing file; the others are kept as they are:
 
-    PYTHONPATH=src python scripts/make_golden.py
+    PYTHONPATH=src python scripts/make_golden.py [section ...]
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -34,6 +43,9 @@ VERIFY_CASES = ({"density_seed": 3, "chart_seed": 5}, {"density_seed": 11, "char
 HOPF_KS = (60, 120, 240)
 HOPF_BASES = ((0.3, -0.5, 0.7, 0.4), (-0.6, 0.2, 0.1, 0.77))
 HOPF_H = 0.22
+CIRCLE_SEED = 5
+CIRCLE_VERTICES = 48
+CIRCLE_GRID_H = 0.07
 
 
 def _run(argv):
@@ -98,27 +110,90 @@ def hopf_case(work: pathlib.Path, base) -> dict:
     return out
 
 
-def compute(work) -> dict:
-    """The golden observables, computed with the installed eigenknot in the directory `work`."""
-    work = pathlib.Path(work)
-    base_dir = work / "verify"
-    base_dir.mkdir(parents=True, exist_ok=True)
-    verify = [verify_case(base_dir, **case) for case in VERIFY_CASES]
+def tilted_circle(seed: int) -> np.ndarray:
+    """A closed unit circle, phase-shifted and tilted by at most 0.01 rad about an in-plane axis."""
+    rng = np.random.default_rng(seed)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    axis_angle = rng.uniform(0.0, 2.0 * math.pi)
+    tilt = rng.uniform(0.002, 0.01)
+    t = phase + np.linspace(0.0, 2.0 * math.pi, CIRCLE_VERTICES + 1)
+    circle = np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1)
+    axis = np.array([math.cos(axis_angle), math.sin(axis_angle), 0.0])
+    cross = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    rot = np.eye(3) + math.sin(tilt) * cross + (1.0 - math.cos(tilt)) * (cross @ cross)
+    target = circle @ rot.T
+    target[-1] = target[0]
+    return target
+
+
+def circle_case(seed: int) -> dict:
+    """Design on the tilted circle and record the designer's own nodal extraction."""
+    target = tilted_circle(seed)
+    captured = []
+    extract = nodal.extract_nodal
+
+    def recording_extract(*args, **kwargs):
+        captured.append(extract(*args, **kwargs))
+        return captured[-1]
+
+    nodal.extract_nodal = recording_extract
+    try:
+        result = helmholtz.design_bessel_sum(
+            [(target, 0)], budget=240, verify_tol=0.02, grid_h=CIRCLE_GRID_H
+        )
+    finally:
+        nodal.extract_nodal = extract
+    curves = [c for nset in captured for c in nset.curves]
+    closed = [c for c in curves if c.closed]
+    return {
+        "seed": seed,
+        "closed": [bool(c.closed) for c in curves],
+        "vertices": [len(c) for c in curves],
+        "best_hausdorff": min(nodal.hausdorff_dist(c, target) for c in closed),
+        "curve_residual": result.curve_residual[0],
+        "conversion_error": result.conversion_error[0],
+    }
+
+
+def _verify_section(work: pathlib.Path) -> list:
+    work.mkdir(parents=True, exist_ok=True)
+    return [verify_case(work, **case) for case in VERIFY_CASES]
+
+
+def _hopf_section(work: pathlib.Path) -> list:
     hopf = []
     for i, base in enumerate(HOPF_BASES):
         d = work / f"hopf{i}"
         d.mkdir(parents=True, exist_ok=True)
         hopf.append(hopf_case(d, (np.asarray(base) / np.linalg.norm(base)).tolist()))
-    return {"verify": verify, "hopf": hopf}
+    return hopf
 
 
-def main():
+SECTIONS = {
+    "verify": _verify_section,
+    "hopf": _hopf_section,
+    "circle": lambda work: [circle_case(CIRCLE_SEED)],
+}
+
+
+def compute(work, sections=tuple(SECTIONS)) -> dict:
+    """The golden observables of `sections`, computed with the installed eigenknot in the directory `work`."""
+    work = pathlib.Path(work)
+    return {name: SECTIONS[name](work / name) for name in sections}
+
+
+def main(sections=None):
+    sections = sections or list(SECTIONS)
+    unknown = sorted(set(sections) - set(SECTIONS))
+    if unknown:
+        raise SystemExit(f"unknown section(s) {', '.join(unknown)}; choose from {', '.join(SECTIONS)}")
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        doc = compute(tmp)
+        doc.update(compute(tmp, sections))
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print("wrote", OUT)
+    print("wrote", ", ".join(sections), "to", OUT)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

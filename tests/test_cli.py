@@ -9,6 +9,7 @@ import pytest
 
 from eigenknot.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_TOLERANCE,
     load_config,
@@ -383,3 +384,25 @@ def test_verify_laplace_row_certifies_at_high_degree(tmp_path):
     for k, (resid, h) in laplace.items():
         assert h == 0.04 / k
         assert resid < 1e-3, (k, resid)
+
+
+def test_verify_step_too_coarse_for_stencils_names_h(tmp_path, capsys):
+    # h = 5 is a valid positive step, but the unit ball holds no lattice point
+    # with all six axis neighbours, so the m = 2 differences have nothing to read
+    code = main(
+        [
+            "verify",
+            "--out",
+            str(tmp_path / "errors.csv"),
+            "--set",
+            "input=" + data_path("single_center.json"),
+            "--set",
+            "k_sweep=40",
+            "--set",
+            "h=5",
+        ]
+    )
+    assert code == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "numerical"
+    assert err["detail"].startswith("h = 5 leaves no interior lattice point")

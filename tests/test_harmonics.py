@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigenknot as ek
 from eigenknot import harmonics as H
@@ -157,6 +158,159 @@ def test_localization_adaptive_step(chart):
     assert rep.h <= 0.2
     rows = rep.to_csv_rows()
     assert rows[0][0] == 0 and rows[0][3] == 100
+
+
+def _full_lattice_orders(diff, mask, h, m):
+    # the stencils of localization_error, read on a fully evaluated lattice
+    orders = [float(np.abs(diff[mask]).max())]
+    interior = mask.copy()
+    for axis in range(3):
+        interior &= np.roll(mask, 1, axis=axis) & np.roll(mask, -1, axis=axis)
+    for axis in range(3):
+        sl = [slice(None)] * 3
+        sl[axis] = slice(0, 1)
+        interior[tuple(sl)] = False
+        sl[axis] = slice(-1, None)
+        interior[tuple(sl)] = False
+    if m >= 1:
+        worst = 0.0
+        for axis in range(3):
+            d1 = (np.roll(diff, -1, axis=axis) - np.roll(diff, 1, axis=axis)) / (2 * h)
+            worst = max(worst, float(np.abs(d1[interior]).max()))
+        orders.append(worst)
+    if m >= 2:
+        worst = 0.0
+        for a in range(3):
+            for b in range(a, 3):
+                if a == b:
+                    d2 = (np.roll(diff, -1, axis=a) - 2 * diff + np.roll(diff, 1, axis=a)) / (h * h)
+                else:
+                    d2 = (
+                        np.roll(np.roll(diff, -1, axis=a), -1, axis=b)
+                        - np.roll(np.roll(diff, -1, axis=a), 1, axis=b)
+                        - np.roll(np.roll(diff, 1, axis=a), -1, axis=b)
+                        + np.roll(np.roll(diff, 1, axis=a), 1, axis=b)
+                    ) / (4 * h * h)
+                worst = max(worst, float(np.abs(d2[interior]).max()))
+        orders.append(worst)
+    return orders
+
+
+def _full_lattice_report(phi, Y, m=2, h=None, radius=1.0, chart=None):
+    """Reference: localization_error evaluating both fields on the whole padded cube."""
+
+    def measure(step):
+        ax = np.arange(-radius - 2 * step, radius + 2 * step + 1e-12, step)
+        grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+        flat = grid.reshape(-1, 3)
+        mask = (np.linalg.norm(flat, axis=1) <= radius).reshape(grid.shape[:3])
+        diff = (H.rescaled_pullback(Y, flat, chart) - eval_bessel_sum(phi, flat)).reshape(grid.shape[:3])
+        return H.CmErrorReport(_full_lattice_orders(diff, mask, step, m), step, Y.k, m)
+
+    if h is not None:
+        return measure(h)
+    step = radius / 5.0
+    report = measure(step)
+    for _ in range(3):
+        finer = measure(step / 2.0)
+        top = max(report.orders[-1], 1e-300)
+        if abs(finer.orders[-1] - report.orders[-1]) <= 0.1 * top:
+            return finer
+        step /= 2.0
+        report = finer
+    return report
+
+
+def _assert_matches_reference(got, want):
+    assert got.h == want.h and got.k == want.k and got.m == want.m
+    assert len(got.orders) == len(want.orders) == got.m + 1
+    for order, (a, b) in enumerate(zip(got.orders, want.orders)):
+        rtol = 1e-12 if order == 0 else 1e-9
+        assert abs(a - b) <= rtol * abs(b), (order, a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.sampled_from([0, 1, 2]),
+    h=st.floats(0.08, 0.3),
+    radius=st.floats(0.5, 1.2),
+    k=st.sampled_from([40, 160]),
+)
+def test_localization_support_matches_full_lattice(seed, m, h, radius, k):
+    phi = random_bessel_sum(seed)
+    Y = ek.synthesize(phi, k, ek.random_chart(3, seed + 1))
+    got = H.localization_error(phi, Y, m=m, h=h, radius=radius)
+    _assert_matches_reference(got, _full_lattice_report(phi, Y, m=m, h=h, radius=radius))
+
+
+def test_localization_refinement_matches_full_lattice(chart):
+    phi = random_bessel_sum(7)
+    Y = ek.synthesize(phi, 40, chart)
+    got = H.localization_error(phi, Y, m=2, radius=0.8)
+    want = _full_lattice_report(phi, Y, m=2, radius=0.8)
+    assert got.h < 0.8 / 5.0  # at least one refinement step was taken
+    _assert_matches_reference(got, want)
+
+
+@pytest.mark.parametrize("m, rows", [(0, 2109), (1, 2109), (2, 2457)])
+def test_localization_evaluates_only_the_stencil_support(chart, monkeypatch, m, rows):
+    # the padded cube at h = 0.125, radius 1 has 21^3 = 9261 points; the
+    # stencils read the ball (m <= 1) plus, for m = 2, the diagonal
+    # neighbours of its interior points
+    seen = {"bessel": [], "pullback": []}
+    bessel, pullback = H.eval_bessel_sum, H.rescaled_pullback
+
+    def count_bessel(s, x):
+        seen["bessel"].append(len(x))
+        return bessel(s, x)
+
+    def count_pullback(Y, x, c=None):
+        seen["pullback"].append(len(x))
+        return pullback(Y, x, c)
+
+    monkeypatch.setattr(H, "eval_bessel_sum", count_bessel)
+    monkeypatch.setattr(H, "rescaled_pullback", count_pullback)
+    phi = random_bessel_sum(5)
+    H.localization_error(phi, ek.synthesize(phi, 40, chart), m=m, h=0.125)
+    assert seen == {"bessel": [rows], "pullback": [rows]}
+    assert rows != 21**3
+
+
+def test_localization_stencil_outside_support_raises(chart, monkeypatch):
+    # with only the ball evaluated, the mixed second differences read NaN
+    monkeypatch.setattr(H, "_stencil_support", lambda mask, interior, m: mask)
+    phi = random_bessel_sum(5)
+    Y = ek.synthesize(phi, 40, chart)
+    assert len(H.localization_error(phi, Y, m=1, h=0.125).orders) == 2
+    with pytest.raises(FloatingPointError, match="outside its support"):
+        H.localization_error(phi, Y, m=2, h=0.125)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"m": -1}, "m"),
+        ({"m": 3}, "m"),
+        ({"h": 0.0}, "h"),
+        ({"h": -0.2}, "h"),
+        ({"h": float("nan")}, "h"),
+        ({"h": float("inf")}, "h"),
+        ({"radius": -1.0}, "radius"),
+        ({"radius": 0.0}, "radius"),
+        ({"radius": float("nan")}, "radius"),
+        # no interior lattice point, so no first or second difference
+        ({"m": 1, "h": 5.0}, "h"),
+        ({"m": 2, "h": 5.0}, "h"),
+        # no lattice point in the ball at all
+        ({"m": 0, "h": 5.0, "radius": 0.5}, "h"),
+    ],
+)
+def test_localization_rejects_bad_arguments(chart, kwargs, name):
+    phi = random_bessel_sum(5)
+    Y = ek.synthesize(phi, 40, chart)
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        H.localization_error(phi, Y, **kwargs)
 
 
 def test_multi_synthesize_single_pair_matches(chart, small_sum):
