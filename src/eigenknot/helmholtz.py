@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_gegenbauer, spherical_jn, sph_harm_y
 
-from .specialfn import bessel_kernel
+from .specialfn import bessel_kernel, gauss_gegenbauer
 from .sphere import eval_rows
 
 _TWO_PI = 2.0 * math.pi
@@ -55,7 +54,7 @@ def sphere_quadrature(n: int, resolution: int):
         nodes = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         return nodes, np.full(m, _TWO_PI / m)
     sub_nodes, sub_w = sphere_quadrature(n - 1, resolution)
-    u, w = roots_gegenbauer(resolution, 0.5 * (n - 2))
+    u, w = gauss_gegenbauer(resolution, 0.5 * (n - 2))
     s = np.sqrt(1.0 - u * u)
     nodes = np.concatenate(
         [
@@ -243,6 +242,8 @@ def helmholtz_residual(fieldfn, box, h: float) -> float:
 
 def real_sph_harm(l: int, m: int, dirs):
     """Real orthonormal spherical harmonics on S^2 (area measure)."""
+    from scipy.special import sph_harm_y
+
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
@@ -265,6 +266,8 @@ class FourierBesselSeries:
     l2_error: float = field(default=float("nan"), compare=False)
 
     def eval(self, x):
+        from scipy.special import spherical_jn
+
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.linalg.norm(x, axis=1)
         dirs = np.where(r[:, None] > 1e-15, x / np.maximum(r, 1e-15)[:, None], 0.0)
@@ -290,6 +293,8 @@ def fourier_bessel_truncate(
     their contribution estimate |num|/sqrt(mass) is compared against a noise
     floor and they are zeroed and flagged instead of being divided out.
     """
+    from scipy.special import spherical_jn
+
     if resolution is None:
         resolution = max(24, 2 * L + 8)
     dirs, w_ang = sphere_quadrature(3, resolution)
@@ -617,6 +622,18 @@ def design_bessel_sum(
 # ---------------------------------------------------------------------------
 
 
+_SQRT_PI_2 = math.sqrt(0.5 * math.pi)
+
+
+def _spherical_j01(r):
+    """Spherical Bessel j0(r) = sin(r)/r and j1(r) = (sin r - r cos r)/r^2.
+
+    Read from the n = 3 and n = 5 plane-wave kernels, which are sqrt(2/pi)
+    times j0(r) and j1(r)/r, so below r = 1/2 their power series is used.
+    """
+    return _SQRT_PI_2 * bessel_kernel(3, r), _SQRT_PI_2 * r * bessel_kernel(5, r)
+
+
 @dataclass
 class HopfPairDesign:
     """Dirac-eigen pair whose component nodal curves form a Hopf link.
@@ -638,8 +655,7 @@ class HopfPairDesign:
     def exact_component(self, a: int, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.maximum(np.linalg.norm(x, axis=1), 1e-12)
-        j0 = spherical_jn(0, r)
-        j1 = spherical_jn(1, r)
+        j0, j1 = _spherical_j01(r)
         ct = x[:, 2] / r
         if a == 0:
             return (j0 - 1j * j1 * ct) + 1j * self.beta * (-1j * j1 * (x[:, 0] - 1j * x[:, 1]) / r)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -298,19 +297,22 @@ def _as_closed_vertices(c) -> np.ndarray:
     return np.asarray(c, dtype=float)
 
 
-def gauss_linking_integral(p1, p2) -> float:
-    """Exact Gauss integral for polyline pairs (sum of segment solid angles).
+def _gauss_blocks(p1, p2) -> tuple[float, float]:
+    """Gauss integral of two closed polylines and the least vertex distance.
 
     Segments i and j see r1..r4 = d[i, j], d[i+1, j], d[i+1, j+1], d[i, j+1] with
     d = p1[:, None] - p2, so each block of rows reads them, their norms and
-    neighbour products as shifts of one block of d.
+    neighbour products as shifts of one block of d.  The norms cover every
+    vertex pair, so their minimum is the gap between the vertex sets.
     """
     a, c = (np.concatenate([p, p[:1]]) for p in (np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)))
     rows = max(1, (1 << 16) // len(c))
     total = 0.0
+    gap = math.inf
     for s in range(0, len(p1), rows):
         d = a[s : s + rows + 1, None, :] - c[None, :, :]
         n = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+        gap = min(gap, float(n.min()))
         down = np.einsum("ijk,ijk->ij", d[:-1], d[1:])
         right = np.einsum("ijk,ijk->ij", d[:, :-1], d[:, 1:])
         r1, r3 = d[:-1, :-1], d[1:, 1:]
@@ -320,7 +322,12 @@ def gauss_linking_integral(p1, p2) -> float:
         d1 = n1 * n2 * n3 + down[:, :-1] * n3 + right[1:] * n1 + r31 * n2
         d2 = n1 * n4 * n3 + right[:-1] * n3 + down[:, 1:] * n1 + r31 * n4
         total += float(np.sum(np.arctan2(triple, d1) + np.arctan2(triple, d2)))
-    return total / (2.0 * math.pi)
+    return total / (2.0 * math.pi), gap
+
+
+def gauss_linking_integral(p1, p2) -> float:
+    """Exact Gauss integral for polyline pairs (sum of segment solid angles)."""
+    return _gauss_blocks(p1, p2)[0]
 
 
 def linking_number(c1, c2, min_separation: float | None = None) -> int:
@@ -329,14 +336,11 @@ def linking_number(c1, c2, min_separation: float | None = None) -> int:
     The Gauss integral must land within 0.1 of an integer, otherwise the
     configuration is reported as ambiguous.
     """
-    p1 = _as_closed_vertices(c1)
-    p2 = _as_closed_vertices(c2)
-    gap = float(cKDTree(p2).query(p1)[0].min())
+    val, gap = _gauss_blocks(_as_closed_vertices(c1), _as_closed_vertices(c2))
     if min_separation is not None and gap < min_separation:
         raise ValueError(f"curves are too close to link reliably (gap {gap:.3e})")
     if gap == 0.0:
         raise ValueError("curves intersect")
-    val = gauss_linking_integral(p1, p2)
     nearest = round(val)
     if abs(val - nearest) > 0.1:
         raise ValueError(f"Gauss integral {val:.4f} is not within 0.1 of an integer")
@@ -397,6 +401,8 @@ def _densify(p: np.ndarray, closed: bool, step: float) -> np.ndarray:
 
 def hausdorff_dist(curve_a, curve_b, densify_step: float | None = None) -> float:
     """Symmetric Hausdorff distance between two polylines (densified)."""
+    from scipy.spatial import cKDTree
+
     pa = curve_a.vertices if isinstance(curve_a, NodalCurve) else np.asarray(curve_a, dtype=float)
     pb = curve_b.vertices if isinstance(curve_b, NodalCurve) else np.asarray(curve_b, dtype=float)
     ca = curve_a.closed if isinstance(curve_a, NodalCurve) else True

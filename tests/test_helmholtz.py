@@ -108,6 +108,17 @@ def test_bessel_sum_many_terms_against_pair_sum():
     assert np.max(np.abs(eval_bessel_sum_grad(s, pts) - grad)) <= 1e-13 * np.max(np.abs(grad))
 
 
+def test_spherical_j01_match_library():
+    from eigenknot.helmholtz import _spherical_j01
+
+    r = np.array([0.0, 1e-8, 1e-3, 0.49, 0.5, 1.0, 10.0, 100.0])
+    for got, ref in zip(_spherical_j01(r), (spherical_jn(0, r), spherical_jn(1, r))):
+        assert np.all(np.abs(got - ref) <= 4e-15 * np.abs(ref)), (got, ref)
+    r = np.linspace(0.0, 50.0, 20001)
+    for got, ref in zip(_spherical_j01(r), (spherical_jn(0, r), spherical_jn(1, r))):
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+
 def test_bessel_sum_n3_needs_no_library_bessel(monkeypatch):
     # n = 3 and its gradient kernel n = 5 are elementary; jv must stay unused
     import eigenknot.specialfn

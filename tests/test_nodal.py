@@ -1,6 +1,7 @@
 """Nodal extraction, stability margins, linking numbers, Hausdorff distance."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,27 @@ def test_linking_requires_closed():
     open_curve = NodalCurve(circle(32, 1.0)[:20], False)
     with pytest.raises(ValueError):
         linking_number(open_curve, NodalCurve(circle(32, 1.0, (1, 0, 0), "xz"), True))
+
+
+def test_linking_refuses_intersecting_curves():
+    c1 = circle(64, 1.0)
+    c2 = circle(48, 1.0, (2.0, 0, 0))
+    c2[24] = c1[0]  # one shared vertex
+    with pytest.raises(ValueError, match="^curves intersect$"):
+        linking_number(c1, c2)
+    # the separation check comes first and reports the zero gap
+    with pytest.raises(ValueError, match=re.escape("too close to link reliably (gap 0.000e+00)")):
+        linking_number(c1, c2, min_separation=1e-9)
+
+
+def test_linking_refuses_curves_closer_than_min_separation():
+    c1 = circle(64, 1.0)
+    c2 = circle(48, 1.0, (1.0, 0.1, 0), "xz")
+    gap = float(np.min(np.linalg.norm(c1[:, None] - c2[None], axis=-1)))
+    assert gap > 0.0
+    with pytest.raises(ValueError, match=re.escape(f"too close to link reliably (gap {gap:.3e})")):
+        linking_number(c1, c2, min_separation=2 * gap)
+    assert abs(linking_number(c1, c2, min_separation=0.5 * gap)) == 1
 
 
 def test_linking_invariance_under_perturbation():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import jv
+from scipy.special import jv, roots_gegenbauer
 
 from eigenknot.specialfn import (
     bessel_j,
@@ -14,6 +14,7 @@ from eigenknot.specialfn import (
     bessel_kernel_deriv,
     darboux_error,
     darboux_limit,
+    gauss_gegenbauer,
     gegenbauer3_chord_derivatives,
     gegenbauer_cnk,
     gegenbauer_cnk_deriv,
@@ -158,6 +159,54 @@ def test_jacobi_deriv_matches_finite_differences():
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-9)
     assert jacobi_p_deriv(0, 0.5, 0.5, 0.3) == 0.0
     assert jacobi_p_deriv(1, 0.5, 0.5, -0.7) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_gauss_gegenbauer_matches_scipy_rule(n):
+    alpha = 0.5 * (n - 2)
+    for m in range(1, 65):
+        u, w = gauss_gegenbauer(m, alpha)
+        ref_u, ref_w = roots_gegenbauer(m, alpha)
+        assert np.max(np.abs(u - ref_u)) <= 4e-16, m
+        # absolute: scipy's outermost weights are themselves off from a
+        # 40-digit rule by up to 7e-15 (4e-12 relative) at m = 64
+        assert np.max(np.abs(w - ref_w)) <= 1.5e-14, m
+
+
+def gauss_legendre_reference(m: int):
+    """40-digit Gauss-Legendre nodes and weights, by Newton on the recurrence."""
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for i in range(m, 0, -1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(0.25)) / (m + mpmath.mpf(0.5)))
+            for _ in range(50):
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(2, m + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = m * (x * p1 - p0) / (x * x - 1)
+                step = p1 / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -38:
+                    break
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("m", [24, 48])
+def test_gauss_gegenbauer_matches_40_digit_legendre_rule(m):
+    u, w = gauss_gegenbauer(m, 0.5)
+    ref_u, ref_w = gauss_legendre_reference(m)
+    assert np.max(np.abs(u - ref_u)) <= 4e-16
+    assert np.max(np.abs(w / ref_w - 1.0)) <= 1e-13
+
+
+def test_gauss_gegenbauer_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="m >= 1"):
+        gauss_gegenbauer(0, 0.5)
+    with pytest.raises(ValueError, match="alpha"):
+        gauss_gegenbauer(4, 0.0)
 
 
 def test_gegenbauer_normalization():
