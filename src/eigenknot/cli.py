@@ -29,6 +29,7 @@ from .helmholtz import (
     ToleranceError,
     DesignError,
     eval_bessel_sum,
+    eval_bessel_sum_jet,
     herglotz_discretize,
 )
 
@@ -344,7 +345,12 @@ def cmd_nodal(cfg: dict) -> int:
             fields.append((f"component{a + 1}", spinor3.component_pullback(psi, a, chart, k)))
     else:
         bsum = BesselSum.from_dict(doc)
-        fields.append(("field", lambda x: eval_bessel_sum(bsum, x)))
+
+        def field(x):
+            return eval_bessel_sum(bsum, x)
+
+        field.jet = lambda x: eval_bessel_sum_jet(bsum, x)
+        fields.append(("field", field))
 
     all_curves = []
     closed_by_field = []

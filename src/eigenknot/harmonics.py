@@ -196,7 +196,7 @@ def zonal_derivatives(Y: UltrasphericalSum, p, order: int):
             for d, (cd, table) in enumerate(zip(derivs, tables))
         ]
 
-    return sphere.eval_rows(block, p, dim)
+    return sphere.eval_rows(block, p, dim, count)
 
 
 def eval_harmonic(Y: UltrasphericalSum, p):

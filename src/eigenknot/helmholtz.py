@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specialfn import bessel_kernel, gauss_gegenbauer
+from .specialfn import bessel_kernel, bessel_kernels, gauss_gegenbauer
 from .sphere import eval_rows
 
 _TWO_PI = 2.0 * math.pi
@@ -119,7 +119,7 @@ class HerglotzDensity:
 def eval_herglotz(f: HerglotzDensity, x):
     """Quadrature value of integral f(xi) e^{i x.xi} dsigma(xi)."""
     coef = f.weights * f.values
-    return eval_rows(lambda xb: _plane_wave_sum(xb, f.nodes, coef), x, f.n)
+    return eval_rows(lambda xb: _plane_wave_sum(xb, f.nodes, coef), x, f.n, len(coef))
 
 
 @dataclass
@@ -188,9 +188,13 @@ def _kernel_matrix(n: int, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _real_times_complex(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """a @ coeffs for a real array a, without promoting a to complex."""
-    pair = np.stack([coeffs.real, coeffs.imag], axis=1)
-    return (a @ pair).view(complex)[..., 0]
+    """a @ coeffs for a real array a and complex (N,) or (N, r) coeffs.
+
+    The coefficients' real and imaginary parts form one real table, so a is
+    never promoted to complex.
+    """
+    pair = np.stack([coeffs.real, coeffs.imag], axis=-1).reshape(len(coeffs), -1)
+    return (a @ pair).view(complex).reshape(a.shape[:-1] + coeffs.shape[1:])
 
 
 def _plane_wave_sum(x: np.ndarray, dirs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -203,19 +207,46 @@ def _plane_wave_sum(x: np.ndarray, dirs: np.ndarray, coeffs: np.ndarray) -> np.n
 
 def eval_bessel_sum(s: BesselSum, x):
     return eval_rows(
-        lambda xb: _real_times_complex(_kernel_matrix(s.n, xb, s.centers), s.coeffs), x, s.n
+        lambda xb: _real_times_complex(_kernel_matrix(s.n, xb, s.centers), s.coeffs), x, s.n, len(s)
     )
+
+
+def eval_bessel_sum_jet(s: BesselSum, x):
+    """[value, gradient in C^n] from one pass over the point-center distances.
+
+    The kernel derivative is -r * kernel_{n+2}(r), so the gradient is
+    sum_j c_j kernel_{n+2}(r_j) x_j - x sum_j c_j kernel_{n+2}(r_j): one real
+    matmul against a (c_j, c_j x_j) table, with no (n, rows, centers) array.
+    """
+    table = np.concatenate([s.coeffs[:, None], s.coeffs[:, None] * s.centers], axis=1)
+
+    def block(xb):
+        value, slope = bessel_kernels(s.n, _pair_distances(xb, s.centers))
+        moments = _real_times_complex(slope, table)
+        return [_real_times_complex(value, s.coeffs), moments[:, 1:] - xb * moments[:, :1]]
+
+    return eval_rows(block, x, s.n, len(s))
 
 
 def eval_bessel_sum_grad(s: BesselSum, x):
     """Gradient in C^n; the kernel derivative -r * kernel_{n+2}(r) is smooth at 0."""
+    return eval_bessel_sum_jet(s, x)[1]
 
-    def block(xb):
-        diff = xb.T[:, :, None] - s.centers.T[:, None, :]
-        diff *= bessel_kernel(s.n + 2, _pair_distances(xb, s.centers))
-        return -_real_times_complex(diff, s.coeffs).T
 
-    return eval_rows(block, x, s.n)
+def bessel_sum_field(s: BesselSum):
+    """The field x -> eval_bessel_sum(s, x) for nodal extraction.
+
+    Its ``jet`` attribute gives the value and the gradient together
+    (eval_bessel_sum_jet), so Newton polish and margins need no finite
+    differences.  The attribute lives in the function's own ``__dict__``,
+    which ``functools.wraps`` copies onto a wrapper.
+    """
+
+    def field(x):
+        return eval_bessel_sum(s, x)
+
+    field.jet = lambda x: eval_bessel_sum_jet(s, x)
+    return field
 
 
 def helmholtz_residual(fieldfn, box, h: float) -> float:
@@ -485,7 +516,7 @@ class PlaneWaveSpinor:
 
     def component(self, a: int, x) -> np.ndarray:
         w = self.spinor_coeffs[:, a]
-        return eval_rows(lambda xb: _plane_wave_sum(xb, self.directions, w), x, 3)
+        return eval_rows(lambda xb: _plane_wave_sum(xb, self.directions, w), x, 3, len(w))
 
     def dirac_residual(self, x) -> float:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -602,9 +633,7 @@ def design_bessel_sum(
             curve = np.asarray(curve, dtype=float)
             lo = curve.min(axis=0) - 0.3
             hi = curve.max(axis=0) + 0.3
-            extracted = nodal.extract_nodal(
-                lambda x: eval_bessel_sum(components[a], x), (lo, hi), grid_h
-            )
+            extracted = nodal.extract_nodal(bessel_sum_field(components[a]), (lo, hi), grid_h)
             dists = [
                 nodal.hausdorff_dist(c.vertices, curve) for c in extracted.curves
             ]

@@ -9,8 +9,17 @@ ambiguous cases.  The march runs on arrays: each cube packs the signs at its
 from that byte, and a 16-entry sign-mask table gives the cut edges of every
 active tetrahedron.  Segments are stitched into polylines by sorting the
 integer endpoint keys round(p / (1e-6 h)) into node ids and walking them,
-then Newton-polished onto the true zero set with the pseudo-inverse of the
-2x3 Jacobian; steps longer than h are refused.
+then Newton-polished onto the true zero set with least-norm steps; steps
+longer than h are refused.
+
+The 2x3 Jacobian of (Re f, Im f) comes from the field's analytic jet when the
+callable carries one (a ``jet`` attribute returning the value and the complex
+gradient, as eigenknot's Bessel-sum fields and spinor pullbacks do); plain
+callables fall back to central differences.  With rows a = grad Re f and
+b = grad Im f the algebra is closed form: the Newton step is
+[a b] G^{-1} (Re f, Im f) with the 2x2 Gram matrix G, and the stability
+margin is sigma_min = |a x b| / sigma_max.  Rows whose sigma_min is at most
+1e-8 sigma_max take the rank-1 pseudo-inverse step.
 
 The linking number of two closed polylines uses the exact solid-angle form
 of the Gauss integral for segment pairs, summed over blocks of rows; a
@@ -187,36 +196,110 @@ def _stitch(segs, h):
     return chains
 
 
+def _field_jet(fieldfn, pts):
+    """Values and (M, 2, 3) Jacobians of (Re f, Im f) from one call of the field's
+    ``jet`` (x -> (f, grad f) with grad f in C^3), or None for a plain callable."""
+    jet = getattr(fieldfn, "jet", None)
+    if jet is None:
+        return None
+    vals, grad = jet(pts)
+    return np.asarray(vals), np.stack([grad.real, grad.imag], axis=1)
+
+
 def _jacobians(fieldfn, pts, step):
-    """Central-difference (M, 2, 3) Jacobians of (Re f, Im f), one field call."""
+    """(M, 2, 3) Jacobians of (Re f, Im f): the field's jet, or else central
+    differences of the given step from one call with six points per vertex."""
+    got = _field_jet(fieldfn, pts)
+    if got is not None:
+        return got[1]
     shifted = pts + step * np.concatenate([np.eye(3), -np.eye(3)])[:, None, :]
     plus, minus = np.asarray(fieldfn(shifted.reshape(-1, 3))).reshape(2, 3, len(pts))
     d = (plus - minus).T / (2 * step)
     return np.stack([d.real, d.imag], axis=1)
 
 
-def newton_polish(fieldfn, pts, tol=1e-9, max_iter=10, fd_step=1e-6, *, max_step=math.inf, converged=None):
-    """Project points onto {f = 0} with pseudo-inverse Newton steps.
+#: Singular values at or below this fraction of the largest are dropped, as
+#: by np.linalg.pinv(rcond=1e-8).
+_RCOND = 1e-8
 
-    A vertex whose step would be longer than `max_step` stays where it is.  If
-    `converged` is given, it receives per vertex whether the last residual
-    evaluated there was within `tol` and no step was refused.
+
+def _gram(jac):
+    """Rows a, b of 2x3 Jacobians, the entries aa, ab, bb of their Gram matrix,
+    |a x b| (the square root of its determinant, free of cancellation) and the
+    largest singular value."""
+    a, b = jac[:, 0], jac[:, 1]
+    aa, ab, bb = (np.einsum("mi,mi->m", u, v) for u, v in ((a, a), (a, b), (b, b)))
+    cross = np.linalg.norm(np.cross(a, b), axis=1)
+    smax = np.sqrt(0.5 * (aa + bb + np.hypot(aa - bb, 2.0 * ab)))
+    return a, b, aa, ab, bb, cross, smax
+
+
+def _smallest_singular_values(jac):
+    """sigma_min = |a x b| / sigma_max of each 2x3 Jacobian (0 for a zero one)."""
+    *_, cross, smax = _gram(jac)
+    return np.divide(cross, smax, out=np.zeros_like(cross), where=smax > 0)
+
+
+def _least_norm_steps(jac, vals):
+    """pinv(J) (Re f, Im f) per vertex in closed form.
+
+    A full-rank J gives [a b] G^{-1} (Re f, Im f) with G^{-1} = adj(G) / |a x b|^2.
+    Where sigma_min <= 1e-8 sigma_max the step is pinv's rank-1 one,
+    J^T u (u . rhs) / sigma_max^2 with u the top eigenvector of G, and a zero
+    Jacobian gives a zero step.
+    """
+    a, b, aa, ab, bb, cross, smax = _gram(jac)
+    r0, r1 = vals.real, vals.imag
+    full = cross > _RCOND * smax * smax
+    det = np.where(full, cross * cross, 1.0)
+    alpha = np.where(full, (bb * r0 - ab * r1) / det, 0.0)
+    beta = np.where(full, (aa * r1 - ab * r0) / det, 0.0)
+    low = ~full & (smax > 0)
+    if low.any():
+        lam = smax[low] ** 2
+        # (G - lam) u = 0 from whichever row of G - lam is longer
+        first = aa[low] >= bb[low]
+        u0 = np.where(first, lam - bb[low], ab[low])
+        u1 = np.where(first, ab[low], lam - aa[low])
+        scale = (u0 * r0[low] + u1 * r1[low]) / ((u0 * u0 + u1 * u1) * lam)
+        alpha[low], beta[low] = scale * u0, scale * u1
+    return alpha[:, None] * a + beta[:, None] * b
+
+
+def newton_polish(
+    fieldfn, pts, tol=1e-9, max_iter=10, fd_step=1e-6, *, max_step=math.inf, converged=None, jacobians=None
+):
+    """Project points onto {f = 0} with least-norm Newton steps pinv(J) f.
+
+    J comes from the field's jet (one call per iteration) when it has one, and
+    otherwise from central differences of step `fd_step` after a call for the
+    values.  A vertex whose step would be longer than `max_step` stays where
+    it is.  If `converged` is given, it receives per vertex whether the last
+    residual evaluated there was within `tol` and no step was refused.  If
+    `jacobians` is given, it receives the (M, 2, 3) Jacobians at the returned
+    points: those of the last jet call when it converged, else from one more
+    call.
     """
     pts = np.array(pts, dtype=float)
     refused = np.zeros(len(pts), dtype=bool)
     vals = np.full(len(pts), np.inf)
+    jac = None
     for _ in range(max_iter):
-        vals = np.asarray(fieldfn(pts))
+        got = _field_jet(fieldfn, pts)
+        vals, jac = got if got is not None else (np.asarray(fieldfn(pts)), None)
         if np.max(np.abs(vals)) <= tol:
             break
-        jac = _jacobians(fieldfn, pts, fd_step)
-        rhs = np.stack([vals.real, vals.imag], axis=-1)
-        step = (np.linalg.pinv(jac, rcond=1e-8) @ rhs[:, :, None])[:, :, 0]
+        if jac is None:
+            jac = _jacobians(fieldfn, pts, fd_step)
+        step = _least_norm_steps(jac, vals)
         far = np.linalg.norm(step, axis=1) > max_step
         refused |= far
         pts -= np.where(far[:, None], 0.0, step)
+        jac = None
     if converged is not None:
         converged[:] = (np.abs(vals) <= tol) & ~refused
+    if jacobians is not None:
+        jacobians[:] = jac if jac is not None else _jacobians(fieldfn, pts, fd_step)
     return pts
 
 
@@ -235,7 +318,9 @@ def extract_nodal(
     value of the real 2x3 Jacobian); a curve's ``stable`` flag compares the
     worst margin against 10 * h * (local Lipschitz estimate of df), and it is
     False when Newton polish, with steps capped at h, leaves a vertex off the
-    zero set.
+    zero set.  Jacobians come from the field's ``jet`` attribute when it has
+    one; a plain callable gets central differences of step `margin_step`, in
+    Newton and in the margins alike.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid step h must be finite and positive, got {h!r}")
@@ -263,10 +348,14 @@ def extract_nodal(
             np.any(pts <= lo + boundary_tol) or np.any(pts >= hi - boundary_tol)
         )
         converged = np.ones(len(pts), dtype=bool)
+        jac = np.empty((len(pts), 2, 3))
         if polish:
-            pts = newton_polish(fieldfn, pts, max_step=h, converged=converged)
-        jac = _jacobians(fieldfn, pts, margin_step)
-        margins = np.linalg.svd(jac, compute_uv=False)[:, -1]
+            pts = newton_polish(
+                fieldfn, pts, fd_step=margin_step, max_step=h, converged=converged, jacobians=jac
+            )
+        else:
+            jac = _jacobians(fieldfn, pts, margin_step)
+        margins = _smallest_singular_values(jac)
         curve = NodalCurve(pts, bool(closed and not on_boundary), margins)
         dj = np.linalg.norm(
             (jac - np.roll(jac, 1, axis=0)).reshape(len(pts), -1), axis=1
@@ -281,12 +370,17 @@ def extract_nodal(
 
 
 def stability_margin(fieldfn, curve: NodalCurve, fd_step: float = 1e-6) -> float:
-    """Minimum over vertices of the smallest singular value of the Jacobian."""
-    vals = np.asarray(fieldfn(curve.vertices))
+    """Minimum over vertices of the smallest singular value of the Jacobian.
+
+    The Jacobian comes from the field's jet when it has one (one call), else
+    from the values and one central-difference call.
+    """
+    got = _field_jet(fieldfn, curve.vertices)
+    vals = got[0] if got is not None else np.asarray(fieldfn(curve.vertices))
     if np.max(np.abs(vals)) > 1e-6:
         raise ValueError("curve vertices must lie on the zero set of the field")
-    jac = _jacobians(fieldfn, curve.vertices, fd_step)
-    return float(np.linalg.svd(jac, compute_uv=False)[:, -1].min())
+    jac = got[1] if got is not None else _jacobians(fieldfn, curve.vertices, fd_step)
+    return float(_smallest_singular_values(jac).min())
 
 
 def _as_closed_vertices(c) -> np.ndarray:

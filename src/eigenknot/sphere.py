@@ -15,9 +15,11 @@ import numpy as np
 
 _UNIT_TOL = 1e-12
 
-#: Rows per block of the batched field evaluators; bounds the (rows x terms)
-#: intermediates they build.
+#: Most rows per block of the batched field evaluators.
 ROW_BLOCK = 4096
+#: Point-term pairs per block: a float (rows x terms) intermediate of 1 MiB
+#: stays in a typical L2 cache.
+PAIR_BLOCK = 1 << 17
 
 
 def _as_batch(x, dim):
@@ -29,15 +31,22 @@ def _as_batch(x, dim):
     return x, single
 
 
-def eval_rows(fn, x, dim):
-    """fn applied to the rows of x in blocks of ROW_BLOCK rows.
+def block_rows(terms: int) -> int:
+    """Rows per block for an evaluator summing over `terms` terms per row."""
+    return max(1, min(ROW_BLOCK, PAIR_BLOCK // max(terms, 1)))
+
+
+def eval_rows(fn, x, dim, terms=1):
+    """fn applied to the rows of x in blocks of block_rows(terms) rows.
 
     fn maps an (m, dim) block to an array, or a list of arrays, with m leading
-    rows.  A 1-D x is one point and gives fn's value there without the row
+    rows; `terms` is the number of centers, nodes or directions each row sums
+    over.  A 1-D x is one point and gives fn's value there without the row
     axis; an (0, dim) x gives empty arrays.
     """
     x, single = _as_batch(x, dim)
-    blocks = [fn(x[s : s + ROW_BLOCK]) for s in range(0, max(len(x), 1), ROW_BLOCK)]
+    rows = block_rows(terms)
+    blocks = [fn(x[s : s + rows]) for s in range(0, max(len(x), 1), rows)]
     if isinstance(blocks[0], list):
         out = [np.concatenate(parts) for parts in zip(*blocks)]
         return [a[0] for a in out] if single else out
@@ -132,6 +141,24 @@ def chart_to_sphere(chart: Chart, x):
     tang = (x[safe] / r[safe, None]) @ chart.frame
     out[safe] = np.cos(r[safe])[:, None] * chart.p0 + np.sin(r[safe])[:, None] * tang
     return out[0] if single else out
+
+
+def chart_gradient(chart: Chart, x, g):
+    """Chart-coordinate gradient (d exp_x)^T g of a function with ambient gradient g.
+
+    x is (M, n) chart coordinates and g an (M, n+1) real or complex array.
+    With r = |x|, u = x/r and F = frame g, the transposed differential of the
+    exponential map is (sin r / r) F + u ((cos r - sin r / r) u.F - sin r g.p0),
+    which is F at r = 0.
+    """
+    x, _ = _as_batch(x, chart.n)
+    r = np.linalg.norm(x, axis=1)
+    safe = np.where(r > 0, r, 1.0)
+    u = x / safe[:, None]
+    sinc = np.where(r > 0, np.sin(r) / safe, 1.0)
+    F = g @ chart.frame.T
+    radial = (np.cos(r) - sinc) * np.einsum("mi,mi->m", u, F) - np.sin(r) * (g @ chart.p0)
+    return sinc[:, None] * F + radial[:, None] * u
 
 
 def sphere_to_chart(chart: Chart, p):

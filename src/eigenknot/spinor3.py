@@ -154,7 +154,7 @@ def zonal_jet(Y: UltrasphericalSum, p, order: int):
         ]
         return [jet() for jet in jets[: order + 1]]
 
-    return sphere.eval_rows(block, p, 4)
+    return sphere.eval_rows(block, p, 4, len(Y))
 
 
 def _fd_frame_jet(fn, p, order: int, step: float = 1e-6):
@@ -304,12 +304,29 @@ def dirac_residual(psi: SpinorField3, lam: float, samples: int = 64, seed: int =
 
 
 def component_pullback(psi: SpinorField3, index: int, chart: sphere.Chart, k: int):
-    """Callable x -> psi_index(Psi^{-1}(x/k)) for nodal extraction in the chart."""
+    """Callable x -> psi_index(Psi^{-1}(x/k)) for nodal extraction in the chart.
+
+    Its ``jet`` attribute maps (M, 3) points to the value and the gradient in
+    C^3 from one order-1 frame jet: the ambient gradient at p is
+    sum_i (X_i psi) E_i p, and the chain rule through y = x/k gives
+    (1/k) (d exp_y)^T of it (sphere.chart_gradient).  The attribute lives in
+    the function's own ``__dict__``, which ``functools.wraps`` copies onto a
+    wrapper.
+    """
+    comp = psi.components[index]
 
     def fn(x):
         p = sphere.chart_to_sphere(chart, np.asarray(x, dtype=float) / k)
-        return component_values(psi.components[index], p)
+        return component_values(comp, p)
 
+    def jet(x):
+        y = np.asarray(x, dtype=float) / k
+        p = sphere.chart_to_sphere(chart, y)
+        value, frame_grad = component_jet(comp, p, 1)
+        ambient = np.einsum("mi,mia->ma", frame_grad, frame_vectors(p))
+        return value, sphere.chart_gradient(chart, y, ambient) / k
+
+    fn.jet = jet
     return fn
 
 

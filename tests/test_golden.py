@@ -11,8 +11,13 @@ to the pinned values, not to a second run of itself.  Tolerances:
 * Hausdorff distances 1e-6 absolute;
 * curve counts, closedness, per-curve vertex counts and linking numbers
   exactly;
-* each curve's smallest stability margin 1e-9 relative (these two Hopf
-  entries were added from the code before the array nodal march);
+* each curve's smallest stability margin 1e-9 relative.  The file's
+  margins are reference values: a Richardson-extrapolated central
+  difference of field values (make_golden.reference_margins) at the
+  vertices reported by the code before the analytic nodal Jacobians, merged
+  over the earlier step-1e-6 stencil margins with every other entry left as
+  it was.  A second test checks the pipeline's own margins against the same
+  reference at the vertices it reports now;
 * the Dirac residual only against its bound;
 * circle: the designer's curve count, closedness and per-curve vertex
   counts exactly, the best Hausdorff distance 1e-6 absolute, the curve
@@ -53,9 +58,26 @@ def test_verify_rows_match_golden(tmp_path, case):
             assert got["rows"][k][order] == pytest.approx(value, rel=RTOL[order]), (k, order)
 
 
-@pytest.mark.parametrize("case", GOLDEN["hopf"], ids=lambda c: "base" + ",".join(f"{x:.2f}" for x in c["chart_base"]))
-def test_hopf_nodal_results_match_golden(tmp_path, case):
-    got = make_golden.hopf_case(tmp_path, case["chart_base"])
+@pytest.fixture(scope="module")
+def hopf_run(tmp_path_factory):
+    """make_golden.hopf_case at a chart base, run once per base for this module."""
+    runs = {}
+
+    def run(base):
+        if tuple(base) not in runs:
+            runs[tuple(base)] = make_golden.hopf_case(tmp_path_factory.mktemp("hopf"), base)
+        return runs[tuple(base)]
+
+    return run
+
+
+def _hopf_id(case):
+    return "base" + ",".join(f"{x:.2f}" for x in case["chart_base"])
+
+
+@pytest.mark.parametrize("case", GOLDEN["hopf"], ids=_hopf_id)
+def test_hopf_nodal_results_match_golden(hopf_run, case):
+    got = hopf_run(case["chart_base"])
     assert sorted(got["k"]) == sorted(case["k"])
     for k, want in case["k"].items():
         have = got["k"][k]
@@ -67,6 +89,16 @@ def test_hopf_nodal_results_match_golden(tmp_path, case):
             assert mine == pytest.approx(theirs, rel=MARGIN_RTOL), k
         for mine, theirs in zip(have["hausdorff"], want["hausdorff"], strict=True):
             assert mine == pytest.approx(theirs, abs=HAUSDORFF_ATOL, rel=0), k
+
+
+@pytest.mark.parametrize("case", GOLDEN["hopf"], ids=_hopf_id)
+def test_hopf_margins_match_reference_at_reported_vertices(hopf_run, case):
+    # the pipeline's margins against the field-values-only reference, both at
+    # the vertices the pipeline reports
+    got = hopf_run(case["chart_base"])
+    for k, have in got["k"].items():
+        for mine, reference in zip(have["min_margin"], have["reference_min_margin"], strict=True):
+            assert mine == pytest.approx(reference, rel=MARGIN_RTOL), k
 
 
 @pytest.mark.parametrize("case", GOLDEN["circle"], ids=lambda c: f"seed{c['seed']}")

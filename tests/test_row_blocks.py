@@ -1,8 +1,14 @@
-"""Row-block evaluation: single points, empty batches and block boundaries."""
+"""Row-block evaluation: single points, empty batches and block boundaries.
+
+Blocks hold block_rows(terms) rows, at most ROW_BLOCK: an evaluator summing
+over many centers, nodes or directions splits at a pair-sized seam well
+below ROW_BLOCK, and each one is checked at both seams.
+"""
 
 import numpy as np
 import pytest
 
+from eigenknot import sphere
 from eigenknot.harmonics import eval_harmonic, eval_harmonic_grad, synthesize, zonal_derivatives
 from eigenknot.helmholtz import (
     BesselSum,
@@ -10,9 +16,10 @@ from eigenknot.helmholtz import (
     PlaneWaveSpinor,
     eval_bessel_sum,
     eval_bessel_sum_grad,
+    eval_bessel_sum_jet,
     eval_herglotz,
 )
-from eigenknot.sphere import ROW_BLOCK, random_chart
+from eigenknot.sphere import ROW_BLOCK, block_rows, random_chart
 from eigenknot.spinor3 import zonal_jet
 
 RNG = np.random.default_rng(5)
@@ -27,16 +34,29 @@ PLANE_WAVES = PlaneWaveSpinor(
     RNG.normal(size=(6, 2)) + 1j * RNG.normal(size=(6, 2)),
 )
 
-# (evaluator, point dimension); sphere points for the harmonic evaluators
+# many-term inputs whose pair-sized seam falls well below ROW_BLOCK
+BIG_SUM = BesselSum(
+    3, RNG.normal(size=390) + 1j * RNG.normal(size=390), RNG.uniform(-2, 2, size=(390, 3)), 4.0
+)
+Y190 = synthesize(
+    BesselSum(3, RNG.normal(size=190) + 1j * RNG.normal(size=190), RNG.uniform(-2, 2, size=(190, 3)), 4.0),
+    40,
+    random_chart(3, 6),
+)
+
+# (evaluator, point dimension, terms per row); sphere points for the harmonic evaluators
 EVALUATORS = {
-    "eval_herglotz": (lambda x: eval_herglotz(DENSITY, x), 3),
-    "eval_bessel_sum": (lambda x: eval_bessel_sum(BSUM, x), 3),
-    "eval_bessel_sum_grad": (lambda x: eval_bessel_sum_grad(BSUM, x), 3),
-    "eval_harmonic": (lambda p: eval_harmonic(Y, p), 4),
-    "eval_harmonic_grad": (lambda p: eval_harmonic_grad(Y, p), 4),
-    "PlaneWaveSpinor.component": (lambda x: PLANE_WAVES.component(1, x), 3),
-    "zonal_jet": (lambda p: zonal_jet(Y, p, 2), 4),
-    "zonal_derivatives": (lambda p: zonal_derivatives(Y, p, 2), 4),
+    "eval_herglotz": (lambda x: eval_herglotz(DENSITY, x), 3, len(DENSITY.nodes)),
+    "eval_bessel_sum": (lambda x: eval_bessel_sum(BSUM, x), 3, len(BSUM)),
+    "eval_bessel_sum_390": (lambda x: eval_bessel_sum(BIG_SUM, x), 3, len(BIG_SUM)),
+    "eval_bessel_sum_grad": (lambda x: eval_bessel_sum_grad(BSUM, x), 3, len(BSUM)),
+    "eval_bessel_sum_jet_390": (lambda x: eval_bessel_sum_jet(BIG_SUM, x), 3, len(BIG_SUM)),
+    "eval_harmonic": (lambda p: eval_harmonic(Y, p), 4, len(Y)),
+    "eval_harmonic_grad": (lambda p: eval_harmonic_grad(Y, p), 4, len(Y)),
+    "PlaneWaveSpinor.component": (lambda x: PLANE_WAVES.component(1, x), 3, len(PLANE_WAVES.directions)),
+    "zonal_jet": (lambda p: zonal_jet(Y, p, 2), 4, len(Y)),
+    "zonal_derivatives": (lambda p: zonal_derivatives(Y, p, 2), 4, len(Y)),
+    "zonal_derivatives_190": (lambda p: zonal_derivatives(Y190, p, 2), 4, len(Y190)),
 }
 
 
@@ -53,7 +73,7 @@ def _arrays(out):
 
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
 def test_single_point_gives_single_value(name):
-    fn, dim = EVALUATORS[name]
+    fn, dim, _ = EVALUATORS[name]
     x = _points(dim, 3)
     for single, batch in zip(_arrays(fn(x[1])), _arrays(fn(x[1:2]))):
         assert np.shape(single) == batch.shape[1:]
@@ -62,17 +82,45 @@ def test_single_point_gives_single_value(name):
 
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
 def test_empty_batch_gives_empty_array(name):
-    fn, dim = EVALUATORS[name]
+    fn, dim, _ = EVALUATORS[name]
     for empty, batch in zip(_arrays(fn(np.empty((0, dim)))), _arrays(fn(_points(dim, 2)))):
         assert empty.shape == (0,) + batch.shape[1:]
 
 
-@pytest.mark.parametrize("name", sorted(EVALUATORS))
-def test_blocks_agree_with_parts(name):
-    fn, dim = EVALUATORS[name]
-    x = _points(dim, ROW_BLOCK + 1)
-    parts = zip(_arrays(fn(x[:ROW_BLOCK])), _arrays(fn(x[ROW_BLOCK:])))
+def _assert_split_agrees(fn, dim, seam):
+    x = _points(dim, seam + 1)
+    parts = zip(_arrays(fn(x[:seam])), _arrays(fn(x[seam:])))
     for whole, (head, tail) in zip(_arrays(fn(x)), parts):
-        assert whole.shape[0] == ROW_BLOCK + 1
+        assert whole.shape[0] == seam + 1
         expected = np.concatenate([head, tail])
         assert np.max(np.abs(whole - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_blocks_agree_with_parts(name):
+    fn, dim, _ = EVALUATORS[name]
+    _assert_split_agrees(fn, dim, ROW_BLOCK)
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_blocks_agree_with_parts_at_pair_seam(name):
+    fn, dim, terms = EVALUATORS[name]
+    _assert_split_agrees(fn, dim, block_rows(terms))
+
+
+def test_block_rows_scale_with_terms():
+    assert block_rows(390) == 336 and block_rows(190) == 689
+    assert block_rows(len(DENSITY.nodes)) < ROW_BLOCK
+    # up to 32 terms, as in the Hopf pair's 7 to 14 centers, blocks stay at the cap
+    assert block_rows(1) == block_rows(14) == block_rows(32) == ROW_BLOCK
+    assert block_rows(10**9) == 1
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_evaluators_size_blocks_by_their_terms(name, monkeypatch):
+    fn, dim, terms = EVALUATORS[name]
+    seen = []
+    real = sphere.block_rows
+    monkeypatch.setattr(sphere, "block_rows", lambda n: seen.append(n) or real(n))
+    fn(_points(dim, 2))
+    assert seen and set(seen) == {terms}
