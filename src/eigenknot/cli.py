@@ -28,8 +28,8 @@ from .helmholtz import (
     HerglotzDensity,
     ToleranceError,
     DesignError,
+    bessel_sum_field,
     eval_bessel_sum,
-    eval_bessel_sum_jet,
     herglotz_discretize,
 )
 
@@ -345,11 +345,10 @@ def cmd_nodal(cfg: dict) -> int:
             fields.append((f"component{a + 1}", spinor3.component_pullback(psi, a, chart, k)))
     else:
         bsum = BesselSum.from_dict(doc)
-
-        def field(x):
-            return eval_bessel_sum(bsum, x)
-
-        field.jet = lambda x: eval_bessel_sum_jet(bsum, x)
+        # values through this module's eval_bessel_sum, the binding that
+        # bench/tracing.py wraps for this command; the jet is bessel_sum_field's
+        field = lambda x: eval_bessel_sum(bsum, x)
+        field.jet = bessel_sum_field(bsum).jet
         fields.append(("field", field))
 
     all_curves = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specialfn import bessel_kernel, bessel_kernels, gauss_gegenbauer
+from .specialfn import bessel_kernel, gauss_gegenbauer
 from .sphere import eval_rows
 
 _TWO_PI = 2.0 * math.pi
@@ -215,15 +215,19 @@ def eval_bessel_sum_jet(s: BesselSum, x):
     """[value, gradient in C^n] from one pass over the point-center distances.
 
     The kernel derivative is -r * kernel_{n+2}(r), so the gradient is
-    sum_j c_j kernel_{n+2}(r_j) x_j - x sum_j c_j kernel_{n+2}(r_j): one real
-    matmul against a (c_j, c_j x_j) table, with no (n, rows, centers) array.
+    sum_j c_j kernel_{n+2}(r_j) (x_j - x0) - (x - x0) sum_j c_j kernel_{n+2}(r_j)
+    about the centers' mean x0: one real matmul against a (c_j, c_j (x_j - x0))
+    table, with no (n, rows, centers) array and no rounding that grows with
+    the distance of the box from the origin.
     """
-    table = np.concatenate([s.coeffs[:, None], s.coeffs[:, None] * s.centers], axis=1)
+    x0 = s.centers.mean(axis=0)
+    table = np.concatenate([s.coeffs[:, None], s.coeffs[:, None] * (s.centers - x0)], axis=1)
 
     def block(xb):
-        value, slope = bessel_kernels(s.n, _pair_distances(xb, s.centers))
-        moments = _real_times_complex(slope, table)
-        return [_real_times_complex(value, s.coeffs), moments[:, 1:] - xb * moments[:, :1]]
+        r = _pair_distances(xb, s.centers)
+        moments = _real_times_complex(bessel_kernel(s.n + 2, r), table)
+        value = _real_times_complex(bessel_kernel(s.n, r), s.coeffs)
+        return [value, moments[:, 1:] - (xb - x0) * moments[:, :1]]
 
     return eval_rows(block, x, s.n, len(s))
 

@@ -196,26 +196,26 @@ def _stitch(segs, h):
     return chains
 
 
-def _field_jet(fieldfn, pts):
-    """Values and (M, 2, 3) Jacobians of (Re f, Im f) from one call of the field's
-    ``jet`` (x -> (f, grad f) with grad f in C^3), or None for a plain callable."""
-    jet = getattr(fieldfn, "jet", None)
-    if jet is None:
-        return None
-    vals, grad = jet(pts)
-    return np.asarray(vals), np.stack([grad.real, grad.imag], axis=1)
-
-
 def _jacobians(fieldfn, pts, step):
-    """(M, 2, 3) Jacobians of (Re f, Im f): the field's jet, or else central
-    differences of the given step from one call with six points per vertex."""
-    got = _field_jet(fieldfn, pts)
-    if got is not None:
-        return got[1]
+    """Central-difference (M, 2, 3) Jacobians of (Re f, Im f), one field call."""
     shifted = pts + step * np.concatenate([np.eye(3), -np.eye(3)])[:, None, :]
     plus, minus = np.asarray(fieldfn(shifted.reshape(-1, 3))).reshape(2, 3, len(pts))
     d = (plus - minus).T / (2 * step)
     return np.stack([d.real, d.imag], axis=1)
+
+
+def _values_and_jacobians(fieldfn, pts, step):
+    """Values and (M, 2, 3) Jacobians of (Re f, Im f).
+
+    A field with a ``jet`` attribute (x -> (f, grad f) with grad f in C^3)
+    gives both from one call; a plain callable gets one call for the values
+    and one central-difference call of the given step.
+    """
+    jet = getattr(fieldfn, "jet", None)
+    if jet is None:
+        return np.asarray(fieldfn(pts)), _jacobians(fieldfn, pts, step)
+    vals, grad = jet(pts)
+    return np.asarray(vals), np.stack([grad.real, grad.imag], axis=1)
 
 
 #: Singular values at or below this fraction of the largest are dropped, as
@@ -271,26 +271,23 @@ def newton_polish(
 ):
     """Project points onto {f = 0} with least-norm Newton steps pinv(J) f.
 
-    J comes from the field's jet (one call per iteration) when it has one, and
-    otherwise from central differences of step `fd_step` after a call for the
-    values.  A vertex whose step would be longer than `max_step` stays where
-    it is.  If `converged` is given, it receives per vertex whether the last
-    residual evaluated there was within `tol` and no step was refused.  If
-    `jacobians` is given, it receives the (M, 2, 3) Jacobians at the returned
-    points: those of the last jet call when it converged, else from one more
-    call.
+    Each iteration takes the values and J from _values_and_jacobians: one
+    jet call, or for a plain callable a value call and a central-difference
+    call of step `fd_step`.  A vertex whose step would be longer than
+    `max_step` stays where it is.  If `converged` is given, it receives per
+    vertex whether the last residual evaluated there was within `tol` and no
+    step was refused.  If `jacobians` is given, it receives the (M, 2, 3)
+    Jacobians at the returned points: those of the last iteration when it
+    converged, else from one more evaluation.
     """
     pts = np.array(pts, dtype=float)
     refused = np.zeros(len(pts), dtype=bool)
     vals = np.full(len(pts), np.inf)
     jac = None
     for _ in range(max_iter):
-        got = _field_jet(fieldfn, pts)
-        vals, jac = got if got is not None else (np.asarray(fieldfn(pts)), None)
+        vals, jac = _values_and_jacobians(fieldfn, pts, fd_step)
         if np.max(np.abs(vals)) <= tol:
             break
-        if jac is None:
-            jac = _jacobians(fieldfn, pts, fd_step)
         step = _least_norm_steps(jac, vals)
         far = np.linalg.norm(step, axis=1) > max_step
         refused |= far
@@ -299,7 +296,7 @@ def newton_polish(
     if converged is not None:
         converged[:] = (np.abs(vals) <= tol) & ~refused
     if jacobians is not None:
-        jacobians[:] = jac if jac is not None else _jacobians(fieldfn, pts, fd_step)
+        jacobians[:] = jac if jac is not None else _values_and_jacobians(fieldfn, pts, fd_step)[1]
     return pts
 
 
@@ -354,7 +351,7 @@ def extract_nodal(
                 fieldfn, pts, fd_step=margin_step, max_step=h, converged=converged, jacobians=jac
             )
         else:
-            jac = _jacobians(fieldfn, pts, margin_step)
+            jac = _values_and_jacobians(fieldfn, pts, margin_step)[1]
         margins = _smallest_singular_values(jac)
         curve = NodalCurve(pts, bool(closed and not on_boundary), margins)
         dj = np.linalg.norm(
@@ -372,14 +369,12 @@ def extract_nodal(
 def stability_margin(fieldfn, curve: NodalCurve, fd_step: float = 1e-6) -> float:
     """Minimum over vertices of the smallest singular value of the Jacobian.
 
-    The Jacobian comes from the field's jet when it has one (one call), else
-    from the values and one central-difference call.
+    The values and Jacobians come from _values_and_jacobians: one jet call, or
+    a value call and a central-difference call.
     """
-    got = _field_jet(fieldfn, curve.vertices)
-    vals = got[0] if got is not None else np.asarray(fieldfn(curve.vertices))
+    vals, jac = _values_and_jacobians(fieldfn, curve.vertices, fd_step)
     if np.max(np.abs(vals)) > 1e-6:
         raise ValueError("curve vertices must lie on the zero set of the field")
-    jac = got[1] if got is not None else _jacobians(fieldfn, curve.vertices, fd_step)
     return float(_smallest_singular_values(jac).min())
 
 

@@ -58,25 +58,6 @@ def bessel_j(nu: float, t):
     return jv(nu, t)
 
 
-def _kernel_series(nu: float, r: np.ndarray) -> np.ndarray:
-    """Power series of J_nu(r) / r^nu, to machine precision for r < 1/2."""
-    x = 0.25 * r * r
-    term = np.full_like(r, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
-    acc = term.copy()
-    for m in range(1, 24):
-        term = -term * x / (m * (nu + m))
-        acc += term
-    return acc
-
-
-def _closed_form(n: int, r: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """The n = 3 or n = 5 kernel from sin r: sqrt(2/pi) sin(r)/r or sqrt(2/pi) (sin r - r cos r)/r^3."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = sin / r if n == 3 else (sin - r * np.cos(r)) / (r * r * r)
-    out *= _SQRT_2_PI
-    return out
-
-
 def bessel_kernel(n: int, r):
     """J_{n/2-1}(r) / r^{n/2-1} with the r=0 singularity removed.
 
@@ -98,35 +79,25 @@ def bessel_kernel(n: int, r):
     small = r < 0.5
     if n in (3, 5):
         # the closed form on every radius; the series overwrites r < 1/2
-        out = _closed_form(n, r, np.sin(r))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sin = np.sin(r)
+            out = sin / r if n == 3 else (sin - r * np.cos(r)) / (r * r * r)
+        out *= _SQRT_2_PI
     else:
         out = np.empty_like(r)
         if not small.all():
             rl = r[~small]
             out[~small] = jv(nu, rl) / rl**nu
     if small.any():
-        out[small] = _kernel_series(nu, r[small])
+        rs = r[small]
+        x = 0.25 * rs * rs
+        term = np.full_like(rs, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
+        acc = term.copy()
+        for m in range(1, 24):
+            term = -term * x / (m * (nu + m))
+            acc += term
+        out[small] = acc
     return out[0] if scalar else out
-
-
-def bessel_kernels(n: int, r):
-    """bessel_kernel(n, r) and bessel_kernel(n + 2, r), the value and slope kernels of a Bessel sum.
-
-    For n = 3 one sin r feeds both closed forms, with the same expressions and
-    the same series below r = 1/2 as bessel_kernel; other n take two calls.
-    """
-    if n != 3:
-        return bessel_kernel(n, r), bessel_kernel(n + 2, r)
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("bessel_kernel requires r >= 0")
-    sin = np.sin(r)
-    kernels = _closed_form(3, r, sin), _closed_form(5, r, sin)
-    small = r < 0.5
-    if small.any():
-        for nu, out in zip((0.5, 1.5), kernels):
-            out[small] = _kernel_series(nu, r[small])
-    return kernels
 
 
 def bessel_kernel_deriv(n: int, r):

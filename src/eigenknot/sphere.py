@@ -36,7 +36,7 @@ def block_rows(terms: int) -> int:
     return max(1, min(ROW_BLOCK, PAIR_BLOCK // max(terms, 1)))
 
 
-def eval_rows(fn, x, dim, terms=1):
+def eval_rows(fn, x, dim, terms):
     """fn applied to the rows of x in blocks of block_rows(terms) rows.
 
     fn maps an (m, dim) block to an array, or a list of arrays, with m leading

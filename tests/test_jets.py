@@ -65,16 +65,28 @@ JET_RTOL = 1e-9
 RICHARDSON_STEP = 1e-2
 
 
+def _dyadic(a):
+    return np.round(a * 2.0**20) / 2.0**20
+
+
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40))
-def test_bessel_sum_jet_matches_richardson(seed, count):
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40), far=st.booleans())
+def test_bessel_sum_jet_matches_richardson(seed, count, far):
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
-    s = BesselSum(3, coeffs, rng.uniform(-1.5, 1.5, (count, 3)), 3.0)
-    near = s.centers[rng.integers(count, size=10)] + rng.uniform(-0.28, 0.28, (10, 3))  # r < 1/2: the series
-    x = np.vstack([rng.uniform(-2.5, 2.5, (30, 3)), near, s.centers[:1]])
+    centers = rng.uniform(-1.5, 1.5, (count, 3))
+    near = centers[rng.integers(count, size=10)] + rng.uniform(-0.28, 0.28, (10, 3))  # r < 1/2: the series
+    x = np.vstack([rng.uniform(-2.5, 2.5, (30, 3)), near, centers[:1]])
+    step, radius = RICHARDSON_STEP, 3.0
+    if far:
+        # the same geometry 2^26 from the origin: on a 2^-20 lattice with a
+        # dyadic step every coordinate and every x +- step is exact, so the
+        # reference keeps its accuracy and only the jet's rounding can grow
+        offset, step = 2.0**26, 2.0**-7
+        centers, x, radius = _dyadic(centers) + offset, _dyadic(x) + offset, 2.0 * offset
+    s = BesselSum(3, coeffs, centers, radius)
     jac = jet_jacobians(bessel_sum_field(s), x)
-    ref = richardson_jacobians(lambda y: eval_bessel_sum(s, y), x, RICHARDSON_STEP)
+    ref = richardson_jacobians(lambda y: eval_bessel_sum(s, y), x, step)
     assert np.max(np.abs(jac - ref)) <= JET_RTOL * np.max(np.abs(jac))
 
 

@@ -12,7 +12,6 @@ from eigenknot.specialfn import (
     bessel_j,
     bessel_kernel,
     bessel_kernel_deriv,
-    bessel_kernels,
     darboux_error,
     darboux_limit,
     gauss_gegenbauer,
@@ -371,15 +370,3 @@ def test_gegenbauer3_chord_continuous_across_seams(k, seam):
     got = gegenbauer3_chord_derivatives(k, chords, 3)
     for d in range(4):
         assert np.max(np.abs(np.diff(got[d]))) <= 1e-14 * c3_scale(k, d), d
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_bessel_kernels_match_two_kernel_calls(n):
-    # the shared-sin pair is the same numbers as two separate calls, on both
-    # sides of the series seam at r = 1/2 and at r = 0
-    r = np.array([[0.0, 1e-9, 0.3, 0.4999999], [0.5, 1.0, 7.5, 40.0]])
-    value, slope = bessel_kernels(n, r)
-    assert np.array_equal(value, bessel_kernel(n, r))
-    assert np.array_equal(slope, bessel_kernel(n + 2, r))
-    with pytest.raises(ValueError, match="r >= 0"):
-        bessel_kernels(n, np.array([-1.0]))
