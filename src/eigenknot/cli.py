@@ -346,9 +346,11 @@ def cmd_nodal(cfg: dict) -> int:
     else:
         bsum = BesselSum.from_dict(doc)
         # values through this module's eval_bessel_sum, the binding that
-        # bench/tracing.py wraps for this command; the jet is bessel_sum_field's
+        # bench/tracing.py wraps for this command; the jet and the grid are
+        # bessel_sum_field's
+        base = bessel_sum_field(bsum)
         field = lambda x: eval_bessel_sum(bsum, x)
-        field.jet = bessel_sum_field(bsum).jet
+        field.jet, field.grid = base.jet, base.grid
         fields.append(("field", field))
 
     all_curves = []

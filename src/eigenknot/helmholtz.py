@@ -15,6 +15,7 @@ safe synthesis target.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -237,19 +238,134 @@ def eval_bessel_sum_grad(s: BesselSum, x):
     return eval_bessel_sum_jet(s, x)[1]
 
 
+#: Bound on the plane-wave rule's truncation error per unit of kernel mass
+#: sqrt(2/pi) sum_j |c_j|, below the rounding of one double.
+_PLANE_WAVE_TAIL = 2.0**-56
+#: The product form costs N Q density terms plus Q terms per grid point, the
+#: direct sum N kernel terms per point, so past Q = 8 N rule nodes the direct
+#: sum is used.  Measured with one BLAS thread on grids of 38 x 38 x 10,
+#: 20^3 and 3 x 40 x 40 points and N = 7 to 400 centers, the two took equal
+#: time at Q / N between 8 and 40 (lowest for many centers on a thin grid).
+_GRID_CROSSOVER = 8
+
+
+def _plane_wave_degree(radius: float) -> int:
+    """Smallest L with 2 sum_{l>L} (2l+1) radius^l / (2l+1)!! <= 2^-56.
+
+    By the plane-wave expansion e^{i y.xi} = sum_l i^l (2l+1) j_l(|y|) P_l(y.xi/|y|)
+    (DLMF 10.60.7) and |j_l(r)| <= r^l / (2l+1)!! (DLMF 10.14.4), a rule on S^2
+    exact through degree L and with weights summing to 4 pi integrates
+    e^{i y.xi} to 4 pi j0(|y|) within 4 pi times that tail wherever
+    |y| <= radius.  The terms peak near l = radius / 2 and fall faster than
+    2^-l past l = radius, so they are read in logs from the far end down.
+    """
+    log_r = math.log(max(radius, 1e-300))
+
+    def term(l):
+        log_dfact = math.lgamma(2 * l + 2) - l * math.log(2.0) - math.lgamma(l + 1)
+        return math.exp(math.log(2 * l + 1) + l * log_r - log_dfact)
+
+    top = math.ceil(radius) + 1
+    while term(top) > 2.0**-40 * _PLANE_WAVE_TAIL:
+        top += 1
+    tail, degree = 0.0, top
+    while degree > 0 and 2.0 * (tail + term(degree)) <= _PLANE_WAVE_TAIL:
+        tail += term(degree)
+        degree -= 1
+    return degree
+
+
+def _rule_size(degree: int) -> int:
+    return (degree // 2 + 1) * (degree + 1)
+
+
+def _plane_wave_rule(degree: int):
+    """Gauss-Legendre x trapezoid rule (nodes, weights) on S^2, exact through `degree`.
+
+    degree // 2 + 1 Legendre nodes in cos(theta) times degree + 1 equispaced
+    azimuths (_rule_size(degree) nodes); the weights sum to 4 pi.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    u, w = leggauss(degree // 2 + 1)
+    phi = _TWO_PI * np.arange(degree + 1) / (degree + 1)
+    s = np.sqrt(1.0 - u * u)
+    nodes = np.stack(
+        [np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)), np.repeat(u[:, None], len(phi), axis=1)], axis=-1
+    )
+    return nodes.reshape(-1, 3), np.repeat(w * (_TWO_PI / len(phi)), len(phi))
+
+
+def _grid_degree(s: BesselSum, axes) -> int:
+    """The rule degree for D, the largest distance from a corner of the grid to a center."""
+    corners = np.array(list(itertools.product(*((a.min(), a.max()) for a in axes))))
+    return _plane_wave_degree(float(_pair_distances(corners, s.centers).max()))
+
+
+def _plane_wave_grid(s: BesselSum, axes, degree: int) -> np.ndarray:
+    """The n = 3 sum on the product grid of three non-empty axes, by the rule of `degree`."""
+    nodes, weights = _plane_wave_rule(degree)
+    x0 = np.array([0.5 * (a.min() + a.max()) for a in axes])
+    density = _plane_wave_sum(nodes, x0 - s.centers, s.coeffs) * (weights / (2.0 * _TWO_PI * _SQRT_PI_2))
+    first, second, third = (np.exp(1j * np.outer(a - c, xi)) for a, c, xi in zip(axes, x0, nodes.T))
+    first *= density
+    third = np.ascontiguousarray(third.T)
+    n1 = len(axes[1])
+
+    def block(rows):
+        p = rows[:, 0].astype(np.intp)
+        return (first[p // n1] * second[p % n1]) @ third
+
+    rows = np.arange(len(axes[0]) * n1, dtype=float)[:, None]
+    return eval_rows(block, rows, 1, len(nodes)).reshape(len(axes[0]), n1, len(axes[2]))
+
+
+def eval_bessel_sum_grid(s: BesselSum, axes):
+    """The sum on the product grid axes[0] x axes[1] x axes[2], shape (n0, n1, n2).
+
+    An n = 3 sum is a Herglotz wave: sqrt(2/pi) j0(|y|) is sqrt(2/pi) / (4 pi)
+    times the integral of e^{i y.xi} over S^2, so
+    phi(x) = sum_q w_q g(xi_q) e^{i xi_q.(x - x0)} with the density
+    g(xi) = sqrt(2/pi) / (4 pi) sum_j c_j e^{-i xi.(x_j - x0)}.  Phases are
+    taken about the grid centre x0, so a box far from the origin keeps its
+    precision.  The rule's degree L is derived, not tuned: _grid_degree takes
+    D, the largest distance from a grid corner to a center, and
+    _plane_wave_degree the smallest L whose truncation error stays below
+    2^-56 sqrt(2/pi) sum_j |c_j| for |x - x_j| <= D.  On the grid each plane
+    wave is a product of three 1-D exponential tables, and the sum is one
+    complex matmul of (axis-0, axis-1) rows against the axis-2 table, built in
+    blocks of at most sphere.PAIR_BLOCK node-row pairs.  When the rule's
+    Q nodes exceed 8 N (the measured crossover, _GRID_CROSSOVER), and for
+    n != 3, the grid's points go through eval_bessel_sum instead.
+    """
+    axes = [np.asarray(a, dtype=float).ravel() for a in axes]
+    if len(axes) != s.n:
+        raise ValueError(f"need {s.n} axes, got {len(axes)}")
+    shape = tuple(len(a) for a in axes)
+    if s.n == 3 and 0 not in shape:
+        degree = _grid_degree(s, axes)
+        if _rule_size(degree) <= _GRID_CROSSOVER * len(s):
+            return _plane_wave_grid(s, axes, degree)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s.n)
+    return eval_bessel_sum(s, points).reshape(shape)
+
+
 def bessel_sum_field(s: BesselSum):
     """The field x -> eval_bessel_sum(s, x) for nodal extraction.
 
     Its ``jet`` attribute gives the value and the gradient together
     (eval_bessel_sum_jet), so Newton polish and margins need no finite
-    differences.  The attribute lives in the function's own ``__dict__``,
-    which ``functools.wraps`` copies onto a wrapper.
+    differences, and its ``grid`` attribute gives the values on a product
+    grid from its axes (eval_bessel_sum_grid).  The attributes live in the
+    function's own ``__dict__``, which ``functools.wraps`` copies onto a
+    wrapper.
     """
 
     def field(x):
         return eval_bessel_sum(s, x)
 
     field.jet = lambda x: eval_bessel_sum_jet(s, x)
+    field.grid = lambda axes: eval_bessel_sum_grid(s, axes)
     return field
 
 
@@ -546,6 +662,10 @@ def _is_closed(curve: np.ndarray) -> bool:
     return np.linalg.norm(curve[0] - curve[-1]) < 1e-3 * max(span, 1e-12)
 
 
+#: Radius of the ball on which design_bessel_sum samples conversion_error.
+_CONVERSION_CHECK_RADIUS = 1.4
+
+
 @dataclass
 class DesignResult:
     components: dict
@@ -575,10 +695,18 @@ def design_bessel_sum(
     each constrained component is then converted to a BesselSum by the
     kernel fit.  With verify_tol set, the extracted nodal curve of each
     converted component must come within that Hausdorff distance of its
-    target.
+    target.  A target vertex outside the ball where conversion_error is
+    sampled (radius _CONVERSION_CHECK_RADIUS = 1.4) is refused with a
+    DesignError before any solve, since the conversion is not checked there.
     """
     if n != 3:
         raise NotImplementedError("the designer is implemented for n = 3")
+    reach = max(float(np.linalg.norm(np.asarray(curve, dtype=float), axis=-1).max()) for curve, _ in targets)
+    if reach > _CONVERSION_CHECK_RADIUS:
+        raise DesignError(
+            f"a target reaches |x| = {reach:.3g}, outside the radius-{_CONVERSION_CHECK_RADIUS} ball "
+            f"where the conversion to a Bessel sum (convert_radius={convert_radius}) is checked"
+        )
     xis = _fibonacci_sphere(budget)
     gam = np.einsum("qi,iab->qab", xis, np.stack(FLAT_GAMMA))
     proj = 0.5 * (np.eye(2)[None, :, :] + 1j * gam)
@@ -623,7 +751,8 @@ def design_bessel_sum(
         )
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(400, 3))
-        pts *= (1.4 * rng.uniform(0, 1, 400) ** (1.0 / 3.0) / np.linalg.norm(pts, axis=1))[:, None]
+        radii = _CONVERSION_CHECK_RADIUS * rng.uniform(0, 1, 400) ** (1.0 / 3.0)
+        pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
         conversion_error[a] = float(
             np.max(np.abs(eval_bessel_sum(bsum, pts) - pw.component(a, pts)))
         )
@@ -685,14 +814,40 @@ class HopfPairDesign:
     targets: dict
     boxes: dict = field(default_factory=dict)
 
-    def exact_component(self, a: int, x) -> np.ndarray:
+    def _radial_parts(self, a: int, x):
+        """x, r, j0(r), j1(r)/r and the component's form alpha j0 + (j1/r) v.x as (alpha, v)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.maximum(np.linalg.norm(x, axis=1), 1e-12)
         j0, j1 = _spherical_j01(r)
-        ct = x[:, 2] / r
-        if a == 0:
-            return (j0 - 1j * j1 * ct) + 1j * self.beta * (-1j * j1 * (x[:, 0] - 1j * x[:, 1]) / r)
-        return (-1j * j1 * (x[:, 0] + 1j * x[:, 1]) / r) + 1j * self.beta * (j0 + 1j * j1 * ct)
+        b = self.beta
+        alpha, v = (1.0, np.array([b, -1j * b, -1j])) if a == 0 else (1j * b, np.array([-1j, 1.0, -b]))
+        return x, r, j0, j1 / r, alpha, v
+
+    def exact_component(self, a: int, x) -> np.ndarray:
+        x, _, j0, j1_r, alpha, v = self._radial_parts(a, x)
+        return alpha * j0 + j1_r * (x @ v)
+
+    def exact_jet(self, a: int, x):
+        """[value, gradient in C^3] of exact_component in closed form.
+
+        With j0' = -j1 and j1' = j0 - 2 j1 / r, the gradient of
+        alpha j0 + (j1/r) v.x is -alpha j1 x/r + (j1/r)' (v.x) x/r + (j1/r) v
+        with (j1/r)' = (j0 - 3 j1/r) / r; that quotient loses digits as
+        r -> 0, but it is multiplied by v.x = O(r).
+        """
+        x, r, j0, j1_r, alpha, v = self._radial_parts(a, x)
+        vx = x @ v
+        radial = ((j0 - 3.0 * j1_r) / r * vx - alpha * j1_r * r) / r
+        return [alpha * j0 + j1_r * vx, radial[:, None] * x + j1_r[:, None] * v]
+
+    def exact_field(self, a: int):
+        """x -> exact_component(a, x) for nodal extraction, with exact_jet as its ``jet``."""
+
+        def field(x):
+            return self.exact_component(a, x)
+
+        field.jet = lambda x: self.exact_jet(a, x)
+        return field
 
 
 def hopf_link_design(beta: float = 0.35, eps: float = 0.1, target_h: float = 0.2) -> HopfPairDesign:
@@ -723,9 +878,7 @@ def hopf_link_design(beta: float = 0.35, eps: float = 0.1, target_h: float = 0.2
     from . import nodal
 
     for a in (0, 1):
-        curves = nodal.extract_nodal(
-            lambda x: design.exact_component(a, x), boxes[a], target_h
-        )
+        curves = nodal.extract_nodal(design.exact_field(a), boxes[a], target_h)
         closed = [c for c in curves.curves if c.closed]
         if not closed:
             raise DesignError("hopf_link_design: expected a closed nodal curve")

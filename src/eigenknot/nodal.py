@@ -12,6 +12,11 @@ integer endpoint keys round(p / (1e-6 h)) into node ids and walking them,
 then Newton-polished onto the true zero set with least-norm steps; steps
 longer than h are refused.
 
+The march's grid values come from the field's ``grid`` attribute when the
+callable carries one (axes -> values on their product grid, as eigenknot's
+Bessel-sum fields do through helmholtz.eval_bessel_sum_grid); plain
+callables get the grid's points in one call.
+
 The 2x3 Jacobian of (Re f, Im f) comes from the field's analytic jet when the
 callable carries one (a ``jet`` attribute returning the value and the complex
 gradient, as eigenknot's Bessel-sum fields and spinor pullbacks do); plain
@@ -317,15 +322,22 @@ def extract_nodal(
     False when Newton polish, with steps capped at h, leaves a vertex off the
     zero set.  Jacobians come from the field's ``jet`` attribute when it has
     one; a plain callable gets central differences of step `margin_step`, in
-    Newton and in the margins alike.
+    Newton and in the margins alike.  The grid values come from the field's
+    ``grid`` attribute, axes -> values of shape (n0, n1, n2) on
+    axes[0] x axes[1] x axes[2], when it has one, else from one call on the
+    grid's points.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid step h must be finite and positive, got {h!r}")
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     ns = np.maximum(np.round((hi - lo) / h).astype(int), 2)
     axes = [np.linspace(lo[d], hi[d], ns[d] + 1) for d in range(3)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = np.asarray(fieldfn(grid.reshape(-1, 3))).reshape(grid.shape[:3])
+    grid = getattr(fieldfn, "grid", None)
+    if grid is not None:
+        vals = np.asarray(grid(axes))
+    else:
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        vals = np.asarray(fieldfn(points)).reshape(tuple(ns + 1))
     u = vals.real.copy()
     w = vals.imag.copy()
     u[u == 0] = 1e-300

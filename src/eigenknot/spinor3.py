@@ -250,16 +250,22 @@ class _ProjectedComponent:
 
 
 def component_harmonicity(comp, k: int, samples: int = 32, seed: int = 0) -> float:
-    """Relative residual of -sum_i X_i X_i psi = k(k+2) psi on random points."""
+    """Residual of -sum_i X_i X_i psi = lam psi, lam = k(k+2), on random points,
+    relative to lam max |psi| (to max |psi| at k = 0).
+
+    Both sides are of size lam |psi|, so their rounding grows like lam eps;
+    a degree-(k+1) component misses by (2k + 3) |psi|, about 2 / k relative.
+    """
     rng = np.random.default_rng(seed)
     p = rng.normal(size=(samples, 4))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
     jets = component_jet(comp, p, 2)
     lap = -(jets[2][:, 0, 0] + jets[2][:, 1, 1] + jets[2][:, 2, 2])
-    scale = float(np.abs(jets[0]).max())
+    lam = k * (k + 2.0)
+    scale = max(lam, 1.0) * float(np.abs(jets[0]).max())
     if scale == 0.0:
         return 0.0
-    return float(np.abs(lap - k * (k + 2.0) * jets[0]).max() / scale)
+    return float(np.abs(lap - lam * jets[0]).max() / scale)
 
 
 def dirac_project(psi_tilde: SpinorField3, k: int) -> SpinorField3:

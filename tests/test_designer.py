@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenknot import nodal
+from eigenknot import helmholtz, nodal
 from eigenknot.helmholtz import (
     DesignError,
     design_bessel_sum,
@@ -72,6 +72,28 @@ def test_design_failure_reported():
             verify_tol=0.005,
             grid_h=0.04,
         )
+
+
+def test_design_refuses_targets_outside_the_conversion_check(monkeypatch):
+    # the trefoil (sin t + 2 sin 2t, cos t - 2 cos 2t, -sin 3t) s at s = 2
+    # reaches |x| = 6, where conversion_error (sampled on |x| <= 1.4) says nothing
+    t = np.linspace(0, 2 * math.pi, 121)
+    trefoil = 2.0 * np.stack([np.sin(t) + 2 * np.sin(2 * t), np.cos(t) - 2 * np.cos(2 * t), -np.sin(3 * t)], axis=-1)
+    reach = np.linalg.norm(trefoil, axis=1).max()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the designer set up a solve")
+
+    monkeypatch.setattr(helmholtz, "_fibonacci_sphere", no_solve)
+    with pytest.raises(DesignError, match=r"radius-1\.4 ball") as refused:
+        design_bessel_sum([(trefoil, 0)], budget=600)
+    assert f"|x| = {reach:.3g}" in str(refused.value) and "convert_radius=2.5" in str(refused.value)
+    assert 5.9 <= reach <= 6.1
+    # a target inside the checked ball designs
+    t = np.linspace(0, 2 * math.pi, 49)
+    monkeypatch.undo()
+    res = design_bessel_sum([(np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1), 0)], budget=160)
+    assert res.curve_residual[0] <= 1e-6 and res.conversion_error[0] <= 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -46,15 +46,9 @@ def _harmonic_pair(chart, k):
 
 
 def hopf_pullback(seed, k, index):
-    """Pullback of a projected Hopf component through a seeded adapted chart.
-
-    The projector is built directly: dirac_project's harmonicity gate is
-    relative to max |psi| rather than to k(k+2) and refuses some bases at
-    k = 1000, which is not what these tests are about.
-    """
+    """Pullback of a projected Hopf component through a seeded adapted chart."""
     chart = spinor3.adapted_chart(np.random.default_rng(seed).normal(size=4))
-    base = _harmonic_pair(chart, k)
-    psi = spinor3.SpinorField3(tuple(spinor3._ProjectedComponent(base, k, a) for a in (0, 1)), k=k)
+    psi = spinor3.dirac_project(_harmonic_pair(chart, k), k)
     return spinor3.component_pullback(psi, index, chart, k)
 
 
@@ -239,19 +233,27 @@ def test_stability_margin_uses_the_jet():
 
 @pytest.fixture
 def plain_field_calls(monkeypatch):
-    """Rows of the plain field calls of every extract_nodal call, one list per extraction."""
+    """The kinds of field call, "plain" or "grid", of every extract_nodal call in
+    call order, one list per extraction."""
     record = []
     extract = nodal.extract_nodal
 
     def spying(fieldfn, *args, **kwargs):
-        rows = []
-        record.append(rows)
+        calls = []
+        record.append(calls)
 
         @functools.wraps(fieldfn)
         def counted(x):
-            rows.append(len(x))
+            calls.append("plain")
             return fieldfn(x)
 
+        if hasattr(fieldfn, "grid"):
+
+            def grid(axes):
+                calls.append("grid")
+                return fieldfn.grid(axes)
+
+            counted.grid = grid
         return extract(counted, *args, **kwargs)
 
     monkeypatch.setattr(nodal, "extract_nodal", spying)
@@ -276,12 +278,47 @@ def test_cli_nodal_fields_make_no_stencil_calls(tmp_path, plain_field_calls):
     argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={tmp_path / 'hopf1.json'}",
             "--set", "h=0.22", *_box_args("field", DESIGN.boxes[0])]
     assert cli.main(argv) == cli.EXIT_OK
-    # one plain call per extraction: the grid
-    assert [len(rows) for rows in plain_field_calls] == [1, 1, 1]
+    # the spinor components: one plain call each, on the grid's points; the
+    # Bessel sum: one grid call and no plain call
+    assert plain_field_calls == [["plain"], ["plain"], ["grid"]]
 
 
 def test_designer_verification_makes_no_stencil_calls(plain_field_calls):
     t = np.linspace(0.0, 2.0 * np.pi, 41)
     target = np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1)
     helmholtz.design_bessel_sum([(target, 0)], budget=160, verify_tol=0.05, grid_h=0.1)
-    assert [len(rows) for rows in plain_field_calls] == [1]
+    assert plain_field_calls == [["grid"]]
+
+
+def test_hopf_targets_polish_by_their_closed_form_jet(plain_field_calls, monkeypatch):
+    polish_calls = []
+    polish = nodal.newton_polish
+
+    def counting_polish(fieldfn, *args, **kwargs):
+        counter = JetCounter(fieldfn)
+        out = polish(counter, *args, **kwargs)
+        polish_calls.append((counter.plain, len(counter.jets)))
+        return out
+
+    monkeypatch.setattr(nodal, "newton_polish", counting_polish)
+    design = hopf_link_design()
+    # no plain call inside Newton: every iteration is one jet call
+    assert polish_calls and all(plain == [] and jets > 0 for plain, jets in polish_calls)
+    # outside it, one plain call per extraction: the grid
+    assert plain_field_calls == [["plain"]] * 2
+    monkeypatch.setattr(nodal, "newton_polish", polish)
+    for a in (0, 1):
+        # the same extraction with the six-point stencil polish of a plain callable
+        stencil = nodal.extract_nodal(lambda x: design.exact_component(a, x), design.boxes[a], 0.2)
+        best = max(stencil.closed_curves(), key=len)
+        assert len(best) == len(design.targets[a])
+        assert nodal.hausdorff_dist(best, design.targets[a]) <= 1e-9
+
+
+def test_hopf_exact_jet_matches_richardson():
+    x = np.vstack([np.random.default_rng(2).uniform(-4.0, 4.0, (40, 3)), np.zeros((1, 3)), [[1e-9, 0.0, 0.0]]])
+    for a in (0, 1):
+        field = DESIGN.exact_field(a)
+        jac = jet_jacobians(field, x)
+        ref = richardson_jacobians(field, x, RICHARDSON_STEP)
+        assert np.max(np.abs(jac - ref)) <= JET_RTOL * np.max(np.abs(jac))

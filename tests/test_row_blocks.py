@@ -2,7 +2,8 @@
 
 Blocks hold block_rows(terms) rows, at most ROW_BLOCK: an evaluator summing
 over many centers, nodes or directions splits at a pair-sized seam well
-below ROW_BLOCK, and each one is checked at both seams.
+below ROW_BLOCK, and each one is checked at both seams.  The grid evaluator
+splits its matmul rows at the pair-sized seam of its rule's node count.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from eigenknot.helmholtz import (
     PlaneWaveSpinor,
     eval_bessel_sum,
     eval_bessel_sum_grad,
+    eval_bessel_sum_grid,
     eval_bessel_sum_jet,
     eval_herglotz,
 )
@@ -106,6 +108,26 @@ def test_blocks_agree_with_parts(name):
 def test_blocks_agree_with_parts_at_pair_seam(name):
     fn, dim, terms = EVALUATORS[name]
     _assert_split_agrees(fn, dim, block_rows(terms))
+
+
+def test_grid_blocks_agree_with_parts_at_pair_seam(monkeypatch):
+    # eval_bessel_sum_grid's matmul rows are (axis-0, axis-1) pairs in blocks
+    # of block_rows(Q); with one axis-1 point the axis-0 points are the rows
+    seen = []
+    real = sphere.block_rows
+    monkeypatch.setattr(sphere, "block_rows", lambda n: seen.append(n) or real(n))
+    axes = [np.linspace(-1.0, 1.0, 2), [0.3], np.linspace(-0.5, 0.5, 3)]
+    eval_bessel_sum_grid(BIG_SUM, axes)
+    (nodes,) = set(seen)
+    assert nodes != len(BIG_SUM)  # the plane-wave path, not the points path
+    seam = real(nodes)
+    axes[0] = np.linspace(-1.0, 1.0, seam + 1)
+    seen.clear()
+    whole = eval_bessel_sum_grid(BIG_SUM, axes)
+    assert set(seen) == {nodes} and whole.shape == (seam + 1, 1, 3)
+    head, tail = (eval_bessel_sum_grid(BIG_SUM, [part, *axes[1:]]) for part in (axes[0][:seam], axes[0][seam:]))
+    expected = np.concatenate([head, tail])
+    assert np.max(np.abs(whole - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_block_rows_scale_with_terms():

@@ -337,6 +337,32 @@ def test_projection_rejects_non_harmonic(chart):
         dirac_project(SpinorField3((y1, y2), k=8), 8)
 
 
+def _hopf_pair(k, degrees=(0, 0)):
+    """The Hopf design's pair synthesized at degrees k + degrees[a] through
+    the adapted chart of a seeded base point."""
+    design = ek.hopf_link_design()
+    chart = adapted_chart(np.random.default_rng(0).normal(size=4))
+    return SpinorField3(tuple(ek.synthesize(design.components[a], k + degrees[a], chart) for a in (0, 1)), k=k)
+
+
+@pytest.mark.parametrize("k", [1000, 2000, 30000])
+def test_projection_accepts_high_degree_hopf_pair(k):
+    # the residual is taken relative to k(k+2) max |psi|: relative to max |psi|
+    # alone its rounding read 3.1e-6 at k = 1000 and 1.2e-4 at k = 2000
+    pair = _hopf_pair(k)
+    assert max(component_harmonicity(c, k) for c in pair.components) <= 1e-7
+    assert dirac_project(pair, k).k == k
+
+
+def test_projection_rejects_next_degree_at_high_k():
+    # a degree-(k+1) component misses k(k+2) by 2k + 3: about 2/k = 6.7e-5 relative
+    k = 30000
+    resid = component_harmonicity(_hopf_pair(k, (0, 1)).components[1], k)
+    assert resid == pytest.approx(2.0 / k, rel=0.01)
+    with pytest.raises(ValueError, match="not a degree-30000"):
+        dirac_project(_hopf_pair(k, (0, 1)), k)
+
+
 def test_weitzenboeck_two_pass(harmonic_pair):
     # analytic first application, finite-difference second application
     psit, k = harmonic_pair
