@@ -5,12 +5,13 @@
   the achieved error and every row of the verify CSV (sup errors of orders
   0-2 and the eigenvalue-relative laplace residual).
 * ``spinorize -> nodal`` of the Hopf design at k = 60, 120, 240 for two chart
-  bases: the Dirac residual, each curve's field, closedness, vertex count and
-  smallest stability margin, every linking number, and the Hausdorff distance
-  from each component's closed curves to its design target.  The file's
-  margins are ``reference_margins``, taken from field values only at the
-  vertices the pipeline reported, not the pipeline's own margins, so they
-  do not carry the noise of whichever Jacobian the pipeline used.
+  bases: the Dirac residual, each curve's field, closedness, vertex count,
+  smallest stability margin and Newton convergence, every linking number,
+  and the Hausdorff distance from each component's closed curves to its
+  design target.  The file's margins are ``reference_margins``, taken from
+  field values only at the vertices the pipeline reported, not the
+  pipeline's own margins, so they do not carry the noise of whichever
+  Jacobian the pipeline used.
 * ``design_bessel_sum`` on a seeded, slightly tilted unit circle (budget 240,
   verify_tol 0.02, grid_h 0.07): each curve of the designer's own nodal
   extraction with its closedness and vertex count, the best Hausdorff
@@ -134,6 +135,7 @@ def hopf_case(work: pathlib.Path, base) -> dict:
             "curves": [[e["field"], e["closed"]] for e in topo["curves"]],
             "vertices": [e["vertices"] for e in topo["curves"]],
             "min_margin": [e["min_margin"] for e in topo["curves"]],
+            "converged": [e["converged"] for e in topo["curves"]],
             "reference_min_margin": [
                 float(reference_margins(fields[e["field"]], c.vertices).min())
                 for e, c in zip(topo["curves"], polylines)

@@ -345,9 +345,10 @@ def cmd_nodal(cfg: dict) -> int:
             fields.append((f"component{a + 1}", spinor3.component_pullback(psi, a, chart, k)))
     else:
         bsum = BesselSum.from_dict(doc)
-        # values through this module's eval_bessel_sum, the binding that
-        # bench/tracing.py wraps for this command; the jet and the grid are
-        # bessel_sum_field's
+        # extract_nodal reads this field only through its grid and its jet,
+        # both bessel_sum_field's, and never makes the plain call; that call
+        # goes through this module's eval_bessel_sum only to keep the binding
+        # that bench/tracing.py wraps for this command
         base = bessel_sum_field(bsum)
         field = lambda x: eval_bessel_sum(bsum, x)
         field.jet, field.grid = base.jet, base.grid
@@ -371,7 +372,7 @@ def cmd_nodal(cfg: dict) -> int:
                     "closed": curve.closed,
                     "vertices": len(curve),
                     "min_margin": float(curve.margins.min()),
-                    "stable": curve.stable,
+                    "converged": curve.converged,
                 }
             )
         closed = nset.closed_curves()

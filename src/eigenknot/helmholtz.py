@@ -241,12 +241,23 @@ def eval_bessel_sum_grad(s: BesselSum, x):
 #: Bound on the plane-wave rule's truncation error per unit of kernel mass
 #: sqrt(2/pi) sum_j |c_j|, below the rounding of one double.
 _PLANE_WAVE_TAIL = 2.0**-56
-#: The product form costs N Q density terms plus Q terms per grid point, the
-#: direct sum N kernel terms per point, so past Q = 8 N rule nodes the direct
-#: sum is used.  Measured with one BLAS thread on grids of 38 x 38 x 10,
-#: 20^3 and 3 x 40 x 40 points and N = 7 to 400 centers, the two took equal
-#: time at Q / N between 8 and 40 (lowest for many centers on a thin grid).
+#: One node-point term of the product form costs at most 1/8 of a kernel
+#: term of the direct sum.  Measured with one BLAS thread on grids of
+#: 38 x 38 x 10, 20^3 and 3 x 40 x 40 points and N = 7 to 400 centers, the
+#: two took equal time at Q / N between 8 and 40 (lowest for many centers on
+#: a thin grid).
 _GRID_CROSSOVER = 8
+
+
+def _plane_waves_pay(nodes: int, centers: int, points: int) -> bool:
+    """Whether the product form beats the direct sum on a grid.
+
+    The product form costs N Q density terms plus Q terms per grid point, the
+    direct sum N kernel terms per point, so it is chosen when
+    N Q + P Q / 8 <= N P, i.e. Q (8 N + P) <= 8 N P.  On large grids this is
+    Q <= 8 N; on small ones the density alone outweighs the direct sum.
+    """
+    return nodes * (_GRID_CROSSOVER * centers + points) <= _GRID_CROSSOVER * centers * points
 
 
 def _plane_wave_degree(radius: float) -> int:
@@ -335,8 +346,9 @@ def eval_bessel_sum_grid(s: BesselSum, axes):
     wave is a product of three 1-D exponential tables, and the sum is one
     complex matmul of (axis-0, axis-1) rows against the axis-2 table, built in
     blocks of at most sphere.PAIR_BLOCK node-row pairs.  When the rule's
-    Q nodes exceed 8 N (the measured crossover, _GRID_CROSSOVER), and for
-    n != 3, the grid's points go through eval_bessel_sum instead.
+    Q nodes, N centers and P grid points give Q (8 N + P) > 8 N P (the
+    measured crossover, _plane_waves_pay), and for n != 3, the grid's points
+    go through eval_bessel_sum instead.
     """
     axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     if len(axes) != s.n:
@@ -344,7 +356,7 @@ def eval_bessel_sum_grid(s: BesselSum, axes):
     shape = tuple(len(a) for a in axes)
     if s.n == 3 and 0 not in shape:
         degree = _grid_degree(s, axes)
-        if _rule_size(degree) <= _GRID_CROSSOVER * len(s):
+        if _plane_waves_pay(_rule_size(degree), len(s), math.prod(shape)):
             return _plane_wave_grid(s, axes, degree)
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s.n)
     return eval_bessel_sum(s, points).reshape(shape)

@@ -22,9 +22,14 @@ callable carries one (a ``jet`` attribute returning the value and the complex
 gradient, as eigenknot's Bessel-sum fields and spinor pullbacks do); plain
 callables fall back to central differences.  With rows a = grad Re f and
 b = grad Im f the algebra is closed form: the Newton step is
-[a b] G^{-1} (Re f, Im f) with the 2x2 Gram matrix G, and the stability
+[a b] G^{-1} (Re f, Im f) with the 2x2 Gram matrix G, and each vertex's
 margin is sigma_min = |a x b| / sigma_max.  Rows whose sigma_min is at most
 1e-8 sigma_max take the rank-1 pseudo-inverse step.
+
+A curve reports only what the polish established: its margins and whether
+every vertex ``converged`` (reached |f| <= 1e-9 with no step refused).
+Neither proves the curve structurally stable; that takes a certificate that
+the field is C^1-close to a transversal one on a tube around the curve.
 
 The linking number of two closed polylines uses the exact solid-angle form
 of the Gauss integral for segment pairs, summed over blocks of rows; a
@@ -49,7 +54,7 @@ class NodalCurve:
     vertices: np.ndarray
     closed: bool
     margins: np.ndarray = field(default=None)
-    stable: bool | None = field(default=None, compare=False)
+    converged: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -164,18 +169,19 @@ def _stitch(segs, h):
     """Chains (points, closed) of segments joined where endpoint keys agree.
 
     Zero-length and repeated segments (exact grid/zero-set alignment makes
-    neighboring tetrahedra emit coincident ones) are dropped; a chain grows
-    from the second, then the first end along the first unused segment.
+    neighboring tetrahedra emit coincident ones) are dropped, and with them
+    gone there may be no chain at all; a chain grows from the second, then
+    the first end along the first unused segment.
     """
     quant = 1e-6 * h
-    if not len(segs):
-        return []
     keys = np.round(segs.reshape(-1, 3) / quant).astype(np.int64)
     node = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1, 2)
     lo, hi = node.min(axis=1), node.max(axis=1)
     live = np.nonzero(lo != hi)[0]
     first = np.unique(lo[live] * len(keys) + hi[live], return_index=True)[1]
     keep = live[np.sort(first)]
+    if not len(keep):
+        return []
     ends, node = segs[keep].reshape(-1, 3), node[keep].ravel().tolist()
     at = [[] for _ in range(max(node) + 1)]  # segment ends 2 si + e at each node, in order
     for e, n in enumerate(node):
@@ -201,24 +207,34 @@ def _stitch(segs, h):
     return chains
 
 
-def _jacobians(fieldfn, pts, step):
+#: Newton stops once every residual |f| is at most this.
+_TOL = 1e-9
+#: Newton iterations per polish.
+_MAX_ITER = 10
+#: Central-difference step of a plain callable's Jacobians.
+_FD_STEP = 1e-6
+#: Chains with fewer vertices are dropped.
+_MIN_VERTICES = 4
+
+
+def _jacobians(fieldfn, pts):
     """Central-difference (M, 2, 3) Jacobians of (Re f, Im f), one field call."""
-    shifted = pts + step * np.concatenate([np.eye(3), -np.eye(3)])[:, None, :]
+    shifted = pts + _FD_STEP * np.concatenate([np.eye(3), -np.eye(3)])[:, None, :]
     plus, minus = np.asarray(fieldfn(shifted.reshape(-1, 3))).reshape(2, 3, len(pts))
-    d = (plus - minus).T / (2 * step)
+    d = (plus - minus).T / (2 * _FD_STEP)
     return np.stack([d.real, d.imag], axis=1)
 
 
-def _values_and_jacobians(fieldfn, pts, step):
+def _values_and_jacobians(fieldfn, pts):
     """Values and (M, 2, 3) Jacobians of (Re f, Im f).
 
     A field with a ``jet`` attribute (x -> (f, grad f) with grad f in C^3)
     gives both from one call; a plain callable gets one call for the values
-    and one central-difference call of the given step.
+    and one central-difference call.
     """
     jet = getattr(fieldfn, "jet", None)
     if jet is None:
-        return np.asarray(fieldfn(pts)), _jacobians(fieldfn, pts, step)
+        return np.asarray(fieldfn(pts)), _jacobians(fieldfn, pts)
     vals, grad = jet(pts)
     return np.asarray(vals), np.stack([grad.real, grad.imag], axis=1)
 
@@ -271,61 +287,43 @@ def _least_norm_steps(jac, vals):
     return alpha[:, None] * a + beta[:, None] * b
 
 
-def newton_polish(
-    fieldfn, pts, tol=1e-9, max_iter=10, fd_step=1e-6, *, max_step=math.inf, converged=None, jacobians=None
-):
+def newton_polish(fieldfn, pts, *, max_step=math.inf):
     """Project points onto {f = 0} with least-norm Newton steps pinv(J) f.
 
     Each iteration takes the values and J from _values_and_jacobians: one
     jet call, or for a plain callable a value call and a central-difference
-    call of step `fd_step`.  A vertex whose step would be longer than
-    `max_step` stays where it is.  If `converged` is given, it receives per
-    vertex whether the last residual evaluated there was within `tol` and no
-    step was refused.  If `jacobians` is given, it receives the (M, 2, 3)
-    Jacobians at the returned points: those of the last iteration when it
-    converged, else from one more evaluation.
+    call.  A vertex whose step would be longer than `max_step` stays where it
+    is.  Returns the points, per vertex whether its residual there is within
+    _TOL and no step of it was refused, and the (M, 2, 3) Jacobians there.
+    Polish ends at the first evaluation with every residual within _TOL, or
+    at the one after _MAX_ITER steps, so the flags and Jacobians always come
+    from the returned points.
     """
     pts = np.array(pts, dtype=float)
     refused = np.zeros(len(pts), dtype=bool)
-    vals = np.full(len(pts), np.inf)
-    jac = None
-    for _ in range(max_iter):
-        vals, jac = _values_and_jacobians(fieldfn, pts, fd_step)
-        if np.max(np.abs(vals)) <= tol:
+    for it in range(_MAX_ITER + 1):
+        vals, jac = _values_and_jacobians(fieldfn, pts)
+        if it == _MAX_ITER or np.max(np.abs(vals)) <= _TOL:
             break
         step = _least_norm_steps(jac, vals)
         far = np.linalg.norm(step, axis=1) > max_step
         refused |= far
         pts -= np.where(far[:, None], 0.0, step)
-        jac = None
-    if converged is not None:
-        converged[:] = (np.abs(vals) <= tol) & ~refused
-    if jacobians is not None:
-        jacobians[:] = jac if jac is not None else _values_and_jacobians(fieldfn, pts, fd_step)[1]
-    return pts
+    return pts, (np.abs(vals) <= _TOL) & ~refused, jac
 
 
-def extract_nodal(
-    fieldfn,
-    box,
-    h: float,
-    polish: bool = True,
-    min_vertices: int = 4,
-    margin_step: float = 1e-6,
-) -> NodalSet:
+def extract_nodal(fieldfn, box, h: float) -> NodalSet:
     """Extract polyline components of {Re f = Im f = 0} inside a box.
 
     Curves whose endpoints meet are closed; curves reaching the box boundary
-    are marked open.  Vertices carry stability margins (smallest singular
-    value of the real 2x3 Jacobian); a curve's ``stable`` flag compares the
-    worst margin against 10 * h * (local Lipschitz estimate of df), and it is
-    False when Newton polish, with steps capped at h, leaves a vertex off the
-    zero set.  Jacobians come from the field's ``jet`` attribute when it has
-    one; a plain callable gets central differences of step `margin_step`, in
-    Newton and in the margins alike.  The grid values come from the field's
-    ``grid`` attribute, axes -> values of shape (n0, n1, n2) on
-    axes[0] x axes[1] x axes[2], when it has one, else from one call on the
-    grid's points.
+    are marked open.  Chains of fewer than _MIN_VERTICES vertices are
+    dropped.  Vertices are Newton-polished with steps capped at h and carry
+    margins, the smallest singular value of the real 2x3 Jacobian there; a
+    curve is ``converged`` when every vertex is.  Jacobians come from the
+    field's ``jet`` attribute when it has one, else from central
+    differences.  The grid values come from the field's ``grid`` attribute,
+    axes -> values of shape (n0, n1, n2) on axes[0] x axes[1] x axes[2],
+    when it has one, else from one call on the grid's points.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid step h must be finite and positive, got {h!r}")
@@ -351,43 +349,16 @@ def extract_nodal(
     curves = []
     boundary_tol = 1e-3 * h
     for pts, closed in _stitch(segs, float(np.min(hvec))):
-        if len(pts) < min_vertices:
+        if len(pts) < _MIN_VERTICES:
             continue
         on_boundary = bool(
             np.any(pts <= lo + boundary_tol) or np.any(pts >= hi - boundary_tol)
         )
-        converged = np.ones(len(pts), dtype=bool)
-        jac = np.empty((len(pts), 2, 3))
-        if polish:
-            pts = newton_polish(
-                fieldfn, pts, fd_step=margin_step, max_step=h, converged=converged, jacobians=jac
-            )
-        else:
-            jac = _values_and_jacobians(fieldfn, pts, margin_step)[1]
+        pts, converged, jac = newton_polish(fieldfn, pts, max_step=h)
         margins = _smallest_singular_values(jac)
-        curve = NodalCurve(pts, bool(closed and not on_boundary), margins)
-        dj = np.linalg.norm(
-            (jac - np.roll(jac, 1, axis=0)).reshape(len(pts), -1), axis=1
-        )
-        dx = np.linalg.norm(pts - np.roll(pts, 1, axis=0), axis=1)
-        ok = dx > 1e-12
-        lip = float(np.max(dj[ok] / dx[ok])) if np.any(ok) else 0.0
-        curve.stable = bool(margins.min() > 10.0 * h * lip and converged.all())
-        curves.append(curve)
+        curves.append(NodalCurve(pts, bool(closed and not on_boundary), margins, bool(converged.all())))
     curves.sort(key=lambda c: -len(c.vertices))
     return NodalSet(curves, degenerate, h)
-
-
-def stability_margin(fieldfn, curve: NodalCurve, fd_step: float = 1e-6) -> float:
-    """Minimum over vertices of the smallest singular value of the Jacobian.
-
-    The values and Jacobians come from _values_and_jacobians: one jet call, or
-    a value call and a central-difference call.
-    """
-    vals, jac = _values_and_jacobians(fieldfn, curve.vertices, fd_step)
-    if np.max(np.abs(vals)) > 1e-6:
-        raise ValueError("curve vertices must lie on the zero set of the field")
-    return float(_smallest_singular_values(jac).min())
 
 
 def _as_closed_vertices(c) -> np.ndarray:

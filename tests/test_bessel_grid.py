@@ -27,7 +27,8 @@ def _grid_error(s, axes, values):
 
 
 def _plane_waves_chosen(s, axes):
-    return helmholtz._rule_size(helmholtz._grid_degree(s, axes)) <= helmholtz._GRID_CROSSOVER * len(s)
+    nodes = helmholtz._rule_size(helmholtz._grid_degree(s, axes))
+    return helmholtz._plane_waves_pay(nodes, len(s), math.prod(len(a) for a in axes))
 
 
 def _random_case(seed, count, offset, sizes):
@@ -81,6 +82,30 @@ def circle_sum():
 
 CIRCLE_BOX = ([-1.3, -1.3, -0.3], [1.3, 1.3, 0.3])
 CIRCLE_AXES = [np.linspace(lo, hi, n) for lo, hi, n in zip(*CIRCLE_BOX, (38, 38, 10))]
+
+
+def _direct_calls(monkeypatch, s, axes):
+    """The rows of every eval_bessel_sum call that eval_bessel_sum_grid makes."""
+    calls = []
+    direct = helmholtz.eval_bessel_sum
+
+    def spying(s, x):
+        calls.append(len(x))
+        return direct(s, x)
+
+    monkeypatch.setattr(helmholtz, "eval_bessel_sum", spying)
+    eval_bessel_sum_grid(s, axes)
+    return calls
+
+
+def test_grid_rule_counts_grid_points(circle_sum, monkeypatch):
+    # 400 centers on 27 points: the density's N Q terms alone outweigh the
+    # direct sum's 27 N, however few nodes per center the rule has
+    s, axes = _random_case(seed=3, count=400, offset=0.0, sizes=(3, 3, 3))
+    assert helmholtz._rule_size(helmholtz._grid_degree(s, axes)) <= helmholtz._GRID_CROSSOVER * len(s)
+    assert _direct_calls(monkeypatch, s, axes) == [27]
+    # the designer's grid: 14440 points, 390 centers, Q = 378 nodes
+    assert _direct_calls(monkeypatch, circle_sum, CIRCLE_AXES) == []
 
 
 def _errors_by_degree(s, axes, degrees):

@@ -130,6 +130,7 @@ def test_nodal_on_bundled_axis_field(tmp_path):
     entries = topo["curves"]
     assert len(entries) == 1
     assert entries[0]["min_margin"] >= 0.5
+    assert entries[0]["converged"] is True and "stable" not in entries[0]
     ply = Path(f"{out}.ply").read_text()
     assert ply.startswith("ply")
     curves = json.loads(Path(f"{out}.json").read_text())["curves"]
@@ -231,6 +232,7 @@ def test_full_spinor_nodal_pipeline(tmp_path):
     assert cross and abs(cross[0]["link"]) == 1
     closed = [e for e in topo["curves"] if e["closed"]]
     assert all(e["min_margin"] > 0 for e in closed)
+    assert all(type(e["converged"]) is bool and "stable" not in e for e in topo["curves"])
 
 
 def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):

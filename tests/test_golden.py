@@ -11,9 +11,10 @@ to the pinned values, not to a second run of itself.  Tolerances:
 * Hausdorff distances 1e-6 absolute;
 * curve counts, closedness, per-curve vertex counts and linking numbers
   exactly;
-* each curve's smallest stability margin 1e-9 relative.  The file's
-  margins are reference values: a Richardson-extrapolated central
-  difference of field values (make_golden.reference_margins) at the
+* each curve's smallest stability margin 1e-9 relative, and every curve's
+  Newton polish converged (not a file entry).  The file's margins are
+  reference values: a Richardson-extrapolated central difference of
+  field values (make_golden.reference_margins) at the
   vertices reported by the code before the analytic nodal Jacobians, merged
   over the earlier step-1e-6 stencil margins with every other entry left as
   it was.  A second test checks the pipeline's own margins against the same
@@ -99,6 +100,14 @@ def test_hopf_margins_match_reference_at_reported_vertices(hopf_run, case):
     for k, have in got["k"].items():
         for mine, reference in zip(have["min_margin"], have["reference_min_margin"], strict=True):
             assert mine == pytest.approx(reference, rel=MARGIN_RTOL), k
+
+
+def test_hopf_curves_converge(hopf_run):
+    # every vertex of every golden Hopf curve, both chart bases and every k,
+    # reaches |f| <= 1e-9 with no step refused
+    runs = [hopf_run(case["chart_base"])["k"] for case in GOLDEN["hopf"]]
+    flags = [flag for run in runs for have in run.values() for flag in have["converged"]]
+    assert flags == [True] * 12
 
 
 @pytest.mark.parametrize("case", GOLDEN["circle"], ids=lambda c: f"seed{c['seed']}")

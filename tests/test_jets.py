@@ -199,14 +199,27 @@ class JetCounter:
         return value, grad
 
 
+def _grid_cut_points(field, box, h, monkeypatch):
+    """The vertices of the longest chain of an extraction, before its polish."""
+    chains = []
+    polish = nodal.newton_polish
+
+    def recording(fieldfn, pts, **kwargs):
+        chains.append(pts)
+        return polish(fieldfn, pts, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(nodal, "newton_polish", recording)
+        nodal.extract_nodal(field, box, h)
+    return max(chains, key=len)
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
-def test_jet_polish_makes_one_jet_call_per_iteration(name):
+def test_jet_polish_makes_one_jet_call_per_iteration(name, monkeypatch):
     field, box = FIELDS[name]
-    pts = nodal.extract_nodal(field, box, 0.22, polish=False).curves[0].vertices
+    pts = _grid_cut_points(field, box, 0.22, monkeypatch)
     counter = JetCounter(field)
-    flags = np.zeros(len(pts), dtype=bool)
-    jac = np.empty((len(pts), 2, 3))
-    polished = nodal.newton_polish(counter, pts, converged=flags, jacobians=jac)
+    polished, flags, jac = nodal.newton_polish(counter, pts)
     assert flags.all()
     assert counter.plain == []
     rows, residuals = zip(*counter.jets)
@@ -215,20 +228,14 @@ def test_jet_polish_makes_one_jet_call_per_iteration(name):
     assert all(r > 1e-9 for r in residuals[:-1]) and residuals[-1] <= 1e-9
     assert np.array_equal(jac, jet_jacobians(field, polished))
     # extraction adds one plain call, the grid; each curve's polish ends on its
-    # first converged jet call, and the margins reuse that jet
+    # first converged jet call, and the margins are that jet's
     counter = JetCounter(field)
     nset = nodal.extract_nodal(counter, box, 0.22)
     assert len(counter.plain) == 1
     assert sum(r <= 1e-9 for _, r in counter.jets) == len(nset.curves)
-
-
-def test_stability_margin_uses_the_jet():
-    field, box = FIELDS["bessel_sum"]
-    curve = nodal.extract_nodal(field, box, 0.22).closed_curves()[0]
-    counter = JetCounter(field)
-    margin = nodal.stability_margin(counter, curve)
-    assert counter.plain == [] and [n for n, _ in counter.jets] == [len(curve)]
-    assert margin == pytest.approx(float(curve.margins.min()), rel=1e-12)
+    for curve in nset.curves:
+        assert curve.converged
+        assert np.array_equal(curve.margins, nodal._smallest_singular_values(jet_jacobians(field, curve.vertices)))
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Nodal extraction, stability margins, linking numbers, Hausdorff distance."""
+"""Nodal extraction, Newton polish, stability margins, linking numbers, Hausdorff distance."""
 
 import math
 import re
@@ -16,7 +16,6 @@ from eigenknot.nodal import (
     linking_number,
     newton_polish,
     projected_crossing_number,
-    stability_margin,
     curves_from_json,
     curves_to_json,
     curves_to_ply,
@@ -73,20 +72,44 @@ def test_linear_field_margins():
     assert len(nset.curves) == 1
     curve = nset.curves[0]
     assert np.allclose(curve.margins, 1.0, atol=1e-9)
-    assert stability_margin(linear, curve) == pytest.approx(1.0, abs=1e-9)
-    assert curve.stable
+    assert curve.converged is True
 
 
 def test_degenerate_zero_flagged():
+    # the z-axis is the double zero of (x + iy)^2: its Jacobian vanishes there
     squared = lambda x: linear(x) ** 2
-    curve = NodalCurve(np.array([[0, 0, z] for z in np.linspace(-0.5, 0.5, 9)]), False)
-    assert stability_margin(squared, curve) <= 1e-8
+    pts = np.array([[0, 0, z] for z in np.linspace(-0.5, 0.5, 9)], dtype=float)
+    _, converged, jac = newton_polish(squared, pts)
+    assert converged.all()
+    assert nodal._smallest_singular_values(jac).max() <= 1e-8
+
+
+def test_zero_set_on_grid_lines_does_not_crash_the_stitch():
+    # {x = y = 0} runs along grid lines, so every segment the march emits is
+    # zero-length and no chain is left to stitch; the transversal z-axis is
+    # then missed, which is a gap of the march, not a curve to report
+    nset = extract_nodal(lambda x: x[:, 0] + 1e-3j * x[:, 1], ((-1,) * 3, (1,) * 3), 0.1)
+    assert all(np.max(np.abs(c.vertices[:, :2])) <= 1e-9 for c in nset.curves)
+    assert nodal._stitch(np.zeros((4, 2, 3)), 0.1) == []
+
+
+@pytest.mark.parametrize("imag, degenerate", [(1e-12, 60), (1.0, 0)])
+def test_degenerate_cells_counted(imag, degenerate):
+    # on a half-cell-shifted grid the z-axis crosses 20 cell layers; a nearly
+    # vanishing imaginary part leaves |Im f| below 1e-9 times the field's
+    # scale on the cut triangles of the tetrahedra around it
+    h = 0.1
+    box = (np.full(3, -1.0 + h / 2), np.full(3, 1.0 + h / 2))
+    nset = extract_nodal(lambda x: x[:, 0] + imag * 1j * x[:, 1], box, h)
+    assert len(nset.curves) == 1
+    assert nset.degenerate_cells == degenerate
 
 
 def test_closed_circle_extraction():
     nset = extract_nodal(circle_field, BOX, 0.05)
     closed = nset.closed_curves()
     assert len(closed) == 1
+    assert closed[0].converged is True
     target = circle(256, 0.5)
     # chords of the extracted polyline sag by ~(vertex spacing)^2 / (8 r)
     assert hausdorff_dist(closed[0], target, densify_step=5e-4) <= 2e-3
@@ -286,8 +309,9 @@ def test_densify_matches_edge_loop(closed):
 def test_newton_polish_converges():
     rng = np.random.default_rng(0)
     pts = circle(32, 0.5) + 0.02 * rng.normal(size=(32, 3))
-    polished = newton_polish(circle_field, pts)
+    polished, converged, jac = newton_polish(circle_field, pts)
     assert np.max(np.abs(circle_field(polished))) <= 1e-9
+    assert converged.all() and jac.shape == (32, 2, 3)
 
 
 def _loop_newton(fieldfn, pts, tol=1e-9, max_iter=10, step=1e-6):
@@ -310,24 +334,24 @@ def _loop_newton(fieldfn, pts, tol=1e-9, max_iter=10, step=1e-6):
 def test_newton_polish_matches_vertex_loop():
     rng = np.random.default_rng(1)
     pts = circle(32, 0.5) + 0.02 * rng.normal(size=(32, 3))
-    assert np.max(np.abs(newton_polish(circle_field, pts) - _loop_newton(circle_field, pts))) <= 1e-12
+    assert np.max(np.abs(newton_polish(circle_field, pts)[0] - _loop_newton(circle_field, pts))) <= 1e-12
 
 
 def test_newton_polish_refuses_long_steps():
     pts = circle(16, 0.5) + np.array([0.0, 0.0, 0.3])
-    flags = np.ones(len(pts), dtype=bool)
-    far = newton_polish(circle_field, pts, max_step=0.1, converged=flags)
+    far, flags, _ = newton_polish(circle_field, pts, max_step=0.1)
     assert np.array_equal(far, pts)
     assert not flags.any()
-    near = newton_polish(circle_field, pts, max_step=0.5, converged=flags)
+    near, flags, _ = newton_polish(circle_field, pts, max_step=0.5)
     assert np.max(np.abs(circle_field(near))) <= 1e-9
     assert flags.all()
     # a refused step leaves its vertex unconverged even within the tolerance
     squared = lambda x: linear(x) ** 2
     pts = np.array([[3e-5, 0.0, 0.0], [0.1, 0.0, 0.0]])
     assert abs(squared(pts[0])[0]) <= 1e-9
-    assert np.array_equal(newton_polish(squared, pts, max_step=1e-5, converged=flags[:2]), pts)
-    assert not flags[:2].any()
+    kept, flags, _ = newton_polish(squared, pts, max_step=1e-5)
+    assert np.array_equal(kept, pts)
+    assert not flags.any()
 
 
 def test_unconverged_newton_marks_curve_unstable():
@@ -335,12 +359,10 @@ def test_unconverged_newton_marks_curve_unstable():
     # from the grid cut points stay far above the tolerance
     squared = lambda x: linear(x) ** 2
     pts = np.array([[0.02, -0.03, z] for z in np.linspace(-0.5, 0.5, 9)])
-    flags = np.ones(len(pts), dtype=bool)
-    newton_polish(squared, pts, converged=flags)
-    assert not flags.any()
+    assert not newton_polish(squared, pts)[1].any()
     nset = extract_nodal(squared, BOX, 0.1)
     assert nset.curves
-    assert not any(c.stable for c in nset.curves)
+    assert not any(c.converged for c in nset.curves)
 
 
 class CountingField:
@@ -356,21 +378,16 @@ class CountingField:
 
 
 def test_newton_polish_field_calls():
-    # per iteration: the residual, then one call with six stencil points per vertex
+    # per iteration: the residual, then one call with six stencil points per
+    # vertex; the circle's field is solved by one step, and the Jacobians
+    # returned are those of the converged evaluation
     rng = np.random.default_rng(2)
     pts = circle(32, 0.5) + 0.02 * rng.normal(size=(32, 3))
     field = CountingField(circle_field)
-    polished = newton_polish(field, pts, max_iter=3)
+    polished, converged, _ = newton_polish(field, pts)
     assert np.max(np.abs(circle_field(polished))) <= 1e-9
-    assert len(field.calls) <= 2 * 3
-    assert set(field.calls) == {32, 6 * 32}
-
-
-def test_stability_margin_field_calls():
-    curve = extract_nodal(circle_field, BOX, 0.05).closed_curves()[0]
-    field = CountingField(circle_field)
-    assert stability_margin(field, curve) == stability_margin(circle_field, curve)
-    assert field.calls == [len(curve), 6 * len(curve)]
+    assert converged.all()
+    assert field.calls == [32, 6 * 32] * 2
 
 
 def test_serialization_roundtrip():

@@ -9,7 +9,7 @@ splits its matmul rows at the pair-sized seam of its rule's node count.
 import numpy as np
 import pytest
 
-from eigenknot import sphere
+from eigenknot import helmholtz, sphere
 from eigenknot.harmonics import eval_harmonic, eval_harmonic_grad, synthesize, zonal_derivatives
 from eigenknot.helmholtz import (
     BesselSum,
@@ -112,20 +112,24 @@ def test_blocks_agree_with_parts_at_pair_seam(name):
 
 def test_grid_blocks_agree_with_parts_at_pair_seam(monkeypatch):
     # eval_bessel_sum_grid's matmul rows are (axis-0, axis-1) pairs in blocks
-    # of block_rows(Q); with one axis-1 point the axis-0 points are the rows
+    # of block_rows(Q); with one axis-1 point the axis-0 points are the rows.
+    # The 3-point tail is too small for eval_bessel_sum_grid to choose the
+    # plane waves, so both parts take _plane_wave_grid at their own degree.
     seen = []
     real = sphere.block_rows
     monkeypatch.setattr(sphere, "block_rows", lambda n: seen.append(n) or real(n))
-    axes = [np.linspace(-1.0, 1.0, 2), [0.3], np.linspace(-0.5, 0.5, 3)]
-    eval_bessel_sum_grid(BIG_SUM, axes)
-    (nodes,) = set(seen)
-    assert nodes != len(BIG_SUM)  # the plane-wave path, not the points path
+
+    def plane_waves(axes):
+        return helmholtz._plane_wave_grid(BIG_SUM, axes, helmholtz._grid_degree(BIG_SUM, axes))
+
+    axes = [np.linspace(-1.0, 1.0, 2), np.array([0.3]), np.linspace(-0.5, 0.5, 3)]
+    nodes = helmholtz._rule_size(helmholtz._grid_degree(BIG_SUM, axes))
     seam = real(nodes)
     axes[0] = np.linspace(-1.0, 1.0, seam + 1)
-    seen.clear()
     whole = eval_bessel_sum_grid(BIG_SUM, axes)
+    assert nodes != len(BIG_SUM)  # so block_rows(nodes) marks the plane-wave path
     assert set(seen) == {nodes} and whole.shape == (seam + 1, 1, 3)
-    head, tail = (eval_bessel_sum_grid(BIG_SUM, [part, *axes[1:]]) for part in (axes[0][:seam], axes[0][seam:]))
+    head, tail = (plane_waves([part, *axes[1:]]) for part in (axes[0][:seam], axes[0][seam:]))
     expected = np.concatenate([head, tail])
     assert np.max(np.abs(whole - expected)) <= 1e-13 * np.max(np.abs(expected))
 
