@@ -111,10 +111,10 @@ def _positive(cast, key: str, value):
     return out
 
 
-def _choice(key: str, value, options: tuple) -> str:
+def _choice(key: str, value, options: tuple):
     """A config value that must be one of `options`; anything else names its key."""
     if value not in options:
-        raise ConfigError(f"config key {key} must be one of {', '.join(options)}, got {value!r}")
+        raise ConfigError(f"config key {key} must be one of {', '.join(map(str, options))}, got {value!r}")
     return value
 
 
@@ -183,6 +183,13 @@ def _load_bessel(path: str) -> BesselSum:
     return BesselSum.from_json(Path(path).read_text())
 
 
+def _three_dimensional(key: str, bsum: BesselSum) -> BesselSum:
+    """bsum, read from the file under `key`; a Bessel sum in n != 3 names that key."""
+    if bsum.n != 3:
+        raise ConfigError(f"config key {key} must name a Bessel sum in n = 3, got n = {bsum.n}")
+    return bsum
+
+
 def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> sphere.Chart:
     """chart = random | adapted.  Spinor work defaults to the adapted gauge
     (chart frame aligned with the left-invariant frame at the base point);
@@ -204,6 +211,7 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
 
 def cmd_approximate(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
+    _choice("n", _int("n", cfg.get("n", 3)), (3,))
     density = _density_from_config(cfg)
     delta = _positive(_float, "delta", cfg.get("delta", 1e-3))
     radius = _positive(_float, "radius", cfg.get("radius", 2.5))
@@ -246,7 +254,8 @@ def cmd_spinorize(cfg: dict) -> int:
     src1 = str(_require(cfg, "input1"))
     src2 = str(_require(cfg, "input2"))
     k = _positive(_int, "k", _require(cfg, "k"))
-    b1, b2 = _load_bessel(src1), _load_bessel(src2)
+    b1 = _three_dimensional("input1", _load_bessel(src1))
+    b2 = _three_dimensional("input2", _load_bessel(src2))
     chart = _chart_from_config(cfg, 3, default_kind="adapted")
     manifest = write_manifest(out, cfg, [src1, src2])
     y1 = harmonics.synthesize(b1, k, chart)
@@ -262,7 +271,7 @@ def cmd_spinorize(cfg: dict) -> int:
         out,
         {
             "components": [p.name for p in comp_paths],
-            "orientation": psi.orientation,
+            "orientation": 1,
             "projected": True,
             "k": k,
             "eigenvalue": 1.5 + k,
@@ -276,11 +285,15 @@ def cmd_spinorize(cfg: dict) -> int:
 
 def load_spinor(path: str):
     doc = json.loads(Path(path).read_text())
+    # spinor3.GAMMA fixes the frame orientation; a file recorded with the other
+    # one would be evaluated in the wrong convention
+    if doc.get("orientation", 1) != 1:
+        raise ConfigError(f"{path}: orientation must be 1, got {doc['orientation']!r}")
     base = Path(path).parent
     y1, chart = _load_harmonic(str(base / doc["components"][0]))
     y2, _ = _load_harmonic(str(base / doc["components"][1]))
     k = int(doc["k"])
-    psi = spinor3.SpinorField3((y1, y2), orientation=doc.get("orientation", 1), k=k)
+    psi = spinor3.SpinorField3((y1, y2), k=k)
     if doc.get("projected", False):
         psi = spinor3.dirac_project(psi, k)
     return psi, chart, k
@@ -300,7 +313,7 @@ def cmd_verify(cfg: dict) -> int:
         raise ConfigError(f"config key m must be 0, 1 or 2, got {m!r}")
     seed = _int("seed", cfg.get("seed", 0))
     h = _positive(_float, "h", cfg.get("h", 0.125))
-    bsum = _load_bessel(src)
+    bsum = _three_dimensional("input", _load_bessel(src))
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(out, cfg, [src])
     rows = []
@@ -337,14 +350,13 @@ def cmd_nodal(cfg: dict) -> int:
     lo = _floats("box_lo", cfg.get("box_lo", [-0.8, -0.8, -0.8]), 3)
     hi = _floats("box_hi", cfg.get("box_hi", [0.8, 0.8, 0.8]), 3)
     doc = json.loads(Path(src).read_text())
-    manifest = write_manifest(out, cfg, [src])
     fields = []
     if "components" in doc:
         psi, chart, k = load_spinor(src)
         for a in (0, 1):
             fields.append((f"component{a + 1}", spinor3.component_pullback(psi, a, chart, k)))
     else:
-        bsum = BesselSum.from_dict(doc)
+        bsum = _three_dimensional("input", BesselSum.from_dict(doc))
         # extract_nodal reads this field only through its grid and its jet,
         # both bessel_sum_field's, and never makes the plain call; that call
         # goes through this module's eval_bessel_sum only to keep the binding
@@ -353,6 +365,7 @@ def cmd_nodal(cfg: dict) -> int:
         field = lambda x: eval_bessel_sum(bsum, x)
         field.jet, field.grid = base.jet, base.grid
         fields.append(("field", field))
+    manifest = write_manifest(out, cfg, [src])
 
     all_curves = []
     closed_by_field = []
@@ -392,7 +405,7 @@ def cmd_nodal(cfg: dict) -> int:
 
 def cmd_torus(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
-    n = _int("n", cfg.get("n", 3))
+    n = _choice("n", _int("n", cfg.get("n", 3)), (2, 3, 4))
     key = "k_sweep" if "k_sweep" in cfg else "k"
     ks = cfg.get(key, [3])
     if not isinstance(ks, list):

@@ -381,21 +381,32 @@ def bessel_sum_field(s: BesselSum):
     return field
 
 
-def helmholtz_residual(fieldfn, box, h: float) -> float:
-    """max over an interior grid of |Delta_h(phi) + phi| by 2n+1-point stencil."""
+def lattice_stencils(fieldfn, box, h: float):
+    """(phi, its central first differences, its 2n+1-point Laplacian) on the box's lattice of step h.
+
+    fieldfn is called once, on that lattice padded by one step; the
+    differences stack on a leading axis of length n.
+    """
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     n = len(lo)
     axes = [np.arange(lo[d] - h, hi[d] + h + 1e-12, h) for d in range(n)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    shape = grid.shape[:-1]
-    vals = np.asarray(fieldfn(grid.reshape(-1, n)), dtype=complex).reshape(shape)
+    vals = np.asarray(fieldfn(grid.reshape(-1, n)), dtype=complex).reshape(grid.shape[:-1])
     core = tuple(slice(1, -1) for _ in range(n))
     lap = -2.0 * n * vals[core]
+    grad = []
     for d in range(n):
         up = tuple(slice(2, None) if i == d else slice(1, -1) for i in range(n))
         dn = tuple(slice(0, -2) if i == d else slice(1, -1) for i in range(n))
         lap = lap + vals[up] + vals[dn]
-    return float(np.max(np.abs(lap / (h * h) + vals[core])))
+        grad.append((vals[up] - vals[dn]) / (2 * h))
+    return vals[core], np.stack(grad), lap / (h * h)
+
+
+def helmholtz_residual(fieldfn, box, h: float) -> float:
+    """max over the box's lattice of |Delta_h(phi) + phi| by 2n+1-point stencil."""
+    vals, _, lap = lattice_stencils(fieldfn, box, h)
+    return float(np.max(np.abs(lap + vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,33 +526,40 @@ def _ball_grid(radius: float, spacing: float) -> np.ndarray:
     return g[np.linalg.norm(g, axis=1) <= radius + 1e-12]
 
 
-def _fit_kernel_sum(targetfn, n, radius, spacing, fit_radius, fit_spacing, rcond=1e-9):
-    """Least-squares kernel-translate fit of a field on a ball grid.
+#: The kernel fit samples its target on a grid of the ball of this radius,
+#: with 0.4 times the spacing of the centers.
+_FIT_RADIUS = 1.6
+#: Singular values below this fraction of the largest are dropped from the fit.
+_FIT_RCOND = 1e-9
 
-    Truncated SVD keeps the coefficient mass finite; the near-nullspace of
-    overlapping unit-frequency kernels would otherwise absorb arbitrarily
-    large cancelling components.
+
+def _fit_kernel_sum(targetfn, radius, spacing):
+    """Least-squares fit of an n = 3 field by kernel translates on a ball grid.
+
+    Centers fill the ball of `radius` at `spacing`.  Truncated SVD keeps the
+    coefficient mass finite; the near-nullspace of overlapping unit-frequency
+    kernels would otherwise absorb arbitrarily large cancelling components.
     """
-    if n != 3:
-        raise NotImplementedError("kernel-sum fitting is implemented for n = 3")
     centers = _ball_grid(radius, spacing)
-    fit_pts = _ball_grid(fit_radius, fit_spacing)
-    K = _kernel_matrix(n, fit_pts, centers)
+    fit_pts = _ball_grid(_FIT_RADIUS, 0.4 * spacing)
+    K = _kernel_matrix(3, fit_pts, centers)
     target = np.asarray(targetfn(fit_pts), dtype=complex)
     u, sing, vh = np.linalg.svd(K, full_matrices=False)
-    keep = sing > rcond * sing[0]
+    keep = sing > _FIT_RCOND * sing[0]
     coeffs = (vh[keep].conj().T * (1.0 / sing[keep])) @ (u[:, keep].conj().T @ target)
-    return BesselSum(n, coeffs, centers, radius)
+    return BesselSum(3, coeffs, centers, radius)
+
+
+#: herglotz_discretize checks its sup error at this many seeded points of the unit ball.
+_CHECK_POINTS = 1000
 
 
 def herglotz_discretize(
     f: HerglotzDensity,
     delta: float,
     radius: float = 2.5,
-    spacing: float | None = None,
     max_terms: int = 4000,
     seed: int = 0,
-    check_points: int = 1000,
 ) -> BesselSum:
     """Approximate the Herglotz field of f by a BesselSum on a grid of B_R.
 
@@ -550,26 +568,24 @@ def herglotz_discretize(
     choice of the coefficients from the Fourier transform of a bump-extended
     density also converges, but needs astronomically many cells for useful
     tolerances; the least-squares fit reaches 1e-10 with a few hundred
-    centers on the same grid.)  The achieved sup error over seeded check
-    points of the unit ball is verified against delta, refining the grid
-    once before giving up.
+    centers on the same grid.)  The first grid has spacing radius / 3.6.
+    The achieved sup error over seeded check points of the unit ball is
+    verified against delta, refining the grid once before giving up.
     """
     if f.n != 3:
         raise NotImplementedError("herglotz_discretize is implemented for n = 3")
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(check_points, 3))
-    pts *= (rng.uniform(0, 1, check_points) ** (1.0 / 3.0) / np.linalg.norm(pts, axis=1))[:, None]
+    pts = rng.normal(size=(_CHECK_POINTS, 3))
+    pts *= (rng.uniform(0, 1, _CHECK_POINTS) ** (1.0 / 3.0) / np.linalg.norm(pts, axis=1))[:, None]
     reference = eval_herglotz(f, pts)
 
-    spacing = spacing if spacing is not None else radius / 3.6
+    spacing = radius / 3.6
     attempt = None
     for _ in range(3):
         ncent = len(_ball_grid(radius, spacing))
         if ncent > max_terms:
             break
-        attempt = _fit_kernel_sum(
-            lambda x: eval_herglotz(f, x), 3, radius, spacing, 1.6, 0.4 * spacing
-        )
+        attempt = _fit_kernel_sum(lambda x: eval_herglotz(f, x), radius, spacing)
         achieved = float(np.max(np.abs(eval_bessel_sum(attempt, pts) - reference)))
         attempt.report = DiscretizeReport(
             delta, achieved, achieved / delta, radius, spacing, len(attempt)
@@ -676,6 +692,13 @@ def _is_closed(curve: np.ndarray) -> bool:
 
 #: Radius of the ball on which design_bessel_sum samples conversion_error.
 _CONVERSION_CHECK_RADIUS = 1.4
+#: The designed plane-wave components are fitted by kernels centered on a grid
+#: of this spacing in the ball of this radius.
+_CONVERT_RADIUS = 2.5
+_CONVERT_SPACING = 0.55
+#: Tikhonov weight of the collocation solve, relative to the mean diagonal of
+#: its normal matrix.
+_RIDGE = 1e-8
 
 
 @dataclass
@@ -683,41 +706,33 @@ class DesignResult:
     components: dict
     planewave: PlaneWaveSpinor
     curve_residual: dict
-    jet_scale: float
     conversion_error: dict
 
 
 def design_bessel_sum(
     targets,
-    n: int = 3,
     budget: int = 240,
-    jet_scale: float = 1.0,
-    ridge: float = 1e-8,
-    convert_radius: float = 2.5,
-    convert_spacing: float = 0.55,
     verify_tol: float | None = None,
     grid_h: float = 0.05,
 ) -> DesignResult:
-    """Least-squares collocation of Dirac-eigen plane waves on nodal targets.
+    """Least-squares collocation of Dirac-eigen plane waves on nodal targets in R^3.
 
     targets is a list of (polyline (S,3), component index in {0,1}); each
     curve contributes zero-value rows plus unit-scale transversality rows
-    (prescribed gradients jet_scale and 1j*jet_scale along the transported
-    normal frame).  The resulting spinor satisfies D_0 phi = phi exactly;
-    each constrained component is then converted to a BesselSum by the
-    kernel fit.  With verify_tol set, the extracted nodal curve of each
-    converted component must come within that Hausdorff distance of its
-    target.  A target vertex outside the ball where conversion_error is
+    (prescribed gradients 1 and 1j along the transported normal frame).  The
+    resulting spinor satisfies D_0 phi = phi exactly; each constrained
+    component is then converted to a BesselSum by the kernel fit on the
+    ball of radius _CONVERT_RADIUS.  With verify_tol set, the extracted
+    nodal curve of each converted component must come within that Hausdorff
+    distance of its target.  A target vertex outside the ball where conversion_error is
     sampled (radius _CONVERSION_CHECK_RADIUS = 1.4) is refused with a
     DesignError before any solve, since the conversion is not checked there.
     """
-    if n != 3:
-        raise NotImplementedError("the designer is implemented for n = 3")
     reach = max(float(np.linalg.norm(np.asarray(curve, dtype=float), axis=-1).max()) for curve, _ in targets)
     if reach > _CONVERSION_CHECK_RADIUS:
         raise DesignError(
             f"a target reaches |x| = {reach:.3g}, outside the radius-{_CONVERSION_CHECK_RADIUS} ball "
-            f"where the conversion to a Bessel sum (convert_radius={convert_radius}) is checked"
+            f"where the conversion to a Bessel sum (convert_radius={_CONVERT_RADIUS}) is checked"
         )
     xis = _fibonacci_sphere(budget)
     gam = np.einsum("qi,iab->qab", xis, np.stack(FLAT_GAMMA))
@@ -739,13 +754,13 @@ def design_bessel_sum(
         blocks.append(rows(pts, a))
         rhs.append(np.zeros(len(pts), dtype=complex))
         blocks.append(rows(pts, a, u))
-        rhs.append(np.full(len(pts), jet_scale, dtype=complex))
+        rhs.append(np.ones(len(pts), dtype=complex))
         blocks.append(rows(pts, a, v))
-        rhs.append(np.full(len(pts), 1j * jet_scale, dtype=complex))
+        rhs.append(np.full(len(pts), 1j, dtype=complex))
     amat = np.concatenate(blocks)
     bvec = np.concatenate(rhs)
     gram = amat.conj().T @ amat
-    alpha = np.linalg.solve(gram + ridge * np.trace(gram).real / len(gram) * np.eye(len(gram)), amat.conj().T @ bvec)
+    alpha = np.linalg.solve(gram + _RIDGE * np.trace(gram).real / len(gram) * np.eye(len(gram)), amat.conj().T @ bvec)
     wq = np.einsum("qab,qb->qa", proj, alpha.reshape(-1, 2))
     pw = PlaneWaveSpinor(xis, wq)
 
@@ -757,10 +772,7 @@ def design_bessel_sum(
     conversion_error = {}
     comp_indices = sorted({a for _, a in targets})
     for a in comp_indices:
-        bsum = _fit_kernel_sum(
-            lambda x: pw.component(a, x), 3, convert_radius, convert_spacing,
-            1.6, 0.4 * convert_spacing,
-        )
+        bsum = _fit_kernel_sum(lambda x: pw.component(a, x), _CONVERT_RADIUS, _CONVERT_SPACING)
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(400, 3))
         radii = _CONVERSION_CHECK_RADIUS * rng.uniform(0, 1, 400) ** (1.0 / 3.0)
@@ -770,7 +782,7 @@ def design_bessel_sum(
         )
         components[a] = bsum
 
-    result = DesignResult(components, pw, curve_residual, jet_scale, conversion_error)
+    result = DesignResult(components, pw, curve_residual, conversion_error)
     if verify_tol is not None:
         from . import nodal
 
@@ -862,8 +874,16 @@ class HopfPairDesign:
         return field
 
 
-def hopf_link_design(beta: float = 0.35, eps: float = 0.1, target_h: float = 0.2) -> HopfPairDesign:
+#: Hopf pair: weight of Phi_down, offset of the dipole centers, and the grid
+#: step of the target extraction.
+_HOPF_BETA = 0.35
+_HOPF_EPS = 0.1
+_HOPF_TARGET_H = 0.2
+
+
+def hopf_link_design() -> HopfPairDesign:
     """Build the closed-form Hopf-pair eigenfield and extract its target curves."""
+    beta, eps = _HOPF_BETA, _HOPF_EPS
     sq = math.sqrt(math.pi / 2.0)
     e = np.eye(3) * eps
     centers = np.array([np.zeros(3), -e[2], e[2], -e[0], e[0], -e[1], e[1]])
@@ -890,7 +910,7 @@ def hopf_link_design(beta: float = 0.35, eps: float = 0.1, target_h: float = 0.2
     from . import nodal
 
     for a in (0, 1):
-        curves = nodal.extract_nodal(design.exact_field(a), boxes[a], target_h)
+        curves = nodal.extract_nodal(design.exact_field(a), boxes[a], _HOPF_TARGET_H)
         closed = [c for c in curves.curves if c.closed]
         if not closed:
             raise DesignError("hopf_link_design: expected a closed nodal curve")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import sphere
 from .harmonics import UltrasphericalSum, zonal_derivatives
-from .helmholtz import FLAT_GAMMA, helmholtz_residual
+from .helmholtz import FLAT_GAMMA, lattice_stencils
 
 #: X_i(p) = E_i p for the left-invariant frame (right quaternion multiplication).
 FRAME_E = (
@@ -41,51 +41,10 @@ FRAME_E = (
 )
 
 
-@dataclass(frozen=True)
-class CliffordRep3:
-    """Clifford matrices of the left-invariant frame plus orientation record."""
-
-    gammas: tuple
-    orientation: int
-
-    def anticommutator_defect(self) -> float:
-        worst = 0.0
-        for i in range(3):
-            for j in range(3):
-                acom = self.gammas[i] @ self.gammas[j] + self.gammas[j] @ self.gammas[i]
-                worst = max(worst, float(np.max(np.abs(acom + 2.0 * (i == j) * np.eye(2)))))
-        return worst
-
-
-def _structure_defect(g) -> float:
-    return max(
-        float(np.max(np.abs(g[1] @ g[2] + g[0]))),
-        float(np.max(np.abs(g[2] @ g[0] + g[1]))),
-        float(np.max(np.abs(g[0] @ g[1] + g[2]))),
-    )
-
-
-def standard_clifford3() -> CliffordRep3:
-    """gamma_i = i sigma_i, orientation-flipped automatically if needed.
-
-    The bracket convention [X_1, X_2] = 2 X_3 requires gamma_2 gamma_3 =
-    -gamma_1 cyclically; if a candidate set satisfies it only after swapping
-    two frame legs the flip is recorded as orientation -1.
-    """
-    if _structure_defect(FLAT_GAMMA) < 1e-14:
-        rep = CliffordRep3(FLAT_GAMMA, +1)
-    else:
-        flipped = (FLAT_GAMMA[1], FLAT_GAMMA[0], FLAT_GAMMA[2])
-        if _structure_defect(flipped) >= 1e-14:
-            raise RuntimeError("no orientation of the Pauli set matches the frame algebra")
-        rep = CliffordRep3(flipped, -1)
-    if rep.anticommutator_defect() > 1e-14:
-        raise RuntimeError("Clifford anticommutation relations violated")
-    return rep
-
-
-CLIFFORD = standard_clifford3()
-GAMMA = CLIFFORD.gammas
+#: gamma_i = i sigma_i.  They satisfy gamma_2 gamma_3 = -gamma_1 cyclically, the
+#: relation the bracket [X_1, X_2] = 2 X_3 asks for, so no leg of the frame is
+#: swapped and spinor files record orientation 1.
+GAMMA = FLAT_GAMMA
 
 
 def frame_vectors(p):
@@ -171,11 +130,10 @@ def _fd_frame_jet(fn, p, order: int, step: float = 1e-6):
 
 
 def component_jet(comp, p, order: int):
+    """Frame jets of one scalar component: a harmonic sum, a constant or a callable."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if isinstance(comp, UltrasphericalSum):
         return zonal_jet(comp, p, order)
-    if isinstance(comp, _ProjectedComponent):
-        return comp.jet(p, order)
     if isinstance(comp, (int, float, complex)):
         out = [np.full(len(p), complex(comp))]
         out += [np.zeros((len(p),) + (3,) * m, dtype=complex) for m in range(1, order + 1)]
@@ -183,35 +141,29 @@ def component_jet(comp, p, order: int):
     return _fd_frame_jet(comp, p, order)
 
 
-def component_values(comp, p):
-    return component_jet(comp, p, 0)[0]
-
-
 @dataclass
 class SpinorField3:
-    """Two scalar components in the Killing frame, plus the sign convention."""
+    """Two scalar components in the Killing frame."""
 
     components: tuple
-    orientation: int = CLIFFORD.orientation
     k: int | None = None
 
+    def jets(self, p, order: int):
+        """Jets of both components on a last axis; a harmonic pair shares one pass."""
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        a, b = self.components
+        pair = isinstance(a, UltrasphericalSum) and isinstance(b, UltrasphericalSum)
+        if pair and (a.n, a.k) == (b.n, b.k):
+            centers, inv = np.unique(np.concatenate([a.centers, b.centers]), axis=0, return_inverse=True)
+            coeffs = np.zeros((len(centers), 2), dtype=complex)
+            column = np.repeat([0, 1], [len(a), len(b)])
+            np.add.at(coeffs, (inv.ravel(), column), np.concatenate([a.coeffs, b.coeffs]))
+            return zonal_jet(UltrasphericalSum(a.n, a.k, coeffs, centers), p, order)
+        jets = [component_jet(c, p, order) for c in self.components]
+        return [np.stack([jets[0][m], jets[1][m]], axis=-1) for m in range(order + 1)]
+
     def values(self, p):
-        return _pair_jets(self, p, 0)[0]
-
-
-def _pair_jets(psi: SpinorField3, p, order: int):
-    """Jets of both components on a last axis; a harmonic pair shares one pass."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    a, b = psi.components
-    pair = isinstance(a, UltrasphericalSum) and isinstance(b, UltrasphericalSum)
-    if pair and (a.n, a.k) == (b.n, b.k):
-        centers, inv = np.unique(np.concatenate([a.centers, b.centers]), axis=0, return_inverse=True)
-        coeffs = np.zeros((len(centers), 2), dtype=complex)
-        column = np.repeat([0, 1], [len(a), len(b)])
-        np.add.at(coeffs, (inv.ravel(), column), np.concatenate([a.coeffs, b.coeffs]))
-        return zonal_jet(UltrasphericalSum(a.n, a.k, coeffs, centers), p, order)
-    jets = [component_jet(c, p, order) for c in psi.components]
-    return [np.stack([jets[0][m], jets[1][m]], axis=-1) for m in range(order + 1)]
+        return self.jets(p, 0)[0]
 
 
 def _dirac_jets(jets, shift: float, order: int):
@@ -222,53 +174,57 @@ def _dirac_jets(jets, shift: float, order: int):
     ]
 
 
-def dirac_apply(psi: SpinorField3, p):
+@dataclass
+class ProjectedSpinor3:
+    """The eigenfield psi = (Dslash + mu) base / (2 mu), mu = k + 1, of a degree-k pair.
+
+    psi is linear in D, so its jets through order m are those of the base
+    through order m + 1, for both components in one pass.
+    """
+
+    base: SpinorField3 | ProjectedSpinor3
+    k: int
+
+    def jets(self, p, order: int):
+        jets = _dirac_jets(self.base.jets(p, order + 1), self.k + 2.0, order)
+        return [arr / (2.0 * (self.k + 1)) for arr in jets]
+
+    def values(self, p):
+        return self.jets(p, 0)[0]
+
+
+def dirac_apply(psi, p):
     """D psi = sum_i gamma_i X_i psi + (3/2) psi at batched points: (M, 2)."""
-    return _dirac_jets(_pair_jets(psi, p, 1), 1.5, 0)[0]
+    return _dirac_jets(psi.jets(p, 1), 1.5, 0)[0]
 
 
-def dirac_slash_apply(psi: SpinorField3, p):
+def dirac_slash_apply(psi, p):
     """(D - 1/2) psi."""
-    return _dirac_jets(_pair_jets(psi, p, 1), 1.0, 0)[0]
+    return _dirac_jets(psi.jets(p, 1), 1.0, 0)[0]
 
 
-class _ProjectedComponent:
-    """Component a of the projected eigenfield built from a harmonic pair.
+def _sphere_samples(samples: int, seed: int):
+    p = np.random.default_rng(seed).normal(size=(samples, 4))
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
 
-    psi = (Dslash + mu) psit / (2 mu) with mu = k + 1 is linear in D, so its
-    frame jets through order m need base jets through order m + 1 only.
+
+def harmonicity(psi, k: int, samples: int = 32, seed: int = 0) -> tuple:
+    """Per component a, the residual of -sum_i X_i X_i psi_a = lam psi_a,
+    lam = k(k+2), on random points, relative to lam max |psi_a| (to max |psi_a|
+    at k = 0); a zero component reads 0.
+
+    Both sides are of size lam |psi_a|, so their rounding grows like lam eps;
+    a degree-(k+1) component misses by (2k + 3) |psi_a|, about 2 / k relative.
     """
-
-    def __init__(self, base: SpinorField3, k: int, index: int):
-        self.base = base
-        self.k = k
-        self.index = index
-
-    def jet(self, p, order: int):
-        jets = _dirac_jets(_pair_jets(self.base, p, order + 1), self.k + 2.0, order)
-        return [arr[..., self.index] / (2.0 * (self.k + 1)) for arr in jets]
-
-
-def component_harmonicity(comp, k: int, samples: int = 32, seed: int = 0) -> float:
-    """Residual of -sum_i X_i X_i psi = lam psi, lam = k(k+2), on random points,
-    relative to lam max |psi| (to max |psi| at k = 0).
-
-    Both sides are of size lam |psi|, so their rounding grows like lam eps;
-    a degree-(k+1) component misses by (2k + 3) |psi|, about 2 / k relative.
-    """
-    rng = np.random.default_rng(seed)
-    p = rng.normal(size=(samples, 4))
-    p /= np.linalg.norm(p, axis=1, keepdims=True)
-    jets = component_jet(comp, p, 2)
+    jets = psi.jets(_sphere_samples(samples, seed), 2)
     lap = -(jets[2][:, 0, 0] + jets[2][:, 1, 1] + jets[2][:, 2, 2])
     lam = k * (k + 2.0)
-    scale = max(lam, 1.0) * float(np.abs(jets[0]).max())
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(lap - lam * jets[0]).max() / scale)
+    scales = max(lam, 1.0) * np.abs(jets[0]).max(axis=0)
+    defects = np.abs(lap - lam * jets[0]).max(axis=0)
+    return tuple(float(d / s) if s else 0.0 for d, s in zip(defects, scales))
 
 
-def dirac_project(psi_tilde: SpinorField3, k: int) -> SpinorField3:
+def dirac_project(psi_tilde, k: int) -> ProjectedSpinor3:
     """Project a spinor with degree-k harmonic components onto the D-eigenspace.
 
     psi = (Dslash + mu) psit / (2 mu), Dslash = D - 1/2, mu = k + 1.  With
@@ -280,55 +236,48 @@ def dirac_project(psi_tilde: SpinorField3, k: int) -> SpinorField3:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    for comp in psi_tilde.components:
-        if callable(comp) and not isinstance(comp, (UltrasphericalSum, _ProjectedComponent)):
-            raise TypeError("dirac_project needs analytic components (harmonic sums or constants)")
-        resid = component_harmonicity(comp, k)
+    if isinstance(psi_tilde, SpinorField3) and any(
+        callable(c) and not isinstance(c, UltrasphericalSum) for c in psi_tilde.components
+    ):
+        raise TypeError("dirac_project needs analytic components (harmonic sums or constants)")
+    for a, resid in enumerate(harmonicity(psi_tilde, k)):
         if resid > 1e-6:
             raise ValueError(
-                f"component is not a degree-{k} spherical harmonic "
+                f"component {a + 1} is not a degree-{k} spherical harmonic "
                 f"(laplace residual {resid:.2e})"
             )
-    return SpinorField3(
-        (_ProjectedComponent(psi_tilde, k, 0), _ProjectedComponent(psi_tilde, k, 1)),
-        orientation=psi_tilde.orientation,
-        k=k,
-    )
+    return ProjectedSpinor3(psi_tilde, k)
 
 
-def dirac_residual(psi: SpinorField3, lam: float, samples: int = 64, seed: int = 0) -> float:
+def dirac_residual(psi, lam: float, samples: int = 64, seed: int = 0) -> float:
     """max |D psi - lam psi| / max |psi| over seeded random sphere points."""
-    rng = np.random.default_rng(seed)
-    p = rng.normal(size=(samples, 4))
-    p /= np.linalg.norm(p, axis=1, keepdims=True)
-    vals = psi.values(p)
-    dv = dirac_apply(psi, p)
+    jets = psi.jets(_sphere_samples(samples, seed), 1)
+    vals = jets[0]
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return 0.0
-    return float(np.abs(dv - lam * vals).max() / scale)
+    return float(np.abs(_dirac_jets(jets, 1.5, 0)[0] - lam * vals).max() / scale)
 
 
-def component_pullback(psi: SpinorField3, index: int, chart: sphere.Chart, k: int):
+def component_pullback(psi, index: int, chart: sphere.Chart, k: int):
     """Callable x -> psi_index(Psi^{-1}(x/k)) for nodal extraction in the chart.
 
     Its ``jet`` attribute maps (M, 3) points to the value and the gradient in
-    C^3 from one order-1 frame jet: the ambient gradient at p is
+    C^3 from one order-1 jet of psi: the ambient gradient at p is
     sum_i (X_i psi) E_i p, and the chain rule through y = x/k gives
     (1/k) (d exp_y)^T of it (sphere.chart_gradient).  The attribute lives in
     the function's own ``__dict__``, which ``functools.wraps`` copies onto a
     wrapper.
     """
-    comp = psi.components[index]
 
     def fn(x):
         p = sphere.chart_to_sphere(chart, np.asarray(x, dtype=float) / k)
-        return component_values(comp, p)
+        return psi.values(p)[..., index]
 
     def jet(x):
         y = np.asarray(x, dtype=float) / k
         p = sphere.chart_to_sphere(chart, y)
-        value, frame_grad = component_jet(comp, p, 1)
+        value, frame_grad = (arr[..., index] for arr in psi.jets(p, 1))
         ambient = np.einsum("mi,mia->ma", frame_grad, frame_vectors(p))
         return value, sphere.chart_gradient(chart, y, ambient) / k
 
@@ -339,27 +288,17 @@ def component_pullback(psi: SpinorField3, index: int, chart: sphere.Chart, k: in
 def euclidean_dirac_check(pair, box, h: float):
     """Flat-space check of D_0 phi = phi plus componentwise Helmholtz residuals.
 
-    pair is two complex field evaluators on R^3; derivatives are central
-    finite differences of step h, so exact solutions score O(h^2).  Returns
+    pair is two complex field evaluators on R^3, each evaluated once on the
+    lattice of step h; derivatives are central finite differences, so exact
+    solutions score O(h^2).  Returns
     (dirac_residual, (helmholtz_residual_1, helmholtz_residual_2)).
     """
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    ax = [np.arange(lo[d], hi[d] + 1e-12, h) for d in range(3)]
-    grid = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    vals = np.stack([np.asarray(f(grid), dtype=complex) for f in pair], axis=-1)
+    stencils = [lattice_stencils(f, box, h) for f in pair]
+    vals = np.stack([s[0] for s in stencils], axis=-1)
     out = -vals
     for mu in range(3):
-        e = np.zeros(3)
-        e[mu] = h
-        dmu = np.stack(
-            [
-                (np.asarray(f(grid + e), dtype=complex) - np.asarray(f(grid - e), dtype=complex)) / (2 * h)
-                for f in pair
-            ],
-            axis=-1,
-        )
-        out = out + dmu @ FLAT_GAMMA[mu].T
+        out = out + np.stack([s[1][mu] for s in stencils], axis=-1) @ FLAT_GAMMA[mu].T
     scale = max(float(np.abs(vals).max()), 1e-300)
     dirac_res = float(np.abs(out).max() / scale)
-    helm = tuple(helmholtz_residual(f, box, h) / scale for f in pair)
+    helm = tuple(float(np.max(np.abs(lap + v))) / scale for v, _, lap in stencils)
     return dirac_res, helm

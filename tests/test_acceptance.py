@@ -27,7 +27,6 @@ from eigenknot.spinor3 import (
     SpinorField3,
     adapted_chart,
     component_pullback,
-    component_values,
     dirac_project,
     dirac_residual,
 )
@@ -184,8 +183,8 @@ def test_criterion_8_weitzenboeck_projection():
                 c = ek.random_chart(3, 900 + i, p0=p[i])
                 offsets = np.concatenate([h * np.eye(3), -h * np.eye(3)])
                 pts = ek.chart_to_sphere(c, offsets)
-                vals = component_values(psi.components[0], pts)
-                center = component_values(psi.components[0], p[i : i + 1])[0]
+                vals = psi.values(pts)[:, 0]
+                center = psi.values(p[i : i + 1])[0, 0]
                 lap = -(vals.sum() - 6.0 * center) / (h * h)
                 worst = max(worst, abs(lap - k * (k + 2.0) * center))
             return worst

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eigenknot.helmholtz import BesselSum
 from eigenknot.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -158,7 +159,7 @@ def test_spinorize_pipeline(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["eigenvalue"] == 13.5
     assert doc["dirac_residual"] <= 1e-8
-    assert doc["orientation"] in (-1, 1)
+    assert doc["orientation"] == 1
     for name in doc["components"]:
         assert (tmp_path / name).is_file()
 
@@ -268,6 +269,10 @@ def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):
         ("torus", "trials=0", "trials"),
         ("approximate", "resolution=0", "resolution"),
         ("verify", "m=5", "m"),
+        # dimensions without an implementation
+        ("approximate", "n=4", "n"),
+        ("torus", "n=1", "n"),
+        ("torus", "n=5", "n"),
     ],
 )
 def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, key):
@@ -324,6 +329,38 @@ def test_bad_list_config_value_exit_code(tmp_path, capsys, command, setting, key
 def test_unknown_string_config_value_exit_code(tmp_path, capsys, command, setting, message):
     key = setting.split("=")[0]
     assert _config_error_names_key(tmp_path, capsys, command, setting, key, extra=["k=3"]) == message
+
+
+@pytest.mark.parametrize(
+    "command, settings, key",
+    [
+        ("verify", ["input={n4}"], "input"),
+        ("nodal", ["input={n4}"], "input"),
+        ("spinorize", ["input1={n4}", "input2={n3}", "k=12"], "input1"),
+        ("spinorize", ["input1={n3}", "input2={n4}", "k=12"], "input2"),
+    ],
+    ids=["verify", "nodal", "spinorize-input1", "spinorize-input2"],
+)
+def test_bessel_input_outside_three_dimensions_exit_code(tmp_path, capsys, command, settings, key):
+    n4 = tmp_path / "n4.json"
+    n4.write_text(BesselSum(4, [1.0], [[0.0] * 4], 0.0).to_json())
+    settings = [s.format(n4=n4, n3=data_path("single_center.json")) for s in settings]
+    _config_error_names_key(tmp_path, capsys, command, settings[0], key, extra=settings[1:])
+
+
+def test_nodal_refuses_other_orientation(tmp_path, capsys):
+    single = data_path("single_center.json")
+    spinor = tmp_path / "spinor.json"
+    argv = ["spinorize", "--out", str(spinor), "--set", f"input1={single}", "--set", f"input2={single}"]
+    assert main(argv + ["--set", "k=12"]) == EXIT_OK
+    doc = json.loads(spinor.read_text())
+    doc["orientation"] = -1
+    spinor.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={spinor}", "--set", "h=0.3"]
+    assert main(argv) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "orientation" in err["detail"]
 
 
 def test_nodal_field_box_sides_fall_back_separately(tmp_path, monkeypatch):

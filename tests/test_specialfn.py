@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,7 +176,6 @@ def test_gauss_gegenbauer_matches_scipy_rule(n):
 
 def gauss_legendre_reference(m: int):
     """40-digit Gauss-Legendre nodes and weights, by Newton on the recurrence."""
-    mpmath = pytest.importorskip("mpmath")
     nodes, weights = [], []
     with mpmath.workdps(40):
         for i in range(m, 0, -1):
@@ -275,7 +275,6 @@ def c3_scale(k: int, d: int) -> float:
 
 def chebyu_reference(k: int, chord: float, order: int):
     """[C, ..., C^(order)] from 50-digit U_k, T_{k+1} and the Gegenbauer equation."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         c = mpmath.mpf(chord)
         t = 1 - c * c / 2 if chord >= 0 else c * c / 2 - 1

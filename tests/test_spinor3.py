@@ -1,5 +1,6 @@
 """Dirac operator on S^3: conventions, projection, residuals, flat checks."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,18 +13,14 @@ from eigenknot.spinor3 import (
     adapted_chart,
     GAMMA,
     SpinorField3,
-    _pair_jets,
-    component_harmonicity,
-    component_jet,
     component_pullback,
-    component_values,
     dirac_apply,
     dirac_project,
     dirac_residual,
     dirac_slash_apply,
     euclidean_dirac_check,
     frame_vectors,
-    standard_clifford3,
+    harmonicity,
     zonal_jet,
 )
 
@@ -56,9 +53,12 @@ def harmonic_pair(chart):
 
 
 def test_clifford_relations():
-    rep = standard_clifford3()
-    assert rep.orientation in (-1, 1)
-    assert rep.anticommutator_defect() <= 1e-14
+    for i in range(3):
+        j, l = (i + 1) % 3, (i + 2) % 3
+        assert np.max(np.abs(GAMMA[j] @ GAMMA[l] + GAMMA[i])) <= 1e-15  # gamma_2 gamma_3 = -gamma_1
+        for j in range(3):
+            acom = GAMMA[i] @ GAMMA[j] + GAMMA[j] @ GAMMA[i]
+            assert np.max(np.abs(acom + 2.0 * (i == j) * np.eye(2))) <= 1e-15
     rng = np.random.default_rng(0)
     for _ in range(20):
         u = rng.normal(size=3)
@@ -148,7 +148,6 @@ def mp_zonal_jets(Y, p):
     Gegenbauer polynomials of parameters 2 and 3.  The frame derivatives
     act as X_i X_l C(p . q) = C'' (E_i p . q)(E_l p . q) + C' (E_l E_i p . q).
     """
-    mpmath = pytest.importorskip("mpmath")
     out = [[], [], []]
     with mpmath.workdps(40):
         E = [mpmath.matrix(e.tolist()) for e in spinor3.FRAME_E]
@@ -196,7 +195,7 @@ def test_adapted_chart_refuses_zero_base():
 def test_zonal_laplacian_identity(chart):
     k = 14
     Y = ek.synthesize(rand_sum(9), k, chart)
-    assert component_harmonicity(Y, k, samples=24) <= 1e-11
+    assert max(harmonicity(SpinorField3((Y, Y)), k, samples=24)) <= 1e-11
 
 
 def test_projection_eigen_residual(chart):
@@ -271,40 +270,61 @@ def test_linear_projector_matches_quadratic_form(chart, k, shared):
     p = sphere_points(20, 50)
     ref = quadratic_projection_jets(psit, p, k)
     psi = dirac_project(psit, k)
+    jets = psi.jets(p, 1)
     for a in (0, 1):
-        jets = component_jet(psi.components[a], p, 1)
         for m in (0, 1):
             scale = np.max(np.abs(ref[m][..., a]))
-            assert np.max(np.abs(jets[m] - ref[m][..., a])) <= 1e-12 * scale
+            assert np.max(np.abs(jets[m][..., a] - ref[m][..., a])) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_pooled_pair_jets_match_separate_passes(chart, shared):
     psit = harmonic_pair_at(30, chart, shared)
     p = sphere_points(21, 40)
-    pooled = _pair_jets(psit, p, 2)
+    pooled = psit.jets(p, 2)
     for a, comp in enumerate(psit.components):
         for m, ref in enumerate(zonal_jet(comp, p, 2)):
             assert pooled[m].shape == ref.shape + (2,)
             assert np.max(np.abs(pooled[m][..., a] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_projected_values_make_one_first_order_pass(monkeypatch):
+def hopf_pair_at_base(k=60):
+    """The Hopf design's pair at degree k in the adapted chart at (0.3, -0.5, 0.7, 0.4)."""
     design = ek.hopf_link_design()
     chart = adapted_chart(np.array([0.3, -0.5, 0.7, 0.4]))
-    k = 60
-    ys = tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1))
-    psi = dirac_project(SpinorField3(ys, k=k), k)
-    orders = []
+    return SpinorField3(tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1)), k=k)
+
+
+def spy_zonal_jet(monkeypatch):
+    """Record (order, coefficient columns) of every spinor3.zonal_jet call."""
+    calls = []
     inner = spinor3.zonal_jet
 
     def counting(Y, p, order):
-        orders.append(order)
+        calls.append((order, Y.coeffs.shape[1:]))
         return inner(Y, p, order)
 
     monkeypatch.setattr(spinor3, "zonal_jet", counting)
-    component_values(psi.components[0], sphere_points(22, 30))
-    assert orders == [1]
+    return calls
+
+
+def test_projected_values_make_one_first_order_pass(monkeypatch):
+    psi = dirac_project(hopf_pair_at_base(), 60)
+    calls = spy_zonal_jet(monkeypatch)
+    psi.values(sphere_points(22, 30))
+    assert [order for order, _ in calls] == [1]
+
+
+def test_projected_pair_shares_one_jet_pass(monkeypatch):
+    # both components of the projected field, and both of the base pair in the
+    # degree check, come from one pooled pass over the shared centers
+    pair = hopf_pair_at_base()
+    calls = spy_zonal_jet(monkeypatch)
+    psi = dirac_project(pair, 60)
+    assert calls == [(2, (2,))]
+    calls.clear()
+    assert dirac_residual(psi, 61.5) <= 1e-10
+    assert calls == [(2, (2,))]
 
 
 @settings(max_examples=20, deadline=None)
@@ -350,16 +370,16 @@ def test_projection_accepts_high_degree_hopf_pair(k):
     # the residual is taken relative to k(k+2) max |psi|: relative to max |psi|
     # alone its rounding read 3.1e-6 at k = 1000 and 1.2e-4 at k = 2000
     pair = _hopf_pair(k)
-    assert max(component_harmonicity(c, k) for c in pair.components) <= 1e-7
+    assert max(harmonicity(pair, k)) <= 1e-7
     assert dirac_project(pair, k).k == k
 
 
 def test_projection_rejects_next_degree_at_high_k():
     # a degree-(k+1) component misses k(k+2) by 2k + 3: about 2/k = 6.7e-5 relative
     k = 30000
-    resid = component_harmonicity(_hopf_pair(k, (0, 1)).components[1], k)
+    resid = harmonicity(_hopf_pair(k, (0, 1)), k)[1]
     assert resid == pytest.approx(2.0 / k, rel=0.01)
-    with pytest.raises(ValueError, match="not a degree-30000"):
+    with pytest.raises(ValueError, match="component 2 is not a degree-30000"):
         dirac_project(_hopf_pair(k, (0, 1)), k)
 
 
@@ -378,8 +398,7 @@ def test_weitzenboeck_two_pass(harmonic_pair):
 def test_projected_component_harmonicity(harmonic_pair):
     psit, k = harmonic_pair
     psi = dirac_project(psit, k)
-    for comp in psi.components:
-        assert component_harmonicity(comp, k, samples=16) <= 1e-9
+    assert max(harmonicity(psi, k, samples=16)) <= 1e-9
     # chart finite-difference Laplacian converges at O(h^2)
     p = sphere_points(7, 6)
     def fd_lap(h):
@@ -388,8 +407,8 @@ def test_projected_component_harmonicity(harmonic_pair):
             c = ek.random_chart(3, 500 + i, p0=p[i])
             offsets = np.concatenate([h * np.eye(3), -h * np.eye(3)])
             pts = ek.chart_to_sphere(c, offsets)
-            vals = component_values(psi.components[0], pts)
-            center = component_values(psi.components[0], p[i : i + 1])[0]
+            vals = psi.values(pts)[:, 0]
+            center = psi.values(p[i : i + 1])[0, 0]
             lap = -(vals.sum() - 6.0 * center) / (h * h)
             worst = max(worst, abs(lap - k * (k + 2.0) * center))
         return worst
