@@ -179,8 +179,23 @@ def _density_from_config(cfg: dict) -> HerglotzDensity:
     return HerglotzDensity.from_function(n, fn, resolution)
 
 
-def _load_bessel(path: str) -> BesselSum:
-    return BesselSum.from_json(Path(path).read_text())
+#: The kinds of JSON file the commands write (spinorize, synthesize, approximate),
+#: each told by a key only it holds, tried in this order (a spinor file holds k too).
+_FILE_KINDS = (("components", "spinor"), ("k", "harmonic"), ("R", "Bessel sum"))
+
+
+def _read_input(key: str, path: str, kinds: tuple) -> dict:
+    """The JSON file named under `key`; a file of a kind outside `kinds` names that key."""
+    doc = json.loads(Path(path).read_text())
+    found = [kind for mark, kind in _FILE_KINDS if isinstance(doc, dict) and mark in doc]
+    kind = found[0] if found else "unrecognized"
+    if kind not in kinds:
+        raise ConfigError(f"config key {key} must name a {' or '.join(kinds)} file, got a {kind} file: {path}")
+    return doc
+
+
+def _load_bessel(key: str, path: str) -> BesselSum:
+    return BesselSum.from_dict(_read_input(key, path, ("Bessel sum",)))
 
 
 def _three_dimensional(key: str, bsum: BesselSum) -> BesselSum:
@@ -188,6 +203,13 @@ def _three_dimensional(key: str, bsum: BesselSum) -> BesselSum:
     if bsum.n != 3:
         raise ConfigError(f"config key {key} must name a Bessel sum in n = 3, got n = {bsum.n}")
     return bsum
+
+
+def _above_radius(key: str, k: int, *sums: BesselSum) -> None:
+    """Refuse a degree k <= R under `key`: synthesis needs the centers x_j / k inside the unit ball."""
+    radius = max(s.radius for s in sums)
+    if k <= radius:
+        raise ConfigError(f"config key {key} must exceed the input radius R = {radius:g}, got {k}")
 
 
 def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> sphere.Chart:
@@ -230,7 +252,8 @@ def cmd_synthesize(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
     k = _positive(_int, "k", _require(cfg, "k"))
-    bsum = _load_bessel(src)
+    bsum = _load_bessel("input", src)
+    _above_radius("k", k, bsum)
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(out, cfg, [src])
     Y = harmonics.synthesize(bsum, k, chart)
@@ -254,8 +277,9 @@ def cmd_spinorize(cfg: dict) -> int:
     src1 = str(_require(cfg, "input1"))
     src2 = str(_require(cfg, "input2"))
     k = _positive(_int, "k", _require(cfg, "k"))
-    b1 = _three_dimensional("input1", _load_bessel(src1))
-    b2 = _three_dimensional("input2", _load_bessel(src2))
+    b1 = _three_dimensional("input1", _load_bessel("input1", src1))
+    b2 = _three_dimensional("input2", _load_bessel("input2", src2))
+    _above_radius("k", k, b1, b2)
     chart = _chart_from_config(cfg, 3, default_kind="adapted")
     manifest = write_manifest(out, cfg, [src1, src2])
     y1 = harmonics.synthesize(b1, k, chart)
@@ -313,7 +337,9 @@ def cmd_verify(cfg: dict) -> int:
         raise ConfigError(f"config key m must be 0, 1 or 2, got {m!r}")
     seed = _int("seed", cfg.get("seed", 0))
     h = _positive(_float, "h", cfg.get("h", 0.125))
-    bsum = _three_dimensional("input", _load_bessel(src))
+    bsum = _three_dimensional("input", _load_bessel("input", src))
+    for k in sweep:
+        _above_radius("k_sweep", k, bsum)
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(out, cfg, [src])
     rows = []
@@ -349,7 +375,7 @@ def cmd_nodal(cfg: dict) -> int:
     h = _positive(_float, "h", cfg.get("h", 0.05))
     lo = _floats("box_lo", cfg.get("box_lo", [-0.8, -0.8, -0.8]), 3)
     hi = _floats("box_hi", cfg.get("box_hi", [0.8, 0.8, 0.8]), 3)
-    doc = json.loads(Path(src).read_text())
+    doc = _read_input("input", src, ("spinor", "Bessel sum"))
     fields = []
     if "components" in doc:
         psi, chart, k = load_spinor(src)
@@ -397,7 +423,7 @@ def cmd_nodal(cfg: dict) -> int:
         # principal (largest) closed curve of each component
         topo["linking"].append(_link_entry("cross", [0, 0], closed_by_field[0][0], closed_by_field[1][0]))
     Path(f"{out}.ply").write_text(nodal.curves_to_ply(all_curves, comment=f"manifest {manifest}"))
-    _write_json(Path(f"{out}.json"), json.loads(nodal.curves_to_json(all_curves)), manifest)
+    _write_json(Path(f"{out}.json"), {"curves": [c.to_dict() for c in all_curves]}, manifest)
     _write_json(Path(f"{out}.topology.json"), topo, manifest)
     print(f"wrote {out}.ply/.json/.topology.json ({len(all_curves)} curves)", file=sys.stderr)
     return EXIT_OK

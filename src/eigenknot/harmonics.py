@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sphere
-from .helmholtz import BesselSum, _pair_distances, eval_bessel_sum
+from .helmholtz import BesselSum, _pair_distances, eval_bessel_sum, eval_bessel_sum_grid
 from .specialfn import (
     gegenbauer3_chord_derivatives,
     gegenbauer_cnk_derivatives,
@@ -45,6 +45,10 @@ __all__ = [
     "localization_error",
     "multi_localization_reports",
     "decay_profile",
+    # phi at single points, next to rescaled_pullback; localization_error reads
+    # phi on its lattice through eval_bessel_sum_grid, and bench/tracing.py
+    # wraps this binding
+    "eval_bessel_sum",
 ]
 
 
@@ -346,13 +350,16 @@ def localization_error(
     order-m reading moves by less than 10%, so the stencil error stays well
     below the measured discrepancy.
 
-    Both fields are evaluated only where the stencils read: the ball itself
+    The pullback is evaluated only where the stencils read: the ball itself
     for m <= 1 (the axis neighbours of interior points lie in it), plus the
     diagonal neighbours of interior points that the mixed second differences
     reach for m = 2.  That is about a quarter of the padded cube (2457 of
-    9261 points at h = 0.125, radius 1).  Every other lattice point holds
-    NaN, so a stencil that strayed outside the support would make an order
-    non-finite, which raises rather than returning a number.
+    9261 points at h = 0.125, radius 1).  phi does not depend on k, and on
+    the whole lattice it is one plane-wave product (eval_bessel_sum_grid on
+    the lattice axes), of which only the support is read.  Every other
+    lattice point of the difference holds NaN, so a stencil that strayed
+    outside the support would make an order non-finite, which raises rather
+    than returning a number.
     """
     if m not in (0, 1, 2):
         raise ValueError(f"m must be 0, 1 or 2, got {m!r}")
@@ -374,9 +381,9 @@ def localization_error(
                 f"in the ball of radius {radius:g}; the order-{m} stencils need a smaller h"
             )
         support = _stencil_support(mask, interior, m)
-        pts = flat[support.ravel()]
         diff = np.full(mask.shape, np.nan, dtype=complex)
-        diff[support] = rescaled_pullback(Y, pts, chart) - eval_bessel_sum(phi, pts)
+        diff[support] = rescaled_pullback(Y, flat[support.ravel()], chart)
+        diff[support] -= eval_bessel_sum_grid(phi, [ax] * 3)[support]
         orders = _difference_orders(diff, mask, interior, step, m)
         if not np.all(np.isfinite(orders)):
             raise FloatingPointError(

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sphere
 from .specialfn import bessel_kernel, gauss_gegenbauer
 from .sphere import eval_rows
 
@@ -294,11 +295,13 @@ def _plane_wave_rule(degree: int):
     """Gauss-Legendre x trapezoid rule (nodes, weights) on S^2, exact through `degree`.
 
     degree // 2 + 1 Legendre nodes in cos(theta) times degree + 1 equispaced
-    azimuths (_rule_size(degree) nodes); the weights sum to 4 pi.
+    azimuths (_rule_size(degree) nodes); the weights sum to 4 pi.  The
+    Legendre rule is gauss_gegenbauer at alpha = 1/2: within 2e-16 of a
+    40-digit rule up to 60 nodes, where numpy's leggauss is off by up to
+    3.6e-15 in its weights, and it does not load numpy.polynomial (about
+    1 MiB of resident modules).
     """
-    from numpy.polynomial.legendre import leggauss
-
-    u, w = leggauss(degree // 2 + 1)
+    u, w = gauss_gegenbauer(degree // 2 + 1, 0.5)
     phi = _TWO_PI * np.arange(degree + 1) / (degree + 1)
     s = np.sqrt(1.0 - u * u)
     nodes = np.stack(
@@ -313,22 +316,67 @@ def _grid_degree(s: BesselSum, axes) -> int:
     return _plane_wave_degree(float(_pair_distances(corners, s.centers).max()))
 
 
+def _grid_centre(axes) -> np.ndarray:
+    """The centre of the box spanned by three axes: product grids take their phases about it."""
+    return np.array([0.5 * (a.min() + a.max()) for a in axes])
+
+
+def _exp_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """e^{i x_m y_n} as an (M, N) complex table.
+
+    cos and sin are written straight into its real and imaginary parts; the
+    complex temporaries of np.exp(1j * phase) raised verify_sweep's peak RSS
+    by about 0.5 MiB.
+    """
+    phase = np.multiply.outer(x, y)
+    table = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
+    return table
+
+
+def _plane_wave_product(dirs: np.ndarray, amps: np.ndarray, axes) -> np.ndarray:
+    """sum_q amps_q e^{i dirs_q.(x - x0)} on axes[0] x axes[1] x axes[2], x0 = _grid_centre(axes).
+
+    Each wave is a product of three 1-D tables e^{i dirs_q,a (x_a - x0_a)}, so
+    for each axis-0 point the sum is one complex matmul of rows against the
+    axis-2 table, a row being the amplitude-weighted axis-0 table row times
+    an axis-1 row.  The rows are multiplied in place into one buffer of at
+    most sphere.block_rows(2 Q) rows, so it holds at most sphere.PAIR_BLOCK
+    doubles.  Returns shape (n0, n1, n2); every axis needs at least one point.
+    """
+    x0 = _grid_centre(axes)
+    first, second = (_exp_table(a - c, xi) for a, c, xi in zip(axes[:2], x0, dirs.T))
+    first *= amps
+    third = _exp_table(dirs[:, 2], axes[2] - x0[2])
+    n0, n1, n2 = (len(a) for a in axes)
+    step = sphere.block_rows(2 * len(dirs))
+    buf = np.empty((min(step, n1), len(dirs)), dtype=complex)
+    out = np.empty((n0, n1, n2), dtype=complex)
+    for i in range(n0):
+        for lo in range(0, n1, step):
+            rows = buf[: min(step, n1 - lo)]
+            np.multiply(second[lo : lo + len(rows)], first[i], out=rows)
+            np.matmul(rows, third, out=out[i, lo : lo + len(rows)])
+    return out
+
+
+def _plane_waves_on_grid(dirs: np.ndarray, amps: np.ndarray, axes) -> np.ndarray:
+    """sum_q amps_q e^{i dirs_q.x} on the product grid of three axes.
+
+    The amplitudes move to the grid centre x0 as amps_q e^{i dirs_q.x0} and
+    _plane_wave_product sums them there.
+    """
+    axes = [np.asarray(a, dtype=float).ravel() for a in axes]
+    return _plane_wave_product(dirs, amps * np.exp(1j * (dirs @ _grid_centre(axes))), axes)
+
+
 def _plane_wave_grid(s: BesselSum, axes, degree: int) -> np.ndarray:
     """The n = 3 sum on the product grid of three non-empty axes, by the rule of `degree`."""
     nodes, weights = _plane_wave_rule(degree)
-    x0 = np.array([0.5 * (a.min() + a.max()) for a in axes])
-    density = _plane_wave_sum(nodes, x0 - s.centers, s.coeffs) * (weights / (2.0 * _TWO_PI * _SQRT_PI_2))
-    first, second, third = (np.exp(1j * np.outer(a - c, xi)) for a, c, xi in zip(axes, x0, nodes.T))
-    first *= density
-    third = np.ascontiguousarray(third.T)
-    n1 = len(axes[1])
-
-    def block(rows):
-        p = rows[:, 0].astype(np.intp)
-        return (first[p // n1] * second[p % n1]) @ third
-
-    rows = np.arange(len(axes[0]) * n1, dtype=float)[:, None]
-    return eval_rows(block, rows, 1, len(nodes)).reshape(len(axes[0]), n1, len(axes[2]))
+    density = _plane_wave_sum(nodes, _grid_centre(axes) - s.centers, s.coeffs)
+    density *= weights / (2.0 * _TWO_PI * _SQRT_PI_2)
+    return _plane_wave_product(nodes, density, axes)
 
 
 def eval_bessel_sum_grid(s: BesselSum, axes):
@@ -343,12 +391,12 @@ def eval_bessel_sum_grid(s: BesselSum, axes):
     D, the largest distance from a grid corner to a center, and
     _plane_wave_degree the smallest L whose truncation error stays below
     2^-56 sqrt(2/pi) sum_j |c_j| for |x - x_j| <= D.  On the grid each plane
-    wave is a product of three 1-D exponential tables, and the sum is one
-    complex matmul of (axis-0, axis-1) rows against the axis-2 table, built in
-    blocks of at most sphere.PAIR_BLOCK node-row pairs.  When the rule's
-    Q nodes, N centers and P grid points give Q (8 N + P) > 8 N P (the
-    measured crossover, _plane_waves_pay), and for n != 3, the grid's points
-    go through eval_bessel_sum instead.
+    wave is a product of three 1-D exponential tables, and the sum is a
+    complex matmul of rows against the axis-2 table for each axis-0 point
+    (_plane_wave_product, which Herglotz densities and plane-wave spinors
+    share).  When the rule's Q nodes, N centers and P grid points give
+    Q (8 N + P) > 8 N P (the measured crossover, _plane_waves_pay), and for
+    n != 3, the grid's points go through eval_bessel_sum instead.
     """
     axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     if len(axes) != s.n:
@@ -520,10 +568,20 @@ class DiscretizeReport:
     n_terms: int
 
 
-def _ball_grid(radius: float, spacing: float) -> np.ndarray:
+def _ball_lattice(radius: float, spacing: float):
+    """The cube lattice on [-radius, radius]^3 at `spacing`.
+
+    Returns its axis, its points in C order and the mask of those in the
+    closed ball of `radius`.
+    """
     ax = np.arange(-radius, radius + 1e-9, spacing)
     g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    return g[np.linalg.norm(g, axis=1) <= radius + 1e-12]
+    return ax, g, np.linalg.norm(g, axis=1) <= radius + 1e-12
+
+
+def _ball_grid(radius: float, spacing: float) -> np.ndarray:
+    _, g, inside = _ball_lattice(radius, spacing)
+    return g[inside]
 
 
 #: The kernel fit samples its target on a grid of the ball of this radius,
@@ -533,17 +591,20 @@ _FIT_RADIUS = 1.6
 _FIT_RCOND = 1e-9
 
 
-def _fit_kernel_sum(targetfn, radius, spacing):
+def _fit_kernel_sum(target_grid, radius, spacing):
     """Least-squares fit of an n = 3 field by kernel translates on a ball grid.
 
-    Centers fill the ball of `radius` at `spacing`.  Truncated SVD keeps the
-    coefficient mass finite; the near-nullspace of overlapping unit-frequency
-    kernels would otherwise absorb arbitrarily large cancelling components.
+    Centers fill the ball of `radius` at `spacing`.  target_grid maps three
+    axes to the target's values on their product grid; the fit reads it on
+    the cube around the ball of _FIT_RADIUS and keeps the points in the ball.
+    Truncated SVD keeps the coefficient mass finite; the near-nullspace of
+    overlapping unit-frequency kernels would otherwise absorb arbitrarily
+    large cancelling components.
     """
+    ax, grid, inside = _ball_lattice(_FIT_RADIUS, 0.4 * spacing)
     centers = _ball_grid(radius, spacing)
-    fit_pts = _ball_grid(_FIT_RADIUS, 0.4 * spacing)
-    K = _kernel_matrix(3, fit_pts, centers)
-    target = np.asarray(targetfn(fit_pts), dtype=complex)
+    K = _kernel_matrix(3, grid[inside], centers)
+    target = np.asarray(target_grid([ax] * 3), dtype=complex).reshape(-1)[inside]
     u, sing, vh = np.linalg.svd(K, full_matrices=False)
     keep = sing > _FIT_RCOND * sing[0]
     coeffs = (vh[keep].conj().T * (1.0 / sing[keep])) @ (u[:, keep].conj().T @ target)
@@ -564,7 +625,9 @@ def herglotz_discretize(
     """Approximate the Herglotz field of f by a BesselSum on a grid of B_R.
 
     Centers sit on a uniform grid of the ball B_R; coefficients come from a
-    regularized least-squares fit of field values on B_2.  (A Riemann-sum
+    regularized least-squares fit of field values on the ball of radius
+    _FIT_RADIUS, which the plane-wave product (_plane_waves_on_grid) reads
+    on the fit cube's axes.  (A Riemann-sum
     choice of the coefficients from the Fourier transform of a bump-extended
     density also converges, but needs astronomically many cells for useful
     tolerances; the least-squares fit reaches 1e-10 with a few hundred
@@ -585,7 +648,9 @@ def herglotz_discretize(
         ncent = len(_ball_grid(radius, spacing))
         if ncent > max_terms:
             break
-        attempt = _fit_kernel_sum(lambda x: eval_herglotz(f, x), radius, spacing)
+        attempt = _fit_kernel_sum(
+            lambda axes: _plane_waves_on_grid(f.nodes, f.weights * f.values, axes), radius, spacing
+        )
         achieved = float(np.max(np.abs(eval_bessel_sum(attempt, pts) - reference)))
         attempt.report = DiscretizeReport(
             delta, achieved, achieved / delta, radius, spacing, len(attempt)
@@ -772,7 +837,11 @@ def design_bessel_sum(
     conversion_error = {}
     comp_indices = sorted({a for _, a in targets})
     for a in comp_indices:
-        bsum = _fit_kernel_sum(lambda x: pw.component(a, x), _CONVERT_RADIUS, _CONVERT_SPACING)
+        bsum = _fit_kernel_sum(
+            lambda axes: _plane_waves_on_grid(pw.directions, pw.spinor_coeffs[:, a], axes),
+            _CONVERT_RADIUS,
+            _CONVERT_SPACING,
+        )
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(400, 3))
         radii = _CONVERSION_CHECK_RADIUS * rng.uniform(0, 1, 400) ** (1.0 / 3.0)

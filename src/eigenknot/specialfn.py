@@ -20,9 +20,10 @@ Everything downstream depends on three conventions fixed here:
 On S^3 (n = 3) the normalized kernel is elementary, C(cos theta) =
 sin((k+1) theta) / ((k+1) sin theta) (DLMF 18.5.2), and
 ``gegenbauer3_chord_derivatives`` evaluates it and its t-derivatives from
-the chord |p - p_j| = 2 sin(theta/2) rather than from t = p . p_j: a Taylor
-series near the pole, sin/cos and the Gegenbauer equation elsewhere.  Its
-cost does not depend on k and it keeps C(1) = 1 and every derivative within
+the chord |p - p_j| = 2 sin(theta/2) rather than from t = p . p_j: C in
+closed form from the half-chord everywhere, and for the derivatives a
+Taylor series near the pole, sin/cos and the Gegenbauer equation
+elsewhere.  Its cost does not depend on k and it keeps C(1) = 1 and every derivative within
 about 1e-15 of C^(d)(1), where the O(k) Jacobi recurrence fed t loses about
 k^2 eps.  Other n go through the recurrence, with the Gamma ratio as an exact
 product of k small factors.
@@ -228,19 +229,24 @@ def gegenbauer3_chord_derivatives(k: int, chord, order: int):
     for t = chord^2/2 - 1 (-0.0 included).  Angles past pi/2 fold back by parity,
     C^(d)(-t) = (-1)^(k+d) C^(d)(t).
 
-    Away from the pole C and C' come from sin/cos and higher orders from the
-    differentiated Gegenbauer equation (DLMF 18.8)
+    Everything but theta itself comes from the half-chord h = sin(theta/2):
+    sin theta = 2 h sqrt(1 - h^2), t = 1 - 2 h^2 and 1 - t^2 = sin^2 theta,
+    so C costs one arcsin and one sin, and C' one cos more.  C is the closed
+    form at every angle; where (k+1) theta < 2^-26, and so at theta = 0, it
+    rounds to 1 and is set to 1.  C' is (t C - cos((k+1) theta)) / (1 - t^2),
+    and higher orders come from the differentiated Gegenbauer equation
+    (DLMF 18.8)
 
         (1 - t^2) y^(d+2) = (2d+3) t y^(d+1) + (d(d+2) - k(k+2)) y^(d).
 
-    Near the pole the Taylor series in z = -(k+1)^2 (1 - t) takes over:
-    C = sum_j alpha_j z^j with alpha_0 = 1 and alpha_{j+1} = alpha_j
-    (1 - (j+1)^2/(k+1)^2) / ((2j+3)(j+1)) (DLMF 18.5.7), exact for k < 20.
-    It serves C and C' where (k+1) theta < 2 and the higher orders where
-    (k+1) theta < 3, because each step of the equation divides by 1 - t^2
-    and so amplifies rounding near the pole.  Every order then stays within
-    about 1.5e-15 of C^(d)(1) from a 50-digit reference, and the cost does
-    not grow with k.
+    Both cancel near the pole, so for the orders d >= 1 the Taylor series in
+    z = -(k+1)^2 (1 - t) takes over there: C = sum_j alpha_j z^j with
+    alpha_0 = 1 and alpha_{j+1} = alpha_j (1 - (j+1)^2/(k+1)^2) / ((2j+3)(j+1))
+    (DLMF 18.5.7), exact for k < 20, differentiated term by term.  It serves
+    C' where (k+1) theta < 2 and the higher orders where (k+1) theta < 3,
+    because each step of the equation divides by 1 - t^2 and so amplifies
+    rounding near the pole.  Every order then stays within about 1.5e-15 of
+    C^(d)(1) from a 50-digit reference, and the cost does not grow with k.
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
@@ -257,10 +263,13 @@ def gegenbauer3_chord_derivatives(k: int, chord, order: int):
     far = np.flatnonzero(far)
     a = half.flat[far]
     half.flat[far] = np.sqrt((1.0 - a) * (1.0 + a))
-    # Taylor subsets, by the seam (k+1) theta = 2 or 3 that each order uses
-    seams = [1.0 if d < 2 else 1.5 for d in range(order + 1)]
+    # C is 1 at k = 0; otherwise below h = 2^-27 / (k+1), theta = 2 asin(h) is 2h to
+    # within h^3, so (k+1) theta < 2^-26 and 1 - C < ((k+1) theta)^2 / 6 < 2^-54 rounds C to 1
+    one = slice(None) if k == 0 else np.flatnonzero(half < 2.0**-27 / (k + 1))
+    # Taylor subsets of the orders d >= 1, by the seam (k+1) theta = 2 or 3 that each uses
+    seams = [None] + [1.0 if d < 2 else 1.5 for d in range(1, order + 1)]
     taylor = {}
-    for seam in set(seams):
+    for seam in set(seams[1:]):
         pole = np.flatnonzero(half < math.sin(seam / (k + 1)))
         z = half.flat[pole]
         z *= -2.0 * q * z
@@ -268,16 +277,22 @@ def gegenbauer3_chord_derivatives(k: int, chord, order: int):
 
     # closed form everywhere (in place, one block per order); the Taylor
     # series overwrites the subsets near the pole
+    sin = np.multiply(half, half)
+    if order:
+        t = np.multiply(sin, -2.0)
+        t += 1.0
+    np.subtract(1.0, sin, out=sin)
+    np.sqrt(sin, out=sin)
+    sin *= half
+    sin *= 2.0  # sin theta
     theta = np.arcsin(half, out=half)
-    theta *= 2.0
+    theta *= 2.0 * (k + 1)
     with np.errstate(all="ignore"):
-        sin = np.sin(theta)
-        t = np.cos(theta) if order else None
-        theta *= k + 1
         cos_k = np.cos(theta) if order else None
         out = [np.sin(theta, out=theta)]
         out[0] /= sin
         out[0] /= k + 1
+        out[0].flat[one] = 1.0
         if order:
             sin *= sin  # 1 - t^2
             c1 = np.multiply(t, out[0])
@@ -297,12 +312,13 @@ def gegenbauer3_chord_derivatives(k: int, chord, order: int):
     for j in range(_CHORD_TERMS - 1):
         alpha.append(alpha[-1] * (1.0 - (j + 1) ** 2 / q) / ((2 * j + 3) * (j + 1)))
     for d, (arr, seam) in enumerate(zip(out, seams)):
-        pole, z = taylor[seam]
-        acc = np.zeros_like(z)
-        for j in range(_CHORD_TERMS - 1, d - 1, -1):
-            acc *= z
-            acc += alpha[j] * math.perm(j, d) * q**d
-        arr.flat[pole] = acc
+        if d:
+            pole, z = taylor[seam]
+            acc = np.zeros_like(z)
+            for j in range(_CHORD_TERMS - 1, d - 1, -1):
+                acc *= z
+                acc += alpha[j] * math.perm(j, d) * q**d
+            arr.flat[pole] = acc
         if (k + d) % 2:
             np.negative(arr, out=arr, where=flip)
     return [arr.reshape(chord.shape) for arr in out]

@@ -67,6 +67,33 @@ def test_grid_matches_direct_sum(seed, count, offset, sizes):
     assert _grid_error(s, axes, values) <= GRID_RTOL
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 2500),
+    offset=st.floats(0.0, 1e3),
+    sizes=st.tuples(*[st.integers(1, 40)] * 3),
+)
+@example(seed=4, count=1, offset=1e3, sizes=(1, 1, 1))
+@example(seed=5, count=2500, offset=1e3, sizes=(40, 1, 40))
+def test_plane_wave_product_matches_direct_sum(seed, count, offset, sizes):
+    # directions and grid on the 2^-20 lattice, so every phase of the direct
+    # sum and of the product form is exact however far the box sits
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, 3))
+    dirs = _dyadic(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+    amps = rng.normal(size=count) + 1j * rng.normal(size=count)
+    lo = offset * rng.normal(size=3) / np.sqrt(3.0)
+    axes = [_dyadic(np.linspace(a, a + rng.uniform(0.1, 2.0), n)) for a, n in zip(lo, sizes)]
+    values = helmholtz._plane_waves_on_grid(dirs, amps, axes)
+    assert values.shape == sizes
+    # the direct sum on up to 2048 of the grid's points, the first and last included
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    pick = np.union1d(rng.choice(len(points), min(len(points), 2046), replace=False), [0, len(points) - 1])
+    direct = helmholtz._plane_wave_sum(points[pick], dirs, amps)
+    assert np.max(np.abs(values.reshape(-1)[pick] - direct)) <= GRID_RTOL * np.abs(amps).sum()
+
+
 def test_examples_take_both_paths():
     assert not _plane_waves_chosen(*_random_case(**POINTS_CASE))
     assert _plane_waves_chosen(*_random_case(**PLANE_WAVE_CASE))

@@ -445,3 +445,68 @@ def test_verify_step_too_coarse_for_stencils_names_h(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "numerical"
     assert err["detail"].startswith("h = 5 leaves no interior lattice point")
+
+
+def test_nodal_refuses_a_harmonic_input(tmp_path, capsys):
+    # a synthesize output is a harmonic on S^3, neither a Bessel sum nor a spinor
+    harmonic = tmp_path / "harmonic"
+    argv = ["synthesize", "--out", str(harmonic), "--set", "input=" + data_path("single_center.json")]
+    assert main(argv + ["--set", "k=12"]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={harmonic}", "--set", "h=0.3"]
+    assert main(argv) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["detail"].startswith("config key input must name a spinor or Bessel sum file, got a harmonic file")
+
+
+@pytest.mark.parametrize(
+    "command, settings, key",
+    [
+        ("synthesize", ["input={wide}", "k=2"], "k"),
+        ("verify", ["input={wide}", "k_sweep=2,40"], "k_sweep"),
+        ("spinorize", ["input1={wide}", "input2={single}", "k=2"], "k"),
+        ("spinorize", ["input1={single}", "input2={wide}", "k=2"], "k"),
+    ],
+)
+def test_degree_at_or_below_the_input_radius_exit_code(tmp_path, capsys, command, settings, key):
+    # R = 2.5, as approximate writes by default: synthesis needs k > R
+    wide = tmp_path / "wide.json"
+    wide.write_text(BesselSum(3, [1.0], [[0.0, 0.0, 0.3]], 2.5).to_json())
+    settings = [s.format(wide=wide, single=data_path("single_center.json")) for s in settings]
+    args = [arg for item in settings for arg in ("--set", item)]
+    assert main([command, "--out", str(tmp_path / "out"), *args]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["detail"] == f"config key {key} must exceed the input radius R = 2.5, got 2"
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_nodal_curves_file_matches_the_encode_parse_encode_path(tmp_path, monkeypatch):
+    # <out>.json is written from the curves' dicts; its bytes equal those of
+    # encoding the curves, parsing the text and encoding it again
+    import eigenknot as ek
+    from eigenknot import cli, nodal
+
+    design = ek.hopf_link_design()
+    comp = tmp_path / "hopf1.json"
+    comp.write_text(design.components[0].to_json())
+    found = []
+    extract = nodal.extract_nodal
+
+    def spy(fn, box, h):
+        found.append(extract(fn, box, h))
+        return found[-1]
+
+    monkeypatch.setattr(nodal, "extract_nodal", spy)
+    lo, hi = design.boxes[0]
+    out = tmp_path / "curves"
+    argv = ["nodal", "--out", str(out), "--set", f"input={comp}", "--set", "h=0.3"]
+    argv += ["--set", "box_lo=" + ",".join(map(str, lo)), "--set", "box_hi=" + ",".join(map(str, hi))]
+    assert main(argv) == EXIT_OK
+    written = Path(f"{out}.json").read_bytes()
+    curves = [c for nset in found for c in nset.curves]
+    assert curves and any(c.closed for c in curves)
+    doc = json.loads(nodal.curves_to_json(curves))
+    doc["manifest"] = json.loads(written)["manifest"]
+    assert written == (cli._canonical(doc) + "\n").encode()

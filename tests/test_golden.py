@@ -26,6 +26,15 @@ to the pinned values, not to a second run of itself.  Tolerances:
   later, from the code before the localization lattice was cut to its
   stencil support, and merged into the file with every earlier entry left
   as it was.
+
+Where a relative tolerance times the pinned value falls below 1e-12, the
+1e-12 absolute floor of pytest.approx binds instead; those comparisons
+spell it out.  Three values are pinned that tightly:
+
+  value              pinned            stated rel   effective rel
+  achieved_error     3.9e-9, 4.8e-9    1e-8         2.6e-4, 2.1e-4
+  curve_residual     1.8e-8            1e-6         5.5e-5
+  conversion_error   9.0e-8            1e-6         1.1e-5
 """
 
 import importlib.util
@@ -51,7 +60,7 @@ DESIGN_RTOL = 1e-6
 @pytest.mark.parametrize("case", GOLDEN["verify"], ids=lambda c: f"density{c['density_seed']}")
 def test_verify_rows_match_golden(tmp_path, case):
     got = make_golden.verify_case(tmp_path, case["density_seed"], case["chart_seed"])
-    assert got["achieved_error"] == pytest.approx(case["achieved_error"], rel=1e-8)
+    assert got["achieved_error"] == pytest.approx(case["achieved_error"], rel=1e-8, abs=1e-12)
     assert sorted(got["rows"]) == sorted(case["rows"])
     for k, rows in case["rows"].items():
         assert sorted(got["rows"][k]) == sorted(rows)
@@ -117,4 +126,4 @@ def test_circle_design_matches_golden(case):
     assert got["vertices"] == case["vertices"]
     assert got["best_hausdorff"] == pytest.approx(case["best_hausdorff"], abs=HAUSDORFF_ATOL, rel=0)
     for key in ("curve_residual", "conversion_error"):
-        assert got[key] == pytest.approx(case[key], rel=DESIGN_RTOL), key
+        assert got[key] == pytest.approx(case[key], rel=DESIGN_RTOL, abs=1e-12), key

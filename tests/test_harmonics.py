@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eigenknot as ek
-from eigenknot import harmonics as H
+from eigenknot import harmonics as H, helmholtz
 from eigenknot.harmonics import (
     UltrasphericalSum,
     decay_profile,
@@ -256,25 +256,37 @@ def test_localization_refinement_matches_full_lattice(chart):
 @pytest.mark.parametrize("m, rows", [(0, 2109), (1, 2109), (2, 2457)])
 def test_localization_evaluates_only_the_stencil_support(chart, monkeypatch, m, rows):
     # the padded cube at h = 0.125, radius 1 has 21^3 = 9261 points; the
-    # stencils read the ball (m <= 1) plus, for m = 2, the diagonal
-    # neighbours of its interior points
-    seen = {"bessel": [], "pullback": []}
-    bessel, pullback = H.eval_bessel_sum, H.rescaled_pullback
+    # pullback is evaluated where the stencils read, the ball (m <= 1) plus,
+    # for m = 2, the diagonal neighbours of its interior points.  phi is one
+    # product grid on the 21-point lattice axes: with 120 centers the plane
+    # waves pay, so no point-wise Bessel call is made
+    seen = {"grid": [], "pullback": [], "points": []}
+    grid, pullback, points = H.eval_bessel_sum_grid, H.rescaled_pullback, helmholtz.eval_bessel_sum
 
-    def count_bessel(s, x):
-        seen["bessel"].append(len(x))
-        return bessel(s, x)
+    def count_grid(s, axes):
+        seen["grid"].append([np.asarray(a) for a in axes])
+        return grid(s, axes)
 
     def count_pullback(Y, x, c=None):
         seen["pullback"].append(len(x))
         return pullback(Y, x, c)
 
-    monkeypatch.setattr(H, "eval_bessel_sum", count_bessel)
+    def count_points(s, x):
+        seen["points"].append(len(x))
+        return points(s, x)
+
+    monkeypatch.setattr(H, "eval_bessel_sum_grid", count_grid)
     monkeypatch.setattr(H, "rescaled_pullback", count_pullback)
-    phi = random_bessel_sum(5)
+    monkeypatch.setattr(H, "eval_bessel_sum", count_points)
+    monkeypatch.setattr(helmholtz, "eval_bessel_sum", count_points)
+    rng = np.random.default_rng(5)
+    phi = BesselSum(3, rng.normal(size=120) + 1j * rng.normal(size=120), rng.uniform(-1.5, 1.5, (120, 3)), 2.6)
     H.localization_error(phi, ek.synthesize(phi, 40, chart), m=m, h=0.125)
-    assert seen == {"bessel": [rows], "pullback": [rows]}
-    assert rows != 21**3
+    assert seen["pullback"] == [rows] and rows != 21**3
+    assert seen["points"] == []
+    (axes,) = seen["grid"]
+    lattice = -1.25 + 0.125 * np.arange(21)
+    assert len(axes) == 3 and all(np.allclose(a, lattice, rtol=0, atol=1e-12) for a in axes)
 
 
 def test_localization_stencil_outside_support_raises(chart, monkeypatch):

@@ -3,7 +3,8 @@
 Blocks hold block_rows(terms) rows, at most ROW_BLOCK: an evaluator summing
 over many centers, nodes or directions splits at a pair-sized seam well
 below ROW_BLOCK, and each one is checked at both seams.  The grid evaluator
-splits its matmul rows at the pair-sized seam of its rule's node count.
+splits the complex matmul rows of each axis-0 point at the pair-sized seam
+of twice its rule's node count, two doubles per node.
 """
 
 import numpy as np
@@ -111,10 +112,11 @@ def test_blocks_agree_with_parts_at_pair_seam(name):
 
 
 def test_grid_blocks_agree_with_parts_at_pair_seam(monkeypatch):
-    # eval_bessel_sum_grid's matmul rows are (axis-0, axis-1) pairs in blocks
-    # of block_rows(Q); with one axis-1 point the axis-0 points are the rows.
-    # The 3-point tail is too small for eval_bessel_sum_grid to choose the
-    # plane waves, so both parts take _plane_wave_grid at their own degree.
+    # eval_bessel_sum_grid's matmul rows are the axis-1 points of one axis-0
+    # point, in blocks of at most block_rows(2 Q) rows, since a complex row of
+    # Q nodes holds 2 Q doubles.  The 1-point tail is too small for
+    # eval_bessel_sum_grid to choose the plane waves, so both parts take
+    # _plane_wave_grid at their own degree.
     seen = []
     real = sphere.block_rows
     monkeypatch.setattr(sphere, "block_rows", lambda n: seen.append(n) or real(n))
@@ -122,15 +124,15 @@ def test_grid_blocks_agree_with_parts_at_pair_seam(monkeypatch):
     def plane_waves(axes):
         return helmholtz._plane_wave_grid(BIG_SUM, axes, helmholtz._grid_degree(BIG_SUM, axes))
 
-    axes = [np.linspace(-1.0, 1.0, 2), np.array([0.3]), np.linspace(-0.5, 0.5, 3)]
+    axes = [np.linspace(-1.0, 1.0, 2), np.linspace(-1.0, 1.0, 2), np.linspace(-0.5, 0.5, 3)]
     nodes = helmholtz._rule_size(helmholtz._grid_degree(BIG_SUM, axes))
-    seam = real(nodes)
-    axes[0] = np.linspace(-1.0, 1.0, seam + 1)
+    seam = real(2 * nodes)
+    axes[1] = np.linspace(-1.0, 1.0, seam + 1)
     whole = eval_bessel_sum_grid(BIG_SUM, axes)
-    assert nodes != len(BIG_SUM)  # so block_rows(nodes) marks the plane-wave path
-    assert set(seen) == {nodes} and whole.shape == (seam + 1, 1, 3)
-    head, tail = (plane_waves([part, *axes[1:]]) for part in (axes[0][:seam], axes[0][seam:]))
-    expected = np.concatenate([head, tail])
+    assert 2 * nodes != len(BIG_SUM)  # so block_rows(2 * nodes) marks the plane-wave path
+    assert set(seen) == {2 * nodes} and whole.shape == (2, seam + 1, 3)
+    head, tail = (plane_waves([axes[0], part, axes[2]]) for part in (axes[1][:seam], axes[1][seam:]))
+    expected = np.concatenate([head, tail], axis=1)
     assert np.max(np.abs(whole - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 

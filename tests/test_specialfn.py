@@ -369,3 +369,27 @@ def test_gegenbauer3_chord_continuous_across_seams(k, seam):
     got = gegenbauer3_chord_derivatives(k, chords, 3)
     for d in range(4):
         assert np.max(np.abs(np.diff(got[d]))) <= 1e-14 * c3_scale(k, d), d
+
+
+def c3_order0_reference(k: int, chord: float) -> float:
+    """C at a signed chord from 50-digit sin((k+1) theta) / ((k+1) sin theta), theta = 2 asin(|chord|/2)."""
+    with mpmath.workdps(50):
+        theta = 2 * mpmath.asin(mpmath.mpf(abs(chord)) / 2)
+        c = mpmath.mpf(1) if theta == 0 else mpmath.sin((k + 1) * theta) / ((k + 1) * mpmath.sin(theta))
+    antipodal = math.copysign(1.0, chord) < 0  # C(-t) = (-1)^k C(t)
+    return float(-c if antipodal and k % 2 else c)
+
+
+@pytest.mark.parametrize("k", [0, 1, 19, 20, 10_000])
+def test_gegenbauer3_chord_order_zero_is_closed_form_near_the_pole(k):
+    # C needs no Taylor series: across (k+1) theta < 2, where the derivatives
+    # still take it, and down to chord 1e-300, 0 and -0.0, the closed form
+    # stays within 1.5e-15 of the reference
+    seam = 2.0 * math.sin(1.0 / (k + 1))
+    near = np.geomspace(1e-300, seam, 301)
+    across = [c for c in seam * np.array([0.5, 0.999, 1.001, 1.5]) if c < 2.0]
+    chords = np.concatenate([near, across, -near[::10], [0.0, -0.0]])
+    got = gegenbauer3_chord_derivatives(k, chords, 0)[0]
+    for chord, value in zip(chords, got):
+        assert abs(value - c3_order0_reference(k, chord)) <= 1.5e-15, (k, chord, value)
+    assert got[-2] == 1.0 and got[-1] == (-1.0) ** k
