@@ -26,15 +26,25 @@ itself.  Rerun only when a change of results is intended.  With section names
 existing file; the others are kept as they are:
 
     PYTHONPATH=src python scripts/make_golden.py [section ...]
+
+Run as a script, it pins the BLAS and OpenMP pools to one thread, the
+benchmark's setting; the entries reproduce at one and at two threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
 import sys
 import tempfile
+
+if __name__ == "__main__":
+    # the benchmark's BLAS setting (one thread, as bench/run.py pins it); it
+    # must be fixed before numpy loads.  Imported as a module, nothing is set.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np
 

@@ -369,6 +369,25 @@ def _link_entry(name: str, pair: list, c1, c2) -> dict:
         return {"field": name, "pair": pair, "link": None, "reason": str(exc)}
 
 
+def _field_box(cfg: dict, name: str, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The nodal box of field `name`: `<name>_box_lo/hi` where set, else lo and hi.
+
+    A box without hi > lo on every axis names the most specific key that set
+    one of its bounds; the defaults are a valid box, so one of them did.
+    """
+    bounds = tuple(
+        _floats(key, cfg[key], 3) if key in cfg else default
+        for key, default in ((f"{name}_box_lo", lo), (f"{name}_box_hi", hi))
+    )
+    if not np.all(bounds[1] > bounds[0]):
+        key = next(k for k in (f"{name}_box_hi", f"{name}_box_lo", "box_hi", "box_lo") if k in cfg)
+        raise ConfigError(
+            f"config key {key} leaves the box of {name} empty: need box_hi > box_lo on every axis, "
+            f"got lo {bounds[0].tolist()} and hi {bounds[1].tolist()}"
+        )
+    return bounds
+
+
 def cmd_nodal(cfg: dict) -> int:
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
@@ -391,16 +410,13 @@ def cmd_nodal(cfg: dict) -> int:
         field = lambda x: eval_bessel_sum(bsum, x)
         field.jet, field.grid = base.jet, base.grid
         fields.append(("field", field))
+    boxes = [_field_box(cfg, name, lo, hi) for name, _ in fields]
     manifest = write_manifest(out, cfg, [src])
 
     all_curves = []
     closed_by_field = []
     topo = {"curves": [], "linking": []}
-    for name, fn in fields:
-        bounds = tuple(
-            _floats(key, cfg[key], 3) if key in cfg else default
-            for key, default in ((f"{name}_box_lo", lo), (f"{name}_box_hi", hi))
-        )
+    for (name, fn), bounds in zip(fields, boxes):
         nset = nodal.extract_nodal(fn, bounds, h)
         for idx, curve in enumerate(nset.curves):
             all_curves.append(curve)

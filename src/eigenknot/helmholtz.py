@@ -613,6 +613,18 @@ def _fit_kernel_sum(target_grid, radius, spacing):
 
 #: herglotz_discretize checks its sup error at this many seeded points of the unit ball.
 _CHECK_POINTS = 1000
+#: Largest kernel fit, in sample points x centers: the real K and the SVD's U
+#: take 8 bytes per pair each, so 2^24 pairs is 128 MiB apiece.  The default
+#: fits stay below 2.3e6 pairs; a small `radius` shrinks the spacing of the
+#: fixed radius-_FIT_RADIUS sample ball and would otherwise exhaust memory.
+_MAX_FIT_PAIRS = 2**24
+
+
+def _ball_samples(count: int, radius: float, seed: int) -> np.ndarray:
+    """`count` seeded points uniform in the ball of `radius`: normal directions, then radii."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(count, 3))
+    return pts * (radius * rng.uniform(0, 1, count) ** (1.0 / 3.0) / np.linalg.norm(pts, axis=1))[:, None]
 
 
 def herglotz_discretize(
@@ -637,9 +649,7 @@ def herglotz_discretize(
     """
     if f.n != 3:
         raise NotImplementedError("herglotz_discretize is implemented for n = 3")
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(_CHECK_POINTS, 3))
-    pts *= (rng.uniform(0, 1, _CHECK_POINTS) ** (1.0 / 3.0) / np.linalg.norm(pts, axis=1))[:, None]
+    pts = _ball_samples(_CHECK_POINTS, 1.0, seed)
     reference = eval_herglotz(f, pts)
 
     spacing = radius / 3.6
@@ -648,6 +658,14 @@ def herglotz_discretize(
         ncent = len(_ball_grid(radius, spacing))
         if ncent > max_terms:
             break
+        # the fit's sample count from the volume of its ball, allocating nothing
+        nrows = 4.0 / 3.0 * math.pi * (_FIT_RADIUS / (0.4 * spacing)) ** 3
+        if nrows * ncent > _MAX_FIT_PAIRS:
+            raise ToleranceError(
+                f"herglotz_discretize at radius {radius:g} needs a kernel fit of about {nrows:.3g} points x "
+                f"{ncent} centers, above its bound of {_MAX_FIT_PAIRS} pairs",
+                attempt.report.achieved if attempt is not None else float("inf"),
+            )
         attempt = _fit_kernel_sum(
             lambda axes: _plane_waves_on_grid(f.nodes, f.weights * f.values, axes), radius, spacing
         )
@@ -761,8 +779,8 @@ _CONVERSION_CHECK_RADIUS = 1.4
 #: of this spacing in the ball of this radius.
 _CONVERT_RADIUS = 2.5
 _CONVERT_SPACING = 0.55
-#: Tikhonov weight of the collocation solve, relative to the mean diagonal of
-#: its normal matrix.
+#: Tikhonov weight of the collocation solve, relative to ||A||_F^2 / unknowns,
+#: the mean diagonal of the normal matrix A^H A (which the dual solve never forms).
 _RIDGE = 1e-8
 
 
@@ -803,12 +821,6 @@ def design_bessel_sum(
     gam = np.einsum("qi,iab->qab", xis, np.stack(FLAT_GAMMA))
     proj = 0.5 * (np.eye(2)[None, :, :] + 1j * gam)
 
-    def rows(pts, a, deriv=None):
-        ph = np.exp(1j * (pts @ xis.T))
-        if deriv is not None:
-            ph = (1j * (deriv @ xis.T)) * ph
-        return (ph[:, :, None] * proj[None, :, a, :]).reshape(len(pts), -1)
-
     blocks = []
     rhs = []
     for curve, a in targets:
@@ -816,16 +828,18 @@ def design_bessel_sum(
         closed = _is_closed(curve)
         pts = curve[:-1] if closed and np.allclose(curve[0], curve[-1]) else curve
         u, v = transported_frame(pts, closed)
-        blocks.append(rows(pts, a))
-        rhs.append(np.zeros(len(pts), dtype=complex))
-        blocks.append(rows(pts, a, u))
-        rhs.append(np.ones(len(pts), dtype=complex))
-        blocks.append(rows(pts, a, v))
-        rhs.append(np.full(len(pts), 1j, dtype=complex))
+        # value, d_u and d_v rows: one exp table scaled by 1, i u.xi and i v.xi
+        ph = np.exp(1j * (pts @ xis.T))
+        waves = np.concatenate([ph[None], (1j * (np.stack([u, v]) @ xis.T)) * ph])
+        blocks.append((waves[..., None] * proj[:, a, :]).reshape(3 * len(pts), -1))
+        rhs.append(np.repeat([0.0, 1.0, 1j], len(pts)))
     amat = np.concatenate(blocks)
     bvec = np.concatenate(rhs)
-    gram = amat.conj().T @ amat
-    alpha = np.linalg.solve(gram + _RIDGE * np.trace(gram).real / len(gram) * np.eye(len(gram)), amat.conj().T @ bvec)
+    # the ridge solution (A^H A + lam I)^-1 A^H b in its dual form
+    # A^H (A A^H + lam I)^-1 b: a system of the 3S collocation rows, which
+    # number fewer than the 2Q unknowns for every design here
+    lam = _RIDGE * np.vdot(amat, amat).real / amat.shape[1]
+    alpha = amat.conj().T @ np.linalg.solve(amat @ amat.conj().T + lam * np.eye(len(amat)), bvec)
     wq = np.einsum("qab,qb->qa", proj, alpha.reshape(-1, 2))
     pw = PlaneWaveSpinor(xis, wq)
 
@@ -835,20 +849,14 @@ def design_bessel_sum(
 
     components = {}
     conversion_error = {}
-    comp_indices = sorted({a for _, a in targets})
-    for a in comp_indices:
+    check = _ball_samples(400, _CONVERSION_CHECK_RADIUS, 7)
+    for a in sorted({a for _, a in targets}):
         bsum = _fit_kernel_sum(
             lambda axes: _plane_waves_on_grid(pw.directions, pw.spinor_coeffs[:, a], axes),
             _CONVERT_RADIUS,
             _CONVERT_SPACING,
         )
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(400, 3))
-        radii = _CONVERSION_CHECK_RADIUS * rng.uniform(0, 1, 400) ** (1.0 / 3.0)
-        pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
-        conversion_error[a] = float(
-            np.max(np.abs(eval_bessel_sum(bsum, pts) - pw.component(a, pts)))
-        )
+        conversion_error[a] = float(np.max(np.abs(eval_bessel_sum(bsum, check) - pw.component(a, check))))
         components[a] = bsum
 
     result = DesignResult(components, pw, curve_residual, conversion_error)

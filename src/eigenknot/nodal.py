@@ -328,6 +328,8 @@ def extract_nodal(fieldfn, box, h: float) -> NodalSet:
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid step h must be finite and positive, got {h!r}")
     lo, hi = (np.asarray(b, dtype=float) for b in box)
+    if not np.all(hi > lo):
+        raise ValueError(f"box must have hi > lo on every axis, got lo {lo.tolist()} and hi {hi.tolist()}")
     ns = np.maximum(np.round((hi - lo) / h).astype(int), 2)
     axes = [np.linspace(lo[d], hi[d], ns[d] + 1) for d in range(3)]
     grid = getattr(fieldfn, "grid", None)

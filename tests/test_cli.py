@@ -308,6 +308,9 @@ def test_non_numeric_float_config_value_exit_code(tmp_path, capsys, command, set
         ("nodal", "box_lo=-1", "box_lo"),
         ("nodal", "box_hi=1,nan,1", "box_hi"),
         ("nodal", "field_box_lo=1,2", "field_box_lo"),
+        ("nodal", "box_lo=1,1,1", "box_lo"),
+        ("nodal", "box_hi=0.8,-0.8,0.8", "box_hi"),
+        ("nodal", "field_box_hi=-1,0,0", "field_box_hi"),
         ("synthesize", "chart_base=1,0", "chart_base"),
         ("synthesize", "chart_base=0,0,0,0", "chart_base"),
     ],

@@ -1,10 +1,15 @@
 """Designers: plane-wave collocation and the closed-form Hopf pair."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigenknot
 from eigenknot import helmholtz, nodal
 from eigenknot.helmholtz import (
     DesignError,
@@ -94,6 +99,37 @@ def test_design_refuses_targets_outside_the_conversion_check(monkeypatch):
     monkeypatch.undo()
     res = design_bessel_sum([(np.stack([np.cos(t), np.sin(t), 0 * t], axis=-1), 0)], budget=160)
     assert res.curve_residual[0] <= 1e-6 and res.conversion_error[0] <= 1e-6
+
+
+# the seed-5 golden circle, designed in a fresh interpreter whose BLAS pool
+# size is fixed by the environment before numpy loads
+_CIRCLE_COEFFS = """
+import importlib.util, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("make_golden", sys.argv[1])
+make_golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(make_golden)
+res = make_golden.helmholtz.design_bessel_sum([(make_golden.tilted_circle(5), 0)], budget=240)
+np.save(sys.argv[2], res.planewave.spinor_coeffs)
+"""
+
+
+def test_circle_design_is_independent_of_blas_threads(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_golden.py"
+    src = str(Path(eigenknot.__file__).resolve().parent.parent)
+    coeffs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / f"coeffs{threads}.npy"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CIRCLE_COEFFS, str(script), str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        coeffs.append(np.load(out))
+    one, two = coeffs
+    assert np.max(np.abs(one - two)) <= 1e-9 * np.max(np.abs(one))
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,9 @@ to the pinned values, not to a second run of itself.  Tolerances:
   residual and the conversion error 1e-6 relative.  This entry was written
   later, from the code before the localization lattice was cut to its
   stencil support, and merged into the file with every earlier entry left
-  as it was.
+  as it was.  It was written at two BLAS threads through the designer's
+  normal equations; the dual-form solve that replaced them reproduces it at
+  one and at two threads, within the 1e-12 floor below (about 8e-13 off).
 
 Where a relative tolerance times the pinned value falls below 1e-12, the
 1e-12 absolute floor of pytest.approx binds instead; those comparisons

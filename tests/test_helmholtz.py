@@ -236,6 +236,10 @@ def test_discretize_unreachable_tolerance():
     with pytest.raises(ToleranceError) as err:
         herglotz_discretize(f, 1e-30, max_terms=40)
     assert err.value.achieved > 1e-30
+    # a small radius shrinks the spacing of the fixed fit ball: refused by
+    # size (about 1.56e6 points x 190 centers) before anything is allocated
+    with pytest.raises(ToleranceError, match=r"radius 0\.2 needs a kernel fit of about 1\.56e\+06 points x 190 centers"):
+        herglotz_discretize(f, 1e-3, radius=0.2)
 
 
 def test_fourier_bessel_radial_field():

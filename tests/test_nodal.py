@@ -67,6 +67,15 @@ def test_extraction_refuses_bad_step(h):
         extract_nodal(helical, BOX, h)
 
 
+@pytest.mark.parametrize("axes", [[0, 1, 2], [2]])
+def test_extraction_refuses_inverted_box(axes):
+    # an inverted axis used to march a mirrored grid and return wrong curves
+    lo, hi = (b.copy() for b in BOX)
+    lo[axes], hi[axes] = hi[axes], lo[axes]
+    with pytest.raises(ValueError, match="hi > lo on every axis"):
+        extract_nodal(helical, (lo, hi), 0.1)
+
+
 def test_linear_field_margins():
     nset = extract_nodal(linear, BOX, 0.1)
     assert len(nset.curves) == 1
