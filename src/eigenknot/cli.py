@@ -83,6 +83,38 @@ def load_config(path: str | None, overrides) -> dict:
     return cfg
 
 
+class _Config(dict):
+    """A command's config that records the keys the command reads.
+
+    write_manifest refuses any key not read by then, so a misspelt or
+    foreign key names itself (exit 2) instead of passing silently.  ``seed``
+    counts as read: main sets it for every command and every manifest
+    records it.
+    """
+
+    def __init__(self, command: str, entries: dict):
+        super().__init__(entries)
+        self.command = command
+        self.read = {"seed"}
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def refuse_unread(self) -> None:
+        unread = sorted(set(self) - self.read)
+        if unread:
+            raise ConfigError(f"config key {unread[0]} is not read by the {self.command} command")
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"missing required config key: {key}")
@@ -134,6 +166,8 @@ def _hash_file(path: str) -> str:
 
 
 def write_manifest(out_prefix: Path, cfg: dict, inputs) -> str:
+    if isinstance(cfg, _Config):
+        cfg.refuse_unread()
     # the output location is not an input to the computation; leaving it out
     # keeps manifests (and thus output bytes) identical across destinations
     manifest = {
@@ -237,9 +271,10 @@ def cmd_approximate(cfg: dict) -> int:
     density = _density_from_config(cfg)
     delta = _positive(_float, "delta", cfg.get("delta", 1e-3))
     radius = _positive(_float, "radius", cfg.get("radius", 2.5))
+    max_terms = _positive(_int, "max_terms", cfg.get("max_terms", 4000))
     seed = _int("seed", cfg.get("seed", 0))
     manifest = write_manifest(out, cfg, [])
-    bsum = herglotz_discretize(density, delta, radius=radius, seed=seed)
+    bsum = herglotz_discretize(density, delta, radius=radius, max_terms=max_terms, seed=seed)
     doc = bsum.to_dict()
     doc["achieved_error"] = bsum.report.achieved
     doc["error_constant"] = bsum.report.constant
@@ -498,7 +533,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, args.set)
+        cfg = _Config(args.command, load_config(args.config, args.set))
         if args.out is not None:
             cfg["out"] = args.out
         if args.seed is not None:

@@ -130,16 +130,17 @@ def random_chart(n: int, seed: int, p0=None) -> Chart:
 
 
 def chart_to_sphere(chart: Chart, x):
-    """Exponential map: chart coordinates x (|x| < pi) to sphere points."""
+    """Exponential map: chart coordinates x (|x| < pi) to sphere points.
+
+    cos r p0 + (x sin r / r) frame with r = |x|, and sin r / r = 1 at r = 0.
+    """
     x, single = _as_batch(x, chart.n)
-    r = np.linalg.norm(x, axis=1)
+    r = np.sqrt(np.einsum("mi,mi->m", x, x))
     if np.any(r >= np.pi):
         raise ValueError("chart coordinates must satisfy |x| < pi")
-    out = np.empty((x.shape[0], chart.n + 1))
-    out[:] = chart.p0
-    safe = r > 0
-    tang = (x[safe] / r[safe, None]) @ chart.frame
-    out[safe] = np.cos(r[safe])[:, None] * chart.p0 + np.sin(r[safe])[:, None] * tang
+    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+    out = np.multiply.outer(np.cos(r), chart.p0)
+    out += (x * sinc[:, None]) @ chart.frame
     return out[0] if single else out
 
 
@@ -162,17 +163,20 @@ def chart_gradient(chart: Chart, x, g):
 
 
 def sphere_to_chart(chart: Chart, p):
-    """Inverse of chart_to_sphere; rejects the antipode of the base point."""
+    """Inverse of chart_to_sphere; rejects the antipode of the base point.
+
+    With c = p . p0 and the tangent part y = frame p, |x| = atan2(|y|, c) and
+    x = |x| y / |y|: the angle keeps full accuracy at every radius, where
+    arccos(c) would lose half the digits of a small one.
+    """
     p, single = _as_batch(p, chart.n + 1)
-    c = np.clip(p @ chart.p0, -1.0, 1.0)
+    c = p @ chart.p0
     if np.any(c < -1.0 + 1e-12):
         raise ValueError("antipodal point is outside the chart")
-    d = np.arccos(c)
-    v = p - c[:, None] * chart.p0
-    nrm = np.linalg.norm(v, axis=1)
-    out = np.zeros((p.shape[0], chart.n))
-    safe = nrm > 1e-15
-    out[safe] = d[safe, None] * ((v[safe] / nrm[safe, None]) @ chart.frame.T)
+    y = p @ chart.frame.T
+    s = np.sqrt(np.einsum("mi,mi->m", y, y))
+    scale = np.divide(np.arctan2(s, c), s, out=np.zeros_like(s), where=s > 0)
+    out = y * scale[:, None]
     return out[0] if single else out
 
 

@@ -20,6 +20,10 @@ derivative tensors G_d from harmonics.zonal_derivatives.  Each X_i is linear
 and X_a maps the linear field E_b p to E_b E_a p, so X_{i1}...X_{im} psi is a
 finite sum of G_d evaluated on such fields.  That closure is what makes the
 Dirac projection and its residuals exactly computable.
+
+Nodal extraction reads one component at many points, so component_pullback
+skips the frame jets: a projected pair's component is itself a zonal sum
+with a C' term, evaluated from per-center tables.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere
-from .harmonics import UltrasphericalSum, zonal_derivatives
+from .harmonics import UltrasphericalSum, _signed_chords, kernel_norm, zonal_derivatives
 from .helmholtz import FLAT_GAMMA, lattice_stencils
+from .specialfn import gegenbauer3_chord_derivatives
 
 #: X_i(p) = E_i p for the left-invariant frame (right quaternion multiplication).
 FRAME_E = (
@@ -148,17 +153,25 @@ class SpinorField3:
     components: tuple
     k: int | None = None
 
+    def pooled(self) -> UltrasphericalSum | None:
+        """A harmonic pair of one degree as one sum over its pooled centers, with
+        coefficient columns (c_j1, c_j2); None for any other pair of components."""
+        a, b = self.components
+        pair = isinstance(a, UltrasphericalSum) and isinstance(b, UltrasphericalSum)
+        if not pair or (a.n, a.k) != (b.n, b.k):
+            return None
+        centers, inv = np.unique(np.concatenate([a.centers, b.centers]), axis=0, return_inverse=True)
+        coeffs = np.zeros((len(centers), 2), dtype=complex)
+        column = np.repeat([0, 1], [len(a), len(b)])
+        np.add.at(coeffs, (inv.ravel(), column), np.concatenate([a.coeffs, b.coeffs]))
+        return UltrasphericalSum(a.n, a.k, coeffs, centers)
+
     def jets(self, p, order: int):
         """Jets of both components on a last axis; a harmonic pair shares one pass."""
         p = np.atleast_2d(np.asarray(p, dtype=float))
-        a, b = self.components
-        pair = isinstance(a, UltrasphericalSum) and isinstance(b, UltrasphericalSum)
-        if pair and (a.n, a.k) == (b.n, b.k):
-            centers, inv = np.unique(np.concatenate([a.centers, b.centers]), axis=0, return_inverse=True)
-            coeffs = np.zeros((len(centers), 2), dtype=complex)
-            column = np.repeat([0, 1], [len(a), len(b)])
-            np.add.at(coeffs, (inv.ravel(), column), np.concatenate([a.coeffs, b.coeffs]))
-            return zonal_jet(UltrasphericalSum(a.n, a.k, coeffs, centers), p, order)
+        pooled = self.pooled()
+        if pooled is not None:
+            return zonal_jet(pooled, p, order)
         jets = [component_jet(c, p, order) for c in self.components]
         return [np.stack([jets[0][m], jets[1][m]], axis=-1) for m in range(order + 1)]
 
@@ -259,27 +272,81 @@ def dirac_residual(psi, lam: float, samples: int = 64, seed: int = 0) -> float:
     return float(np.abs(_dirac_jets(jets, 1.5, 0)[0] - lam * vals).max() / scale)
 
 
+def _pullback_tables(psi, index: int):
+    """Pooled centers p_j, degree, their mean m and the real per-center tables of
+    component `index`.
+
+    psi is a harmonic pair psit of one degree on S^3 or its projection
+    (Dslash + mu) psit / (2 mu), mu = k + 1.  With c_jb the pooled coefficients
+    times kernel_norm(3), X_i f = grad f . E_i p and p_j . E_i p = -(E_i p_j) . p
+    make the component a plain zonal sum,
+
+        psi_a(x) = sum_j alpha_j C(x . p_j) + (x . beta_j) C'(x . p_j),
+
+    alpha_j = (k+2) c_ja / (2 mu), beta_j = -sum_i sum_b (gamma_i)_ab c_jb E_i p_j / (2 mu);
+    the pair itself has alpha_j = c_ja and beta_j = 0.  The tables are the float
+    views of alpha (N, 1), beta (N, 4), alpha p + beta (N, 4) and
+    [beta, (p - m) (x) beta] (N, 5, 4).  The last one splits the C'' term of the
+    gradient as (x . sum_j C'' beta_j) m plus the sum over p_j - m, whose terms
+    are about k times smaller than over p_j, and so is their rounding.
+    """
+    pair = psi.base if isinstance(psi, ProjectedSpinor3) else psi
+    pooled = pair.pooled() if isinstance(pair, SpinorField3) else None
+    if pooled is None or pooled.n != 3:
+        raise TypeError(
+            "component_pullback needs a harmonic pair of one degree on S^3 or its Dirac projection, "
+            f"got a {type(psi).__name__} of {type(pair).__name__}"
+        )
+    p, c = pooled.centers, kernel_norm(3) * pooled.coeffs
+    if pair is psi:
+        alpha, beta = c[:, index], np.zeros(p.shape, dtype=complex)
+    else:
+        mu2 = 2.0 * (psi.k + 1)
+        alpha = (psi.k + 2.0) / mu2 * c[:, index]
+        beta = sum((c @ GAMMA[i][index])[:, None] * (p @ E.T) for i, E in enumerate(FRAME_E)) / -mu2
+    mid = p.mean(axis=0)
+    curv = np.concatenate([beta[:, None, :], (p - mid)[:, :, None] * beta[:, None, :]], axis=1)
+    tables = (alpha[:, None], beta, alpha[:, None] * p + beta, curv)
+    return p, pooled.k, mid, [np.ascontiguousarray(t).reshape(len(p), -1).view(float) for t in tables]
+
+
 def component_pullback(psi, index: int, chart: sphere.Chart, k: int):
     """Callable x -> psi_index(Psi^{-1}(x/k)) for nodal extraction in the chart.
 
-    Its ``jet`` attribute maps (M, 3) points to the value and the gradient in
-    C^3 from one order-1 jet of psi: the ambient gradient at p is
-    sum_i (X_i psi) E_i p, and the chain rule through y = x/k gives
-    (1/k) (d exp_y)^T of it (sphere.chart_gradient).  The attribute lives in
-    the function's own ``__dict__``, which ``functools.wraps`` copies onto a
-    wrapper.
+    psi must be a harmonic pair of one degree or its Dirac projection; any
+    other spinor raises TypeError.  The component is the zonal sum of
+    _pullback_tables, whose tables are built once here, and neither psi.values
+    nor psi.jets is called.  Values take one order-1
+    gegenbauer3_chord_derivatives call per row block and two real matmuls.
+    The ``jet`` attribute maps (M, 3) points to the value and the gradient in
+    C^3 from one order-2 call: the ambient gradient at x is
+    sum_j C'(x . p_j) (alpha_j p_j + beta_j) + C''(x . p_j) (x . beta_j) p_j, and
+    the chain rule through y = x/k gives (1/k) (d exp_y)^T of it
+    (sphere.chart_gradient).  The jet's values are bit-identical to the
+    call's.  The attribute lives in the function's own ``__dict__``, which
+    ``functools.wraps`` copies onto a wrapper.
     """
+    centers, degree, mid, (a0, b, a1, pb) = _pullback_tables(psi, index)
+
+    def value(q, derivs):
+        return (derivs[0] @ a0).view(complex)[:, 0] + np.einsum("ma,ma->m", (derivs[1] @ b).view(complex), q)
+
+    def values(q):
+        return value(q, gegenbauer3_chord_derivatives(degree, _signed_chords(q, centers), 1))
+
+    def jets(q):
+        derivs = gegenbauer3_chord_derivatives(degree, _signed_chords(q, centers), 2)
+        curv = np.einsum("mab,mb->ma", (derivs[2] @ pb).view(complex).reshape(len(q), 5, 4), q)
+        return [value(q, derivs), (derivs[1] @ a1).view(complex) + curv[:, :1] * mid + curv[:, 1:]]
 
     def fn(x):
-        p = sphere.chart_to_sphere(chart, np.asarray(x, dtype=float) / k)
-        return psi.values(p)[..., index]
+        p = sphere.chart_to_sphere(chart, np.atleast_2d(np.asarray(x, dtype=float)) / k)
+        return sphere.eval_rows(values, p, 4, len(centers))
 
     def jet(x):
-        y = np.asarray(x, dtype=float) / k
-        p = sphere.chart_to_sphere(chart, y)
-        value, frame_grad = (arr[..., index] for arr in psi.jets(p, 1))
-        ambient = np.einsum("mi,mia->ma", frame_grad, frame_vectors(p))
-        return value, sphere.chart_gradient(chart, y, ambient) / k
+        y = np.atleast_2d(np.asarray(x, dtype=float)) / k
+        value, grad = sphere.eval_rows(jets, sphere.chart_to_sphere(chart, y), 4, len(centers))
+        return value, sphere.chart_gradient(chart, y, grad) / k
 
     fn.jet = jet
     return fn

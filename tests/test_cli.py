@@ -50,19 +50,11 @@ def test_bad_config_exit_code(tmp_path):
 
 
 def test_unreachable_tolerance_exit_code(tmp_path):
-    out = tmp_path / "approx.json"
-    code = main(
-        [
-            "approximate",
-            "--out",
-            str(out),
-            "--set",
-            "delta=1e-30",
-            "--set",
-            "max_terms=10",
-        ]
-    )
-    assert code == EXIT_TOLERANCE
+    # max_terms alone: the first grid of 190 centers already exceeds 10 terms
+    for settings in (["delta=1e-30", "max_terms=10"], ["max_terms=10"]):
+        out = tmp_path / "approx.json"
+        code = main(["approximate", "--out", str(out), *(arg for item in settings for arg in ("--set", item))])
+        assert code == EXIT_TOLERANCE, settings
 
 
 def test_approximate_and_verify_roundtrip(tmp_path):
@@ -268,6 +260,8 @@ def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):
         ("torus", "k=0", "k"),
         ("torus", "trials=0", "trials"),
         ("approximate", "resolution=0", "resolution"),
+        ("approximate", "max_terms=0", "max_terms"),
+        ("approximate", "max_terms=2.5", "max_terms"),
         ("verify", "m=5", "m"),
         # dimensions without an implementation
         ("approximate", "n=4", "n"),
@@ -332,6 +326,31 @@ def test_bad_list_config_value_exit_code(tmp_path, capsys, command, setting, key
 def test_unknown_string_config_value_exit_code(tmp_path, capsys, command, setting, message):
     key = setting.split("=")[0]
     assert _config_error_names_key(tmp_path, capsys, command, setting, key, extra=["k=3"]) == message
+
+
+@pytest.mark.parametrize(
+    "command, settings, key",
+    [
+        ("approximate", ["bogus_key=3"], "bogus_key"),
+        ("approximate", ["k=3"], "k"),
+        ("synthesize", ["input={single}", "k=3", "bogus_key=3"], "bogus_key"),
+        ("spinorize", ["input1={single}", "input2={single}", "k=3", "bogus_key=3"], "bogus_key"),
+        ("verify", ["input={single}", "bogus_key=3"], "bogus_key"),
+        ("verify", ["input={single}", "density=random"], "density"),
+        ("nodal", ["input={single}", "bogus_key=3"], "bogus_key"),
+        ("nodal", ["input={single}", "component1_box_lo=0,0,0"], "component1_box_lo"),
+        ("torus", ["bogus_key=3"], "bogus_key"),
+        ("torus", ["k=3", "k_sweep=3"], "k"),
+    ],
+)
+def test_unread_config_key_exit_code(tmp_path, capsys, command, settings, key):
+    """A key the command does not read exits 2 naming it, before any output is written."""
+    settings = [s.format(single=data_path("single_center.json")) for s in settings]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *(arg for item in settings for arg in ("--set", item))]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": f"config key {key} is not read by the {command} command"}
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from eigenknot import harmonics, helmholtz, nodal, spinor3
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "data" / "golden.json").read_text())
@@ -119,6 +122,38 @@ def test_hopf_curves_converge(hopf_run):
     runs = [hopf_run(case["chart_base"])["k"] for case in GOLDEN["hopf"]]
     flags = [flag for run in runs for have in run.values() for flag in have["converged"]]
     assert flags == [True] * 12
+
+
+@pytest.fixture(scope="module")
+def golden_hopf_curves():
+    """The principal closed curve of each component at the first golden chart
+    base and k = 60, as `nodal` extracts them, and the golden cross link."""
+    case, k = GOLDEN["hopf"][0], 60
+    design = helmholtz.hopf_link_design()
+    chart = spinor3.adapted_chart(case["chart_base"])
+    pair = spinor3.SpinorField3(tuple(harmonics.synthesize(design.components[a], k, chart) for a in (0, 1)), k=k)
+    psi = spinor3.dirac_project(pair, k)
+    curves = [
+        nodal.extract_nodal(spinor3.component_pullback(psi, a, chart, k), design.boxes[a], make_golden.HOPF_H)
+        .closed_curves()[0]
+        .vertices
+        for a in (0, 1)
+    ]
+    return curves, next(e[2] for e in case["k"][str(k)]["links"] if e[0] == "cross")
+
+
+@settings(max_examples=30, deadline=None)
+@given(stride=st.integers(1, 32), offsets=st.tuples(st.integers(0, 31), st.integers(0, 31)))
+def test_hopf_link_survives_vertex_subsampling(golden_hopf_curves, stride, offsets):
+    """Every stride-th vertex of each golden Hopf curve, from any offset, still
+    links with the golden linking number: the subsampled polygons stay within
+    about 0.2 of the curves (stride 32), far inside their gap of about 1.39."""
+    curves, link = golden_hopf_curves
+    subsampled = [c[off % stride :: stride] for c, off in zip(curves, offsets)]
+    gap = nodal._gauss_blocks(*curves)[1]
+    for sub, curve in zip(subsampled, curves):
+        assert nodal.hausdorff_dist(sub, curve) < 0.5 * gap
+    assert nodal.linking_number(*subsampled) == link
 
 
 @pytest.mark.parametrize("case", GOLDEN["circle"], ids=lambda c: f"seed{c['seed']}")

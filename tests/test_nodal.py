@@ -199,6 +199,20 @@ def test_gauss_integral_matches_vertex_loop():
         assert abs(gauss_linking_integral(p1, p2) - _loop_gauss(p1, p2)) <= 1e-12
 
 
+def test_gauss_gap_is_the_least_vertex_distance():
+    rng = np.random.default_rng(6)
+    pairs = [
+        (rng.normal(size=(40, 3)), rng.normal(size=(33, 3))),
+        (rng.normal(size=(3, 3)), rng.normal(size=(700, 3))),
+        (rng.normal(size=(517, 3)), rng.normal(size=(96, 3))),
+        (rng.normal(size=(1, 3)), rng.normal(size=(5000, 3))),
+        (circle(517, 1.0), circle(96, 1.0, (1.0, 0, 0), "xz")),
+    ]
+    for p1, p2 in pairs:
+        brute = min(float(np.sqrt(np.sum((p - p2) ** 2, axis=1)).min()) for p in p1)
+        assert nodal._gauss_blocks(p1, p2)[1] == brute
+
+
 def _rotation(q):
     w, x, y, z = np.asarray(q) / np.linalg.norm(q)
     return np.array(
