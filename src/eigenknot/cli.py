@@ -165,9 +165,8 @@ def _hash_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_prefix: Path, cfg: dict, inputs) -> str:
-    if isinstance(cfg, _Config):
-        cfg.refuse_unread()
+def write_manifest(out_prefix: Path, cfg: _Config, inputs) -> str:
+    cfg.refuse_unread()
     # the output location is not an input to the computation; leaving it out
     # keeps manifests (and thus output bytes) identical across destinations
     manifest = {
@@ -271,10 +270,9 @@ def cmd_approximate(cfg: dict) -> int:
     density = _density_from_config(cfg)
     delta = _positive(_float, "delta", cfg.get("delta", 1e-3))
     radius = _positive(_float, "radius", cfg.get("radius", 2.5))
-    max_terms = _positive(_int, "max_terms", cfg.get("max_terms", 4000))
     seed = _int("seed", cfg.get("seed", 0))
     manifest = write_manifest(out, cfg, [])
-    bsum = herglotz_discretize(density, delta, radius=radius, max_terms=max_terms, seed=seed)
+    bsum = herglotz_discretize(density, delta, radius=radius, seed=seed)
     doc = bsum.to_dict()
     doc["achieved_error"] = bsum.report.achieved
     doc["error_constant"] = bsum.report.constant

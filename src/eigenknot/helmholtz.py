@@ -600,24 +600,14 @@ def _fit_kernel_sum(target_grid, radius, spacing):
     Truncated SVD keeps the coefficient mass finite; the near-nullspace of
     overlapping unit-frequency kernels would otherwise absorb arbitrarily
     large cancelling components.
-
-    One QR factorization of [K | Re t | Im t] = Q R reduces the problem to
-    R: K = Q R[:, :n] and Q^T t = R[:, n] + i R[:, n+1], so the truncated
-    solution V S^-1 U^T (Q^T t) comes from the SVD of R[:, :n], which has the
-    singular values of K.  With fewer points than n + 2, R has one row per
-    point and the same formula holds.
     """
     ax, grid, inside = _ball_lattice(_FIT_RADIUS, 0.4 * spacing)
     centers = _ball_grid(radius, spacing)
-    n = len(centers)
+    K = _kernel_matrix(3, grid[inside], centers)
     target = np.asarray(target_grid([ax] * 3), dtype=complex).reshape(-1)[inside]
-    fit = np.empty((len(target), n + 2))
-    fit[:, :n] = _kernel_matrix(3, grid[inside], centers)
-    fit[:, n], fit[:, n + 1] = target.real, target.imag
-    r = np.linalg.qr(fit, mode="r")
-    u, sing, vh = np.linalg.svd(r[:, :n], full_matrices=False)
+    u, sing, vh = np.linalg.svd(K, full_matrices=False)
     keep = sing > _FIT_RCOND * sing[0]
-    coeffs = (vh[keep].T * (1.0 / sing[keep])) @ (u[:, keep].T @ (r[:, n] + 1j * r[:, n + 1]))
+    coeffs = (vh[keep].conj().T * (1.0 / sing[keep])) @ (u[:, keep].conj().T @ target)
     return BesselSum(3, coeffs, centers, radius)
 
 

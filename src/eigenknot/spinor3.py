@@ -273,8 +273,8 @@ def dirac_residual(psi, lam: float, samples: int = 64, seed: int = 0) -> float:
 
 
 def _pullback_tables(psi, index: int):
-    """Pooled centers p_j, degree, their mean m and the real per-center tables of
-    component `index`.
+    """Pooled centers p_j, degree and the real per-center tables of component
+    `index`.
 
     psi is a harmonic pair psit of one degree on S^3 or its projection
     (Dslash + mu) psit / (2 mu), mu = k + 1.  With c_jb the pooled coefficients
@@ -285,10 +285,8 @@ def _pullback_tables(psi, index: int):
 
     alpha_j = (k+2) c_ja / (2 mu), beta_j = -sum_i sum_b (gamma_i)_ab c_jb E_i p_j / (2 mu);
     the pair itself has alpha_j = c_ja and beta_j = 0.  The tables are the float
-    views of alpha (N, 1), beta (N, 4), alpha p + beta (N, 4) and
-    [beta, (p - m) (x) beta] (N, 5, 4).  The last one splits the C'' term of the
-    gradient as (x . sum_j C'' beta_j) m plus the sum over p_j - m, whose terms
-    are about k times smaller than over p_j, and so is their rounding.
+    views of alpha (N, 1), beta (N, 4), alpha p + beta (N, 4) and p (x) beta
+    (N, 4, 4).
     """
     pair = psi.base if isinstance(psi, ProjectedSpinor3) else psi
     pooled = pair.pooled() if isinstance(pair, SpinorField3) else None
@@ -304,10 +302,8 @@ def _pullback_tables(psi, index: int):
         mu2 = 2.0 * (psi.k + 1)
         alpha = (psi.k + 2.0) / mu2 * c[:, index]
         beta = sum((c @ GAMMA[i][index])[:, None] * (p @ E.T) for i, E in enumerate(FRAME_E)) / -mu2
-    mid = p.mean(axis=0)
-    curv = np.concatenate([beta[:, None, :], (p - mid)[:, :, None] * beta[:, None, :]], axis=1)
-    tables = (alpha[:, None], beta, alpha[:, None] * p + beta, curv)
-    return p, pooled.k, mid, [np.ascontiguousarray(t).reshape(len(p), -1).view(float) for t in tables]
+    tables = (alpha[:, None], beta, alpha[:, None] * p + beta, p[:, :, None] * beta[:, None, :])
+    return p, pooled.k, [np.ascontiguousarray(t).reshape(len(p), -1).view(float) for t in tables]
 
 
 def component_pullback(psi, index: int, chart: sphere.Chart, k: int):
@@ -326,7 +322,7 @@ def component_pullback(psi, index: int, chart: sphere.Chart, k: int):
     call's.  The attribute lives in the function's own ``__dict__``, which
     ``functools.wraps`` copies onto a wrapper.
     """
-    centers, degree, mid, (a0, b, a1, pb) = _pullback_tables(psi, index)
+    centers, degree, (a0, b, a1, pb) = _pullback_tables(psi, index)
 
     def value(q, derivs):
         return (derivs[0] @ a0).view(complex)[:, 0] + np.einsum("ma,ma->m", (derivs[1] @ b).view(complex), q)
@@ -336,8 +332,8 @@ def component_pullback(psi, index: int, chart: sphere.Chart, k: int):
 
     def jets(q):
         derivs = gegenbauer3_chord_derivatives(degree, _signed_chords(q, centers), 2)
-        curv = np.einsum("mab,mb->ma", (derivs[2] @ pb).view(complex).reshape(len(q), 5, 4), q)
-        return [value(q, derivs), (derivs[1] @ a1).view(complex) + curv[:, :1] * mid + curv[:, 1:]]
+        curv = np.einsum("mab,mb->ma", (derivs[2] @ pb).view(complex).reshape(len(q), 4, 4), q)
+        return [value(q, derivs), (derivs[1] @ a1).view(complex) + curv]
 
     def fn(x):
         p = sphere.chart_to_sphere(chart, np.atleast_2d(np.asarray(x, dtype=float)) / k)

@@ -462,8 +462,9 @@ def test_table_pullback_matches_frame_jets(k, projected):
     values within 1e-12 and chart gradients within 1e-10 of their largest
     modulus, on a grid of each nodal box and at points off it.  The reference
     sums C'' p_j (x) p_j terms about k^2 times larger than the gradient, so
-    at k = 1000 the two agree to 1.1e-11 here and to 1e-11 to 5e-11 at other
-    adapted charts; values agree to 2e-13."""
+    at k = 1000 the two agree to 1.8e-11 here and to 1e-11 to 1.2e-10 at other
+    adapted charts, where a 40-digit reference puts both about 1e-10 from the
+    truth; values agree to 2e-13."""
     design = ek.hopf_link_design()
     psi = _hopf_pair(k)
     chart = psi.components[0].chart
