@@ -317,7 +317,7 @@ def cmd_spinorize(cfg: dict) -> int:
     manifest = write_manifest(out, cfg, [src1, src2])
     y1 = harmonics.synthesize(b1, k, chart)
     y2 = harmonics.synthesize(b2, k, chart)
-    psi = spinor3.dirac_project(spinor3.SpinorField3((y1, y2), k=k), k)
+    psi = spinor3.dirac_project(spinor3.SpinorField3((y1, y2)), k)
     comp_paths = [Path(f"{out}.comp{a}.json") for a in (1, 2)]
     for path, y in zip(comp_paths, (y1, y2)):
         doc = y.to_dict()
@@ -350,7 +350,7 @@ def load_spinor(path: str):
     y1, chart = _load_harmonic(str(base / doc["components"][0]))
     y2, _ = _load_harmonic(str(base / doc["components"][1]))
     k = int(doc["k"])
-    psi = spinor3.SpinorField3((y1, y2), k=k)
+    psi = spinor3.SpinorField3((y1, y2))
     if doc.get("projected", False):
         psi = spinor3.dirac_project(psi, k)
     return psi, chart, k

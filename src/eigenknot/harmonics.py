@@ -339,16 +339,15 @@ def localization_error(
     phi: BesselSum,
     Y: UltrasphericalSum,
     m: int = 2,
-    h: float | None = None,
+    *,
+    h: float,
     radius: float = 1.0,
     chart: sphere.Chart | None = None,
 ) -> CmErrorReport:
     """C^j sup discrepancies (j = 0..m) between phi and Y's rescaled pullback.
 
-    Derivatives are central finite differences on a uniform lattice covering
-    the ball of the given radius.  With h=None the step is refined until the
-    order-m reading moves by less than 10%, so the stencil error stays well
-    below the measured discrepancy.
+    Derivatives are central finite differences on a uniform lattice of step h
+    covering the ball of the given radius.
 
     The pullback is evaluated only where the stencils read: the ball itself
     for m <= 1 (the axis neighbours of interior points lie in it), plus the
@@ -363,50 +362,35 @@ def localization_error(
     """
     if m not in (0, 1, 2):
         raise ValueError(f"m must be 0, 1 or 2, got {m!r}")
-    if h is not None:
-        h = _positive_finite("h", h)
+    h = _positive_finite("h", h)
     radius = _positive_finite("radius", radius)
     if phi.n != 3:
         raise NotImplementedError("localization reports are implemented for n = 3")
 
-    def measure(step: float) -> CmErrorReport:
-        ax = np.arange(-radius - 2 * step, radius + 2 * step + 1e-12, step)
-        grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-        flat = grid.reshape(-1, 3)
-        mask = (np.linalg.norm(flat, axis=1) <= radius).reshape(grid.shape[:3])
-        interior = _interior(mask)
-        if not (interior if m >= 1 else mask).any():
-            raise ValueError(
-                f"h = {step:g} leaves no {'interior ' if m >= 1 else ''}lattice point "
-                f"in the ball of radius {radius:g}; the order-{m} stencils need a smaller h"
-            )
-        support = _stencil_support(mask, interior, m)
-        diff = np.full(mask.shape, np.nan, dtype=complex)
-        diff[support] = rescaled_pullback(Y, flat[support.ravel()], chart)
-        diff[support] -= eval_bessel_sum_grid(phi, [ax] * 3)[support]
-        orders = _difference_orders(diff, mask, interior, step, m)
-        if not np.all(np.isfinite(orders)):
-            raise FloatingPointError(
-                f"non-finite C^j discrepancy {orders} at h = {step:g}: a field is not finite "
-                "on the lattice, or a stencil read a point outside its support"
-            )
-        return CmErrorReport(orders, step, Y.k, m)
-
-    if h is not None:
-        return measure(h)
-    step = radius / 5.0
-    report = measure(step)
-    for _ in range(3):
-        finer = measure(step / 2.0)
-        top = max(report.orders[-1], 1e-300)
-        if abs(finer.orders[-1] - report.orders[-1]) <= 0.1 * top:
-            return finer
-        step /= 2.0
-        report = finer
-    return report
+    ax = np.arange(-radius - 2 * h, radius + 2 * h + 1e-12, h)
+    grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+    flat = grid.reshape(-1, 3)
+    mask = (np.linalg.norm(flat, axis=1) <= radius).reshape(grid.shape[:3])
+    interior = _interior(mask)
+    if not (interior if m >= 1 else mask).any():
+        raise ValueError(
+            f"h = {h:g} leaves no {'interior ' if m >= 1 else ''}lattice point "
+            f"in the ball of radius {radius:g}; the order-{m} stencils need a smaller h"
+        )
+    support = _stencil_support(mask, interior, m)
+    diff = np.full(mask.shape, np.nan, dtype=complex)
+    diff[support] = rescaled_pullback(Y, flat[support.ravel()], chart)
+    diff[support] -= eval_bessel_sum_grid(phi, [ax] * 3)[support]
+    orders = _difference_orders(diff, mask, interior, h, m)
+    if not np.all(np.isfinite(orders)):
+        raise FloatingPointError(
+            f"non-finite C^j discrepancy {orders} at h = {h:g}: a field is not finite "
+            "on the lattice, or a stencil read a point outside its support"
+        )
+    return CmErrorReport(orders, h, Y.k, m)
 
 
-def multi_localization_reports(pairs, Y: UltrasphericalSum, m: int = 0, h: float | None = 0.125):
+def multi_localization_reports(pairs, Y: UltrasphericalSum, m: int = 0, h: float = 0.125):
     """Per-chart localization reports against the full multi-ball harmonic.
 
     Comparing each phi_alpha with the pullback of the complete Y through its

@@ -361,16 +361,6 @@ def _plane_wave_product(dirs: np.ndarray, amps: np.ndarray, axes) -> np.ndarray:
     return out
 
 
-def _plane_waves_on_grid(dirs: np.ndarray, amps: np.ndarray, axes) -> np.ndarray:
-    """sum_q amps_q e^{i dirs_q.x} on the product grid of three axes.
-
-    The amplitudes move to the grid centre x0 as amps_q e^{i dirs_q.x0} and
-    _plane_wave_product sums them there.
-    """
-    axes = [np.asarray(a, dtype=float).ravel() for a in axes]
-    return _plane_wave_product(dirs, amps * np.exp(1j * (dirs @ _grid_centre(axes))), axes)
-
-
 def _plane_wave_grid(s: BesselSum, axes, degree: int) -> np.ndarray:
     """The n = 3 sum on the product grid of three non-empty axes, by the rule of `degree`."""
     nodes, weights = _plane_wave_rule(degree)
@@ -462,95 +452,86 @@ def helmholtz_residual(fieldfn, box, h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def real_sph_harm(l: int, m: int, dirs):
-    """Real orthonormal spherical harmonics on S^2 (area measure)."""
+def _degrees(L: int) -> np.ndarray:
+    """The degree l of each mode (l, m), l <= L, at index l^2 + l + m."""
+    return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+
+
+def real_sph_harm(L: int, x) -> np.ndarray:
+    """Real orthonormal spherical harmonics (area measure) of x/|x| for every l <= L.
+
+    Returns shape (len(x), (L+1)^2), mode (l, m) in column l^2 + l + m.  From
+    scipy's complex Y_l^|m|: Y_l0 is its real part, and Y_lm is
+    sqrt(2) (-1)^m times its real part for m > 0 and its imaginary part for
+    m < 0.  The origin reads as the north pole.
+    """
     from scipy.special import sph_harm_y
 
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    y = sph_harm_y(l, abs(m), theta, phi)
-    if m == 0:
-        return y.real
-    if m > 0:
-        return math.sqrt(2.0) * (-1.0) ** m * y.real
-    return math.sqrt(2.0) * (-1.0) ** m * y.imag
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    l = _degrees(L)
+    m = np.arange(len(l)) - l * l - l
+    theta = np.arctan2(np.hypot(x[:, 0], x[:, 1]), x[:, 2])[:, None]
+    y = sph_harm_y(l, np.abs(m), theta, np.arctan2(x[:, 1], x[:, 0])[:, None])
+    scale = np.where(m == 0, 1.0, math.sqrt(2.0) * (-1.0) ** m)
+    return scale * np.where(m < 0, y.imag, y.real)
+
+
+def _radial(L: int, r) -> np.ndarray:
+    """j_l(r) for each mode (l, m), l <= L, shape (len(r), (L+1)^2)."""
+    from scipy.special import spherical_jn
+
+    return spherical_jn(np.arange(L + 1), np.asarray(r, dtype=float)[:, None])[:, _degrees(L)]
 
 
 @dataclass
 class FourierBesselSeries:
-    """phi = sum_{l<=L} sum_m b_{lm} j_l(r) Y_{lm}(omega) on B_2, n=3."""
+    """phi(x) = sum_{l<=L} sum_m b_lm j_l(|x|) Y_lm(x/|x|), n = 3.
 
-    L: int
-    coeffs: dict
-    mode_mass: dict = field(default_factory=dict, compare=False)
-    flagged: tuple = field(default=(), compare=False)
-    l2_error: float = field(default=float("nan"), compare=False)
+    coeffs holds b_lm at index l^2 + l + m, for every l <= L.
+    """
+
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        self.coeffs = np.asarray(self.coeffs, dtype=complex).ravel()
+        if math.isqrt(len(self.coeffs)) ** 2 != len(self.coeffs) or not len(self.coeffs):
+            raise ValueError(f"need (L+1)^2 coefficients, got {len(self.coeffs)}")
+
+    @property
+    def L(self) -> int:
+        return math.isqrt(len(self.coeffs)) - 1
 
     def eval(self, x):
-        from scipy.special import spherical_jn
-
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=1)
-        dirs = np.where(r[:, None] > 1e-15, x / np.maximum(r, 1e-15)[:, None], 0.0)
-        dirs[r <= 1e-15] = np.array([0.0, 0.0, 1.0])
-        out = np.zeros(len(x), dtype=complex)
-        for l in range(self.L + 1):
-            jl = spherical_jn(l, r)
-            for m in range(-l, l + 1):
-                b = self.coeffs.get((l, m), 0.0)
-                if b != 0.0:
-                    out += b * jl * real_sph_harm(l, m, dirs)
-        return out
+        modes = _radial(self.L, np.linalg.norm(x, axis=1)) * real_sph_harm(self.L, x)
+        return modes @ self.coeffs
 
 
-def fourier_bessel_truncate(
-    fieldfn, L: int, n_rad: int = 48, resolution: int | None = None
-) -> FourierBesselSeries:
-    """Project a Helmholtz field on B_2 onto the degree-<=L Fourier-Bessel modes.
+def fourier_bessel_truncate(source, L: int) -> FourierBesselSeries:
+    """The degree-<=L Fourier-Bessel modes of an n = 3 HerglotzDensity or BesselSum.
 
-    The system {j_l(r) Y_{lm}} is orthogonal in L^2(B_2), so each coefficient
-    is a ratio of two quadrature integrals.  Modes whose radial profile has
-    numerically negligible mass on [0, 2] (large l) amplify quadrature noise;
-    their contribution estimate |num|/sqrt(mass) is compared against a noise
-    floor and they are zeroed and flagged instead of being divided out.
+    Both are closed forms, one matmul against a table of real_sph_harm.  The
+    plane-wave expansion (DLMF 10.60.7) with the addition theorem (DLMF
+    14.30.9) reads e^{i x.xi} = 4 pi sum_lm i^l j_l(|x|) Y_lm(x^) Y_lm(xi), so a
+    density f has b_lm = 4 pi i^l sum_q w_q f(xi_q) Y_lm(xi_q).  The
+    addition theorem for j_0 (DLMF 10.60.2) reads
+    j_0(|x - y|) = 4 pi sum_lm j_l(|x|) j_l(|y|) Y_lm(x^) Y_lm(y^), and the
+    n = 3 kernel is sqrt(2/pi) j_0, so a Bessel sum has
+    b_lm = 4 pi sqrt(2/pi) sum_j c_j j_l(|x_j|) Y_lm(x_j^).  As
+    |j_l(r)| <= r^l / (2l+1)!! (DLMF 10.14.4), a density's degree-l modes are
+    at most (2l+1) 2^l / (2l+1)!! times sum_q |w_q f(xi_q)| on B_2.
     """
-    from scipy.special import spherical_jn
-
-    if resolution is None:
-        resolution = max(24, 2 * L + 8)
-    dirs, w_ang = sphere_quadrature(3, resolution)
-    from numpy.polynomial.legendre import leggauss
-
-    u, w = leggauss(n_rad)
-    r = 1.0 + u
-    w_rad = w * r * r
-
-    vals = np.stack([np.asarray(fieldfn(ri * dirs), dtype=complex) for ri in r])
-    coeffs: dict = {}
-    mode_mass: dict = {}
-    flagged = []
-    total = math.sqrt(abs(float(np.sum(w_rad[:, None] * w_ang[None, :] * np.abs(vals) ** 2))))
-    floor = 1e-11 * max(total, 1e-30)
-    for l in range(L + 1):
-        jl = spherical_jn(l, r)
-        mass = float(np.sum(w_rad * jl * jl))
-        mode_mass[l] = mass
-        for m in range(-l, l + 1):
-            ylm = real_sph_harm(l, m, dirs)
-            ang = vals @ (w_ang * ylm)
-            num = complex(np.sum(w_rad * jl * ang))
-            contrib = abs(num) / math.sqrt(max(mass, 1e-300))
-            if contrib < floor:
-                coeffs[(l, m)] = 0.0
-                flagged.append((l, m))
-                continue
-            coeffs[(l, m)] = num / mass
-
-    series = FourierBesselSeries(L, coeffs, mode_mass, tuple(flagged))
-    resid = vals - np.stack([series.eval(ri * dirs) for ri in r])
-    series.l2_error = math.sqrt(abs(float(np.sum(w_rad[:, None] * w_ang[None, :] * np.abs(resid) ** 2))))
-    return series
+    if not isinstance(source, (HerglotzDensity, BesselSum)):
+        raise TypeError(f"need a HerglotzDensity or a BesselSum, got {type(source).__name__}")
+    if source.n != 3:
+        raise ValueError(f"Fourier-Bessel series are implemented for n = 3, got n = {source.n}")
+    if isinstance(source, HerglotzDensity):
+        i_to_l = np.array([1.0, 1.0j, -1.0, -1.0j])[_degrees(L) % 4]
+        coeffs = 4.0 * math.pi * i_to_l * ((source.weights * source.values) @ real_sph_harm(L, source.nodes))
+    else:
+        modes = _radial(L, np.linalg.norm(source.centers, axis=1)) * real_sph_harm(L, source.centers)
+        coeffs = 4.0 * math.pi / _SQRT_PI_2 * (source.coeffs @ modes)
+    return FourierBesselSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +572,13 @@ _FIT_RADIUS = 1.6
 _FIT_RCOND = 1e-9
 
 
-def _fit_kernel_sum(target_grid, radius, spacing):
-    """Least-squares fit of an n = 3 field by kernel translates on a ball grid.
+def _fit_kernel_sum(dirs, amps, radius, spacing):
+    """Least-squares fit of the plane waves sum_q amps_q e^{i dirs_q.x} by kernel translates.
 
-    Centers fill the ball of `radius` at `spacing`.  target_grid maps three
-    axes to the target's values on their product grid; the fit reads it on
-    the cube around the ball of _FIT_RADIUS and keeps the points in the ball.
+    Centers fill the ball of `radius` at `spacing`.  The waves are read on
+    the cube lattice around the ball of _FIT_RADIUS by one plane-wave
+    product, their amplitudes moved to the lattice centre x0 as
+    amps_q e^{i dirs_q.x0}, and the fit keeps the points in the ball.
     Truncated SVD keeps the coefficient mass finite; the near-nullspace of
     overlapping unit-frequency kernels would otherwise absorb arbitrarily
     large cancelling components.
@@ -604,7 +586,9 @@ def _fit_kernel_sum(target_grid, radius, spacing):
     ax, grid, inside = _ball_lattice(_FIT_RADIUS, 0.4 * spacing)
     centers = _ball_grid(radius, spacing)
     K = _kernel_matrix(3, grid[inside], centers)
-    target = np.asarray(target_grid([ax] * 3), dtype=complex).reshape(-1)[inside]
+    axes = [ax] * 3
+    target = _plane_wave_product(dirs, amps * np.exp(1j * (dirs @ _grid_centre(axes))), axes)
+    target = target.reshape(-1)[inside]
     u, sing, vh = np.linalg.svd(K, full_matrices=False)
     keep = sing > _FIT_RCOND * sing[0]
     coeffs = (vh[keep].conj().T * (1.0 / sing[keep])) @ (u[:, keep].conj().T @ target)
@@ -638,8 +622,8 @@ def herglotz_discretize(
 
     Centers sit on a uniform grid of the ball B_R; coefficients come from a
     regularized least-squares fit of field values on the ball of radius
-    _FIT_RADIUS, which the plane-wave product (_plane_waves_on_grid) reads
-    on the fit cube's axes.  (A Riemann-sum
+    _FIT_RADIUS, which one plane-wave product reads on the fit cube's axes
+    (_fit_kernel_sum).  (A Riemann-sum
     choice of the coefficients from the Fourier transform of a bump-extended
     density also converges, but needs astronomically many cells for useful
     tolerances; the least-squares fit reaches 1e-10 with a few hundred
@@ -666,9 +650,7 @@ def herglotz_discretize(
                 f"{ncent} centers, above its bound of {_MAX_FIT_PAIRS} pairs",
                 attempt.report.achieved if attempt is not None else float("inf"),
             )
-        attempt = _fit_kernel_sum(
-            lambda axes: _plane_waves_on_grid(f.nodes, f.weights * f.values, axes), radius, spacing
-        )
+        attempt = _fit_kernel_sum(f.nodes, f.weights * f.values, radius, spacing)
         achieved = float(np.max(np.abs(eval_bessel_sum(attempt, pts) - reference)))
         attempt.report = DiscretizeReport(
             delta, achieved, achieved / delta, radius, spacing, len(attempt)
@@ -851,11 +833,7 @@ def design_bessel_sum(
     conversion_error = {}
     check = _ball_samples(400, _CONVERSION_CHECK_RADIUS, 7)
     for a in sorted({a for _, a in targets}):
-        bsum = _fit_kernel_sum(
-            lambda axes: _plane_waves_on_grid(pw.directions, pw.spinor_coeffs[:, a], axes),
-            _CONVERT_RADIUS,
-            _CONVERT_SPACING,
-        )
+        bsum = _fit_kernel_sum(pw.directions, pw.spinor_coeffs[:, a], _CONVERT_RADIUS, _CONVERT_SPACING)
         conversion_error[a] = float(np.max(np.abs(eval_bessel_sum(bsum, check) - pw.component(a, check))))
         components[a] = bsum
 

@@ -151,7 +151,6 @@ class SpinorField3:
     """Two scalar components in the Killing frame."""
 
     components: tuple
-    k: int | None = None
 
     def pooled(self) -> UltrasphericalSum | None:
         """A harmonic pair of one degree as one sum over its pooled centers, with

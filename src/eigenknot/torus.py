@@ -54,49 +54,48 @@ class LatticeDirectionSet:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+#: lattice_directions takes its first coordinates in blocks whose cube of
+#: leading coordinates has at most this many points (or one first coordinate
+#: at a time), so the rows it holds do not grow like k^(n-1).
+_ENUM_ROWS = 1 << 18
+
+
+def _isqrt(a: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(a)) of a non-negative int64 array."""
+    r = np.floor(np.sqrt(a.astype(float))).astype(np.int64)
+    r -= r * r > a
+    r += (r + 1) * (r + 1) <= a
+    return r
+
+
 def lattice_directions(n: int, k: int) -> LatticeDirectionSet:
-    """Enumerate all m in Z^n with |m|^2 = k^2 (exact integer arithmetic)."""
+    """Enumerate all m in Z^n with |m|^2 = k^2 (exact integer arithmetic).
+
+    The leading n - 1 coordinates run over the integer points of the ball of
+    radius k, one coordinate at a time; the last is the exact integer square
+    root of what is left, with both signs.  Blocks of first coordinates
+    bound the rows held at once.  The vectors come out in lexicographic order.
+    """
     if n not in (2, 3, 4):
         raise ValueError("supported dimensions are n in {2, 3, 4}")
     if k < 1:
         raise ValueError("height k must be a positive integer")
     k2 = k * k
-    sols = []
-    if n == 2:
-        for m1 in range(-k, k + 1):
-            rem = k2 - m1 * m1
-            m2 = math.isqrt(rem)
-            if m2 * m2 == rem:
-                sols.append((m1, m2))
-                if m2:
-                    sols.append((m1, -m2))
-    elif n == 3:
-        for m1 in range(-k, k + 1):
-            r1 = k2 - m1 * m1
-            top = math.isqrt(r1)
-            for m2 in range(-top, top + 1):
-                rem = r1 - m2 * m2
-                m3 = math.isqrt(rem)
-                if m3 * m3 == rem:
-                    sols.append((m1, m2, m3))
-                    if m3:
-                        sols.append((m1, m2, -m3))
-    else:
-        for m1 in range(-k, k + 1):
-            r1 = k2 - m1 * m1
-            t1 = math.isqrt(r1)
-            for m2 in range(-t1, t1 + 1):
-                r2 = r1 - m2 * m2
-                t2 = math.isqrt(r2)
-                for m3 in range(-t2, t2 + 1):
-                    rem = r2 - m3 * m3
-                    m4 = math.isqrt(rem)
-                    if m4 * m4 == rem:
-                        sols.append((m1, m2, m3, m4))
-                        if m4:
-                            sols.append((m1, m2, m3, -m4))
-    vectors = np.array(sorted(set(sols)), dtype=np.int64)
-    return LatticeDirectionSet(n, k, vectors)
+    block = max(1, _ENUM_ROWS // (2 * k + 1) ** (n - 2))
+    found = []
+    for lo in range(-k, k + 1, block):
+        heads = np.arange(lo, min(lo + block, k + 1), dtype=np.int64)[:, None]
+        for _ in range(n - 2):
+            top = _isqrt(k2 - np.sum(heads * heads, axis=1))
+            width = 2 * top + 1
+            step = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width + top, width)
+            heads = np.column_stack([np.repeat(heads, width, axis=0), step])
+        rem = k2 - np.sum(heads * heads, axis=1)
+        last = _isqrt(rem)
+        exact = last * last == rem
+        heads, last = heads[exact], last[exact, None]
+        found += [np.hstack([heads, -last]), np.hstack([heads, last])]
+    return LatticeDirectionSet(n, k, np.unique(np.concatenate(found), axis=0))
 
 
 def _cap_fraction(n: int, t: np.ndarray) -> np.ndarray:

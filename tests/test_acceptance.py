@@ -153,7 +153,7 @@ def test_criterion_6_multi_ball():
 
 
 def test_criterion_7_dirac_spectrum_pinning():
-    psi = SpinorField3((0.7 - 0.2j, 0.1 + 1.0j), k=0)
+    psi = SpinorField3((0.7 - 0.2j, 0.1 + 1.0j))
     resid = dirac_residual(psi, 1.5, samples=64)
     _report(7, resid <= 1e-10, f"constant-spinor residual at 3/2: {resid:.2e}")
 
@@ -165,7 +165,7 @@ def test_criterion_8_weitzenboeck_projection():
     for k in (10, 30):
         y1 = ek.synthesize(_random_bessel_sum(200 + k), k, chart)
         y2 = ek.synthesize(_random_bessel_sum(300 + k), k, chart)
-        psi = dirac_project(SpinorField3((y1, y2), k=k), k)
+        psi = dirac_project(SpinorField3((y1, y2)), k)
         resid = dirac_residual(psi, 1.5 + k, samples=40)
         ok = ok and resid <= 1e-6
         # idempotence on the image
@@ -204,7 +204,7 @@ def test_criterion_9_end_to_end_nodal_realization():
     details = []
     for k in (60, 120):
         ys = [ek.synthesize(design.components[a], k, chart) for a in (0, 1)]
-        psi = dirac_project(SpinorField3(tuple(ys), k=k), k)
+        psi = dirac_project(SpinorField3(tuple(ys)), k)
         dists = []
         picks = []
         for a in (0, 1):

@@ -85,12 +85,13 @@ def test_plane_wave_product_matches_direct_sum(seed, count, offset, sizes):
     amps = rng.normal(size=count) + 1j * rng.normal(size=count)
     lo = offset * rng.normal(size=3) / np.sqrt(3.0)
     axes = [_dyadic(np.linspace(a, a + rng.uniform(0.1, 2.0), n)) for a, n in zip(lo, sizes)]
-    values = helmholtz._plane_waves_on_grid(dirs, amps, axes)
+    values = helmholtz._plane_wave_product(dirs, amps, axes)
     assert values.shape == sizes
-    # the direct sum on up to 2048 of the grid's points, the first and last included
+    # the direct sum about the grid centre on up to 2048 of the grid's points,
+    # the first and last included
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     pick = np.union1d(rng.choice(len(points), min(len(points), 2046), replace=False), [0, len(points) - 1])
-    direct = helmholtz._plane_wave_sum(points[pick], dirs, amps)
+    direct = helmholtz._plane_wave_sum(points[pick] - helmholtz._grid_centre(axes), dirs, amps)
     assert np.max(np.abs(values.reshape(-1)[pick] - direct)) <= GRID_RTOL * np.abs(amps).sum()
 
 

@@ -131,7 +131,7 @@ def golden_hopf_curves():
     case, k = GOLDEN["hopf"][0], 60
     design = helmholtz.hopf_link_design()
     chart = spinor3.adapted_chart(case["chart_base"])
-    pair = spinor3.SpinorField3(tuple(harmonics.synthesize(design.components[a], k, chart) for a in (0, 1)), k=k)
+    pair = spinor3.SpinorField3(tuple(harmonics.synthesize(design.components[a], k, chart) for a in (0, 1)))
     psi = spinor3.dirac_project(pair, k)
     curves = [
         nodal.extract_nodal(spinor3.component_pullback(psi, a, chart, k), design.boxes[a], make_golden.HOPF_H)

@@ -135,6 +135,8 @@ def test_localization_single_center(chart):
         Y = ek.synthesize(single, k, chart)
         reports[k] = H.localization_error(single, Y, m=2, h=0.1)
     assert all(err <= 0.05 for err in reports[100].orders)
+    rows = reports[100].to_csv_rows()
+    assert rows[0][0] == 0 and rows[0][3] == 100
     # tolerance anchored at half of the k=50 reading
     for order in range(3):
         assert reports[100].orders[order] <= 0.6 * reports[50].orders[order]
@@ -149,15 +151,6 @@ def test_localization_rates_seeded(chart):
             errs.append(H.localization_error(phi, Y, m=0, h=0.125).orders[0])
         for a, b in zip(errs, errs[1:]):
             assert 0.3 <= b / a <= 0.8, (seed, errs)
-
-
-def test_localization_adaptive_step(chart):
-    single = BesselSum(3, [1.0], [[0.0, 0.0, 0.0]], 0.5)
-    Y = ek.synthesize(single, 100, chart)
-    rep = H.localization_error(single, Y, m=2)
-    assert rep.h <= 0.2
-    rows = rep.to_csv_rows()
-    assert rows[0][0] == 0 and rows[0][3] == 100
 
 
 def _full_lattice_orders(diff, mask, h, m):
@@ -196,29 +189,14 @@ def _full_lattice_orders(diff, mask, h, m):
     return orders
 
 
-def _full_lattice_report(phi, Y, m=2, h=None, radius=1.0, chart=None):
+def _full_lattice_report(phi, Y, m, h, radius=1.0, chart=None):
     """Reference: localization_error evaluating both fields on the whole padded cube."""
-
-    def measure(step):
-        ax = np.arange(-radius - 2 * step, radius + 2 * step + 1e-12, step)
-        grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-        flat = grid.reshape(-1, 3)
-        mask = (np.linalg.norm(flat, axis=1) <= radius).reshape(grid.shape[:3])
-        diff = (H.rescaled_pullback(Y, flat, chart) - eval_bessel_sum(phi, flat)).reshape(grid.shape[:3])
-        return H.CmErrorReport(_full_lattice_orders(diff, mask, step, m), step, Y.k, m)
-
-    if h is not None:
-        return measure(h)
-    step = radius / 5.0
-    report = measure(step)
-    for _ in range(3):
-        finer = measure(step / 2.0)
-        top = max(report.orders[-1], 1e-300)
-        if abs(finer.orders[-1] - report.orders[-1]) <= 0.1 * top:
-            return finer
-        step /= 2.0
-        report = finer
-    return report
+    ax = np.arange(-radius - 2 * h, radius + 2 * h + 1e-12, h)
+    grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+    flat = grid.reshape(-1, 3)
+    mask = (np.linalg.norm(flat, axis=1) <= radius).reshape(grid.shape[:3])
+    diff = (H.rescaled_pullback(Y, flat, chart) - eval_bessel_sum(phi, flat)).reshape(grid.shape[:3])
+    return H.CmErrorReport(_full_lattice_orders(diff, mask, h, m), h, Y.k, m)
 
 
 def _assert_matches_reference(got, want):
@@ -242,15 +220,6 @@ def test_localization_support_matches_full_lattice(seed, m, h, radius, k):
     Y = ek.synthesize(phi, k, ek.random_chart(3, seed + 1))
     got = H.localization_error(phi, Y, m=m, h=h, radius=radius)
     _assert_matches_reference(got, _full_lattice_report(phi, Y, m=m, h=h, radius=radius))
-
-
-def test_localization_refinement_matches_full_lattice(chart):
-    phi = random_bessel_sum(7)
-    Y = ek.synthesize(phi, 40, chart)
-    got = H.localization_error(phi, Y, m=2, radius=0.8)
-    want = _full_lattice_report(phi, Y, m=2, radius=0.8)
-    assert got.h < 0.8 / 5.0  # at least one refinement step was taken
-    _assert_matches_reference(got, want)
 
 
 @pytest.mark.parametrize("m, rows", [(0, 2109), (1, 2109), (2, 2457)])
@@ -322,7 +291,7 @@ def test_localization_rejects_bad_arguments(chart, kwargs, name):
     phi = random_bessel_sum(5)
     Y = ek.synthesize(phi, 40, chart)
     with pytest.raises(ValueError, match=rf"^{name} "):
-        H.localization_error(phi, Y, **kwargs)
+        H.localization_error(phi, Y, **{"h": 0.125, **kwargs})
 
 
 def test_multi_synthesize_single_pair_matches(chart, small_sum):

@@ -17,6 +17,7 @@ from eigenknot.helmholtz import (
     eval_herglotz,
     fourier_bessel_truncate,
     helmholtz_residual,
+    real_sph_harm,
     herglotz_discretize,
     sphere_area,
     sphere_quadrature,
@@ -242,46 +243,83 @@ def test_discretize_unreachable_tolerance():
         herglotz_discretize(f, 1e-3, radius=0.2)
 
 
-def test_fourier_bessel_radial_field():
-    def radial(x):
-        r = np.maximum(np.linalg.norm(np.atleast_2d(x), axis=1), 1e-300)
-        return SQRT_2_PI * np.sin(r) / r
+def _mode_orders(L):
+    l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    return l, np.arange((L + 1) ** 2) - l * l - l
 
-    s = fourier_bessel_truncate(radial, 6)
-    assert abs(s.coeffs[(0, 0)] - math.sqrt(8.0)) <= 1e-10
-    others = max(abs(v) for key, v in s.coeffs.items() if key != (0, 0))
-    assert others <= 1e-8
-    assert s.l2_error <= 1e-10
+
+def test_real_sph_harm_basis():
+    # the real basis without the Condon-Shortley phase, in columns l^2 + l + m
+    x = ball_points(np.random.default_rng(6), 50, radius=3.0)
+    u = x / np.linalg.norm(x, axis=1, keepdims=True)
+    c1, c2 = math.sqrt(3.0 / (4.0 * math.pi)), math.sqrt(15.0 / math.pi)
+    want = np.stack(
+        [np.full(len(u), 0.5 / math.sqrt(math.pi)), c1 * u[:, 1], c1 * u[:, 2], c1 * u[:, 0],
+         0.5 * c2 * u[:, 0] * u[:, 1], 0.25 * c2 * (u[:, 0] ** 2 - u[:, 1] ** 2)],
+        axis=1,
+    )
+    got = real_sph_harm(2, x)
+    assert got.shape == (50, 9)
+    assert np.abs(got[:, [0, 1, 2, 3, 4, 8]] - want).max() <= 1e-15
+    # orthonormal on S^2 under a rule exact to degree 12
+    nodes, weights = sphere_quadrature(3, 8)
+    table = real_sph_harm(6, nodes)
+    assert np.abs((table.T * weights) @ table - np.eye(49)).max() <= 1e-14
+
+
+def test_fourier_bessel_radial_field():
+    # sqrt(2/pi) j_0(|x|) = 4 pi sqrt(2/pi) j_0(|x|) Y_00^2, so b_00 = sqrt(8)
+    s = fourier_bessel_truncate(BesselSum(3, [1.0], [[0.0, 0.0, 0.0]], 0.0), 6)
+    assert s.L == 6 and s.coeffs.shape == (49,)
+    assert abs(s.coeffs[0] - math.sqrt(8.0)) <= 4e-16 * math.sqrt(8.0)
+    assert np.all(s.coeffs[1:] == 0.0)
 
 
 def test_fourier_bessel_helical_concentration():
+    # (xi_1 + i xi_2) e^{xi_3} is sin(theta) e^{i phi} times a function of xi_3
+    f = HerglotzDensity.from_function(3, lambda xi: (xi[:, 0] + 1j * xi[:, 1]) * np.exp(xi[:, 2]), 24)
+    x = ball_points(np.random.default_rng(3), 400, radius=2.0)
+    want = eval_herglotz(f, x)
     errs = []
     for L in (2, 4, 8):
-        s = fourier_bessel_truncate(helical, L)
-        errs.append(s.l2_error)
-        if L == 8:
-            # angular content of (x1 + i x2) e^{i x3} lives on m = +1 modes
-            heavy = {key for key, v in s.coeffs.items() if abs(v) > 1e-3}
-            assert heavy and all(abs(m) == 1 for _, m in heavy)
-    assert errs[0] > errs[1] > errs[2]
+        s = fourier_bessel_truncate(f, L)
+        _, m = _mode_orders(L)
+        assert np.abs(s.coeffs[np.abs(m) != 1]).max() <= 1e-15 * np.abs(s.coeffs).max()
+        errs.append(np.abs(s.eval(x) - want).max() / np.abs(want).max())
+    # about 1.8e-2, 1.7e-5 and 2.1e-13
+    assert errs[0] > 1e-2 and 1e-6 < errs[1] < 1e-4 and errs[2] < 1e-12
 
 
 def test_fourier_bessel_roundtrip():
+    # f = sum a_lm Y_lm has b_lm = 4 pi i^l a_lm; the rule integrates degree 2L exactly
+    L = 4
     rng = np.random.default_rng(2)
-    coeffs = {}
-    for l in range(5):
-        for m in range(-l, l + 1):
-            coeffs[(l, m)] = complex(rng.normal(), rng.normal())
-    series = FourierBesselSeries(4, coeffs)
-    back = fourier_bessel_truncate(series.eval, 4)
-    worst = max(abs(back.coeffs[key] - coeffs[key]) for key in coeffs)
-    assert worst <= 1e-8
+    a = rng.normal(size=(L + 1) ** 2) + 1j * rng.normal(size=(L + 1) ** 2)
+    f = HerglotzDensity.from_function(3, lambda xi: real_sph_harm(L, xi) @ a, 8)
+    l, _ = _mode_orders(L)
+    back = fourier_bessel_truncate(f, L).coeffs / (4 * math.pi * 1j**l)
+    assert np.abs(back - a).max() <= 1e-14 * np.abs(a).max()
+    # and no mode past L, on the scale 4 pi |a| of the coefficients
+    beyond = fourier_bessel_truncate(f, L + 2).coeffs[(L + 1) ** 2 :]
+    assert np.abs(beyond).max() <= 1e-14 * 4 * math.pi * np.abs(a).max()
 
 
 def test_fourier_bessel_herglotz_reconstruction():
+    x = ball_points(np.random.default_rng(4), 500, radius=2.0)
     f = HerglotzDensity.from_function(
         3, lambda xi: (xi[:, 0] + 0.5j * xi[:, 2]) * np.exp(0.3 * xi[:, 1]), 16
     )
-    s = fourier_bessel_truncate(lambda x: eval_herglotz(f, x), 20, n_rad=36, resolution=40)
-    assert s.l2_error <= 1e-6
-    assert len(s.flagged) > 0  # high-l modes below the noise floor are zeroed
+    rng = np.random.default_rng(5)
+    s = BesselSum(3, rng.normal(size=5) + 1j * rng.normal(size=5), ball_points(rng, 5), 1.0)
+    for field, want in ((f, eval_herglotz(f, x)), (s, eval_bessel_sum(s, x))):
+        got = fourier_bessel_truncate(field, 20).eval(x)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_fourier_bessel_rejects_other_inputs():
+    with pytest.raises(TypeError, match="HerglotzDensity or a BesselSum"):
+        fourier_bessel_truncate(helical, 4)
+    with pytest.raises(ValueError, match="n = 2"):
+        fourier_bessel_truncate(HerglotzDensity.constant(2), 4)
+    with pytest.raises(ValueError, match=r"\(L\+1\)\^2"):
+        FourierBesselSeries(np.ones(5))

@@ -6,7 +6,9 @@ name or as the base of an attribute (names listed in ``__all__`` and
 ``from __future__`` imports are exempt).  No package module imports scipy at
 module level, and a fresh interpreter runs the CLI pipelines without ever
 loading it; only the few functions those pipelines do not call import scipy,
-inside the function.
+inside the function.  No package module reaches numpy.polynomial anywhere
+(its Gauss rules come from specialfn.gauss_gegenbauer), and the pipelines
+never load it either.
 """
 
 import ast
@@ -103,8 +105,47 @@ def test_no_module_level_scipy_import(path):
     )
 
 
+def numpy_polynomial_uses(source: str) -> list:
+    """Lines that import numpy.polynomial or read it as an attribute of numpy, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}".replace("np.", "numpy.", 1)]
+        else:
+            names = []
+        if any(name == "numpy.polynomial" or name.startswith("numpy.polynomial.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_numpy_polynomial_uses():
+    source = (
+        "import numpy as np, numpy.polynomial\n"
+        "from numpy.polynomial.legendre import leggauss\n"
+        "from numpy import polynomial\n"
+        "def f():\n"
+        "    from numpy.polynomial import legendre\n"
+        "    return np.polynomial.legendre.leggauss(4)\n"
+        "from numpy import linalg\n"
+        "import polynomial\n"
+        "x = np.linalg.norm\n"
+    )
+    assert numpy_polynomial_uses(source) == [1, 2, 3, 5, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_numpy_polynomial(path):
+    found = numpy_polynomial_uses(path.read_text())
+    assert not found, "; ".join(f"{path.relative_to(ROOT)}:{line} reaches numpy.polynomial" for line in found)
+
+
 # Hopf design, then approximate -> verify and spinorize -> nodal through the
-# CLI on small configs; prints the scipy modules loaded by the end
+# CLI on small configs; prints the scipy and numpy.polynomial modules loaded
+# by the end
 PIPELINES = """
 import json, sys
 from pathlib import Path
@@ -130,7 +171,8 @@ for argv in runs:
 topology = json.loads(Path("curves.topology.json").read_text())
 links = [e["link"] for e in topology["linking"] if e["field"] == "cross"]
 assert links and abs(links[0]) == 1, links
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+watched = ("scipy", "numpy.polynomial")
+print(json.dumps(sorted(m for m in sys.modules if any(m == w or m.startswith(w + ".") for w in watched))))
 """
 
 

@@ -42,7 +42,7 @@ def wrapped(fn):
 
 def _harmonic_pair(chart, k):
     comps = tuple(harmonics.synthesize(DESIGN.components[a], k, chart) for a in (0, 1))
-    return spinor3.SpinorField3(comps, k=k)
+    return spinor3.SpinorField3(comps)
 
 
 def hopf_pullback(seed, k, index):

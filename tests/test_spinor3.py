@@ -49,7 +49,7 @@ def harmonic_pair(chart):
     k = 30
     y1 = ek.synthesize(rand_sum(30), k, chart)
     y2 = ek.synthesize(rand_sum(31), k, chart)
-    return SpinorField3((y1, y2), k=k), k
+    return SpinorField3((y1, y2)), k
 
 
 def test_clifford_relations():
@@ -80,7 +80,7 @@ def test_frame_orthonormal_tangent():
 
 
 def test_constant_spinor_eigenvalue():
-    psi = SpinorField3((1.0 + 0.5j, -0.25j), k=0)
+    psi = SpinorField3((1.0 + 0.5j, -0.25j))
     assert dirac_residual(psi, 1.5, samples=32) <= 1e-10
     p = sphere_points(2, 16)
     dv = dirac_apply(psi, p)
@@ -202,7 +202,7 @@ def test_projection_eigen_residual(chart):
     for k in (10, 30):
         y1 = ek.synthesize(rand_sum(k), k, chart)
         y2 = ek.synthesize(rand_sum(k + 1), k, chart)
-        psi = dirac_project(SpinorField3((y1, y2), k=k), k)
+        psi = dirac_project(SpinorField3((y1, y2)), k)
         assert dirac_residual(psi, 1.5 + k, samples=40) <= 1e-6
         assert dirac_residual(psi, 2.5 + k, samples=40) >= 0.5
 
@@ -219,7 +219,7 @@ def test_hopf_dirac_residual_over_seeded_bases(k, bound):
     for base in bases:
         chart = adapted_chart(base)
         pair = tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1))
-        psi = dirac_project(SpinorField3(pair, k=k), k)
+        psi = dirac_project(SpinorField3(pair), k)
         worst = max(worst, dirac_residual(psi, 1.5 + k))
     assert worst <= bound, worst
 
@@ -259,7 +259,7 @@ def harmonic_pair_at(k, chart, shared):
     s2 = rand_sum(200 + k)
     if shared:  # same centers, other coefficients
         s2 = BesselSum(3, s2.coeffs, s1.centers, s1.radius)
-    return SpinorField3((ek.synthesize(s1, k, chart), ek.synthesize(s2, k, chart)), k=k)
+    return SpinorField3((ek.synthesize(s1, k, chart), ek.synthesize(s2, k, chart)))
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -292,7 +292,7 @@ def hopf_pair_at_base(k=60):
     """The Hopf design's pair at degree k in the adapted chart at (0.3, -0.5, 0.7, 0.4)."""
     design = ek.hopf_link_design()
     chart = adapted_chart(np.array([0.3, -0.5, 0.7, 0.4]))
-    return SpinorField3(tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1)), k=k)
+    return SpinorField3(tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1)))
 
 
 def spy_zonal_jet(monkeypatch):
@@ -335,7 +335,7 @@ def test_projection_property(seed, k):
     centers = rng.normal(size=(2, 4, 4))
     centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
     ys = tuple(UltrasphericalSum(3, k, coeffs[a], centers[a]) for a in (0, 1))
-    psi = dirac_project(SpinorField3(ys, k=k), k)
+    psi = dirac_project(SpinorField3(ys), k)
     assert dirac_residual(psi, k + 1.5) <= 1e-9
     p = sphere_points(seed + 1, 32)
     v1 = psi.values(p)
@@ -344,7 +344,7 @@ def test_projection_property(seed, k):
 
 
 def test_projection_fixes_eigenfields():
-    psi = SpinorField3((0.3 - 1.0j, 0.8), k=0)
+    psi = SpinorField3((0.3 - 1.0j, 0.8))
     out = dirac_project(psi, 0)
     p = sphere_points(5, 16)
     assert np.max(np.abs(out.values(p) - psi.values(p))) <= 1e-12
@@ -354,7 +354,7 @@ def test_projection_rejects_non_harmonic(chart):
     y1 = ek.synthesize(rand_sum(12), 8, chart)
     y2 = ek.synthesize(rand_sum(13), 9, chart)  # wrong degree for k=8
     with pytest.raises(ValueError):
-        dirac_project(SpinorField3((y1, y2), k=8), 8)
+        dirac_project(SpinorField3((y1, y2)), 8)
 
 
 def _hopf_pair(k, degrees=(0, 0)):
@@ -362,7 +362,7 @@ def _hopf_pair(k, degrees=(0, 0)):
     the adapted chart of a seeded base point."""
     design = ek.hopf_link_design()
     chart = adapted_chart(np.random.default_rng(0).normal(size=4))
-    return SpinorField3(tuple(ek.synthesize(design.components[a], k + degrees[a], chart) for a in (0, 1)), k=k)
+    return SpinorField3(tuple(ek.synthesize(design.components[a], k + degrees[a], chart) for a in (0, 1)))
 
 
 @pytest.mark.parametrize("k", [1000, 2000, 30000])
@@ -387,7 +387,7 @@ def test_weitzenboeck_two_pass(harmonic_pair):
     # analytic first application, finite-difference second application
     psit, k = harmonic_pair
     inner = lambda P: dirac_slash_apply(psit, P)
-    outer = SpinorField3((lambda P: inner(P)[:, 0], lambda P: inner(P)[:, 1]), k=k)
+    outer = SpinorField3((lambda P: inner(P)[:, 0], lambda P: inner(P)[:, 1]))
     p = sphere_points(6, 24)
     ds2 = dirac_slash_apply(outer, p)
     expected = (k * (k + 2.0) + 1.0) * psit.values(p)
@@ -429,7 +429,7 @@ def test_localization_of_projected_components():
     sups = []
     for k in (40, 80):
         ys = [ek.synthesize(s, k, chart) for s in phis]
-        psi = dirac_project(SpinorField3(tuple(ys), k=k), k)
+        psi = dirac_project(SpinorField3(tuple(ys)), k)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(300, 3))
         x *= (rng.uniform(0, 1, 300) ** (1 / 3) / np.linalg.norm(x, axis=1))[:, None]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eigenknot import torus
 from eigenknot.helmholtz import HerglotzDensity
 from eigenknot.torus import (
     LatticeDirectionSet,
@@ -33,6 +34,19 @@ def test_small_counts():
 def test_counts_match_brute_force():
     for k in list(range(1, 21)) + [33, 41, 50]:
         assert len(lattice_directions(3, k)) == brute_force_count(k), k
+
+
+@pytest.mark.parametrize("rows", [1, 40, 1 << 18])
+def test_vectors_match_brute_force(monkeypatch, rows):
+    # every vector of the cube [-k, k]^n with |m|^2 = k^2, in lexicographic
+    # order, with the first coordinates taken one or several at a time
+    monkeypatch.setattr(torus, "_ENUM_ROWS", rows)
+    for n, ks in ((2, (1, 5, 25, 65)), (3, (1, 3, 9, 21)), (4, (1, 2, 6))):
+        for k in ks:
+            cube = np.stack(np.meshgrid(*[np.arange(-k, k + 1)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+            want = cube[np.sum(cube * cube, axis=1) == k * k]
+            got = lattice_directions(n, k).vectors
+            assert got.dtype == np.int64 and np.array_equal(got, want), (n, k)
 
 
 def test_dimension_two_and_four():
