@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sphere
-from .helmholtz import BesselSum, _pair_distances, eval_bessel_sum, eval_bessel_sum_grid
+from .helmholtz import BesselSum, _central_differences, _pair_distances, eval_bessel_sum, eval_bessel_sum_grid
 from .specialfn import (
     gegenbauer3_chord_derivatives,
     gegenbauer_cnk_derivatives,
@@ -149,8 +149,7 @@ def multi_synthesize(pairs, k: int, min_separation: float = 1e-6) -> Ultraspheri
     parts = [synthesize(s, k, c) for s, c in pairs]
     coeffs = np.concatenate([p.coeffs for p in parts])
     centers = np.concatenate([p.centers for p in parts])
-    out = UltrasphericalSum(n, k, coeffs, centers, chart=pairs[0][1])
-    return out
+    return UltrasphericalSum(n, k, coeffs, centers, chart=pairs[0][1])
 
 
 def _signed_chords(p: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -256,76 +255,27 @@ class CmErrorReport:
     k: int
     m: int
 
-    def sup(self, order: int) -> float:
-        return self.orders[order]
-
     def to_csv_rows(self):
         return [(order, err, self.h, self.k) for order, err in enumerate(self.orders)]
 
 
-def _interior(mask: np.ndarray) -> np.ndarray:
-    """Mask points whose six axis neighbours are in mask, off the lattice faces."""
-    interior = mask.copy()
-    for axis in range(3):
-        interior &= np.roll(mask, 1, axis=axis) & np.roll(mask, -1, axis=axis)
-    for axis in range(3):
-        sl = [slice(None)] * 3
-        sl[axis] = slice(0, 1)
-        interior[tuple(sl)] = False
-        sl[axis] = slice(-1, None)
-        interior[tuple(sl)] = False
-    return interior
-
-
 def _stencil_support(mask: np.ndarray, interior: np.ndarray, m: int) -> np.ndarray:
-    """Lattice points that _difference_orders reads up to order m.
+    """Lattice points that the order-m central differences at interior points read.
 
-    Order 0 reads mask; the first and the pure second differences at interior
-    points read their axis neighbours, which are in mask by definition; the
-    mixed second differences add the four diagonal neighbours in each
-    coordinate plane.  Interior points are off the faces, so no roll wraps.
+    interior lives on the lattice core (every point but the outer layer).
+    Order 0 reads mask; the first and pure second differences read axis
+    neighbours, in mask by definition; the mixed second differences add the
+    four diagonal neighbours in each coordinate plane.
     """
     if m < 2:
         return mask
     support = mask.copy()
-    for a in range(3):
-        for b in range(a + 1, 3):
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    support |= np.roll(np.roll(interior, sa, axis=a), sb, axis=b)
+    c = slice(1, -1)
+    for sa in (slice(None, -2), slice(2, None)):
+        for sb in (slice(None, -2), slice(2, None)):
+            for plane in ((sa, sb, c), (sa, c, sb), (c, sa, sb)):
+                support[plane] |= interior
     return support
-
-
-def _difference_orders(diff: np.ndarray, mask: np.ndarray, interior: np.ndarray, h: float, m: int):
-    """Sup of |D|, |grad D|, |grad^2 D| on the masked lattice, central stencils.
-
-    np.maximum, unlike Python's max, carries a NaN that any stencil reads.
-    """
-    orders = [float(np.abs(diff[mask]).max())]
-    if m >= 1:
-        worst = 0.0
-        for axis in range(3):
-            d1 = (np.roll(diff, -1, axis=axis) - np.roll(diff, 1, axis=axis)) / (2 * h)
-            worst = np.maximum(worst, np.abs(d1[interior]).max())
-        orders.append(float(worst))
-    if m >= 2:
-        worst = 0.0
-        for a in range(3):
-            for b in range(a, 3):
-                if a == b:
-                    d2 = (
-                        np.roll(diff, -1, axis=a) - 2 * diff + np.roll(diff, 1, axis=a)
-                    ) / (h * h)
-                else:
-                    d2 = (
-                        np.roll(np.roll(diff, -1, axis=a), -1, axis=b)
-                        - np.roll(np.roll(diff, -1, axis=a), 1, axis=b)
-                        - np.roll(np.roll(diff, 1, axis=a), -1, axis=b)
-                        + np.roll(np.roll(diff, 1, axis=a), 1, axis=b)
-                    ) / (4 * h * h)
-                worst = np.maximum(worst, np.abs(d2[interior]).max())
-        orders.append(float(worst))
-    return orders
 
 
 def _positive_finite(name: str, value) -> float:
@@ -346,8 +296,9 @@ def localization_error(
 ) -> CmErrorReport:
     """C^j sup discrepancies (j = 0..m) between phi and Y's rescaled pullback.
 
-    Derivatives are central finite differences on a uniform lattice of step h
-    covering the ball of the given radius.
+    Derivatives are helmholtz._central_differences on a uniform lattice of
+    step h covering the ball of the given radius, read at interior points:
+    lattice points whose six axis neighbours lie in the ball.
 
     The pullback is evaluated only where the stencils read: the ball itself
     for m <= 1 (the axis neighbours of interior points lie in it), plus the
@@ -368,10 +319,11 @@ def localization_error(
         raise NotImplementedError("localization reports are implemented for n = 3")
 
     ax = np.arange(-radius - 2 * h, radius + 2 * h + 1e-12, h)
-    grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-    flat = grid.reshape(-1, 3)
-    mask = (np.linalg.norm(flat, axis=1) <= radius).reshape(grid.shape[:3])
-    interior = _interior(mask)
+    flat = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    mask = (np.linalg.norm(flat, axis=1) <= radius).reshape((len(ax),) * 3)
+    c, lo, hi = slice(1, -1), slice(None, -2), slice(2, None)
+    interior = mask[c, c, c] & mask[hi, c, c] & mask[lo, c, c] & mask[c, hi, c]
+    interior &= mask[c, lo, c] & mask[c, c, hi] & mask[c, c, lo]
     if not (interior if m >= 1 else mask).any():
         raise ValueError(
             f"h = {h:g} leaves no {'interior ' if m >= 1 else ''}lattice point "
@@ -381,7 +333,9 @@ def localization_error(
     diff = np.full(mask.shape, np.nan, dtype=complex)
     diff[support] = rescaled_pullback(Y, flat[support.ravel()], chart)
     diff[support] -= eval_bessel_sum_grid(phi, [ax] * 3)[support]
-    orders = _difference_orders(diff, mask, interior, h, m)
+    orders = [float(np.abs(diff[mask]).max())] + [
+        float(np.abs(d[..., interior]).max()) for d in _central_differences(diff, h, m)[1:]
+    ]
     if not np.all(np.isfinite(orders)):
         raise FloatingPointError(
             f"non-finite C^j discrepancy {orders} at h = {h:g}: a field is not finite "
@@ -396,18 +350,15 @@ def multi_localization_reports(pairs, Y: UltrasphericalSum, m: int = 0, h: float
     Comparing each phi_alpha with the pullback of the complete Y through its
     own chart makes the cross-ball leakage part of the reported error.
     """
-    return [
-        localization_error(s, Y, m=m, h=h, chart=c)
-        for s, c in pairs
-    ]
+    return [localization_error(s, Y, m=m, h=h, chart=c) for s, c in pairs]
 
 
-def decay_profile(n: int, k: int, rho: float, samples_per_period: int = 12) -> float:
-    """max |C^n_k(cos t)| over t in [rho, pi - rho] by dense sampling."""
+def decay_profile(n: int, k: int, rho: float) -> float:
+    """max |C^n_k(cos t)| over t in [rho, pi - rho] by dense sampling, 12 samples per period."""
     if not 0 < rho < 0.5 * math.pi:
         raise ValueError("need 0 < rho < pi/2")
     period = 2.0 * math.pi / max(k, 1)
-    count = max(64, int(samples_per_period * (math.pi - 2 * rho) / period))
+    count = max(64, int(12 * (math.pi - 2 * rho) / period))
     t = np.linspace(rho, math.pi - rho, count)
     alpha = 0.5 * n - 1.0
     vals = gegenbauer_ratio(n, k) * jacobi_p(k, alpha, alpha, np.cos(t))

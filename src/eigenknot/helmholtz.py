@@ -419,26 +419,52 @@ def bessel_sum_field(s: BesselSum):
     return field
 
 
+def _central_differences(vals: np.ndarray, h: float, m: int):
+    """[v, D1, D2] through order m on the lattice core (every point but the outer layer).
+
+    D1 (n, *core) holds (v+ - v-) / (2h) along each axis; D2 (n, n, *core)
+    holds (v+ - 2v + v-) / (h h) on its diagonal and
+    (v++ - v+- - v-+ + v--) / (4h h) off it, the same array at [a, b] and
+    [b, a].  Each neighbour is a slice of vals, so nothing is copied whole.
+    """
+    n, e = vals.ndim, np.eye(vals.ndim, dtype=int)
+    v = vals[(slice(1, -1),) * n]
+
+    def at(step):
+        return vals[tuple(slice(1 + s, size - 1 + s) for s, size in zip(step, vals.shape))]
+
+    out = [v]
+    if m >= 1:
+        out.append(np.stack([(at(e[a]) - at(-e[a])) / (2 * h) for a in range(n)]))
+    if m >= 2:
+        d2 = np.empty((n, n) + v.shape, dtype=np.result_type(vals, h))
+        for a in range(n):
+            d2[a, a] = (at(e[a]) - 2 * v + at(-e[a])) / (h * h)
+            for b in range(a + 1, n):
+                d2[a, b] = d2[b, a] = (
+                    at(e[a] + e[b]) - at(e[a] - e[b]) - at(e[b] - e[a]) + at(-e[a] - e[b])
+                ) / (4 * h * h)
+        out.append(d2)
+    return out
+
+
 def lattice_stencils(fieldfn, box, h: float):
     """(phi, its central first differences, its 2n+1-point Laplacian) on the box's lattice of step h.
 
     fieldfn is called once, on that lattice padded by one step; the
-    differences stack on a leading axis of length n.
+    differences stack on a leading axis of length n, and the Laplacian is
+    the trace of _central_differences' second differences.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"lattice step h must be finite and positive, got {h!r}")
     lo, hi = (np.asarray(b, dtype=float) for b in box)
-    n = len(lo)
-    axes = [np.arange(lo[d] - h, hi[d] + h + 1e-12, h) for d in range(n)]
+    if not np.all(hi > lo):
+        raise ValueError(f"box must have hi > lo on every axis, got lo {lo.tolist()} and hi {hi.tolist()}")
+    axes = [np.arange(a - h, b + h + 1e-12, h) for a, b in zip(lo, hi)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = np.asarray(fieldfn(grid.reshape(-1, n)), dtype=complex).reshape(grid.shape[:-1])
-    core = tuple(slice(1, -1) for _ in range(n))
-    lap = -2.0 * n * vals[core]
-    grad = []
-    for d in range(n):
-        up = tuple(slice(2, None) if i == d else slice(1, -1) for i in range(n))
-        dn = tuple(slice(0, -2) if i == d else slice(1, -1) for i in range(n))
-        lap = lap + vals[up] + vals[dn]
-        grad.append((vals[up] - vals[dn]) / (2 * h))
-    return vals[core], np.stack(grad), lap / (h * h)
+    vals = np.asarray(fieldfn(grid.reshape(-1, len(axes))), dtype=complex).reshape(grid.shape[:-1])
+    v, grad, d2 = _central_differences(vals, h, 2)
+    return v, grad, np.trace(d2)
 
 
 def helmholtz_residual(fieldfn, box, h: float) -> float:

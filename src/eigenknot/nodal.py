@@ -436,12 +436,11 @@ def linking_number(c1, c2, min_separation: float | None = None) -> int:
     return int(nearest)
 
 
-def projected_crossing_number(c1, c2, direction=None, seed: int = 0) -> int:
-    """Signed crossings of a generic planar projection; equals the linking number."""
+def projected_crossing_number(c1, c2, seed: int = 0) -> int:
+    """Signed crossings of a projection along a seeded random direction; equals the linking number."""
     p1 = _as_closed_vertices(c1)
     p2 = _as_closed_vertices(c2)
-    rng = np.random.default_rng(seed)
-    d = np.asarray(direction, dtype=float) if direction is not None else rng.normal(size=3)
+    d = np.random.default_rng(seed).normal(size=3)
     d = d / np.linalg.norm(d)
     tmp = np.array([1.0, 0, 0]) if abs(d[0]) < 0.9 else np.array([0, 1.0, 0])
     e1 = np.cross(d, tmp)

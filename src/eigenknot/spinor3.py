@@ -355,12 +355,11 @@ def euclidean_dirac_check(pair, box, h: float):
     solutions score O(h^2).  Returns
     (dirac_residual, (helmholtz_residual_1, helmholtz_residual_2)).
     """
-    stencils = [lattice_stencils(f, box, h) for f in pair]
-    vals = np.stack([s[0] for s in stencils], axis=-1)
+    # value, gradient and Laplacian, each with the component on a last axis
+    vals, grads, laps = (np.stack(part, axis=-1) for part in zip(*(lattice_stencils(f, box, h) for f in pair)))
     out = -vals
     for mu in range(3):
-        out = out + np.stack([s[1][mu] for s in stencils], axis=-1) @ FLAT_GAMMA[mu].T
+        out = out + grads[mu] @ FLAT_GAMMA[mu].T
     scale = max(float(np.abs(vals).max()), 1e-300)
-    dirac_res = float(np.abs(out).max() / scale)
-    helm = tuple(float(np.max(np.abs(lap + v))) / scale for v, _, lap in stencils)
-    return dirac_res, helm
+    helm = tuple(float(np.max(np.abs(laps[..., a] + vals[..., a]))) / scale for a in range(2))
+    return float(np.abs(out).max() / scale), helm

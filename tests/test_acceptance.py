@@ -232,13 +232,9 @@ def test_criterion_9_end_to_end_nodal_realization():
 
 def test_criterion_10_torus_counts():
     def brute(k):
-        count = 0
-        for m1 in range(-k, k + 1):
-            for m2 in range(-k, k + 1):
-                for m3 in range(-k, k + 1):
-                    if m1 * m1 + m2 * m2 + m3 * m3 == k * k:
-                        count += 1
-        return count
+        # every point of the cube [-k, k]^3 with m1^2 + m2^2 + m3^2 = k^2
+        sq = np.arange(-k, k + 1) ** 2
+        return int(np.count_nonzero(sq[:, None, None] + sq[:, None] + sq == k * k))
 
     ok = len(torus.lattice_directions(3, 1)) == 6
     ok = ok and len(torus.lattice_directions(3, 3)) == 30

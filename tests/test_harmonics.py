@@ -91,6 +91,26 @@ def test_parity(chart, small_sum):
         assert gap <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    k=st.integers(1, 400),
+    count=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_parity_property(n, k, count, seed):
+    # Y(-p) = (-1)^k Y(p) for every degree-k harmonic, at drawn centers
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(count, n + 1))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    Y = UltrasphericalSum(n, k, rng.normal(size=count) + 1j * rng.normal(size=count), centers)
+    p = rng.normal(size=(200, n + 1))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    vals = H.eval_harmonic(Y, p)
+    gap = np.abs(H.eval_harmonic(Y, -p) - (-1.0) ** k * vals).max()
+    assert gap <= 1e-12 * np.abs(vals).max(), (gap, np.abs(vals).max())
+
+
 def test_gradient_matches_frame_differences(chart, small_sum):
     Y = ek.synthesize(small_sum, 20, chart)
     p = sphere_points(5, 24)

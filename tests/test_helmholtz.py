@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import spherical_jn
 
 from eigenknot.helmholtz import (
+    _central_differences,
     BesselSum,
     FourierBesselSeries,
     HerglotzDensity,
@@ -17,11 +19,13 @@ from eigenknot.helmholtz import (
     eval_herglotz,
     fourier_bessel_truncate,
     helmholtz_residual,
+    lattice_stencils,
     real_sph_harm,
     herglotz_discretize,
     sphere_area,
     sphere_quadrature,
 )
+from eigenknot.spinor3 import euclidean_dirac_check
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -190,6 +194,58 @@ def test_helmholtz_residual_flags_non_solution():
     box = ([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5])
     bad = lambda x: np.atleast_2d(x)[:, 0] ** 2 + 0j
     assert helmholtz_residual(bad, box, 0.05) >= 1.9  # |2 + x1^2| = O(1)
+
+
+@pytest.mark.parametrize(
+    "box, h, message",
+    [
+        (([-0.5] * 3, [0.5] * 3), 0.0, "step h "),
+        (([-0.5] * 3, [0.5] * 3), -0.1, "step h "),
+        (([-0.5] * 3, [0.5] * 3), float("nan"), "step h "),
+        (([-0.5] * 3, [0.5] * 3), float("inf"), "step h "),
+        (([0.5] * 3, [-0.5] * 3), 0.1, "^box "),
+        (([-0.5, -0.5, 0.2], [0.5, 0.5, 0.2]), 0.1, "^box "),
+    ],
+)
+def test_lattice_stencils_reject_bad_lattice(box, h, message):
+    # helmholtz_residual and euclidean_dirac_check read the same lattice
+    for check in (
+        lambda: lattice_stencils(helical, box, h),
+        lambda: helmholtz_residual(helical, box, h),
+        lambda: euclidean_dirac_check((helical, helical), box, h),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(3, 7), min_size=2, max_size=3),
+    h=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+    offset=st.floats(-2.0, 2.0),
+)
+def test_central_differences_exact_on_quadratics(shape, h, seed, offset):
+    # central differences of a quadratic are its gradient and Hessian, up to
+    # rounding of the differences, which grows like max|q| / h^order
+    n = len(shape)
+    rng = np.random.default_rng(seed)
+    c = rng.normal() + 1j * rng.normal()
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    hess = a + a.T
+    x = offset + h * np.stack(np.meshgrid(*[np.arange(s) for s in shape], indexing="ij"), axis=-1)
+    vals = c + x @ b + np.einsum("...i,ij,...j->...", x, a, x)
+    v, d1, d2 = _central_differences(vals, h, 2)
+    core = x[(slice(1, -1),) * n]
+    scale = 64 * np.finfo(float).eps * np.abs(vals).max()
+    assert np.array_equal(v, vals[(slice(1, -1),) * n])
+    assert d1.shape == (n,) + core.shape[:-1] and d2.shape == (n, n) + core.shape[:-1]
+    assert np.abs(np.moveaxis(d1, 0, -1) - (b + core @ hess)).max() <= scale / h + 1e-13
+    assert np.abs(np.moveaxis(d2, (0, 1), (-2, -1)) - hess).max() <= scale / (h * h) + 1e-13
+    assert np.array_equal(d2, d2.swapaxes(0, 1))
+    assert len(_central_differences(vals, h, 0)) == 1
+    assert np.array_equal(_central_differences(vals, h, 1)[1], d1)
 
 
 def test_bessel_sum_residual_scaling():

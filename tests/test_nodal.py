@@ -302,6 +302,19 @@ def test_hausdorff_basics():
     assert hausdorff_dist(c, shifted) == pytest.approx(0.3, rel=1e-3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+    closed=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**16),
+    step=st.one_of(st.none(), st.floats(0.01, 0.5)),
+)
+def test_hausdorff_symmetric(sizes, closed, seed, step):
+    rng = np.random.default_rng(seed)
+    a, b = (NodalCurve(np.cumsum(rng.normal(size=(m, 3)), axis=0), c) for m, c in zip(sizes, closed))
+    assert hausdorff_dist(a, b, densify_step=step) == hausdorff_dist(b, a, densify_step=step)
+
+
 def _loop_densify(p, closed, step):
     """Reference densification: one edge and one inserted point at a time."""
     out = []
