@@ -31,11 +31,15 @@ every vertex ``converged`` (reached |f| <= 1e-9 with no step refused).
 Neither proves the curve structurally stable; that takes a certificate that
 the field is C^1-close to a transversal one on a tube around the curve.
 
-The linking number of two closed polylines uses the exact solid-angle form
-of the Gauss integral for segment pairs, summed over blocks of about 2^13
-pairs whose point differences are held as three coordinate planes; a
-signed-crossing count of a projection is available as an independent
-cross-check.
+The linking number of two closed polylines is half the signed crossing count
+of a generic projection.  A uniform grid of projected segment boxes, joined
+by one sort and a searchsorted, yields the few candidate segment pairs, so
+the count costs O(n log n) rather than one visit per segment pair; a
+crossing within tolerance of degenerate sends the count to the next of a
+few fixed directions, and curves that meet are refused.  The exact
+solid-angle form of the Gauss integral for segment pairs, summed over blocks
+of about 2^13 pairs whose point differences are held as three coordinate
+planes, stays as the independent check the tests compare against.
 """
 
 from __future__ import annotations
@@ -364,17 +368,43 @@ def extract_nodal(fieldfn, box, h: float) -> NodalSet:
     return NodalSet(curves, degenerate, h)
 
 
-def _as_closed_vertices(c) -> np.ndarray:
+def _closed_vertices(c, which: int) -> np.ndarray:
+    """The vertices of closed curve `which` (1 or 2): a finite (M, 3) array, M >= 3."""
     if isinstance(c, NodalCurve):
         if not c.closed:
             raise ValueError("linking_number requires closed curves")
-        return c.vertices
-    return np.asarray(c, dtype=float)
+        p = c.vertices
+    else:
+        p = np.asarray(c, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValueError(f"curve {which}: vertices have shape {p.shape}, not (M, 3)")
+    if len(p) < 3:
+        raise ValueError(f"curve {which}: a closed curve needs at least 3 vertices, got {len(p)}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"curve {which}: non-finite vertices")
+    return p
 
 
 #: Segment pairs per block of the Gauss sum: its planes of 2^13 doubles (64 KiB)
-#: stay in a typical L2 cache.
+#: stay in a typical L2 cache.  The crossing search takes its candidate pairs in
+#: blocks of the same size.
 _GAUSS_PAIRS = 1 << 13
+
+#: Projection directions of the crossing search, tried in turn until one is
+#: generic for the pair: no crossing within tolerance of degenerate and an even
+#: signed count.
+_DIRECTIONS = tuple(
+    v / np.linalg.norm(v)
+    for v in np.array(
+        [[0.5263, -0.3127, 0.7911], [-0.2719, 0.8436, 0.4632], [0.7748, 0.4129, -0.4793], [0.1835, -0.6982, -0.6921]]
+    )
+)
+
+#: Relative tolerance of the crossing search.  With L the largest coordinate
+#: about the pair's centroid, an orientation within _CROSSING_TOL * L^2 of zero
+#: is degenerate (the predicate rounds at about eps * L^2), and curves within
+#: _CROSSING_TOL * L of each other intersect.
+_CROSSING_TOL = 1e-10
 
 
 def _dot(u, v):
@@ -419,60 +449,174 @@ def gauss_linking_integral(p1, p2) -> float:
     return _gauss_blocks(p1, p2)[0]
 
 
+def _vertex_gap(p1, p2) -> float:
+    """The least distance between a vertex of p1 and a vertex of p2, in blocks of rows of p1."""
+    rows = max(1, _GAUSS_PAIRS // len(p2))
+    gap = math.inf
+    for s in range(0, len(p1), rows):
+        d = [np.subtract.outer(p1[s : s + rows, i], p2[:, i]) for i in range(3)]
+        gap = min(gap, float(np.sqrt(_dot(d, d)).min()))
+    return gap
+
+
+def _frame(d) -> np.ndarray:
+    """Rows e1, e2, d of a right-handed orthonormal frame whose third axis is the unit vector d."""
+    x, y, z = (float(c) for c in d)
+    # d x (1, 0, 0), or d x (0, 1, 0) when d is near the x axis
+    u, v, w = (0.0, z, -y) if abs(x) < 0.9 else (-z, 0.0, x)
+    norm = math.sqrt(u * u + v * v + w * w)
+    u, v, w = u / norm, v / norm, w / norm
+    return np.array([[u, v, w], [y * w - z * v, z * u - x * w, x * v - y * u], [x, y, z]])
+
+
+def _orient(p, q, r):
+    """Twice the signed area of the projected triangles (p, q, r), row by row."""
+    return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
+
+
+def _segment_gaps(a, b, c, d):
+    """The least distance between the 3-D segments [a, b] and [c, d], row by row.
+
+    It is the least endpoint-to-segment distance, unless the closest points of
+    the two lines lie inside both segments.
+    """
+
+    def to_segment(p, q, r):
+        e = r - q
+        t = np.clip(np.sum((p - q) * e, axis=1) / np.maximum(np.sum(e * e, axis=1), np.finfo(float).tiny), 0.0, 1.0)
+        return np.linalg.norm(p - q - t[:, None] * e, axis=1)
+
+    ends = np.minimum.reduce([to_segment(a, c, d), to_segment(b, c, d), to_segment(c, a, b), to_segment(d, a, b)])
+    u, v, w = b - a, d - c, a - c
+    uu, uv, vv = np.sum(u * u, axis=1), np.sum(u * v, axis=1), np.sum(v * v, axis=1)
+    uw, vw = np.sum(u * w, axis=1), np.sum(v * w, axis=1)
+    den = uu * vv - uv * uv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (uv * vw - vv * uw) / den
+        t = (uu * vw - uv * uw) / den
+    inside = (den > 0) & (s >= 0) & (s <= 1) & (t >= 0) & (t <= 1)
+    mid = np.linalg.norm(w + np.where(inside, s, 0)[:, None] * u - np.where(inside, t, 0)[:, None] * v, axis=1)
+    return np.where(inside, np.minimum(ends, mid), ends)
+
+
+def _projected_crossings(x, n1, frame, scale) -> int | None:
+    """Signed crossings of the projection of closed polylines x[:n1] and x[n1:] along frame[2].
+
+    The count is twice the linking number; it is None when a crossing is
+    within tolerance of degenerate or the count is odd, so another direction
+    must decide.  Curves that meet raise ValueError("curves intersect").
+
+    Each projected segment's bounding box lies in at most 2 x 2 cells of a grid
+    whose cell is the largest box side.  One sort of the second curve's cell
+    keys and a searchsorted of the first's join the segments that share a
+    cell; a pair of overlapping boxes is kept only in the cell of its
+    intersection's lower-left corner, so it is tested once.  The joined pairs
+    are tested in blocks of _GAUSS_PAIRS, so memory stays O(n1 + n2 + block).
+    """
+    n = len(x)
+    y = x @ frame.T
+    nxt = np.arange(1, n + 1)
+    nxt[[n1 - 1, n - 1]] = 0, n1
+    a, b = y, y[nxt]
+    lo, hi = np.minimum(a[:, :2], b[:, :2]), np.maximum(a[:, :2], b[:, :2])
+    origin = lo.min(axis=0)
+    extent = float((hi.max(axis=0) - origin).max())
+    # a margin over the largest side keeps floor() from spanning three cells;
+    # the floor on the cell keeps the keys inside int64
+    cell = max(float((hi - lo).max()) * (1 + 1e-6), extent * 2.0**-30) or 1.0
+    i0 = np.floor((lo - origin) / cell).astype(np.int64)
+    i1 = np.floor((hi - origin) / cell).astype(np.int64)
+    cx = np.stack([i0[:, 0], i0[:, 0], i1[:, 0], i1[:, 0]], axis=1)
+    cy = np.stack([i0[:, 1], i1[:, 1], i0[:, 1], i1[:, 1]], axis=1)
+    spans = i1 > i0
+    own = np.stack([np.ones(n, bool), spans[:, 1], spans[:, 0], spans[:, 0] & spans[:, 1]], axis=1)
+    seg = np.broadcast_to(np.arange(n)[:, None], own.shape)[own]
+    cx, cy = cx[own], cy[own]
+    key = cx * (int(i1[:, 1].max()) + 1) + cy
+    first = seg < n1
+    order = np.argsort(key[~first], kind="stable")
+    key2, seg2 = key[~first][order], seg[~first][order]
+    key1, seg1, cx1, cy1 = key[first], seg[first], cx[first], cy[first]
+    left = np.searchsorted(key2, key1, side="left")
+    counts = np.searchsorted(key2, key1, side="right") - left
+    ends = np.cumsum(counts)
+    pairs = int(ends[-1]) if len(ends) else 0
+
+    tol = _CROSSING_TOL * scale * scale
+    gap_tol = _CROSSING_TOL * scale
+    total = 0
+    generic = True
+    for start in range(0, pairs, _GAUSS_PAIRS):
+        p = np.arange(start, min(start + _GAUSS_PAIRS, pairs))
+        e = np.searchsorted(ends, p, side="right")
+        i, j = seg1[e], seg2[left[e] + p - (ends[e] - counts[e])]
+        keep = (
+            (np.maximum(i0[i, 0], i0[j, 0]) == cx1[e])
+            & (np.maximum(i0[i, 1], i0[j, 1]) == cy1[e])
+            & (lo[i] <= hi[j]).all(axis=1)
+            & (lo[j] <= hi[i]).all(axis=1)
+        )
+        i, j = i[keep], j[keep]
+        pa, pb, pc, pd = a[i], b[i], a[j], b[j]
+        o1, o2, o3, o4 = _orient(pc, pd, pa), _orient(pc, pd, pb), _orient(pa, pb, pc), _orient(pa, pb, pd)
+        apart = (
+            ((o1 > tol) & (o2 > tol))
+            | ((o1 < -tol) & (o2 < -tol))
+            | ((o3 > tol) & (o4 > tol))
+            | ((o3 < -tol) & (o4 < -tol))
+        )
+        near = ~apart & (np.minimum(np.minimum(abs(o1), abs(o2)), np.minimum(abs(o3), abs(o4))) <= tol)
+        if near.any():
+            if (_segment_gaps(pa[near], pb[near], pc[near], pd[near]) <= gap_tol).any():
+                raise ValueError("curves intersect")
+            generic = False
+        cut = ~apart & ~near
+        # o1 - o2 is the cross product of the projected segments ab and cd
+        turn = o1[cut] - o2[cut]
+        s, t = o1[cut] / turn, o3[cut] / (o3[cut] - o4[cut])
+        above = pa[cut, 2] + s * (pb[cut, 2] - pa[cut, 2]) - pc[cut, 2] - t * (pd[cut, 2] - pc[cut, 2])
+        if (np.abs(above) <= gap_tol).any():
+            raise ValueError("curves intersect")
+        total -= int(np.sum(np.sign(turn) * np.sign(above)))
+    return total if generic and total % 2 == 0 else None
+
+
+def _crossing_count(p1, p2, directions) -> int:
+    """Twice the linking number, from the first generic projection along `directions`."""
+    x = np.concatenate([p1, p2])
+    x = x - x.mean(axis=0)
+    scale = float(np.abs(x).max())
+    for d in directions:
+        total = _projected_crossings(x, len(p1), _frame(d), scale)
+        if total is not None:
+            return total
+    raise ValueError("no projection direction is generic for these curves")
+
+
 def linking_number(c1, c2, min_separation: float | None = None) -> int:
     """Integer linking number of two disjoint closed curves.
 
-    The Gauss integral must land within 0.1 of an integer, otherwise the
-    configuration is reported as ambiguous.
+    It is half the signed crossing count of a projection along the first of
+    a few fixed directions that is generic for the pair; see
+    _projected_crossings.  Curves that meet raise ValueError("curves
+    intersect").  With `min_separation`, curves whose least vertex distance is
+    below it are refused first.
     """
-    val, gap = _gauss_blocks(_as_closed_vertices(c1), _as_closed_vertices(c2))
-    if min_separation is not None and gap < min_separation:
-        raise ValueError(f"curves are too close to link reliably (gap {gap:.3e})")
-    if gap == 0.0:
-        raise ValueError("curves intersect")
-    nearest = round(val)
-    if abs(val - nearest) > 0.1:
-        raise ValueError(f"Gauss integral {val:.4f} is not within 0.1 of an integer")
-    return int(nearest)
+    p1, p2 = _closed_vertices(c1, 1), _closed_vertices(c2, 2)
+    if min_separation is not None:
+        gap = _vertex_gap(p1, p2)
+        if gap < min_separation:
+            raise ValueError(f"curves are too close to link reliably (gap {gap:.3e})")
+    return _crossing_count(p1, p2, _DIRECTIONS) // 2
 
 
 def projected_crossing_number(c1, c2, seed: int = 0) -> int:
-    """Signed crossings of a projection along a seeded random direction; equals the linking number."""
-    p1 = _as_closed_vertices(c1)
-    p2 = _as_closed_vertices(c2)
+    """Signed crossings of a projection along a seeded random direction; equals the linking number.
+
+    Raises ValueError when that direction is not generic for the pair.
+    """
     d = np.random.default_rng(seed).normal(size=3)
-    d = d / np.linalg.norm(d)
-    tmp = np.array([1.0, 0, 0]) if abs(d[0]) < 0.9 else np.array([0, 1.0, 0])
-    e1 = np.cross(d, tmp)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
-
-    def project(p):
-        return np.stack([p @ e1, p @ e2], axis=-1), p @ d
-
-    q1, z1 = project(p1)
-    q2, z2 = project(p2)
-    total = 0
-    for i in range(len(q1)):
-        a, b = q1[i], q1[(i + 1) % len(q1)]
-        za, zb = z1[i], z1[(i + 1) % len(q1)]
-        for j in range(len(q2)):
-            c, dd = q2[j], q2[(j + 1) % len(q2)]
-            zc, zd = z2[j], z2[(j + 1) % len(q2)]
-            m = np.array([b - a, -(dd - c)]).T
-            det = np.linalg.det(m)
-            if abs(det) < 1e-14:
-                continue
-            st = np.linalg.solve(m, c - a)
-            s, t = st
-            if 0 <= s <= 1 and 0 <= t <= 1:
-                h1 = za + s * (zb - za)
-                h2 = zc + t * (zd - zc)
-                t1 = b - a
-                t2 = dd - c
-                sign = np.sign(t1[0] * t2[1] - t1[1] * t2[0])
-                total += int(-sign if h1 > h2 else sign)
-    return total // 2
+    return _crossing_count(_closed_vertices(c1, 1), _closed_vertices(c2, 2), [d / np.linalg.norm(d)]) // 2
 
 
 def _densify(p: np.ndarray, closed: bool, step: float) -> np.ndarray:
@@ -518,17 +662,19 @@ def curves_from_json(s: str):
 
 def curves_to_ply(curves, comment: str = "") -> str:
     """ASCII PLY with vertices and polyline edges."""
-    verts = []
-    edges = []
-    offset = 0
-    for c in curves:
-        m = len(c.vertices)
-        verts.extend(c.vertices.tolist())
-        for i in range(m - 1):
-            edges.append((offset + i, offset + i + 1))
-        if c.closed:
-            edges.append((offset + m - 1, offset))
-        offset += m
+    sizes = [len(c.vertices) for c in curves]
+    verts = np.concatenate([c.vertices.reshape(-1, 3) for c in curves]) if curves else np.empty((0, 3))
+    # vertex i joins i + 1, except that a closed curve's last vertex joins its
+    # first and an open curve's last vertex starts no edge
+    head = np.arange(len(verts))
+    tail = head + 1
+    keep = np.ones(len(verts), dtype=bool)
+    for c, end, m in zip(curves, np.cumsum(sizes), sizes):
+        if m and c.closed:
+            tail[end - 1] = end - m
+        elif m:
+            keep[end - 1] = False
+    edges = np.stack([head[keep], tail[keep]], axis=1)
     lines = ["ply", "format ascii 1.0"]
     if comment:
         lines.append(f"comment {comment}")
@@ -542,8 +688,9 @@ def curves_to_ply(curves, comment: str = "") -> str:
         "property int vertex2",
         "end_header",
     ]
-    for v in verts:
-        lines.append(" ".join(f"{x:.17g}" for x in v))
-    for a, b in edges:
-        lines.append(f"{a} {b}")
-    return "\n".join(lines) + "\n"
+    return (
+        "\n".join(lines)
+        + "\n"
+        + ("%.17g %.17g %.17g\n" * len(verts)) % tuple(verts.ravel().tolist())
+        + ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
+    )

@@ -127,7 +127,8 @@ def test_hopf_curves_converge(hopf_run):
 @pytest.fixture(scope="module")
 def golden_hopf_curves():
     """The principal closed curve of each component at the first golden chart
-    base and k = 60, as `nodal` extracts them, and the golden cross link."""
+    base and k = 60, as `nodal` extracts them, the golden cross link and the
+    least distance between the two curves' vertices."""
     case, k = GOLDEN["hopf"][0], 60
     design = helmholtz.hopf_link_design()
     chart = spinor3.adapted_chart(case["chart_base"])
@@ -139,7 +140,8 @@ def golden_hopf_curves():
         .vertices
         for a in (0, 1)
     ]
-    return curves, next(e[2] for e in case["k"][str(k)]["links"] if e[0] == "cross")
+    link = next(e[2] for e in case["k"][str(k)]["links"] if e[0] == "cross")
+    return curves, link, nodal._vertex_gap(*curves)
 
 
 @settings(max_examples=30, deadline=None)
@@ -148,9 +150,8 @@ def test_hopf_link_survives_vertex_subsampling(golden_hopf_curves, stride, offse
     """Every stride-th vertex of each golden Hopf curve, from any offset, still
     links with the golden linking number: the subsampled polygons stay within
     about 0.2 of the curves (stride 32), far inside their gap of about 1.39."""
-    curves, link = golden_hopf_curves
+    curves, link, gap = golden_hopf_curves
     subsampled = [c[off % stride :: stride] for c, off in zip(curves, offsets)]
-    gap = nodal._gauss_blocks(*curves)[1]
     for sub, curve in zip(subsampled, curves):
         assert nodal.hausdorff_dist(sub, curve) < 0.5 * gap
     assert nodal.linking_number(*subsampled) == link

@@ -295,6 +295,177 @@ def test_linking_invariance_under_perturbation():
     assert linking_number(pset.closed_curves()[0], other) == lk
 
 
+def _torus_curve(count, along, around, tube, phase=0.0):
+    """`count` vertices of the curve that winds `along` times along and
+    `around` times around the torus of radius 2 and tube radius `tube`."""
+    t = np.arange(count) * (2 * math.pi / count)
+    a, b = along * t, around * t + phase
+    return np.stack([(2 + tube * np.cos(b)) * np.cos(a), (2 + tube * np.cos(b)) * np.sin(a), tube * np.sin(b)], axis=-1)
+
+
+@st.composite
+def torus_windings(draw):
+    """(along, around) of a curve on the inner torus and the turns `outer`
+    around the tube of a curve winding once along the outer torus: their
+    linking number is +-along * outer."""
+    along = draw(st.integers(1, 3))
+    around = draw(st.integers(-3, 3).filter(lambda q: math.gcd(along, q) == 1))
+    outer = draw(st.integers(-(3 // along), 3 // along))
+    return along, around, outer
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    windings=torus_windings(),
+    per_turn=st.tuples(st.integers(24, 80), st.integers(24, 80)),
+    phases=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)),
+    quat=st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    shift=st.lists(st.floats(-5, 5), min_size=3, max_size=3),
+    reverse=st.tuples(st.booleans(), st.booleans()),
+    rolls=st.tuples(st.integers(0, 500), st.integers(0, 500)),
+    seed=st.integers(0, 2**16),
+)
+def test_linking_matches_gauss_on_torus_curves(windings, per_turn, phases, quat, shift, reverse, rolls, seed):
+    along, around, outer = windings
+    inner = _torus_curve(per_turn[0] * max(along, abs(around)), along, around, 0.3, phases[0])
+    wound = _torus_curve(per_turn[1] * max(1, abs(outer)), 1, outer, 0.8, phases[1])
+    rot, move = _rotation(quat), np.array(shift)
+    c1, c2 = (
+        np.roll(c[::-1] if flip else c, roll, axis=0) @ rot.T + move
+        for c, flip, roll in zip((inner, wound), reverse, rolls)
+    )
+    gauss = gauss_linking_integral(c1, c2)
+    lk = linking_number(c1, c2)
+    assert abs(gauss - lk) <= 1e-6
+    assert abs(lk) == along * abs(outer)
+    assert projected_crossing_number(c1, c2, seed=seed) == lk
+
+
+def test_linking_passes_over_a_degenerate_first_direction():
+    c1 = circle(64, 1.0)
+    c2 = circle(48, 1.0, (1.0, 0, 0), "xz")
+    frame = nodal._frame(nodal._DIRECTIONS[0])
+    # slide the vertex of c2 whose projection is nearest a segment midpoint of
+    # c1 along the first direction until it projects onto that midpoint
+    mid = 0.5 * (c1 + np.roll(c1, -1, axis=0))
+    seen = np.linalg.norm((mid @ frame[:2].T)[:, None] - (c2 @ frame[:2].T)[None], axis=-1)
+    i, j = np.unravel_index(seen.argmin(), seen.shape)
+    c2[j] = mid[i] + ((c2[j] - mid[i]) @ frame[2]) * frame[2]
+    x = np.concatenate([c1, c2])
+    x -= x.mean(axis=0)
+    assert nodal._projected_crossings(x, len(c1), frame, float(np.abs(x).max())) is None
+    gauss = gauss_linking_integral(c1, c2)
+    assert abs(gauss - round(gauss)) <= 1e-6
+    assert linking_number(c1, c2) == round(gauss) == linking_number(circle(64, 1.0), circle(48, 1.0, (1.0, 0, 0), "xz"))
+
+
+_MID = 0.5 * (circle(64, 1.0)[0] + circle(64, 1.0)[1])
+
+
+@pytest.mark.parametrize(
+    "triangle",
+    [
+        # a segment through the middle of c1's first segment
+        [_MID + (0, 0, 1), _MID - (0, 0, 1), _MID + (1.5, 0.3, 0)],
+        # a vertex on the middle of c1's first segment
+        [_MID, _MID + (0.3, 0.2, 1), _MID + (1.5, 0.3, -0.5)],
+    ],
+    ids=["segment", "vertex"],
+)
+def test_linking_refuses_curves_meeting_inside_a_segment(triangle):
+    c1 = circle(64, 1.0)
+    c2 = np.array(triangle)
+    assert nodal._vertex_gap(c1, c2) > 0.0  # no shared vertex
+    with pytest.raises(ValueError, match="^curves intersect$"):
+        linking_number(c1, c2)
+    with pytest.raises(ValueError, match="^curves intersect$"):
+        linking_number(c2[::-1], c1)
+
+
+def test_linking_long_rings():
+    # the Gauss sum over these 4 * 10^8 segment pairs takes tens of seconds
+    lk = linking_number(circle(20000, 1.0), circle(20000, 1.0, (1.0, 0, 0), "xz"))
+    assert lk == linking_number(circle(128, 1.0), circle(128, 1.0, (1.0, 0, 0), "xz"))
+    assert abs(lk) == 1
+
+
+@pytest.mark.parametrize("block", [97, 1000, 1 << 13])
+def test_linking_is_independent_of_the_block_size(monkeypatch, block):
+    # an excursion to z = 5, far from c2, gives c1 two long segments, so that
+    # nearly every segment pair shares a grid cell and the search runs over
+    # many blocks
+    c1 = np.insert(circle(200, 1.0), 50, (0.0, 1.2, 5.0), axis=0)
+    c2 = circle(150, 1.0, (1.0, 0, 0), "xz")
+    gauss = gauss_linking_integral(c1, c2)
+    assert abs(gauss - round(gauss)) <= 1e-6 and abs(round(gauss)) == 1
+    monkeypatch.setattr(nodal, "_GAUSS_PAIRS", block)
+    assert linking_number(c1, c2) == round(gauss)
+
+
+def test_vertex_gap_is_the_least_vertex_distance():
+    rng = np.random.default_rng(6)
+    pairs = [
+        (rng.normal(size=(40, 3)), rng.normal(size=(33, 3))),
+        (rng.normal(size=(3, 3)), rng.normal(size=(700, 3))),
+        (rng.normal(size=(1, 3)), rng.normal(size=(9000, 3))),
+        (circle(517, 1.0), circle(96, 1.0, (1.0, 0, 0), "xz")),
+    ]
+    for p1, p2 in pairs:
+        brute = min(float(np.sqrt(np.sum((p - p2) ** 2, axis=1)).min()) for p in p1)
+        assert nodal._vertex_gap(p1, p2) == brute
+
+
+def test_segment_gaps_match_a_dense_sampling():
+    rng = np.random.default_rng(9)
+    a, b, c, d = rng.normal(size=(4, 40, 3))
+    b[0] = a[0]  # a point against a segment
+    d[1] = c[1] + 0.5 * (b[1] - a[1])  # parallel segments
+    c[2], d[2] = a[2] + 0.3 * (b[2] - a[2]) + (0, 0, 1), a[2] + 0.3 * (b[2] - a[2]) - (0, 0, 1)  # crossing
+    gaps = nodal._segment_gaps(a, b, c, d)
+    assert gaps[2] <= 1e-15
+    t = np.linspace(0.0, 1.0, 401)
+    for row in range(len(a)):
+        p = a[row] + t[:, None] * (b[row] - a[row])
+        q = c[row] + t[:, None] * (d[row] - c[row])
+        sampled = np.linalg.norm(p[:, None] - q[None], axis=-1).min()
+        slack = (np.linalg.norm(b[row] - a[row]) + np.linalg.norm(d[row] - c[row])) / 400
+        assert sampled - slack <= gaps[row] <= sampled + 1e-12
+
+
+def _with_nan(p):
+    p = p.copy()
+    p[5, 1] = math.nan
+    return p
+
+
+def _with_inf(p):
+    p = p.copy()
+    p[0, 2] = -math.inf
+    return p
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize(
+    "bad, defect",
+    [
+        (_with_nan(circle(32, 1.0)), "non-finite vertices"),
+        (_with_inf(circle(32, 1.0)), "non-finite vertices"),
+        (np.empty((0, 3)), "at least 3 vertices, got 0"),
+        (circle(32, 1.0)[:1], "at least 3 vertices, got 1"),
+        (circle(32, 1.0)[:2], "at least 3 vertices, got 2"),
+        (circle(32, 1.0)[:, :2], "shape (32, 2), not (M, 3)"),
+        ([], "shape (0,), not (M, 3)"),
+    ],
+    ids=["nan", "inf", "empty", "one", "two", "planar", "list"],
+)
+def test_linking_refuses_bad_vertices(which, bad, defect):
+    good = circle(32, 1.0, (1.0, 0, 0), "xz")
+    curves = (bad, good) if which == 1 else (good, bad)
+    for fn in (linking_number, projected_crossing_number):
+        with pytest.raises(ValueError, match=f"^curve {which}: .*{re.escape(defect)}$"):
+            fn(*curves)
+
+
 def test_hausdorff_basics():
     c = circle(128, 0.7)
     assert hausdorff_dist(c, c) == 0.0
@@ -435,3 +606,32 @@ def test_serialization_roundtrip():
     ply = curves_to_ply(nset.curves, comment="test")
     assert ply.startswith("ply\nformat ascii 1.0")
     assert "comment test" in ply
+
+
+def _reference_ply(curves, comment=""):
+    """curves_to_ply line by line with f-strings, the byte-level reference."""
+    verts, edges, offset = [], [], 0
+    for c in curves:
+        m = len(c.vertices)
+        verts.extend(c.vertices.tolist())
+        edges += [(offset + i, offset + i + 1) for i in range(m - 1)]
+        if c.closed:
+            edges.append((offset + m - 1, offset))
+        offset += m
+    lines = ["ply", "format ascii 1.0"] + ([f"comment {comment}"] if comment else [])
+    lines += [f"element vertex {len(verts)}", "property float x", "property float y", "property float z"]
+    lines += [f"element edge {len(edges)}", "property int vertex1", "property int vertex2", "end_header"]
+    lines += [" ".join(f"{x:.17g}" for x in v) for v in verts]
+    lines += [f"{a} {b}" for a, b in edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("comment", ["", "manifest run.manifest.json"])
+def test_ply_matches_reference_writer(comment):
+    rng = np.random.default_rng(8)
+    open_curve = NodalCurve(rng.normal(size=(17, 3)) * 10.0 ** rng.integers(-8, 8, size=(17, 3)), False)
+    open_curve.vertices[3] = (-0.0, 1e-300, 2.0**60)
+    closed_curve = NodalCurve(circle(40, 0.7, (0.1, -2.0, 3.0), "xz"), True)
+    short = NodalCurve(rng.normal(size=(1, 3)), False)
+    for curves in ([], [open_curve], [closed_curve], [closed_curve, open_curve, short, closed_curve]):
+        assert curves_to_ply(curves, comment=comment) == _reference_ply(curves, comment)
