@@ -275,9 +275,13 @@ def cmd_approximate(cfg: dict) -> int:
     bsum = herglotz_discretize(density, delta, radius=radius, seed=seed)
     doc = bsum.to_dict()
     doc["achieved_error"] = bsum.report.achieved
+    doc["achieved_bound"] = bsum.report.bound
     doc["error_constant"] = bsum.report.constant
     _write_json(out, doc, manifest)
-    print(f"wrote {out} (N={len(bsum)}, achieved={bsum.report.achieved:.3e})", file=sys.stderr)
+    print(
+        f"wrote {out} (N={len(bsum)}, achieved={bsum.report.achieved:.3e}, bound={bsum.report.bound:.3e})",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 

@@ -419,13 +419,16 @@ def bessel_sum_field(s: BesselSum):
     return field
 
 
-def _central_differences(vals: np.ndarray, h: float, m: int):
+def _central_differences(vals: np.ndarray, h: float, m: int, laplacian: bool = False):
     """[v, D1, D2] through order m on the lattice core (every point but the outer layer).
 
     D1 (n, *core) holds (v+ - v-) / (2h) along each axis; D2 (n, n, *core)
     holds (v+ - 2v + v-) / (h h) on its diagonal and
     (v++ - v+- - v-+ + v--) / (4h h) off it, the same array at [a, b] and
-    [b, a].  Each neighbour is a slice of vals, so nothing is copied whole.
+    [b, a].  With `laplacian`, the order-2 entry is instead the trace of D2,
+    the 2n+1-point Laplacian, summed over the diagonal in axis order, and no
+    mixed difference is formed.  Each neighbour is a slice of vals, so
+    nothing is copied whole.
     """
     n, e = vals.ndim, np.eye(vals.ndim, dtype=int)
     v = vals[(slice(1, -1),) * n]
@@ -433,13 +436,18 @@ def _central_differences(vals: np.ndarray, h: float, m: int):
     def at(step):
         return vals[tuple(slice(1 + s, size - 1 + s) for s, size in zip(step, vals.shape))]
 
+    def second(a):
+        return (at(e[a]) - 2 * v + at(-e[a])) / (h * h)
+
     out = [v]
     if m >= 1:
         out.append(np.stack([(at(e[a]) - at(-e[a])) / (2 * h) for a in range(n)]))
-    if m >= 2:
+    if m >= 2 and laplacian:
+        out.append(sum((second(a) for a in range(1, n)), second(0)))
+    elif m >= 2:
         d2 = np.empty((n, n) + v.shape, dtype=np.result_type(vals, h))
         for a in range(n):
-            d2[a, a] = (at(e[a]) - 2 * v + at(-e[a])) / (h * h)
+            d2[a, a] = second(a)
             for b in range(a + 1, n):
                 d2[a, b] = d2[b, a] = (
                     at(e[a] + e[b]) - at(e[a] - e[b]) - at(e[b] - e[a]) + at(-e[a] - e[b])
@@ -453,7 +461,8 @@ def lattice_stencils(fieldfn, box, h: float):
 
     fieldfn is called once, on that lattice padded by one step; the
     differences stack on a leading axis of length n, and the Laplacian is
-    the trace of _central_differences' second differences.
+    _central_differences' trace of the second differences, with no mixed
+    difference formed.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"lattice step h must be finite and positive, got {h!r}")
@@ -463,8 +472,7 @@ def lattice_stencils(fieldfn, box, h: float):
     axes = [np.arange(a - h, b + h + 1e-12, h) for a, b in zip(lo, hi)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     vals = np.asarray(fieldfn(grid.reshape(-1, len(axes))), dtype=complex).reshape(grid.shape[:-1])
-    v, grad, d2 = _central_differences(vals, h, 2)
-    return v, grad, np.trace(d2)
+    return _central_differences(vals, h, 2, laplacian=True)
 
 
 def helmholtz_residual(fieldfn, box, h: float) -> float:
@@ -486,27 +494,85 @@ def _degrees(L: int) -> np.ndarray:
 def real_sph_harm(L: int, x) -> np.ndarray:
     """Real orthonormal spherical harmonics (area measure) of x/|x| for every l <= L.
 
-    Returns shape (len(x), (L+1)^2), mode (l, m) in column l^2 + l + m.  From
-    scipy's complex Y_l^|m|: Y_l0 is its real part, and Y_lm is
-    sqrt(2) (-1)^m times its real part for m > 0 and its imaginary part for
-    m < 0.  The origin reads as the north pole.
+    Returns shape (len(x), (L+1)^2), mode (l, m) in column l^2 + l + m:
+    P_l|m|(cos theta) times cos(m phi) for m >= 0 and sin(|m| phi) for m < 0,
+    sqrt(2) (-1)^m times the real or imaginary part of the complex Y_l^|m|.
+    The unit-norm P_lm (no Condon-Shortley phase) come from the recurrences
+    of Holmes & Featherstone (J. Geodesy 76 (2002) 279), P_mm from P_m-1,m-1
+    and P_lm from P_l-1,m and P_l-2,m, one degree at a time over every order.
+    The origin reads as the north pole.
     """
-    from scipy.special import sph_harm_y
-
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    l = _degrees(L)
-    m = np.arange(len(l)) - l * l - l
-    theta = np.arctan2(np.hypot(x[:, 0], x[:, 1]), x[:, 2])[:, None]
-    y = sph_harm_y(l, np.abs(m), theta, np.arctan2(x[:, 1], x[:, 0])[:, None])
-    scale = np.where(m == 0, 1.0, math.sqrt(2.0) * (-1.0) ** m)
-    return scale * np.where(m < 0, y.imag, y.real)
+    r = np.linalg.norm(x, axis=1)
+    safe = np.where(r > 0, r, 1.0)
+    t, u = np.where(r > 0, x[:, 2] / safe, 1.0), np.hypot(x[:, 0], x[:, 1]) / safe
+    m = np.arange(L + 1)
+    phase = np.multiply.outer(m, np.arctan2(x[:, 1], x[:, 0]))
+    cos_m, sin_m = np.cos(phase), np.sin(phase)
+    # modes on the first axis, so each degree writes whole rows
+    out = np.empty(((L + 1) ** 2, len(x)))
+    prev, cur = np.zeros((2, L + 1, len(x)))
+    cur[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for l in range(L + 1):
+        if l:
+            prev, cur = cur, prev
+            k = m[: l - 1, None]
+            cur[: l - 1] *= -np.sqrt((2 * l + 1) * (l + k - 1) * (l - k - 1) / ((l - k) * (l + k) * (2 * l - 3.0)))
+            cur[: l - 1] += np.sqrt((2 * l - 1) * (2 * l + 1) / ((l - k) * (l + k))) * t * prev[: l - 1]
+            cur[l - 1] = math.sqrt(2 * l + 1) * t * prev[l - 1]
+            cur[l] = math.sqrt((2 * l + 1) / (2 * l) * (2.0 if l == 1 else 1.0)) * u * prev[l - 1]
+        c = l * l + l
+        out[c : c + l + 1] = cur[: l + 1] * cos_m[: l + 1]
+        out[c - l : c] = cur[l:0:-1] * sin_m[l:0:-1]
+    return out.T
 
 
 def _radial(L: int, r) -> np.ndarray:
-    """j_l(r) for each mode (l, m), l <= L, shape (len(r), (L+1)^2)."""
-    from scipy.special import spherical_jn
+    """j_l(r) for each mode (l, m), l <= L, shape (len(r), (L+1)^2).
 
-    return spherical_jn(np.arange(L + 1), np.asarray(r, dtype=float)[:, None])[:, _degrees(L)]
+    Miller's backward recurrence (DLMF 3.6(iii)) from 0 and 1 at degrees
+    N+1 and N, rescaled as it grows, normalized by j_0 or j_1, whichever is
+    larger.  Past l = r the unwanted solution falls like
+    exp(-1.9 (l - r)^1.5 / sqrt(r)) (Debye), so N = max(L, r) + 8 + 8 r^(1/3)
+    starts it below 1e-18.  Below r = 1e-5 two terms of the power series are
+    exact, and j_l(0) = delta_l0.
+    """
+    r = np.asarray(r, dtype=float).ravel()
+    degrees = np.arange(L + 1)
+    out = np.empty((len(r), L + 1))
+    small = r < 1e-5
+    rs = r[small, None]
+    out[small] = rs**degrees / np.cumprod(2 * degrees + 1.0) * (1.0 - rs * rs / (4 * degrees + 6))
+    x = r[~small]
+    top = max(L, math.ceil(x.max(initial=0.0))) + 8 + math.ceil(8 * x.max(initial=0.0) ** (1 / 3))
+    vals = np.empty((max(L, 1) + 1, len(x)))
+    above, cur = np.zeros(len(x)), np.ones(len(x))
+    for l in range(top, 0, -1):
+        above, cur = cur, (2 * l + 1) / x * cur - above
+        if l <= len(vals):
+            vals[l - 1] = cur
+        big = np.abs(cur) > 1e250
+        if big.any():
+            above[big] *= 1e-250
+            cur[big] *= 1e-250
+            vals[l - 1 :, big] *= 1e-250
+    j0 = np.sin(x) / x
+    j1 = (j0 - np.cos(x)) / x
+    first = np.abs(j0) >= np.abs(j1)
+    out[~small] = (vals[: L + 1] * (np.where(first, j0, j1) / np.where(first, vals[0], vals[1]))).T
+    return out[:, _degrees(L)]
+
+
+def _plane_wave_modes(dirs: np.ndarray, amps: np.ndarray, L: int) -> np.ndarray:
+    """b_lm = 4 pi i^l sum_q amps_q Y_lm(dirs_q), l <= L, for amps (Q,) or (Q, r), with no complex harmonic table."""
+    i_to_l = np.array([1.0, 1.0j, -1.0, -1.0j])[_degrees(L) % 4]
+    return 4.0 * math.pi * (_real_times_complex(real_sph_harm(L, dirs).T, amps).T * i_to_l).T
+
+
+def _kernel_modes(centers: np.ndarray, L: int) -> np.ndarray:
+    """The real ((L+1)^2, N) table 4 pi sqrt(2/pi) j_l(|x_j|) Y_lm(x_j^) of the n = 3 kernels at x_j."""
+    table = _radial(L, np.linalg.norm(centers, axis=1)) * real_sph_harm(L, centers)
+    return (4.0 * math.pi / _SQRT_PI_2) * table.T
 
 
 @dataclass
@@ -552,82 +618,102 @@ def fourier_bessel_truncate(source, L: int) -> FourierBesselSeries:
     if source.n != 3:
         raise ValueError(f"Fourier-Bessel series are implemented for n = 3, got n = {source.n}")
     if isinstance(source, HerglotzDensity):
-        i_to_l = np.array([1.0, 1.0j, -1.0, -1.0j])[_degrees(L) % 4]
-        coeffs = 4.0 * math.pi * i_to_l * ((source.weights * source.values) @ real_sph_harm(L, source.nodes))
+        coeffs = _plane_wave_modes(source.nodes, source.weights * source.values, L)
     else:
-        modes = _radial(L, np.linalg.norm(source.centers, axis=1)) * real_sph_harm(L, source.centers)
-        coeffs = 4.0 * math.pi / _SQRT_PI_2 * (source.coeffs @ modes)
+        coeffs = _real_times_complex(_kernel_modes(source.centers, L), source.coeffs)
     return FourierBesselSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------
-# Herglotz discretization: kernel-sum fit on a uniform grid of B_R
+# Herglotz discretization: kernel-sum fit in Fourier-Bessel coefficient space
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class DiscretizeReport:
+    """The sampled sup error `achieved` = constant * delta next to the fit's bound, degree and SVD rank."""
+
     delta: float
     achieved: float
     constant: float
     radius: float
     spacing: float
     n_terms: int
-
-
-def _ball_lattice(radius: float, spacing: float):
-    """The cube lattice on [-radius, radius]^3 at `spacing`.
-
-    Returns its axis, its points in C order and the mask of those in the
-    closed ball of `radius`.
-    """
-    ax = np.arange(-radius, radius + 1e-9, spacing)
-    g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    return ax, g, np.linalg.norm(g, axis=1) <= radius + 1e-12
+    bound: float
+    degree: int
+    rank: int
 
 
 def _ball_grid(radius: float, spacing: float) -> np.ndarray:
-    _, g, inside = _ball_lattice(radius, spacing)
-    return g[inside]
+    """The points of the cube lattice on [-radius, radius]^3 at `spacing` that lie in the closed ball of `radius`."""
+    ax = np.arange(-radius, radius + 1e-9, spacing)
+    g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    return g[np.linalg.norm(g, axis=1) <= radius + 1e-12]
 
 
-#: The kernel fit samples its target on a grid of the ball of this radius,
-#: with 0.4 times the spacing of the centers.
+#: The kernel fit bounds its error on the ball of this radius.
 _FIT_RADIUS = 1.6
-#: Singular values below this fraction of the largest are dropped from the fit.
+#: Singular values below this fraction of the largest are dropped from the fit,
+#: and its degree leaves tails below this fraction of the amplitude mass.
 _FIT_RCOND = 1e-9
 
 
-def _fit_kernel_sum(dirs, amps, radius, spacing):
-    """Least-squares fit of the plane waves sum_q amps_q e^{i dirs_q.x} by kernel translates.
+def _fit_degree(radius: float, reach: float):
+    """(L, target tail, kernel tail) of the fit on the ball of `radius`, centers within `reach`.
 
-    Centers fill the ball of `radius` at `spacing`.  The waves are read on
-    the cube lattice around the ball of _FIT_RADIUS by one plane-wave
-    product, their amplitudes moved to the lattice centre x0 as
-    amps_q e^{i dirs_q.x0}, and the fit keeps the points in the ball.
-    Truncated SVD keeps the coefficient mass finite; the near-nullspace of
-    overlapping unit-frequency kernels would otherwise absorb arbitrarily
-    large cancelling components.
+    By DLMF 10.60.7, 10.60.2 and |j_l(r)| <= r^l / (2l+1)!! (10.14.4), the
+    degree-l terms are at most (2l+1) radius^l / (2l+1)!! per unit of
+    amplitude mass and sqrt(2/pi) (2l+1) (radius reach)^l / ((2l+1)!!)^2 per
+    unit of coefficient mass.  L is the least degree whose tails sum below _FIT_RCOND.
     """
-    ax, grid, inside = _ball_lattice(_FIT_RADIUS, 0.4 * spacing)
+    l = np.arange(4 * math.ceil(radius * max(reach, 1.0)) + 40)
+    log_dfact = np.cumsum(np.log(2 * l + 1.0))
+    base = np.log(2 * l + 1) - log_dfact
+    terms = np.exp([base + l * math.log(radius), base + l * math.log(max(radius * reach, 1e-300)) - log_dfact])
+    terms[1] /= _SQRT_PI_2
+    # beyond[:, l] sums the terms past l, the small ones first
+    beyond = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
+    degree = int(np.argmax(beyond.sum(axis=0) <= _FIT_RCOND))
+    return degree, float(beyond[0, degree]), float(beyond[1, degree])
+
+
+def _fit_kernel_sum(dirs, amps, radius, spacing):
+    """Fit of plane-wave sums sum_q amps_q e^{i dirs_q.x}, one per column of amps, by kernel translates.
+
+    Centers fill the ball of `radius` at `spacing`.  Both sides are read as
+    closed-form Fourier-Bessel modes (fourier_bessel_truncate) of degree
+    l <= L (_fit_degree), each row weighted by
+    w_l = max_{r <= _FIT_RADIUS} |j_l(r)| sqrt((2l+1) / (4 pi)), so by the
+    addition theorem sum_l w_l ||Delta b_l|| bounds the sup error of those
+    degrees on the ball of _FIT_RADIUS.  One truncated SVD factors the
+    weighted kernel matrix, and each column is one solve; the truncation
+    keeps the coefficient mass finite (Barnett & Betcke, J. Comput. Phys. 227
+    (2008) 7003).  Returns (sums, bounds, L, rank): per column a BesselSum
+    and that bound plus the tails past L, times sum_q |amps_q| for the
+    target and sum_j |c_j| for the translates.
+    """
     centers = _ball_grid(radius, spacing)
-    K = _kernel_matrix(3, grid[inside], centers)
-    axes = [ax] * 3
-    target = _plane_wave_product(dirs, amps * np.exp(1j * (dirs @ _grid_centre(axes))), axes)
-    target = target.reshape(-1)[inside]
-    u, sing, vh = np.linalg.svd(K, full_matrices=False)
+    degree, target_tail, kernel_tail = _fit_degree(_FIT_RADIUS, float(np.linalg.norm(centers, axis=1).max()))
+    # r j_l(r) is convex on [0, sqrt(l(l+1))] (the Riccati-Bessel equation), so
+    # j_l rises there and peaks on the ball at j_l(_FIT_RADIUS) while
+    # l(l+1) >= _FIT_RADIUS^2; below, sum_l (2l+1) j_l^2 = 1 bounds it by 1/sqrt(2l+1)
+    l = _degrees(degree)
+    peak = np.where(l * (l + 1) >= _FIT_RADIUS**2, _radial(degree, [_FIT_RADIUS])[0], 1.0 / np.sqrt(2 * l + 1))
+    weights = (peak * np.sqrt((2 * l + 1) / (4.0 * math.pi)))[:, None]
+    kernel = weights * _kernel_modes(centers, degree)
+    amps = np.asarray(amps, dtype=complex).reshape(len(dirs), -1)
+    target = weights * _plane_wave_modes(dirs, amps, degree)
+    u, sing, vh = np.linalg.svd(kernel, full_matrices=False)
     keep = sing > _FIT_RCOND * sing[0]
-    coeffs = (vh[keep].conj().T * (1.0 / sing[keep])) @ (u[:, keep].conj().T @ target)
-    return BesselSum(3, coeffs, centers, radius)
+    coeffs = _real_times_complex(vh[keep].T, _real_times_complex(u[:, keep].T, target) / sing[keep, None])
+    residual = np.abs(target - _real_times_complex(kernel, coeffs)) ** 2
+    per_degree = np.sqrt(np.add.reduceat(residual, np.arange(degree + 1) ** 2, axis=0))
+    bounds = per_degree.sum(axis=0) + target_tail * np.abs(amps).sum(axis=0) + kernel_tail * np.abs(coeffs).sum(axis=0)
+    return [BesselSum(3, c, centers, radius) for c in coeffs.T], bounds.tolist(), degree, int(keep.sum())
 
 
 #: herglotz_discretize checks its sup error at this many seeded points of the unit ball.
 _CHECK_POINTS = 1000
-#: Largest kernel fit, in sample points x centers: the real K and the SVD's U
-#: take 8 bytes per pair each, so 2^24 pairs is 128 MiB apiece.  The default
-#: fits stay below 2.3e6 pairs; a small `radius` shrinks the spacing of the
-#: fixed radius-_FIT_RADIUS sample ball and would otherwise exhaust memory.
-_MAX_FIT_PAIRS = 2**24
 
 
 def _ball_samples(count: int, radius: float, seed: int) -> np.ndarray:
@@ -644,18 +730,17 @@ def herglotz_discretize(
     max_terms: int = 4000,
     seed: int = 0,
 ) -> BesselSum:
-    """Approximate the Herglotz field of f by a BesselSum on a grid of B_R.
+    """Approximate the Herglotz field of f by a BesselSum on a grid of B_R, with a computed error bound.
 
-    Centers sit on a uniform grid of the ball B_R; coefficients come from a
-    regularized least-squares fit of field values on the ball of radius
-    _FIT_RADIUS, which one plane-wave product reads on the fit cube's axes
-    (_fit_kernel_sum).  (A Riemann-sum
-    choice of the coefficients from the Fourier transform of a bump-extended
-    density also converges, but needs astronomically many cells for useful
-    tolerances; the least-squares fit reaches 1e-10 with a few hundred
-    centers on the same grid.)  The first grid has spacing radius / 3.6.
-    The achieved sup error over seeded check points of the unit ball is
-    verified against delta, refining the grid once before giving up.
+    Centers sit on a uniform grid of the ball B_R, first of spacing
+    radius / 3.6; _fit_kernel_sum fits the density's plane waves (its
+    quadrature nodes) and bounds the sup error on the ball of _FIT_RADIUS.
+    (A Riemann-sum choice of the coefficients from the Fourier transform of a
+    bump-extended density also converges, but needs astronomically many cells
+    for useful tolerances.)  That bound (report.bound) must meet delta, and so
+    must the sup error at seeded check points of the unit ball
+    (report.achieved), its cross-check.  The grid is refined twice before a
+    ToleranceError carrying the last bound.
     """
     if f.n != 3:
         raise NotImplementedError("herglotz_discretize is implemented for n = 3")
@@ -665,31 +750,22 @@ def herglotz_discretize(
     spacing = radius / 3.6
     attempt = None
     for _ in range(3):
-        ncent = len(_ball_grid(radius, spacing))
-        if ncent > max_terms:
+        if len(_ball_grid(radius, spacing)) > max_terms:
             break
-        # the fit's sample count from the volume of its ball, allocating nothing
-        nrows = 4.0 / 3.0 * math.pi * (_FIT_RADIUS / (0.4 * spacing)) ** 3
-        if nrows * ncent > _MAX_FIT_PAIRS:
-            raise ToleranceError(
-                f"herglotz_discretize at radius {radius:g} needs a kernel fit of about {nrows:.3g} points x "
-                f"{ncent} centers, above its bound of {_MAX_FIT_PAIRS} pairs",
-                attempt.report.achieved if attempt is not None else float("inf"),
-            )
-        attempt = _fit_kernel_sum(f.nodes, f.weights * f.values, radius, spacing)
+        (attempt,), (bound,), degree, rank = _fit_kernel_sum(f.nodes, f.weights * f.values, radius, spacing)
         achieved = float(np.max(np.abs(eval_bessel_sum(attempt, pts) - reference)))
         attempt.report = DiscretizeReport(
-            delta, achieved, achieved / delta, radius, spacing, len(attempt)
+            delta, achieved, achieved / delta, radius, spacing, len(attempt), bound, degree, rank
         )
-        if achieved <= delta:
+        if max(bound, achieved) <= delta:
             return attempt
         spacing *= 0.7
         radius += 0.5
-    achieved = attempt.report.achieved if attempt is not None else float("inf")
+    bound = attempt.report.bound if attempt is not None else float("inf")
     raise ToleranceError(
-        f"herglotz_discretize reached {achieved:.3e} > delta={delta:.3e} "
+        f"herglotz_discretize reached a bound of {bound:.3e} > delta={delta:.3e} "
         f"within {max_terms} terms",
-        achieved,
+        bound,
     )
 
 
@@ -798,6 +874,7 @@ class DesignResult:
     planewave: PlaneWaveSpinor
     curve_residual: dict
     conversion_error: dict
+    conversion_bound: dict
 
 
 def design_bessel_sum(
@@ -813,7 +890,8 @@ def design_bessel_sum(
     (prescribed gradients 1 and 1j along the transported normal frame).  The
     resulting spinor satisfies D_0 phi = phi exactly; each constrained
     component is then converted to a BesselSum by the kernel fit on the
-    ball of radius _CONVERT_RADIUS.  With verify_tol set, the extracted
+    ball of radius _CONVERT_RADIUS, all components by one factorization,
+    with the fit's bound in conversion_bound.  With verify_tol set, the extracted
     nodal curve of each converted component must come within that Hausdorff
     distance of its target.  A target vertex outside the ball where conversion_error is
     sampled (radius _CONVERSION_CHECK_RADIUS = 1.4) is refused with a
@@ -855,15 +933,17 @@ def design_bessel_sum(
     for curve, a in targets:
         curve_residual[a] = float(np.max(np.abs(pw.component(a, np.asarray(curve)))))
 
-    components = {}
-    conversion_error = {}
+    # one factorization of the kernel side, one solve per constrained component
+    fitted = sorted({a for _, a in targets})
+    sums, bounds, _, _ = _fit_kernel_sum(pw.directions, pw.spinor_coeffs[:, fitted], _CONVERT_RADIUS, _CONVERT_SPACING)
+    components = dict(zip(fitted, sums))
+    conversion_bound = dict(zip(fitted, bounds))
     check = _ball_samples(400, _CONVERSION_CHECK_RADIUS, 7)
-    for a in sorted({a for _, a in targets}):
-        bsum = _fit_kernel_sum(pw.directions, pw.spinor_coeffs[:, a], _CONVERT_RADIUS, _CONVERT_SPACING)
-        conversion_error[a] = float(np.max(np.abs(eval_bessel_sum(bsum, check) - pw.component(a, check))))
-        components[a] = bsum
+    conversion_error = {
+        a: float(np.max(np.abs(eval_bessel_sum(components[a], check) - pw.component(a, check)))) for a in fitted
+    }
 
-    result = DesignResult(components, pw, curve_residual, conversion_error)
+    result = DesignResult(components, pw, curve_residual, conversion_error, conversion_bound)
     if verify_tol is not None:
         from . import nodal
 

@@ -499,26 +499,46 @@ def _segment_gaps(a, b, c, d):
     return np.where(inside, np.minimum(ends, mid), ends)
 
 
-def _projected_crossings(x, n1, frame, scale) -> int | None:
-    """Signed crossings of the projection of closed polylines x[:n1] and x[n1:] along frame[2].
-
-    The count is twice the linking number; it is None when a crossing is
-    within tolerance of degenerate or the count is odd, so another direction
-    must decide.  Curves that meet raise ValueError("curves intersect").
-
-    Each projected segment's bounding box lies in at most 2 x 2 cells of a grid
-    whose cell is the largest box side.  One sort of the second curve's cell
-    keys and a searchsorted of the first's join the segments that share a
-    cell; a pair of overlapping boxes is kept only in the cell of its
-    intersection's lower-left corner, so it is tested once.  The joined pairs
-    are tested in blocks of _GAUSS_PAIRS, so memory stays O(n1 + n2 + block).
-    """
-    n = len(x)
-    y = x @ frame.T
+def _successors(n: int, n1: int) -> np.ndarray:
+    """The index of each vertex's successor along the closed polylines 0..n1-1 and n1..n-1."""
     nxt = np.arange(1, n + 1)
     nxt[[n1 - 1, n - 1]] = 0, n1
-    a, b = y, y[nxt]
-    lo, hi = np.minimum(a[:, :2], b[:, :2]), np.maximum(a[:, :2], b[:, :2])
+    return nxt
+
+
+def _candidate_pairs(a, b, n1, pad):
+    """(joined, blocks) of the crossing search over projected segments a[k] -> b[k].
+
+    Segments k < n1 belong to the first curve.  For the search only, a
+    segment whose projected box side exceeds 2 s is cut into
+    ceil(side / (2 s)) equal pieces, with s the (upper) median side but at least an
+    eighth of the mean side, so the pieces number at most 5 times the
+    segments and a few long segments no longer make the grid coarse.  Each
+    piece's box, padded by `pad`, lies in at most 2 x 2 cells of a grid whose
+    cell is the largest piece side.  One sort of the second curve's cell keys
+    and a searchsorted of the first's join the pieces that share a cell; a
+    pair of overlapping boxes is kept only in the cell of its intersection's
+    lower-left corner, so each piece pair is tested once.  `joined` counts
+    the pairs that share a cell; `blocks` yields, per block of _GAUSS_PAIRS
+    of them, the segment indices (i, j) of the overlapping ones, so a segment
+    pair may come from several of its pieces.  Memory stays O(n + block).
+    """
+    start, span = a[:, :2], b[:, :2] - a[:, :2]
+    side = np.abs(span).max(axis=1)
+    half = len(side) // 2
+    size = 2.0 * max(float(np.partition(side, half)[half]), float(side.sum()) / (8 * len(side)))
+    seg = np.arange(len(a))
+    long = np.flatnonzero(side > size)
+    if len(long):
+        # piece k of m runs from a + (k / m) (b - a) to a + ((k + 1) / m) (b - a);
+        # the pad covers the rounding of those ends
+        parts = np.ones(len(a), np.int64)
+        parts[long] = np.ceil(side[long] / size)
+        seg = np.repeat(seg, parts)
+        step = (np.arange(len(seg)) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[seg]
+        start, span = start[seg] + step[:, None] * span[seg], span[seg] / parts[seg, None]
+    end = start + span
+    lo, hi = np.minimum(start, end) - pad, np.maximum(start, end) + pad
     origin = lo.min(axis=0)
     extent = float((hi.max(axis=0) - origin).max())
     # a margin over the largest side keeps floor() from spanning three cells;
@@ -529,34 +549,51 @@ def _projected_crossings(x, n1, frame, scale) -> int | None:
     cx = np.stack([i0[:, 0], i0[:, 0], i1[:, 0], i1[:, 0]], axis=1)
     cy = np.stack([i0[:, 1], i1[:, 1], i0[:, 1], i1[:, 1]], axis=1)
     spans = i1 > i0
-    own = np.stack([np.ones(n, bool), spans[:, 1], spans[:, 0], spans[:, 0] & spans[:, 1]], axis=1)
-    seg = np.broadcast_to(np.arange(n)[:, None], own.shape)[own]
+    own = np.stack([np.ones(len(seg), bool), spans[:, 1], spans[:, 0], spans[:, 0] & spans[:, 1]], axis=1)
+    piece = np.broadcast_to(np.arange(len(seg))[:, None], own.shape)[own]
     cx, cy = cx[own], cy[own]
     key = cx * (int(i1[:, 1].max()) + 1) + cy
-    first = seg < n1
+    first = seg[piece] < n1
     order = np.argsort(key[~first], kind="stable")
-    key2, seg2 = key[~first][order], seg[~first][order]
-    key1, seg1, cx1, cy1 = key[first], seg[first], cx[first], cy[first]
+    key2, piece2 = key[~first][order], piece[~first][order]
+    key1, piece1, cx1, cy1 = key[first], piece[first], cx[first], cy[first]
     left = np.searchsorted(key2, key1, side="left")
     counts = np.searchsorted(key2, key1, side="right") - left
     ends = np.cumsum(counts)
-    pairs = int(ends[-1]) if len(ends) else 0
+    joined = int(ends[-1]) if len(ends) else 0
 
+    def blocks():
+        for start in range(0, joined, _GAUSS_PAIRS):
+            q = np.arange(start, min(start + _GAUSS_PAIRS, joined))
+            e = np.searchsorted(ends, q, side="right")
+            i, j = piece1[e], piece2[left[e] + q - (ends[e] - counts[e])]
+            keep = (
+                (np.maximum(i0[i, 0], i0[j, 0]) == cx1[e])
+                & (np.maximum(i0[i, 1], i0[j, 1]) == cy1[e])
+                & (lo[i] <= hi[j]).all(axis=1)
+                & (lo[j] <= hi[i]).all(axis=1)
+            )
+            yield seg[i[keep]], seg[j[keep]]
+
+    return joined, blocks()
+
+
+def _projected_crossings(x, n1, frame, scale) -> int | None:
+    """Signed crossings of the projection of closed polylines x[:n1] and x[n1:] along frame[2].
+
+    The count is twice the linking number; it is None when a crossing is
+    within tolerance of degenerate or the count is odd, so another direction
+    must decide.  Curves that meet raise ValueError("curves intersect").
+    The candidate segment pairs come from _candidate_pairs; a crossing found
+    through several pieces of a split segment is counted once.
+    """
+    y = x @ frame.T
+    a, b = y, y[_successors(len(x), n1)]
     tol = _CROSSING_TOL * scale * scale
     gap_tol = _CROSSING_TOL * scale
-    total = 0
+    keys, signs = [], []
     generic = True
-    for start in range(0, pairs, _GAUSS_PAIRS):
-        p = np.arange(start, min(start + _GAUSS_PAIRS, pairs))
-        e = np.searchsorted(ends, p, side="right")
-        i, j = seg1[e], seg2[left[e] + p - (ends[e] - counts[e])]
-        keep = (
-            (np.maximum(i0[i, 0], i0[j, 0]) == cx1[e])
-            & (np.maximum(i0[i, 1], i0[j, 1]) == cy1[e])
-            & (lo[i] <= hi[j]).all(axis=1)
-            & (lo[j] <= hi[i]).all(axis=1)
-        )
-        i, j = i[keep], j[keep]
+    for i, j in _candidate_pairs(a, b, n1, gap_tol)[1]:
         pa, pb, pc, pd = a[i], b[i], a[j], b[j]
         o1, o2, o3, o4 = _orient(pc, pd, pa), _orient(pc, pd, pb), _orient(pa, pb, pc), _orient(pa, pb, pd)
         apart = (
@@ -577,7 +614,10 @@ def _projected_crossings(x, n1, frame, scale) -> int | None:
         above = pa[cut, 2] + s * (pb[cut, 2] - pa[cut, 2]) - pc[cut, 2] - t * (pd[cut, 2] - pc[cut, 2])
         if (np.abs(above) <= gap_tol).any():
             raise ValueError("curves intersect")
-        total -= int(np.sum(np.sign(turn) * np.sign(above)))
+        keys.append(i[cut] * len(x) + j[cut])
+        signs.append(np.sign(turn) * np.sign(above))
+    keys, signs = np.concatenate(keys or [[]]), np.concatenate(signs or [[]])
+    total = -int(signs[np.unique(keys, return_index=True)[1]].sum())
     return total if generic and total % 2 == 0 else None
 
 

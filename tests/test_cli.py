@@ -49,10 +49,13 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["verify", "--set", "out=" + str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
 
-def test_unreachable_tolerance_exit_code(tmp_path):
+def test_unreachable_tolerance_exit_code(tmp_path, capsys):
     out = tmp_path / "approx.json"
     code = main(["approximate", "--out", str(out), "--set", "delta=1e-30"])
     assert code == EXIT_TOLERANCE
+    # the error carries the fit's computed bound, which misses delta
+    detail = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert detail["error"] == "tolerance" and detail["achieved"] > 1e-30
 
 
 def test_approximate_and_verify_roundtrip(tmp_path):
@@ -62,7 +65,8 @@ def test_approximate_and_verify_roundtrip(tmp_path):
         == EXIT_OK
     )
     doc = json.loads(approx.read_text())
-    assert doc["achieved_error"] <= 1e-3
+    # the sampled error sits below the computed bound, and both meet delta
+    assert doc["achieved_error"] <= doc["achieved_bound"] <= 1e-3
     assert "manifest" in doc
 
     csv1 = tmp_path / "verify1.csv"

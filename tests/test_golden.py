@@ -29,14 +29,24 @@ to the pinned values, not to a second run of itself.  Tolerances:
   normal equations; the dual-form solve that replaced them reproduces it at
   one and at two threads, within the 1e-12 floor below (about 8e-13 off).
 
-Where a relative tolerance times the pinned value falls below 1e-12, the
-1e-12 absolute floor of pytest.approx binds instead; those comparisons
-spell it out.  Three values are pinned that tightly:
+The verify and circle entries were rewritten once more by make_golden.py at
+one BLAS thread when the kernel fit moved from sampled lattice rows to
+Fourier-Bessel modes: that fit is a different Bessel sum for the same
+field, and the O(1/k) localization errors depend on its coefficients, not
+only on the field.  The hopf entries were left as they were.
 
-  value              pinned            stated rel   effective rel
-  achieved_error     3.9e-9, 4.8e-9    1e-8         2.6e-4, 2.1e-4
-  curve_residual     1.8e-8            1e-6         5.5e-5
-  conversion_error   9.0e-8            1e-6         1.1e-5
+Where a relative tolerance times the pinned value falls below an absolute
+floor, the floor binds instead; those comparisons spell it out.  Three
+values are pinned that tightly:
+
+  value              pinned              stated rel   floor    effective rel
+  achieved_error     1.30e-11, 1.11e-11  1e-8         1e-13    7.7e-3, 9.0e-3
+  curve_residual     1.8e-8              1e-6         1e-12    5.5e-5
+  conversion_error   8.6e-8              1e-6         1e-12    1.2e-5
+
+achieved_error is a sup difference of fields of size about 10, so it rounds
+near 1e-14 absolute; its floor is 1e-13, not pytest.approx's 1e-12, which
+at these values would let it move by a tenth.
 """
 
 import importlib.util
@@ -65,7 +75,7 @@ DESIGN_RTOL = 1e-6
 @pytest.mark.parametrize("case", GOLDEN["verify"], ids=lambda c: f"density{c['density_seed']}")
 def test_verify_rows_match_golden(tmp_path, case):
     got = make_golden.verify_case(tmp_path, case["density_seed"], case["chart_seed"])
-    assert got["achieved_error"] == pytest.approx(case["achieved_error"], rel=1e-8, abs=1e-12)
+    assert got["achieved_error"] == pytest.approx(case["achieved_error"], rel=1e-8, abs=1e-13)
     assert sorted(got["rows"]) == sorted(case["rows"])
     for k, rows in case["rows"].items():
         assert sorted(got["rows"][k]) == sorted(rows)

@@ -17,6 +17,7 @@ from eigenknot.harmonics import (
     spinor_rank,
 )
 from eigenknot.helmholtz import BesselSum, eval_bessel_sum
+from eigenknot.specialfn import gegenbauer_cnk
 from eigenknot.spinor3 import frame_vectors
 
 
@@ -109,6 +110,42 @@ def test_parity_property(n, k, count, seed):
     vals = H.eval_harmonic(Y, p)
     gap = np.abs(H.eval_harmonic(Y, -p) - (-1.0) ** k * vals).max()
     assert gap <= 1e-12 * np.abs(vals).max(), (gap, np.abs(vals).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    k=st.integers(1, 7),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_addition_theorem_property(n, k, count, seed):
+    # by the addition theorem, Z(p.q) = dim H_k / |S^n| C^n_k(p.q) is
+    # sum_m Y_km(p) Y_km(q) over an orthonormal basis of the degree-k
+    # harmonics: the reproducing kernel of that space.  So integrating a
+    # synthesized Y against Z(q.r) over q gives Y(r) back, against the kernel
+    # of degree k +- 1 gives 0, and Z reproduces itself.  The rule on S^n is
+    # exact through degree 2k + 1.
+    nodes, weights = helmholtz.sphere_quadrature(n + 1, k + 1)
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(count, n + 1))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    Y = UltrasphericalSum(n, k, rng.normal(size=count) + 1j * rng.normal(size=count), centers)
+    r = rng.normal(size=(20, n + 1))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+
+    def kernel(degree, p, q):
+        scale = harmonic_space_dim(degree, n) / helmholtz.sphere_area(n + 1)
+        return scale * gegenbauer_cnk(n, degree, np.clip(p @ q.T, -1.0, 1.0))
+
+    values = H.eval_harmonic(Y, nodes) * weights
+    want = H.eval_harmonic(Y, r)
+    scale = np.abs(values).sum() * kernel(k, r[:1], r[:1])[0, 0]
+    assert np.abs(values @ kernel(k, nodes, r) - want).max() <= 1e-12 * scale
+    for other in (k - 1, k + 1):
+        assert np.abs(values @ kernel(other, nodes, r)).max() <= 1e-12 * scale
+    z = kernel(k, r, nodes) * weights
+    assert np.abs(z @ kernel(k, nodes, r) - kernel(k, r, r)).max() <= 1e-12 * np.abs(z).sum(axis=1).max() * kernel(k, r[:1], r[:1])[0, 0]
 
 
 def test_gradient_matches_frame_differences(chart, small_sum):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import spherical_jn
+from scipy.special import sph_harm_y, spherical_jn
 
+from eigenknot import helmholtz
 from eigenknot.helmholtz import (
     _central_differences,
     BesselSum,
@@ -293,10 +294,21 @@ def test_discretize_unreachable_tolerance():
     with pytest.raises(ToleranceError) as err:
         herglotz_discretize(f, 1e-30, max_terms=40)
     assert err.value.achieved > 1e-30
-    # a small radius shrinks the spacing of the fixed fit ball: refused by
-    # size (about 1.56e6 points x 190 centers) before anything is allocated
-    with pytest.raises(ToleranceError, match=r"radius 0\.2 needs a kernel fit of about 1\.56e\+06 points x 190 centers"):
-        herglotz_discretize(f, 1e-3, radius=0.2)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-8])
+def test_discretize_small_radius_meets_delta_or_raises(delta):
+    # the fit has (L+1)^2 rows at any spacing, so a small radius is no longer
+    # refused by size: it meets delta by its bound and by its samples, or it
+    # raises with the bound it reached (here 1.2e-8, the tail past L times the
+    # amplitude mass 4 pi, which refining the grid cannot lower)
+    f = HerglotzDensity.constant(3)
+    try:
+        s = herglotz_discretize(f, delta, radius=0.2)
+    except ToleranceError as exc:
+        assert exc.achieved > delta
+    else:
+        assert s.report.achieved <= s.report.bound <= delta
 
 
 def _mode_orders(L):
@@ -321,6 +333,83 @@ def test_real_sph_harm_basis():
     nodes, weights = sphere_quadrature(3, 8)
     table = real_sph_harm(6, nodes)
     assert np.abs((table.T * weights) @ table - np.eye(49)).max() <= 1e-14
+
+
+def scipy_real_sph_harm(L, x):
+    """The real basis of real_sph_harm from scipy's complex Y_l^|m|: Y_l0 is its
+    real part, and Y_lm is sqrt(2) (-1)^m times its real part for m > 0 and its
+    imaginary part for m < 0; the origin reads as the north pole."""
+    l, m = _mode_orders(L)
+    theta = np.arctan2(np.hypot(x[:, 0], x[:, 1]), x[:, 2])[:, None]
+    y = sph_harm_y(l, np.abs(m), theta, np.arctan2(x[:, 1], x[:, 0])[:, None])
+    return np.where(m == 0, 1.0, math.sqrt(2.0) * (-1.0) ** m) * np.where(m < 0, y.imag, y.real)
+
+
+# the poles, the origin, and points a hair off the polar axis
+AXIS_POINTS = np.array([[0.0, 0.0, 1.5], [0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [1e-200, 0.0, 1.0], [0.0, -1e-9, -2.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(0, 30), count=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_real_sph_harm_matches_scipy(L, count, seed):
+    # the Legendre recurrence against scipy's sph_harm_y; both round at about
+    # l^2 eps in the derivative of P_lm, against values up to sqrt((2L+1)/(4 pi))
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.normal(size=(count, 3)) * rng.uniform(1e-3, 50.0, (count, 1)), AXIS_POINTS])
+    got = real_sph_harm(L, x)
+    assert got.shape == (len(x), (L + 1) ** 2)
+    assert np.abs(got - scipy_real_sph_harm(L, x)).max() <= 1e-15 * (L + 1) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(0, 30), r=st.lists(st.floats(0.0, 50.0, allow_subnormal=False), min_size=1, max_size=20))
+def test_radial_matches_scipy(L, r):
+    # Miller's recurrence against spherical_jn, with the origin always drawn:
+    # absolute where j_l oscillates, relative where it is tiny (l > r); scipy
+    # reads nan at subnormal radii, so none is drawn
+    r = np.array(r + [0.0])
+    got = helmholtz._radial(L, r)
+    assert got.shape == (len(r), (L + 1) ** 2)
+    l, _ = _mode_orders(L)
+    want = spherical_jn(l, r[:, None])
+    assert np.all(np.abs(got - want) <= 1e-14 + 1e-12 * np.abs(want))
+    assert np.array_equal(got[-1], (l == 0).astype(float))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    count=st.integers(1, 300),
+    radius=st.floats(0.5, 3.0),
+    cells=st.floats(2.5, 4.0),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_bound_holds(count, radius, cells, seed):
+    # plane-wave sums with drawn directions and amplitudes, fitted two at a
+    # time: each fit's computed bound is at least its sup error sampled on the
+    # ball of _FIT_RADIUS, and each column's fit is its own solve
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    amps = (rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))) * rng.exponential(size=(count, 1))
+    sums, bounds, degree, rank = helmholtz._fit_kernel_sum(dirs, amps, radius, radius / cells)
+    assert len(sums) == len(bounds) == 2 and 0 < rank <= min((degree + 1) ** 2, len(sums[0]))
+    pts = np.concatenate([ball_points(rng, 500, helmholtz._FIT_RADIUS), helmholtz._FIT_RADIUS * AXIS_POINTS[:2] / 1.5])
+    for col, (s, bound) in enumerate(zip(sums, bounds)):
+        exact = helmholtz._plane_wave_sum(pts, dirs, amps[:, col])
+        assert np.abs(eval_bessel_sum(s, pts) - exact).max() <= bound
+        (alone,), (alone_bound,), _, _ = helmholtz._fit_kernel_sum(dirs, amps[:, col], radius, radius / cells)
+        assert np.allclose(alone.coeffs, s.coeffs, rtol=1e-12, atol=1e-12 * np.abs(s.coeffs).max())
+        # the residual b - K c cancels, so its rounding moves the bound further
+        assert alone_bound == pytest.approx(bound, rel=1e-6)
+
+
+def test_discretize_reports_its_bound_and_degree():
+    f = HerglotzDensity.from_function(3, lambda xi: np.exp(1j * xi[:, 0]) + xi[:, 2] ** 2)
+    s = herglotz_discretize(f, 1e-3)
+    report = s.report
+    assert report.achieved <= report.bound <= 1e-3
+    # the degree leaves tails below 1e-9 per unit of mass on the radius-1.6 ball
+    assert report.degree == 11 and 0 < report.rank <= 144
 
 
 def test_fourier_bessel_radial_field():

@@ -5,8 +5,9 @@ module's syntax tree is walked for an imported name that never appears as a
 name or as the base of an attribute (names listed in ``__all__`` and
 ``from __future__`` imports are exempt).  No package module imports scipy at
 module level, and a fresh interpreter runs the CLI pipelines without ever
-loading it; only the few functions those pipelines do not call import scipy,
-inside the function.  No package module reaches numpy.polynomial anywhere
+loading it, and neither do design_bessel_sum without verify_tol,
+fourier_bessel_truncate and FourierBesselSeries.eval; only the few functions
+those do not call import scipy, inside the function.  No package module reaches numpy.polynomial anywhere
 (its Gauss rules come from specialfn.gauss_gegenbauer), and the pipelines
 never load it either.
 """
@@ -144,15 +145,25 @@ def test_no_numpy_polynomial(path):
 
 
 # Hopf design, then approximate -> verify and spinorize -> nodal through the
-# CLI on small configs; prints the scipy and numpy.polynomial modules loaded
-# by the end
+# CLI on small configs, a designed circle without its nodal check, and the
+# Fourier-Bessel modes of a density and of the design; prints the scipy and
+# numpy.polynomial modules loaded by the end
 PIPELINES = """
 import json, sys
 from pathlib import Path
 
+import numpy as np
+
 import eigenknot
 from eigenknot.cli import EXIT_OK, main
+from eigenknot.helmholtz import fourier_bessel_truncate
 
+t = np.linspace(0.0, 2.0 * np.pi, 25)
+circle = eigenknot.design_bessel_sum([(np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1), 0)], budget=60)
+density = eigenknot.HerglotzDensity.from_function(3, lambda xi: xi[:, 2] + 0.5j, 8)
+for source in (density, circle.components[0]):
+    series = fourier_bessel_truncate(source, 6)
+    assert np.all(np.isfinite(series.eval(np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5]]))))
 design = eigenknot.hopf_link_design()
 for a in (0, 1):
     with open(f"hopf{a}.json", "w") as fh:

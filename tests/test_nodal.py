@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eigenknot import nodal
 from eigenknot.nodal import (
@@ -391,15 +391,55 @@ def test_linking_long_rings():
 
 @pytest.mark.parametrize("block", [97, 1000, 1 << 13])
 def test_linking_is_independent_of_the_block_size(monkeypatch, block):
-    # an excursion to z = 5, far from c2, gives c1 two long segments, so that
-    # nearly every segment pair shares a grid cell and the search runs over
-    # many blocks
+    # an excursion to z = 5, far from c2, gives c1 two long segments, which
+    # the search cuts into pieces; at the smallest block it still runs over
+    # several blocks
     c1 = np.insert(circle(200, 1.0), 50, (0.0, 1.2, 5.0), axis=0)
     c2 = circle(150, 1.0, (1.0, 0, 0), "xz")
     gauss = gauss_linking_integral(c1, c2)
     assert abs(gauss - round(gauss)) <= 1e-6 and abs(round(gauss)) == 1
     monkeypatch.setattr(nodal, "_GAUSS_PAIRS", block)
     assert linking_number(c1, c2) == round(gauss)
+
+
+def _joined_pairs(c1, c2, direction=0):
+    """The number of segment pieces of c1 and c2 that share a cell of the crossing search."""
+    x = np.concatenate([c1, c2])
+    x -= x.mean(axis=0)
+    y = x @ nodal._frame(nodal._DIRECTIONS[direction]).T
+    scale = float(np.abs(x).max())
+    return nodal._candidate_pairs(y, y[nodal._successors(len(x), len(c1))], len(c1), 1e-10 * scale)[0]
+
+
+def test_long_segments_keep_the_crossing_search_linear():
+    # with the cell sized by the largest box side, the excursion's two long
+    # segments joined about 22 700 of the 30 150 segment pairs; cut into
+    # pieces for the search, the joined pairs stay below the vertex count
+    c1 = np.insert(circle(200, 1.0), 50, (0.0, 1.2, 5.0), axis=0)
+    c2 = circle(150, 1.0, (1.0, 0, 0), "xz")
+    assert _joined_pairs(c1, c2) <= len(c1) + len(c2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spikes=st.lists(st.tuples(st.integers(0, 199), st.floats(1.5, 50.0), st.booleans()), min_size=1, max_size=4),
+    quat=st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    shift=st.lists(st.floats(-5, 5), min_size=3, max_size=3),
+)
+def test_linking_with_long_segments_matches_gauss(spikes, quat, shift):
+    # spikes out of the plane of c1 give it long segments, which may or may
+    # not pass through c2; the link is the rounded Gauss integral wherever
+    # that integral is near an integer, and the joined pairs stay linear
+    c1 = circle(200, 1.0)
+    for at, height, down in sorted(spikes, reverse=True):
+        c1 = np.insert(c1, at, (0.2 * at / 200.0 - 0.1, 1.2 + 0.01 * at, -height if down else height), axis=0)
+    rot, move = _rotation(quat), np.array(shift)
+    c1, c2 = c1 @ rot.T + move, circle(150, 1.0, (1.0, 0, 0), "xz") @ rot.T + move
+    gauss = gauss_linking_integral(c1, c2)
+    assume(abs(gauss - round(gauss)) <= 1e-6)
+    assert linking_number(c1, c2) == round(gauss)
+    # far below the 30 000 segment pairs
+    assert _joined_pairs(c1, c2) <= 2 * (len(c1) + len(c2))
 
 
 def test_vertex_gap_is_the_least_vertex_distance():
