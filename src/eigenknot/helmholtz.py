@@ -383,10 +383,10 @@ def eval_bessel_sum_grid(s: BesselSum, axes):
     2^-56 sqrt(2/pi) sum_j |c_j| for |x - x_j| <= D.  On the grid each plane
     wave is a product of three 1-D exponential tables, and the sum is a
     complex matmul of rows against the axis-2 table for each axis-0 point
-    (_plane_wave_product, which Herglotz densities and plane-wave spinors
-    share).  When the rule's Q nodes, N centers and P grid points give
-    Q (8 N + P) > 8 N P (the measured crossover, _plane_waves_pay), and for
-    n != 3, the grid's points go through eval_bessel_sum instead.
+    (_plane_wave_product).  When the rule's Q nodes, N centers and P grid
+    points give Q (8 N + P) > 8 N P (the measured crossover,
+    _plane_waves_pay), and for n != 3, the grid's points go through
+    eval_bessel_sum instead.
     """
     axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     if len(axes) != s.n:
