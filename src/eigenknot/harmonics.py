@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sphere
-from .helmholtz import BesselSum, _central_differences, _pair_distances, eval_bessel_sum, eval_bessel_sum_grid
+from .helmholtz import (
+    BesselSum,
+    _central_differences,
+    _grid_rule_degree,
+    _pair_distances,
+    _plane_wave_grid,
+    eval_bessel_sum,
+)
 from .specialfn import (
     gegenbauer3_chord_derivatives,
     gegenbauer_cnk_derivatives,
@@ -45,9 +52,9 @@ __all__ = [
     "localization_error",
     "multi_localization_reports",
     "decay_profile",
-    # phi at single points, next to rescaled_pullback; localization_error reads
-    # phi on its lattice through eval_bessel_sum_grid, and bench/tracing.py
-    # wraps this binding
+    # phi at single points, next to rescaled_pullback, and at localization_error's
+    # stencil support when its lattice is too small for the plane-wave product;
+    # bench/tracing.py wraps this binding
     "eval_bessel_sum",
 ]
 
@@ -304,9 +311,11 @@ def localization_error(
     for m <= 1 (the axis neighbours of interior points lie in it), plus the
     diagonal neighbours of interior points that the mixed second differences
     reach for m = 2.  That is about a quarter of the padded cube (2457 of
-    9261 points at h = 0.125, radius 1).  phi does not depend on k, and on
-    the whole lattice it is one plane-wave product (eval_bessel_sum_grid on
-    the lattice axes), of which only the support is read.  Every other
+    9261 points at h = 0.125, radius 1).  phi does not depend on k.  Where
+    the plane-wave product pays on the lattice (helmholtz._grid_rule_degree,
+    the rule of eval_bessel_sum_grid) phi is that product on the lattice
+    axes, of which only the support is read; otherwise it is the direct sum
+    at the support's points alone.  Every other
     lattice point of the difference holds NaN, so a stencil that strayed
     outside the support would make an order non-finite, which raises rather
     than returning a number.
@@ -332,7 +341,12 @@ def localization_error(
     support = _stencil_support(mask, interior, m)
     diff = np.full(mask.shape, np.nan, dtype=complex)
     diff[support] = rescaled_pullback(Y, flat[support.ravel()], chart)
-    diff[support] -= eval_bessel_sum_grid(phi, [ax] * 3)[support]
+    axes = [ax] * 3
+    degree = _grid_rule_degree(phi, axes)
+    if degree is None:
+        diff[support] -= eval_bessel_sum(phi, flat[support.ravel()])
+    else:
+        diff[support] -= _plane_wave_grid(phi, axes, degree)[support]
     orders = [float(np.abs(diff[mask]).max())] + [
         float(np.abs(d[..., interior]).max()) for d in _central_differences(diff, h, m)[1:]
     ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sphere
-from .specialfn import bessel_kernel, gauss_gegenbauer
+from .specialfn import bessel_kernel, gauss_gegenbauer, sincos
 from .sphere import eval_rows
 
 _TWO_PI = 2.0 * math.pi
@@ -201,9 +201,9 @@ def _real_times_complex(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def _plane_wave_sum(x: np.ndarray, dirs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_q coeffs_q e^{i x.dirs_q} from real cos and sin blocks (16 bytes per pair)."""
-    phase = x @ dirs.T
-    out = _real_times_complex(np.cos(phase), coeffs)
-    out += 1j * _real_times_complex(np.sin(phase, out=phase), coeffs)
+    sin, cos = sincos(x @ dirs.T)
+    out = _real_times_complex(cos, coeffs)
+    out += 1j * _real_times_complex(sin, coeffs)
     return out
 
 
@@ -324,14 +324,14 @@ def _grid_centre(axes) -> np.ndarray:
 def _exp_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """e^{i x_m y_n} as an (M, N) complex table.
 
-    cos and sin are written straight into its real and imaginary parts; the
-    complex temporaries of np.exp(1j * phase) raised verify_sweep's peak RSS
-    by about 0.5 MiB.
+    cos and sin (sincos) are copied straight into its real and imaginary
+    parts; the complex temporaries of np.exp(1j * phase) raised verify_sweep's
+    peak RSS by about 0.5 MiB.
     """
-    phase = np.multiply.outer(x, y)
-    table = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=table.real)
-    np.sin(phase, out=table.imag)
+    sin, cos = sincos(np.multiply.outer(x, y))
+    table = np.empty(sin.shape, dtype=complex)
+    table.real = cos
+    table.imag = sin
     return table
 
 
@@ -369,6 +369,19 @@ def _plane_wave_grid(s: BesselSum, axes, degree: int) -> np.ndarray:
     return _plane_wave_product(nodes, density, axes)
 
 
+def _grid_rule_degree(s: BesselSum, axes):
+    """The rule's degree when the plane-wave product pays on the grid of `axes` (_plane_waves_pay), else None.
+
+    None also for n != 3 and for a grid with an empty axis: those go through
+    eval_bessel_sum.
+    """
+    shape = tuple(len(a) for a in axes)
+    if s.n != 3 or 0 in shape:
+        return None
+    degree = _grid_degree(s, axes)
+    return degree if _plane_waves_pay(_rule_size(degree), len(s), math.prod(shape)) else None
+
+
 def eval_bessel_sum_grid(s: BesselSum, axes):
     """The sum on the product grid axes[0] x axes[1] x axes[2], shape (n0, n1, n2).
 
@@ -391,11 +404,10 @@ def eval_bessel_sum_grid(s: BesselSum, axes):
     axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     if len(axes) != s.n:
         raise ValueError(f"need {s.n} axes, got {len(axes)}")
+    degree = _grid_rule_degree(s, axes)
+    if degree is not None:
+        return _plane_wave_grid(s, axes, degree)
     shape = tuple(len(a) for a in axes)
-    if s.n == 3 and 0 not in shape:
-        degree = _grid_degree(s, axes)
-        if _plane_waves_pay(_rule_size(degree), len(s), math.prod(shape)):
-            return _plane_wave_grid(s, axes, degree)
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s.n)
     return eval_bessel_sum(s, points).reshape(shape)
 
@@ -739,11 +751,25 @@ def herglotz_discretize(
     bump-extended density also converges, but needs astronomically many cells
     for useful tolerances.)  That bound (report.bound) must meet delta, and so
     must the sup error at seeded check points of the unit ball
-    (report.achieved), its cross-check.  The grid is refined twice before a
-    ToleranceError carrying the last bound.
+    (report.achieved), its cross-check.  The grid is refined twice, growing
+    the radius by 0.5 each time, before a ToleranceError carrying the last
+    bound.  No fit is tried when the target's tail past L times
+    sum_q |a_q| (_fit_degree) alone exceeds delta: every bound contains it,
+    and L does not fall as the centers reach further, so the tail at the
+    last radius is a floor that no refinement lowers; the error carries it.
     """
     if f.n != 3:
         raise NotImplementedError("herglotz_discretize is implemented for n = 3")
+    amps = f.weights * f.values
+    # the last grid's centers lie within radius + 1
+    degree, target_tail, _ = _fit_degree(_FIT_RADIUS, radius + 1.0)
+    floor = target_tail * float(np.abs(amps).sum())
+    if floor > delta:
+        raise ToleranceError(
+            f"herglotz_discretize cannot reach delta={delta:.3e}: every fit's bound includes the "
+            f"target's tail past degree {degree}, {floor:.3e}, which refining the grid cannot lower",
+            floor,
+        )
     pts = _ball_samples(_CHECK_POINTS, 1.0, seed)
     reference = eval_herglotz(f, pts)
 
@@ -752,7 +778,7 @@ def herglotz_discretize(
     for _ in range(3):
         if len(_ball_grid(radius, spacing)) > max_terms:
             break
-        (attempt,), (bound,), degree, rank = _fit_kernel_sum(f.nodes, f.weights * f.values, radius, spacing)
+        (attempt,), (bound,), degree, rank = _fit_kernel_sum(f.nodes, amps, radius, spacing)
         achieved = float(np.max(np.abs(eval_bessel_sum(attempt, pts) - reference)))
         attempt.report = DiscretizeReport(
             delta, achieved, achieved / delta, radius, spacing, len(attempt), bound, degree, rank

@@ -17,9 +17,13 @@ _UNIT_TOL = 1e-12
 
 #: Most rows per block of the batched field evaluators.
 ROW_BLOCK = 4096
-#: Point-term pairs per block: a float (rows x terms) intermediate of 1 MiB
-#: stays in a typical L2 cache.
-PAIR_BLOCK = 1 << 17
+#: Point-term pairs per block.  A kernel pass over a block keeps four to six
+#: float (rows x terms) intermediates alive (distances, the half-angle
+#: tangent, sin and cos, the kernel), so at 256 KiB each they fit a 2 MiB L2
+#: cache, where blocks of 2^17 pairs (1 MiB each) spill it.  Raw verify_sweep
+#: instances (one thread, 2-core Xeon VM) took 0.083, 0.073, 0.069, 0.068
+#: and 0.084 s at 2^13 to 2^17; 2^15 and 2^16 tie, and 2^15 holds less.
+PAIR_BLOCK = 1 << 15
 
 
 def _as_batch(x, dim):

@@ -287,11 +287,11 @@ def test_localization_evaluates_only_the_stencil_support(chart, monkeypatch, m, 
     # product grid on the 21-point lattice axes: with 120 centers the plane
     # waves pay, so no point-wise Bessel call is made
     seen = {"grid": [], "pullback": [], "points": []}
-    grid, pullback, points = H.eval_bessel_sum_grid, H.rescaled_pullback, helmholtz.eval_bessel_sum
+    grid, pullback, points = H._plane_wave_grid, H.rescaled_pullback, helmholtz.eval_bessel_sum
 
-    def count_grid(s, axes):
+    def count_grid(s, axes, degree):
         seen["grid"].append([np.asarray(a) for a in axes])
-        return grid(s, axes)
+        return grid(s, axes, degree)
 
     def count_pullback(Y, x, c=None):
         seen["pullback"].append(len(x))
@@ -301,7 +301,7 @@ def test_localization_evaluates_only_the_stencil_support(chart, monkeypatch, m, 
         seen["points"].append(len(x))
         return points(s, x)
 
-    monkeypatch.setattr(H, "eval_bessel_sum_grid", count_grid)
+    monkeypatch.setattr(H, "_plane_wave_grid", count_grid)
     monkeypatch.setattr(H, "rescaled_pullback", count_pullback)
     monkeypatch.setattr(H, "eval_bessel_sum", count_points)
     monkeypatch.setattr(helmholtz, "eval_bessel_sum", count_points)
@@ -313,6 +313,27 @@ def test_localization_evaluates_only_the_stencil_support(chart, monkeypatch, m, 
     (axes,) = seen["grid"]
     lattice = -1.25 + 0.125 * np.arange(21)
     assert len(axes) == 3 and all(np.allclose(a, lattice, rtol=0, atol=1e-12) for a in axes)
+
+
+def test_localization_evaluates_few_centers_only_on_the_support(chart, monkeypatch):
+    # 10 centers do not pay for the plane-wave product on the 21^3 lattice, so
+    # phi is the direct sum at the 2457 support points rather than at all 9261;
+    # the report equals the one read from phi on the whole lattice, as
+    # eval_bessel_sum_grid evaluates it
+    rng = np.random.default_rng(8)
+    phi = BesselSum(3, rng.normal(size=10) + 1j * rng.normal(size=10), rng.uniform(-1.5, 1.5, (10, 3)), 2.6)
+    Y = ek.synthesize(phi, 40, chart)
+    h = 0.125
+    lattice = [np.arange(-1.0 - 2 * h, 1.0 + 2 * h + 1e-12, h)] * 3
+    assert helmholtz._grid_rule_degree(phi, lattice) is None
+    supports, seen = [], []
+    stencil_support, points = H._stencil_support, H.eval_bessel_sum
+    monkeypatch.setattr(H, "_stencil_support", lambda *a: supports.append(stencil_support(*a)) or supports[-1])
+    monkeypatch.setattr(H, "eval_bessel_sum", lambda s, x: seen.append(len(x)) or points(s, x))
+    report = H.localization_error(phi, Y, m=2, h=h)
+    assert seen == [supports[0].sum()] == [2457]
+    monkeypatch.setattr(H, "eval_bessel_sum", lambda s, x: helmholtz.eval_bessel_sum_grid(s, lattice)[supports[0]])
+    assert H.localization_error(phi, Y, m=2, h=h) == report
 
 
 def test_localization_stencil_outside_support_raises(chart, monkeypatch):

@@ -300,7 +300,7 @@ def test_discretize_unreachable_tolerance():
 def test_discretize_small_radius_meets_delta_or_raises(delta):
     # the fit has (L+1)^2 rows at any spacing, so a small radius is no longer
     # refused by size: it meets delta by its bound and by its samples, or it
-    # raises with the bound it reached (here 1.2e-8, the tail past L times the
+    # raises with a bound above delta (here 1.2e-8, the tail past L times the
     # amplitude mass 4 pi, which refining the grid cannot lower)
     f = HerglotzDensity.constant(3)
     try:
@@ -309,6 +309,25 @@ def test_discretize_small_radius_meets_delta_or_raises(delta):
         assert exc.achieved > delta
     else:
         assert s.report.achieved <= s.report.bound <= delta
+
+
+def test_discretize_stops_before_fitting_when_the_tail_misses_delta(monkeypatch):
+    # at radius 0.2 the constant density's tail past L = 11 times its amplitude
+    # mass 4 pi is 1.195e-8 > 1e-8 at every refinement, so no fit is tried; the
+    # error carries the tail, which the first fit's bound (1.203e-8) contains
+    f = HerglotzDensity.constant(3)
+    fits = []
+    fit = helmholtz._fit_kernel_sum
+    monkeypatch.setattr(helmholtz, "_fit_kernel_sum", lambda *a: fits.append(a) or fit(*a))
+    with pytest.raises(ToleranceError, match="tail past degree 11") as err:
+        herglotz_discretize(f, 1e-8, radius=0.2)
+    assert fits == []
+    assert f"{err.value.achieved:.3e}" == "1.195e-08"
+    _, (bound,), _, _ = fit(f.nodes, f.weights * f.values, 0.2, 0.2 / 3.6)
+    assert f"{bound:.3e}" == "1.203e-08" and err.value.achieved <= bound
+    # a delta above the floor still fits
+    assert herglotz_discretize(f, 1e-3, radius=0.2).report.bound <= 1e-3
+    assert len(fits) == 1
 
 
 def _mode_orders(L):

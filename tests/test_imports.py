@@ -6,8 +6,9 @@ name or as the base of an attribute (names listed in ``__all__`` and
 ``from __future__`` imports are exempt).  No package module imports scipy at
 module level, and a fresh interpreter runs the CLI pipelines without ever
 loading it, and neither do design_bessel_sum without verify_tol,
-fourier_bessel_truncate and FourierBesselSeries.eval; only the few functions
-those do not call import scipy, inside the function.  No package module reaches numpy.polynomial anywhere
+fourier_bessel_truncate, FourierBesselSeries.eval, and the S^3 chord kernel
+and the n = 3 and n = 5 Bessel kernels on pair-sized arrays; only the few
+functions those do not call import scipy, inside the function.  No package module reaches numpy.polynomial anywhere
 (its Gauss rules come from specialfn.gauss_gegenbauer), and the pipelines
 never load it either.
 """
@@ -145,8 +146,9 @@ def test_no_numpy_polynomial(path):
 
 
 # Hopf design, then approximate -> verify and spinorize -> nodal through the
-# CLI on small configs, a designed circle without its nodal check, and the
-# Fourier-Bessel modes of a density and of the design; prints the scipy and
+# CLI on small configs, a designed circle without its nodal check, the
+# Fourier-Bessel modes of a density and of the design, and the pair kernels on
+# one block of PAIR_BLOCK chords and radii; prints the scipy and
 # numpy.polynomial modules loaded by the end
 PIPELINES = """
 import json, sys
@@ -157,6 +159,13 @@ import numpy as np
 import eigenknot
 from eigenknot.cli import EXIT_OK, main
 from eigenknot.helmholtz import fourier_bessel_truncate
+from eigenknot.specialfn import bessel_kernel, gegenbauer3_chord_derivatives
+from eigenknot.sphere import PAIR_BLOCK
+
+chords = np.linspace(-2.0, 2.0, PAIR_BLOCK)
+assert all(np.all(np.isfinite(c)) for c in gegenbauer3_chord_derivatives(60, chords, 3))
+radii = np.linspace(0.0, 40.0, PAIR_BLOCK)
+assert all(np.all(np.isfinite(bessel_kernel(n, radii))) for n in (3, 5))
 
 t = np.linspace(0.0, 2.0 * np.pi, 25)
 circle = eigenknot.design_bessel_sum([(np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1), 0)], budget=60)

@@ -114,9 +114,10 @@ def test_blocks_agree_with_parts_at_pair_seam(name):
 def test_grid_blocks_agree_with_parts_at_pair_seam(monkeypatch):
     # eval_bessel_sum_grid's matmul rows are the axis-1 points of one axis-0
     # point, in blocks of at most block_rows(2 Q) rows, since a complex row of
-    # Q nodes holds 2 Q doubles.  The 1-point tail is too small for
-    # eval_bessel_sum_grid to choose the plane waves, so both parts take
-    # _plane_wave_grid at their own degree.
+    # Q nodes holds 2 Q doubles.  The seam is short (41 rows for Q = 392), so
+    # axis 2 takes enough points for the plane waves to pay on the whole grid.
+    # The 1-point tail is too small for eval_bessel_sum_grid to choose them,
+    # so both parts take _plane_wave_grid at their own degree.
     seen = []
     real = sphere.block_rows
     monkeypatch.setattr(sphere, "block_rows", lambda n: seen.append(n) or real(n))
@@ -124,23 +125,26 @@ def test_grid_blocks_agree_with_parts_at_pair_seam(monkeypatch):
     def plane_waves(axes):
         return helmholtz._plane_wave_grid(BIG_SUM, axes, helmholtz._grid_degree(BIG_SUM, axes))
 
-    axes = [np.linspace(-1.0, 1.0, 2), np.linspace(-1.0, 1.0, 2), np.linspace(-0.5, 0.5, 3)]
+    axes = [np.linspace(-1.0, 1.0, 2), np.linspace(-1.0, 1.0, 2), np.linspace(-0.5, 0.5, 6)]
     nodes = helmholtz._rule_size(helmholtz._grid_degree(BIG_SUM, axes))
     seam = real(2 * nodes)
     axes[1] = np.linspace(-1.0, 1.0, seam + 1)
+    assert helmholtz._grid_rule_degree(BIG_SUM, axes) is not None  # the plane-wave path
     whole = eval_bessel_sum_grid(BIG_SUM, axes)
     assert 2 * nodes != len(BIG_SUM)  # so block_rows(2 * nodes) marks the plane-wave path
-    assert set(seen) == {2 * nodes} and whole.shape == (2, seam + 1, 3)
+    assert set(seen) == {2 * nodes} and whole.shape == (2, seam + 1, 6)
     head, tail = (plane_waves([axes[0], part, axes[2]]) for part in (axes[1][:seam], axes[1][seam:]))
     expected = np.concatenate([head, tail], axis=1)
     assert np.max(np.abs(whole - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_block_rows_scale_with_terms():
-    assert block_rows(390) == 336 and block_rows(190) == 689
+    assert block_rows(390) == 84 and block_rows(190) == 172
     assert block_rows(len(DENSITY.nodes)) < ROW_BLOCK
-    # up to 32 terms, as in the Hopf pair's 7 to 14 centers, blocks stay at the cap
-    assert block_rows(1) == block_rows(14) == block_rows(32) == ROW_BLOCK
+    # up to PAIR_BLOCK / ROW_BLOCK = 8 terms blocks stay at the cap; the Hopf
+    # pair's 7 to 14 centers take 4096 down to 2340 rows
+    assert block_rows(1) == block_rows(8) == ROW_BLOCK > block_rows(9)
+    assert block_rows(7) == ROW_BLOCK and block_rows(14) == 2340
     assert block_rows(10**9) == 1
 
 

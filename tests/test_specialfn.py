@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv, roots_gegenbauer
 
+from eigenknot import specialfn
 from eigenknot.specialfn import (
     bessel_j,
     bessel_kernel,
@@ -22,6 +23,7 @@ from eigenknot.specialfn import (
     gegenbauer_cnk_derivatives,
     jacobi_p,
     jacobi_p_deriv,
+    sincos,
 )
 
 # Independent series oracle for J_1, used to bracket its first zero without
@@ -94,7 +96,7 @@ def test_kernel_limit_at_zero():
 
 
 def test_kernel_closed_forms_match_jv_quotient():
-    # n = 3 and n = 5 use sin/cos from r = 1/2 on; the grid starts on the seam
+    # n = 3 and n = 5 use sincos from r = 1/2 on; the grid starts on the seam
     r = np.concatenate([[np.nextafter(0.5, 0.0)], np.linspace(0.5, 60.0, 200_001)])
     for n in (3, 5):
         nu = 0.5 * n - 1.0
@@ -393,3 +395,76 @@ def test_gegenbauer3_chord_order_zero_is_closed_form_near_the_pole(k):
     for chord, value in zip(chords, got):
         assert abs(value - c3_order0_reference(k, chord)) <= 1.5e-15, (k, chord, value)
     assert got[-2] == 1.0 and got[-1] == (-1.0) ** k
+
+
+# ---------------------------------------------------------------------------
+# sin and cos from the half-angle tangent
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(_finite(-1e6, 1e6), min_size=1, max_size=40))
+def test_sincos_absolute_error(xs):
+    sin, cos = sincos(np.array(xs))
+    for x, s, c in zip(xs, sin, cos):
+        assert abs(s - math.sin(x)) <= 2 * EPS, x
+        assert abs(c - math.cos(x)) <= 2 * EPS, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(_finite(-1.0, 1.0), min_size=1, max_size=40))
+def test_sincos_sine_is_relatively_accurate_near_zero(xs):
+    # x / 2 is exact down to 2^-1021; below it rounds to the subnormal grid,
+    # which costs sin at most one subnormal unit
+    sin, _ = sincos(np.array(xs))
+    for x, s in zip(xs, sin):
+        if abs(x) >= 2.0**-1022:
+            assert abs(s - math.sin(x)) <= 2 * EPS * abs(math.sin(x)), x
+        else:
+            assert abs(s - x) <= 2.0**-1074, x
+
+
+def test_sincos_signed_zero_nan_and_infinity_as_numpy():
+    sin, cos = sincos(np.array([0.0, -0.0]))
+    assert np.array_equal(np.signbit(sin), [False, True]) and cos.tolist() == [1.0, 1.0]
+    assert all(np.isnan(v).all() for v in sincos(np.array([np.nan])))
+    for x in (np.inf, -np.inf):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            np.sin(np.array([x]))
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            got = sincos(np.array([x]))
+        assert all(np.isnan(v).all() for v in got)
+
+
+def _with_numpy_trig(fn, *args):
+    """fn(*args) with specialfn.sincos replaced by np.sin and np.cos."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specialfn, "sincos", lambda x: (np.sin(x), np.cos(x)))
+        return fn(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 10_000), chords=st.lists(_finite(-2.0, 2.0), min_size=1, max_size=30))
+def test_gegenbauer3_chord_sincos_matches_numpy_trig(k, chords):
+    chords = np.array(chords)
+    got = gegenbauer3_chord_derivatives(k, chords, 3)
+    ref = _with_numpy_trig(gegenbauer3_chord_derivatives, k, chords, 3)
+    for d in range(4):
+        assert np.max(np.abs(got[d] - ref[d])) <= 1e-14 * c3_scale(k, d), (k, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 5]), radii=st.lists(_finite(0.0, 2000.0), min_size=1, max_size=30))
+def test_bessel_kernel_sincos_matches_numpy_trig(n, radii):
+    # relative to the kernel's size, sqrt(2/pi) / r^(nu + 1/2) for large r
+    r = np.array(radii)
+    got = bessel_kernel(n, r)
+    ref = _with_numpy_trig(bessel_kernel, n, r)
+    size = math.sqrt(2.0 / math.pi) * np.maximum(r, 1.0) ** (-0.5 * (n - 1))
+    assert np.all(np.abs(got - ref) <= 1e-14 * size), n
