@@ -351,9 +351,15 @@ def load_spinor(path: str):
     if doc.get("orientation", 1) != 1:
         raise ConfigError(f"{path}: orientation must be 1, got {doc['orientation']!r}")
     base = Path(path).parent
-    y1, chart = _load_harmonic(str(base / doc["components"][0]))
-    y2, _ = _load_harmonic(str(base / doc["components"][1]))
     k = int(doc["k"])
+    (y1, chart), (y2, _) = (_load_harmonic(str(base / name)) for name in doc["components"][:2])
+    # a component of another degree or sphere is refused before anything is evaluated
+    for name, y in zip(doc["components"], (y1, y2)):
+        if (y.n, y.k) != (3, k):
+            raise ConfigError(
+                f"config key input names a degree-{k} spinor whose component file {name} "
+                f"holds a degree-{y.k} harmonic on S^{y.n}: {path}"
+            )
     psi = spinor3.SpinorField3((y1, y2))
     if doc.get("projected", False):
         psi = spinor3.dirac_project(psi, k)

@@ -14,27 +14,28 @@ with gamma_i = i sigma_i.  These matrices satisfy gamma_2 gamma_3 =
 positive-spectrum scalar Laplacian -sum_i X_i X_i.  Constants are then
 eigenfields of eigenvalue 3/2 = n/2, which pins every sign convention.
 
-Scalar components evaluate together with their frame derivatives
-("jets").  A zonal sum extends to R^4 as sum_j c_j C(x . p_j), with ambient
-derivative tensors G_d from harmonics.zonal_derivatives.  Each X_i is linear
-and X_a maps the linear field E_b p to E_b E_a p, so X_{i1}...X_{im} psi is a
-finite sum of G_d evaluated on such fields.  That closure is what makes the
-Dirac projection and its residuals exactly computable.
+One evaluation path serves every reader of a spinor.  X_i f = grad f . E_i p
+and p_j . E_i p = -(E_i p_j) . p make each component of a harmonic pair of
+one degree, or of its Dirac projection, a zonal sum with a C' term over the
+pair's pooled centers p_j,
 
-Nodal extraction reads one component at many points, so component_pullback
-skips the frame jets: a projected pair's component is itself a zonal sum
-with a C' term, evaluated from per-center tables.
+    psi_a(x) = sum_j alpha_ja C(x . p_j) + (x . beta_ja) C'(x . p_j).
+
+zonal_tables builds its real per-center tables once; zonal_jet evaluates
+them, values and ambient gradients, from one gegenbauer3_chord_derivatives
+pass.  values, dirac_apply, dirac_residual and the nodal pullbacks all call
+zonal_jet.  dirac_project evaluates nothing: the components carry their
+degree, so its degree check is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sphere
-from .harmonics import UltrasphericalSum, _signed_chords, kernel_norm, zonal_derivatives
+from .harmonics import UltrasphericalSum, _signed_chords, kernel_norm
 from .helmholtz import FLAT_GAMMA, lattice_stencils
 from .specialfn import gegenbauer3_chord_derivatives
 
@@ -72,168 +73,139 @@ def adapted_chart(p0) -> sphere.Chart:
 
 
 # ---------------------------------------------------------------------------
-# Frame jets of scalar components
+# Spinors and their one evaluator
 # ---------------------------------------------------------------------------
 
-def _form(G, *vecs):
-    """G[V_1, ..., V_d] for a complex symmetric (M, 4, ..., 4, *tail) G and real V (M, *s, 4).
+class _Constant(UltrasphericalSum):
+    """A constant c as the degree-0 sum (c / kernel_norm(3)) C_0(x . e_0), C_0 = 1:
+    UltrasphericalSum refuses degree 0, which synthesis never makes."""
 
-    The result has shape (M, *s_1, ..., *s_d, *tail).  Each slot is one real
-    batched matmul on the float view of G, several times faster than a complex one.
-    """
-    out, done = G, 0
-    for V in reversed(vecs):
-        moved = np.moveaxis(out, 1 + done, 1)
-        rows, cols = math.prod(V.shape[1:-1]), math.prod(moved.shape[2:])
-        pairs = np.ascontiguousarray(moved.reshape(len(V), 4, cols)).view(float)
-        out = (V.reshape(len(V), rows, 4) @ pairs).view(complex).reshape(V.shape[:-1] + moved.shape[2:])
-        done += V.ndim - 2
-    return out
-
-
-def zonal_jet(Y: UltrasphericalSum, p, order: int):
-    """Frame jets [J0, J1, ..., J_order] of a zonal harmonic sum on S^3.
-
-    J_m has shape (M, 3, ..., 3) + Y.coeffs.shape[1:] with J_m[i1..im] =
-    X_{i1}...X_{im} Y (the first index is the outermost derivative), so a
-    coefficient array with trailing columns evaluates several sums over the
-    same centers at once.  All derivatives are analytic, through order 3.
-    """
-    if Y.n != 3:
-        raise ValueError("frame jets are specific to S^3")
-    if order > 3:
-        raise ValueError("frame jets are implemented through order 3")
-
-    def block(pc):
-        G = zonal_derivatives(Y, pc, order)
-        V = [pc]  # V[m][i1..im] = E_im...E_i1 p: X_a turns the field E_c...E_b p into E_c...E_b E_a p
-        for _ in range(order):
-            V.append(frame_vectors(V[-1]))
-        jets = [
-            lambda: G[0],
-            lambda: _form(G[1], V[1]),
-            lambda: _form(G[2], V[1], V[1]) + _form(G[1], V[2]),
-            lambda: _form(G[3], V[1], V[1], V[1]) + _form(G[2], V[2], V[1]) + _form(G[2], V[1], V[2])
-            + _form(G[2], V[1], V[2]).swapaxes(1, 2) + _form(G[1], V[3]),
-        ]
-        return [jet() for jet in jets[: order + 1]]
-
-    return sphere.eval_rows(block, p, 4, len(Y))
-
-
-def _fd_frame_jet(fn, p, order: int, step: float = 1e-6):
-    """Frame jets of a callable component by symmetric geodesic differences."""
-    if order >= 2:
-        raise NotImplementedError("finite-difference jets stop at first order")
-    jets = [np.asarray(fn(p), dtype=complex)]
-    if order == 1:
-        shifted = p[:, None, :] + np.array([step, -step])[:, None, None, None] * frame_vectors(p)
-        shifted /= np.linalg.norm(shifted, axis=-1, keepdims=True)
-        vals = np.asarray(fn(shifted.reshape(-1, 4)), dtype=complex).reshape(2, len(p), 3)
-        jets.append((vals[0] - vals[1]) / (2 * step))
-    return jets
-
-
-def component_jet(comp, p, order: int):
-    """Frame jets of one scalar component: a harmonic sum, a constant or a callable."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    if isinstance(comp, UltrasphericalSum):
-        return zonal_jet(comp, p, order)
-    if isinstance(comp, (int, float, complex)):
-        out = [np.full(len(p), complex(comp))]
-        out += [np.zeros((len(p),) + (3,) * m, dtype=complex) for m in range(1, order + 1)]
-        return out
-    return _fd_frame_jet(comp, p, order)
+    def __init__(self, c):
+        self.n, self.k, self.chart = 3, 0, None
+        self.coeffs = np.array([complex(c) / kernel_norm(3)])
+        self.centers = np.array([[1.0, 0.0, 0.0, 0.0]])
 
 
 @dataclass
 class SpinorField3:
-    """Two scalar components in the Killing frame."""
+    """Two scalar components in the Killing frame; a number becomes a degree-0 sum."""
 
     components: tuple
 
-    def pooled(self) -> UltrasphericalSum | None:
-        """A harmonic pair of one degree as one sum over its pooled centers, with
-        coefficient columns (c_j1, c_j2); None for any other pair of components."""
-        a, b = self.components
-        pair = isinstance(a, UltrasphericalSum) and isinstance(b, UltrasphericalSum)
-        if not pair or (a.n, a.k) != (b.n, b.k):
-            return None
-        centers, inv = np.unique(np.concatenate([a.centers, b.centers]), axis=0, return_inverse=True)
-        coeffs = np.zeros((len(centers), 2), dtype=complex)
-        column = np.repeat([0, 1], [len(a), len(b)])
-        np.add.at(coeffs, (inv.ravel(), column), np.concatenate([a.coeffs, b.coeffs]))
-        return UltrasphericalSum(a.n, a.k, coeffs, centers)
-
-    def jets(self, p, order: int):
-        """Jets of both components on a last axis; a harmonic pair shares one pass."""
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        pooled = self.pooled()
-        if pooled is not None:
-            return zonal_jet(pooled, p, order)
-        jets = [component_jet(c, p, order) for c in self.components]
-        return [np.stack([jets[0][m], jets[1][m]], axis=-1) for m in range(order + 1)]
+    def __post_init__(self):
+        self.components = tuple(
+            _Constant(c) if isinstance(c, (int, float, complex)) else c for c in self.components
+        )
 
     def values(self, p):
-        return self.jets(p, 0)[0]
-
-
-def _dirac_jets(jets, shift: float, order: int):
-    """Jets through `order` of sum_i gamma_i X_i psi + shift psi, from pair jets to order + 1."""
-    return [
-        shift * jets[m] + sum(jets[m + 1][..., i, :] @ GAMMA[i].T for i in range(3))
-        for m in range(order + 1)
-    ]
+        """Both components at sphere points: (M, 2)."""
+        return zonal_jet(zonal_tables(self), p)
 
 
 @dataclass
 class ProjectedSpinor3:
-    """The eigenfield psi = (Dslash + mu) base / (2 mu), mu = k + 1, of a degree-k pair.
+    """The eigenfield psi = (Dslash + mu) base / (2 mu), mu = k + 1, of a degree-k pair."""
 
-    psi is linear in D, so its jets through order m are those of the base
-    through order m + 1, for both components in one pass.
-    """
-
-    base: SpinorField3 | ProjectedSpinor3
+    base: SpinorField3
     k: int
 
-    def jets(self, p, order: int):
-        jets = _dirac_jets(self.base.jets(p, order + 1), self.k + 2.0, order)
-        return [arr / (2.0 * (self.k + 1)) for arr in jets]
-
     def values(self, p):
-        return self.jets(p, 0)[0]
+        """Both components at sphere points: (M, 2)."""
+        return zonal_jet(zonal_tables(self), p)
+
+
+@dataclass(frozen=True)
+class ZonalTables:
+    """psi_a(x) = sum_j alpha_ja C(x . p_j) + (x . beta_ja) C'(x . p_j), C = C^3_k, for the
+    columns a of cols: () for one component, (2,) for both.  The tables are the
+    float views of alpha, beta, alpha p + beta and p (x) beta; len() is N, the
+    number of centers p_j every point sums over."""
+
+    centers: np.ndarray
+    k: int
+    cols: tuple
+    tables: tuple
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+
+def zonal_tables(psi, index: int | None = None) -> ZonalTables:
+    """The tables of both components of psi, or of component `index` alone.
+
+    psi is a harmonic pair psit of one degree on S^3, where alpha_ja = c_ja and
+    beta_ja = 0 for c_jb the pooled coefficients times kernel_norm(3), or its
+    projection (Dslash + mu) psit / (2 mu), mu = k + 1, where alpha_ja =
+    (k+2) c_ja / (2 mu) and beta_ja = -sum_i sum_b (gamma_i)_ab c_jb E_i p_j / (2 mu).
+    Any other spinor raises TypeError.
+    """
+    pair = psi.base if isinstance(psi, ProjectedSpinor3) else psi
+    a, b = pair.components if isinstance(pair, SpinorField3) else (None, None)
+    if not (isinstance(a, UltrasphericalSum) and isinstance(b, UltrasphericalSum) and a.n == b.n == 3 and a.k == b.k):
+        raise TypeError(
+            "spinor evaluation needs a harmonic pair of one degree on S^3 or its Dirac projection, "
+            f"got a {type(psi).__name__} of {type(pair).__name__}"
+        )
+    # one sum over the pooled centers, coefficient columns (c_j1, c_j2)
+    p, inv = np.unique(np.concatenate([a.centers, b.centers]), axis=0, return_inverse=True)
+    c = np.zeros((len(p), 2), dtype=complex)
+    np.add.at(c, (inv.ravel(), np.repeat([0, 1], [len(a), len(b)])), np.concatenate([a.coeffs, b.coeffs]))
+    c *= kernel_norm(3)
+
+    def column(col):
+        if pair is psi:
+            return c[:, col], np.zeros(p.shape, dtype=complex)
+        mu2 = 2.0 * (psi.k + 1)
+        beta = sum((c @ GAMMA[i][col])[:, None] * (p @ E.T) for i, E in enumerate(FRAME_E)) / -mu2
+        return (psi.k + 2.0) / mu2 * c[:, col], beta
+
+    if index is None:
+        alpha, beta = (np.stack(part, axis=-1) for part in zip(column(0), column(1)))
+    else:
+        alpha, beta = column(index)
+    cols = alpha.shape[1:]
+    ps = p.reshape(p.shape + (1,) * len(cols))
+    tables = (alpha, beta, alpha[:, None] * ps + beta, ps[:, :, None] * beta[:, None])
+    return ZonalTables(p, a.k, cols, tuple(np.ascontiguousarray(t).reshape(len(p), -1).view(float) for t in tables))
+
+
+def zonal_jet(tables: ZonalTables, p, order: int = 0):
+    """The components of `tables` at sphere points p: (M, *cols).
+
+    order=1 gives [values, ambient gradients (M, 4, *cols)]: the gradient at x
+    is sum_j C'(x . p_j) (alpha_j p_j + beta_j) + C''(x . p_j) (x . beta_j) p_j.
+    One gegenbauer3_chord_derivatives call to order + 1 per row block and a
+    few real matmuls; the values are bit-identical at either order.
+    """
+    if order not in (0, 1):
+        raise ValueError(f"zonal_jet gives values (order 0) and gradients (order 1), not order {order}")
+    (a0, b, a1, pb), cols = tables.tables, tables.cols
+
+    def block(q):
+        derivs = gegenbauer3_chord_derivatives(tables.k, _signed_chords(q, tables.centers), order + 1)
+        m = len(q)
+        value = (derivs[0] @ a0).view(complex).reshape((m,) + cols)
+        value = value + np.einsum("ma...,ma->m...", (derivs[1] @ b).view(complex).reshape((m, 4) + cols), q)
+        if not order:
+            return value
+        curv = np.einsum("mab...,mb->ma...", (derivs[2] @ pb).view(complex).reshape((m, 4, 4) + cols), q)
+        return [value, (derivs[1] @ a1).view(complex).reshape((m, 4) + cols) + curv]
+
+    return sphere.eval_rows(block, p, 4, len(tables))
+
+
+def _dirac(psi, p):
+    """psi and D psi = sum_i gamma_i X_i psi + (3/2) psi, X_i psi = grad psi . E_i p,
+    at sphere points p: two (M, 2) arrays from one zonal_jet pass."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    value, grad = zonal_jet(zonal_tables(psi), p, 1)
+    frame = np.einsum("mia,mab->mib", frame_vectors(p), grad)
+    return value, 1.5 * value + sum(frame[:, i] @ GAMMA[i].T for i in range(3))
 
 
 def dirac_apply(psi, p):
     """D psi = sum_i gamma_i X_i psi + (3/2) psi at batched points: (M, 2)."""
-    return _dirac_jets(psi.jets(p, 1), 1.5, 0)[0]
-
-
-def dirac_slash_apply(psi, p):
-    """(D - 1/2) psi."""
-    return _dirac_jets(psi.jets(p, 1), 1.0, 0)[0]
-
-
-def _sphere_samples(samples: int, seed: int):
-    p = np.random.default_rng(seed).normal(size=(samples, 4))
-    return p / np.linalg.norm(p, axis=1, keepdims=True)
-
-
-def harmonicity(psi, k: int, samples: int = 32, seed: int = 0) -> tuple:
-    """Per component a, the residual of -sum_i X_i X_i psi_a = lam psi_a,
-    lam = k(k+2), on random points, relative to lam max |psi_a| (to max |psi_a|
-    at k = 0); a zero component reads 0.
-
-    Both sides are of size lam |psi_a|, so their rounding grows like lam eps;
-    a degree-(k+1) component misses by (2k + 3) |psi_a|, about 2 / k relative.
-    """
-    jets = psi.jets(_sphere_samples(samples, seed), 2)
-    lap = -(jets[2][:, 0, 0] + jets[2][:, 1, 1] + jets[2][:, 2, 2])
-    lam = k * (k + 2.0)
-    scales = max(lam, 1.0) * np.abs(jets[0]).max(axis=0)
-    defects = np.abs(lap - lam * jets[0]).max(axis=0)
-    return tuple(float(d / s) if s else 0.0 for d, s in zip(defects, scales))
+    return _dirac(psi, p)[1]
 
 
 def dirac_project(psi_tilde, k: int) -> ProjectedSpinor3:
@@ -242,105 +214,68 @@ def dirac_project(psi_tilde, k: int) -> ProjectedSpinor3:
     psi = (Dslash + mu) psit / (2 mu), Dslash = D - 1/2, mu = k + 1.  With
     S = sum_i gamma_i X_i, gamma_2 gamma_3 = -gamma_1 gives S^2 = Delta_chi - 2S,
     and Delta_chi = k(k+2) on degree-k components, so there D has only the
-    eigenvalues k + 3/2 and -(k + 1/2): D psi = (3/2 + k) psi identically and
-    re-projection is the identity.  That needs degree-k input, so every
-    component must pass the harmonicity check (tolerance 1e-6).
+    eigenvalues k + 3/2 and -(k + 1/2): D psi = (3/2 + k) psi identically.
+    That needs degree-k input, which the components state: each must be an
+    UltrasphericalSum on S^3 of degree k, or ValueError names it.  Nothing is
+    evaluated.  A ProjectedSpinor3 of degree k is returned as it is, since
+    the projector is the identity on its image; another degree is refused.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if isinstance(psi_tilde, SpinorField3) and any(
-        callable(c) and not isinstance(c, UltrasphericalSum) for c in psi_tilde.components
-    ):
-        raise TypeError("dirac_project needs analytic components (harmonic sums or constants)")
-    for a, resid in enumerate(harmonicity(psi_tilde, k)):
-        if resid > 1e-6:
-            raise ValueError(
-                f"component {a + 1} is not a degree-{k} spherical harmonic "
-                f"(laplace residual {resid:.2e})"
-            )
+    if isinstance(psi_tilde, ProjectedSpinor3):
+        if psi_tilde.k != k:
+            raise ValueError(f"a degree-{psi_tilde.k} Dirac eigenfield has no degree-{k} projection")
+        return psi_tilde
+    for a, comp in enumerate(psi_tilde.components):
+        if not isinstance(comp, UltrasphericalSum):
+            found = f"a {type(comp).__name__}"
+        elif comp.n != 3:
+            found = f"a harmonic on S^{comp.n}"
+        elif comp.k != k:
+            found = f"of degree {comp.k}"
+        else:
+            continue
+        raise ValueError(f"component {a + 1} is not a degree-{k} spherical harmonic on S^3: it is {found}")
     return ProjectedSpinor3(psi_tilde, k)
 
 
 def dirac_residual(psi, lam: float, samples: int = 64, seed: int = 0) -> float:
-    """max |D psi - lam psi| / max |psi| over seeded random sphere points."""
-    jets = psi.jets(_sphere_samples(samples, seed), 1)
-    vals = jets[0]
+    """max |D psi - lam psi| / max |psi| over seeded random sphere points.
+
+    The points are spread over the sphere, so for a pair localized at a chart
+    base the figure is a far-field one.  Inside the 3/k ball at the base the
+    Hopf pair reads about 6e-12, 6e-11, 4e-10 and 3e-8 at k = 60, 120, 240
+    and 1000, relative to max |psi| there, and the frame jets about half that:
+    the growth is the shared kernel's.  A sample near the base or its
+    antipode lifts the figure toward those values.
+    """
+    p = np.random.default_rng(seed).normal(size=(samples, 4))
+    vals, dpsi = _dirac(psi, p / np.linalg.norm(p, axis=1, keepdims=True))
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return 0.0
-    return float(np.abs(_dirac_jets(jets, 1.5, 0)[0] - lam * vals).max() / scale)
-
-
-def _pullback_tables(psi, index: int):
-    """Pooled centers p_j, degree and the real per-center tables of component
-    `index`.
-
-    psi is a harmonic pair psit of one degree on S^3 or its projection
-    (Dslash + mu) psit / (2 mu), mu = k + 1.  With c_jb the pooled coefficients
-    times kernel_norm(3), X_i f = grad f . E_i p and p_j . E_i p = -(E_i p_j) . p
-    make the component a plain zonal sum,
-
-        psi_a(x) = sum_j alpha_j C(x . p_j) + (x . beta_j) C'(x . p_j),
-
-    alpha_j = (k+2) c_ja / (2 mu), beta_j = -sum_i sum_b (gamma_i)_ab c_jb E_i p_j / (2 mu);
-    the pair itself has alpha_j = c_ja and beta_j = 0.  The tables are the float
-    views of alpha (N, 1), beta (N, 4), alpha p + beta (N, 4) and p (x) beta
-    (N, 4, 4).
-    """
-    pair = psi.base if isinstance(psi, ProjectedSpinor3) else psi
-    pooled = pair.pooled() if isinstance(pair, SpinorField3) else None
-    if pooled is None or pooled.n != 3:
-        raise TypeError(
-            "component_pullback needs a harmonic pair of one degree on S^3 or its Dirac projection, "
-            f"got a {type(psi).__name__} of {type(pair).__name__}"
-        )
-    p, c = pooled.centers, kernel_norm(3) * pooled.coeffs
-    if pair is psi:
-        alpha, beta = c[:, index], np.zeros(p.shape, dtype=complex)
-    else:
-        mu2 = 2.0 * (psi.k + 1)
-        alpha = (psi.k + 2.0) / mu2 * c[:, index]
-        beta = sum((c @ GAMMA[i][index])[:, None] * (p @ E.T) for i, E in enumerate(FRAME_E)) / -mu2
-    tables = (alpha[:, None], beta, alpha[:, None] * p + beta, p[:, :, None] * beta[:, None, :])
-    return p, pooled.k, [np.ascontiguousarray(t).reshape(len(p), -1).view(float) for t in tables]
+    return float(np.abs(dpsi - lam * vals).max() / scale)
 
 
 def component_pullback(psi, index: int, chart: sphere.Chart, k: int):
     """Callable x -> psi_index(Psi^{-1}(x/k)) for nodal extraction in the chart.
 
-    psi must be a harmonic pair of one degree or its Dirac projection; any
-    other spinor raises TypeError.  The component is the zonal sum of
-    _pullback_tables, whose tables are built once here, and neither psi.values
-    nor psi.jets is called.  Values take one order-1
-    gegenbauer3_chord_derivatives call per row block and two real matmuls.
-    The ``jet`` attribute maps (M, 3) points to the value and the gradient in
-    C^3 from one order-2 call: the ambient gradient at x is
-    sum_j C'(x . p_j) (alpha_j p_j + beta_j) + C''(x . p_j) (x . beta_j) p_j, and
-    the chain rule through y = x/k gives (1/k) (d exp_y)^T of it
-    (sphere.chart_gradient).  The jet's values are bit-identical to the
-    call's.  The attribute lives in the function's own ``__dict__``, which
+    The component's tables (zonal_tables) are built once here, and each call
+    is one call of this module's zonal_jet.  The ``jet`` attribute maps (M, 3)
+    points to the value and the gradient in C^3 from one order-1 call: the
+    chain rule through y = x/k gives (1/k) (d exp_y)^T of the ambient gradient
+    (sphere.chart_gradient), with values bit-identical to the call's.  The
+    attribute lives in the function's own ``__dict__``, which
     ``functools.wraps`` copies onto a wrapper.
     """
-    centers, degree, (a0, b, a1, pb) = _pullback_tables(psi, index)
-
-    def value(q, derivs):
-        return (derivs[0] @ a0).view(complex)[:, 0] + np.einsum("ma,ma->m", (derivs[1] @ b).view(complex), q)
-
-    def values(q):
-        return value(q, gegenbauer3_chord_derivatives(degree, _signed_chords(q, centers), 1))
-
-    def jets(q):
-        derivs = gegenbauer3_chord_derivatives(degree, _signed_chords(q, centers), 2)
-        curv = np.einsum("mab,mb->ma", (derivs[2] @ pb).view(complex).reshape(len(q), 4, 4), q)
-        return [value(q, derivs), (derivs[1] @ a1).view(complex) + curv]
+    tables = zonal_tables(psi, index)
 
     def fn(x):
-        p = sphere.chart_to_sphere(chart, np.atleast_2d(np.asarray(x, dtype=float)) / k)
-        return sphere.eval_rows(values, p, 4, len(centers))
+        return zonal_jet(tables, sphere.chart_to_sphere(chart, np.atleast_2d(np.asarray(x, dtype=float)) / k))
 
     def jet(x):
         y = np.atleast_2d(np.asarray(x, dtype=float)) / k
-        value, grad = sphere.eval_rows(jets, sphere.chart_to_sphere(chart, y), 4, len(centers))
+        value, grad = zonal_jet(tables, sphere.chart_to_sphere(chart, y), 1)
         return value, sphere.chart_gradient(chart, y, grad) / k
 
     fn.jet = jet

@@ -386,6 +386,32 @@ def test_nodal_refuses_other_orientation(tmp_path, capsys):
     assert err["error"] == "config" and "orientation" in err["detail"]
 
 
+@pytest.mark.parametrize(
+    "edit, bad",
+    [({"projected": False}, 1), ({"projected": True}, 1), ({"k": 13}, 0)],
+    ids=["unprojected", "projected", "k-edited"],
+)
+def test_nodal_refuses_spinor_components_of_another_degree(tmp_path, capsys, edit, bad):
+    # a degree-12 spinor file pointing at a degree-13 component: the file's k
+    # is checked against every component before anything is evaluated
+    single = data_path("single_center.json")
+    for k in (12, 13):
+        argv = ["spinorize", "--out", str(tmp_path / f"spinor{k}.json"), "--set", f"input1={single}"]
+        assert main(argv + ["--set", f"input2={single}", "--set", f"k={k}"]) == EXIT_OK
+    doc = json.loads((tmp_path / "spinor12.json").read_text())
+    doc["components"][1] = "spinor13.json.comp2.json"
+    doc.update(edit)
+    spinor = tmp_path / "mixed.json"
+    spinor.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={spinor}", "--set", "h=0.3"]
+    assert main(argv) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and err["detail"].startswith("config key input ")
+    assert f"component file {doc['components'][bad]} " in err["detail"]
+    assert not list(tmp_path.glob("curves*"))
+
+
 def test_nodal_field_box_sides_fall_back_separately(tmp_path, monkeypatch):
     from eigenknot import nodal
 

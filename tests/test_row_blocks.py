@@ -23,13 +23,15 @@ from eigenknot.helmholtz import (
     eval_herglotz,
 )
 from eigenknot.sphere import ROW_BLOCK, block_rows, random_chart
-from eigenknot.spinor3 import zonal_jet
+from eigenknot.spinor3 import SpinorField3, dirac_project, zonal_jet, zonal_tables
 
 RNG = np.random.default_rng(5)
 BSUM = BesselSum(
     3, RNG.normal(size=5) + 1j * RNG.normal(size=5), RNG.uniform(-1, 1, size=(5, 3)), 2.0
 )
 Y = synthesize(BSUM, 12, random_chart(3, 4))
+# the projected pair (Y, Y): both components over Y's centers, with C' terms
+TABLES = zonal_tables(dirac_project(SpinorField3((Y, Y)), 12))
 DENSITY = HerglotzDensity.from_function(3, lambda xi: xi[:, 0] + 1j * xi[:, 2] + 1.0, 6)
 _DIRS = RNG.normal(size=(6, 3))
 PLANE_WAVES = PlaneWaveSpinor(
@@ -57,7 +59,7 @@ EVALUATORS = {
     "eval_harmonic": (lambda p: eval_harmonic(Y, p), 4, len(Y)),
     "eval_harmonic_grad": (lambda p: eval_harmonic_grad(Y, p), 4, len(Y)),
     "PlaneWaveSpinor.component": (lambda x: PLANE_WAVES.component(1, x), 3, len(PLANE_WAVES.directions)),
-    "zonal_jet": (lambda p: zonal_jet(Y, p, 2), 4, len(Y)),
+    "zonal_jet": (lambda p: zonal_jet(TABLES, p, 1), 4, len(TABLES)),
     "zonal_derivatives": (lambda p: zonal_derivatives(Y, p, 2), 4, len(Y)),
     "zonal_derivatives_190": (lambda p: zonal_derivatives(Y190, p, 2), 4, len(Y190)),
 }

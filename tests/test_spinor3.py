@@ -1,8 +1,15 @@
-"""Dirac operator on S^3: conventions, projection, residuals, flat checks."""
+"""Dirac operator on S^3: conventions, projection, residuals, flat checks.
+
+spinor3 evaluates a spinor through its per-center tables alone; the frame
+jets of frame_jets.py are the independent oracle they are checked against.
+"""
+
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from frame_jets import dirac_apply as frame_dirac_apply, dirac_slash_apply, frame_jet, harmonicity, spinor_jets
 from hypothesis import given, settings, strategies as st
 
 import eigenknot as ek
@@ -17,11 +24,10 @@ from eigenknot.spinor3 import (
     dirac_apply,
     dirac_project,
     dirac_residual,
-    dirac_slash_apply,
     euclidean_dirac_check,
     frame_vectors,
-    harmonicity,
     zonal_jet,
+    zonal_tables,
 )
 
 
@@ -90,7 +96,7 @@ def test_constant_spinor_eigenvalue():
 def test_zonal_jets_match_geodesic_differences(chart):
     Y = ek.synthesize(rand_sum(7), 9, chart)
     p = sphere_points(3, 12)
-    jets = zonal_jet(Y, p, 2)
+    jets = frame_jet(Y, p, 2)
     X = frame_vectors(p)
     h = 1e-5
     for i in range(3):
@@ -98,9 +104,9 @@ def test_zonal_jets_match_geodesic_differences(chart):
         plus /= np.linalg.norm(plus, axis=1, keepdims=True)
         minus = p - h * X[:, i]
         minus /= np.linalg.norm(minus, axis=1, keepdims=True)
-        fd1 = (zonal_jet(Y, plus, 0)[0] - zonal_jet(Y, minus, 0)[0]) / (2 * h)
+        fd1 = (frame_jet(Y, plus, 0)[0] - frame_jet(Y, minus, 0)[0]) / (2 * h)
         assert np.max(np.abs(fd1 - jets[1][:, i])) <= 1e-6
-        fd2 = (zonal_jet(Y, plus, 1)[1] - zonal_jet(Y, minus, 1)[1]) / (2 * h)
+        fd2 = (frame_jet(Y, plus, 1)[1] - frame_jet(Y, minus, 1)[1]) / (2 * h)
         assert np.max(np.abs(fd2 - jets[2][:, i, :])) <= 1e-5
 
 
@@ -122,7 +128,7 @@ def jet_points(kind, k, chart, count=40):
 @pytest.mark.parametrize("k", [9, 60, 240])
 def test_zonal_jet_structure_identities(chart, k, kind, tol):
     Y = ek.synthesize(rand_sum(k), k, chart)
-    J = zonal_jet(Y, jet_points(kind, k, chart), 3)
+    J = frame_jet(Y, jet_points(kind, k, chart), 3)
     lam = k * (k + 2.0)
     defects = {
         "commutator J2": (J[2] - J[2].swapaxes(1, 2) - 2 * np.einsum("ilr,mr->mil", EPS, J[1]), J[2]),
@@ -142,19 +148,22 @@ def test_zonal_jet_structure_identities(chart, k, kind, tol):
 
 
 def mp_zonal_jets(Y, p):
-    """Frame jets through order 2 at 40 digits: C = U_k / (k + 1) and its derivatives.
+    """Frame jets through order 2 and the ambient gradient at 40 digits:
+    C = U_k / (k + 1) and its derivatives.
 
     d^d/dt^d C^{(1)}_k = 2^d d! C^{(1+d)}_{k-d}, so C' and C'' are
     Gegenbauer polynomials of parameters 2 and 3.  The frame derivatives
-    act as X_i X_l C(p . q) = C'' (E_i p . q)(E_l p . q) + C' (E_l E_i p . q).
+    act as X_i X_l C(p . q) = C'' (E_i p . q)(E_l p . q) + C' (E_l E_i p . q),
+    and the ambient gradient of x -> C(x . q) is C' q.
     """
-    out = [[], [], []]
+    out = [[], [], [], []]
     with mpmath.workdps(40):
         E = [mpmath.matrix(e.tolist()) for e in spinor3.FRAME_E]
         nu = mpmath.sqrt(2 / mpmath.pi)  # kernel_norm(3)
         for point in p:
             P = mpmath.matrix(point.tolist())
             J0, J1, J2 = mpmath.mpc(0), [mpmath.mpc(0)] * 3, [[mpmath.mpc(0)] * 3 for _ in range(3)]
+            G1 = [mpmath.mpc(0)] * 4
             for c, center in zip(Y.coeffs.tolist(), Y.centers):
                 q = mpmath.matrix(center.tolist()).T
                 t = (q * P)[0]
@@ -163,6 +172,7 @@ def mp_zonal_jets(Y, p):
                 C2 = 8 * mpmath.gegenbauer(Y.k - 2, 3, t) / (Y.k + 1)
                 u = [(q * E[i] * P)[0] for i in range(3)]
                 J0 += c * C0
+                G1 = [g + c * C1 * q[0, a] for a, g in enumerate(G1)]
                 for i in range(3):
                     J1[i] += c * C1 * u[i]
                     for l in range(3):
@@ -170,21 +180,28 @@ def mp_zonal_jets(Y, p):
             out[0].append(complex(nu * J0))
             out[1].append([complex(nu * v) for v in J1])
             out[2].append([[complex(nu * v) for v in row] for row in J2])
+            out[3].append([complex(nu * v) for v in G1])
     return [np.array(o) for o in out]
 
 
 @pytest.mark.parametrize("k", [60, 240])
 def test_zonal_jet_matches_high_precision_reference(chart, k):
+    # the tables' values and ambient gradients, and the oracle's frame jets
     Y = ek.synthesize(rand_sum(k), k, chart)
     p = jet_points("localized", k, chart, count=6)
-    for m, (jet, ref) in enumerate(zip(zonal_jet(Y, p, 2), mp_zonal_jets(Y, p))):
-        assert np.max(np.abs(jet - ref)) <= 1e-11 * np.max(np.abs(ref)), m
+    ref = mp_zonal_jets(Y, p)
+    value, grad = zonal_jet(zonal_tables(SpinorField3((Y, Y)), 0), p, 1)
+    for name, have, want in [("value", value, ref[0]), ("gradient", grad, ref[3])] + [
+        (f"frame jet {m}", jet, ref[m]) for m, jet in enumerate(frame_jet(Y, p, 2))
+    ]:
+        assert np.max(np.abs(have - want)) <= 1e-11 * np.max(np.abs(want)), name
 
 
 def test_zonal_jet_refuses_order_four(chart):
-    Y = ek.synthesize(rand_sum(7), 9, chart)
-    with pytest.raises(ValueError, match="through order 3"):
-        zonal_jet(Y, sphere_points(3, 2), 4)
+    tables = zonal_tables(SpinorField3((ek.synthesize(rand_sum(7), 9, chart),) * 2))
+    for order in (2, 4):
+        with pytest.raises(ValueError, match=f"not order {order}"):
+            zonal_jet(tables, sphere_points(3, 2), order)
 
 
 def test_adapted_chart_refuses_zero_base():
@@ -228,6 +245,7 @@ def test_projection_idempotence(harmonic_pair):
     psit, k = harmonic_pair
     psi = dirac_project(psit, k)
     psi2 = dirac_project(psi, k)
+    assert psi2 is psi  # the projector is the identity on its image
     p = sphere_points(4, 40)
     v1 = psi.values(p)
     v2 = psi2.values(p)
@@ -237,10 +255,10 @@ def test_projection_idempotence(harmonic_pair):
 def quadratic_projection_jets(psit, p, k):
     """Reference Dslash(Dslash + mu) psit / (2 mu^2), mu = k + 1, through first jets.
 
-    Built from separate zonal_jet passes through third order, with the
-    gamma_l gamma_i products written out.
+    Built from the oracle's separate frame-jet passes through third order,
+    with the gamma_l gamma_i products written out.
     """
-    jets = [zonal_jet(c, p, 3) for c in psit.components]
+    jets = [frame_jet(c, p, 3) for c in psit.components]
     J = [np.stack([jets[0][m], jets[1][m]], axis=-1) for m in range(4)]
     mu = k + 1.0
     out = []
@@ -270,7 +288,8 @@ def test_linear_projector_matches_quadratic_form(chart, k, shared):
     p = sphere_points(20, 50)
     ref = quadratic_projection_jets(psit, p, k)
     psi = dirac_project(psit, k)
-    jets = psi.jets(p, 1)
+    value, grad = zonal_jet(zonal_tables(psi), p, 1)
+    jets = [value, np.einsum("mia,mab->mib", frame_vectors(p), grad)]  # X_i psi = grad psi . E_i p
     for a in (0, 1):
         for m in (0, 1):
             scale = np.max(np.abs(ref[m][..., a]))
@@ -279,11 +298,15 @@ def test_linear_projector_matches_quadratic_form(chart, k, shared):
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_pooled_pair_jets_match_separate_passes(chart, shared):
+    # values and gradients of both components from one pass over the pooled
+    # centers, against one pass per component
     psit = harmonic_pair_at(30, chart, shared)
     p = sphere_points(21, 40)
-    pooled = psit.jets(p, 2)
+    pooled = zonal_jet(zonal_tables(psit), p, 1)
     for a, comp in enumerate(psit.components):
-        for m, ref in enumerate(zonal_jet(comp, p, 2)):
+        separate = zonal_tables(SpinorField3((comp, comp)), 0)
+        assert len(separate) == len(comp)
+        for m, ref in enumerate(zonal_jet(separate, p, 1)):
             assert pooled[m].shape == ref.shape + (2,)
             assert np.max(np.abs(pooled[m][..., a] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -295,36 +318,43 @@ def hopf_pair_at_base(k=60):
     return SpinorField3(tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1)))
 
 
-def spy_zonal_jet(monkeypatch):
-    """Record (order, coefficient columns) of every spinor3.zonal_jet call."""
+def test_projected_pair_shares_one_jet_pass(monkeypatch):
+    # the degree check evaluates nothing; the residual reads both components
+    # of the projected field, values and gradients, from one pass over the
+    # pooled centers, and values take one order-0 pass
+    pair = hopf_pair_at_base()
+    centers = len(np.unique(np.concatenate([c.centers for c in pair.components]), axis=0))
     calls = []
     inner = spinor3.zonal_jet
-
-    def counting(Y, p, order):
-        calls.append((order, Y.coeffs.shape[1:]))
-        return inner(Y, p, order)
-
-    monkeypatch.setattr(spinor3, "zonal_jet", counting)
-    return calls
-
-
-def test_projected_values_make_one_first_order_pass(monkeypatch):
-    psi = dirac_project(hopf_pair_at_base(), 60)
-    calls = spy_zonal_jet(monkeypatch)
-    psi.values(sphere_points(22, 30))
-    assert [order for order, _ in calls] == [1]
-
-
-def test_projected_pair_shares_one_jet_pass(monkeypatch):
-    # both components of the projected field, and both of the base pair in the
-    # degree check, come from one pooled pass over the shared centers
-    pair = hopf_pair_at_base()
-    calls = spy_zonal_jet(monkeypatch)
+    monkeypatch.setattr(
+        spinor3, "zonal_jet", lambda tables, p, order=0: calls.append((order, len(tables), tables.cols)) or inner(tables, p, order)
+    )
     psi = dirac_project(pair, 60)
-    assert calls == [(2, (2,))]
-    calls.clear()
+    assert calls == []
     assert dirac_residual(psi, 61.5) <= 1e-10
-    assert calls == [(2, (2,))]
+    assert calls == [(1, centers, (2,))]
+    calls.clear()
+    psi.values(sphere_points(22, 30))
+    assert calls == [(0, centers, (2,))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), k=st.integers(0, 80), projected=st.booleans())
+def test_dirac_apply_matches_frame_jets(seed, k, projected):
+    # degree 0 is a pair of constants, which SpinorField3 keeps as degree-0 sums
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    if k == 0:
+        psi = SpinorField3(tuple(complex(c[0]) for c in coeffs))
+    else:
+        centers = rng.normal(size=(2, 4, 4))
+        centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
+        psi = SpinorField3(tuple(UltrasphericalSum(3, k, coeffs[a], centers[a]) for a in (0, 1)))
+    if projected:
+        psi = dirac_project(psi, k)
+    p = sphere_points(seed + 2, 24)
+    want = frame_dirac_apply(psi, p)
+    assert np.max(np.abs(dirac_apply(psi, p) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @settings(max_examples=20, deadline=None)
@@ -357,6 +387,21 @@ def test_projection_rejects_non_harmonic(chart):
         dirac_project(SpinorField3((y1, y2)), 8)
 
 
+def test_projection_names_the_failing_component(chart):
+    # the degree check reads each component's type, sphere and degree
+    y = ek.synthesize(rand_sum(12), 8, chart)
+    on_s4 = UltrasphericalSum(4, 8, [1.0], [[1.0, 0.0, 0.0, 0.0, 0.0]])
+    for pair, message in [
+        ((y, lambda p: np.ones(len(p))), "component 2 is not a degree-8 spherical harmonic on S^3: it is a function"),
+        ((0.5, y), "component 1 is not a degree-8 spherical harmonic on S^3: it is of degree 0"),
+        ((y, on_s4), "component 2 is not a degree-8 spherical harmonic on S^3: it is a harmonic on S^4"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dirac_project(SpinorField3(pair), 8)
+    with pytest.raises(ValueError, match="degree-8 Dirac eigenfield has no degree-9 projection"):
+        dirac_project(dirac_project(SpinorField3((y, y)), 8), 9)
+
+
 def _hopf_pair(k, degrees=(0, 0)):
     """The Hopf design's pair synthesized at degrees k + degrees[a] through
     the adapted chart of a seeded base point."""
@@ -370,24 +415,25 @@ def test_projection_accepts_high_degree_hopf_pair(k):
     # the residual is taken relative to k(k+2) max |psi|: relative to max |psi|
     # alone its rounding read 3.1e-6 at k = 1000 and 1.2e-4 at k = 2000
     pair = _hopf_pair(k)
-    assert max(harmonicity(pair, k)) <= 1e-7
+    assert max(harmonicity(pair, k)) <= 1e-7  # the oracle's Laplace residual
     assert dirac_project(pair, k).k == k
 
 
 def test_projection_rejects_next_degree_at_high_k():
-    # a degree-(k+1) component misses k(k+2) by 2k + 3: about 2/k = 6.7e-5 relative
+    # a degree-(k+1) component misses k(k+2) by 2k + 3: about 2/k = 6.7e-5
+    # relative in the oracle's Laplace residual; the degree check reads the degree
     k = 30000
     resid = harmonicity(_hopf_pair(k, (0, 1)), k)[1]
     assert resid == pytest.approx(2.0 / k, rel=0.01)
-    with pytest.raises(ValueError, match="component 2 is not a degree-30000"):
+    with pytest.raises(ValueError, match="component 2 is not a degree-30000 .* of degree 30001"):
         dirac_project(_hopf_pair(k, (0, 1)), k)
 
 
 def test_weitzenboeck_two_pass(harmonic_pair):
-    # analytic first application, finite-difference second application
+    # the oracle's analytic first application, finite-difference second application
     psit, k = harmonic_pair
     inner = lambda P: dirac_slash_apply(psit, P)
-    outer = SpinorField3((lambda P: inner(P)[:, 0], lambda P: inner(P)[:, 1]))
+    outer = (lambda P: inner(P)[:, 0], lambda P: inner(P)[:, 1])
     p = sphere_points(6, 24)
     ds2 = dirac_slash_apply(outer, p)
     expected = (k * (k + 2.0) + 1.0) * psit.values(p)
@@ -442,13 +488,13 @@ def test_localization_of_projected_components():
 
 
 def _frame_jet_pullback(psi, index, chart, k):
-    """Reference pullback jet through psi.jets: the value and the chart gradient
+    """Reference pullback jet through the oracle's frame jets: the value and the chart gradient
     (1/k) (d exp_y)^T of the ambient gradient sum_i (X_i psi) E_i p."""
 
     def jet(x):
         y = x / k
         p = ek.sphere.chart_to_sphere(chart, y)
-        value, frame_grad = (arr[..., index] for arr in psi.jets(p, 1))
+        value, frame_grad = (arr[..., index] for arr in spinor_jets(psi, p, 1))
         ambient = np.einsum("mi,mia->ma", frame_grad, frame_vectors(p))
         return value, ek.sphere.chart_gradient(chart, y, ambient) / k
 
@@ -485,13 +531,11 @@ def test_table_pullback_matches_frame_jets(k, projected):
 
 def test_pullback_refuses_other_spinors(chart):
     k = 60
-    pair = _hopf_pair(k)
-    y1, y2 = pair.components
+    y1, y2 = _hopf_pair(k).components
     for psi in (
         SpinorField3((y1, 0.5)),
         SpinorField3((lambda p: np.ones(len(p)), y2)),
         _hopf_pair(k, (0, 1)),
-        dirac_project(dirac_project(pair, k), k),
     ):
         with pytest.raises(TypeError, match="harmonic pair of one degree"):
             component_pullback(psi, 0, chart, k)

@@ -1,12 +1,19 @@
-"""Every binding the benchmark tracer wraps exists in the package.
+"""Every binding the benchmark tracer wraps exists in the package, and sees its work.
 
 bench/tracing.py replaces functions under the module attributes their callers
 look them up by (``cli.eval_bessel_sum``, ``harmonics.jacobi_p``, ...); a
-binding that a refactor drops makes every traced benchmark run fail.
+binding that a refactor drops makes every traced benchmark run fail, and one
+that a caller bound early hides that caller's work from the trace.
 """
 
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from eigenknot.harmonics import synthesize
+from eigenknot.helmholtz import hopf_link_design
+from eigenknot.spinor3 import SpinorField3, adapted_chart, component_pullback, dirac_project
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -21,3 +28,23 @@ def test_tracer_bindings_exist(monkeypatch):
         if not callable(getattr(module, attr, None))
     ]
     assert not missing
+
+
+def test_traced_pullback_counts_point_center_pairs(monkeypatch):
+    # the nodal step's field and jet calls go through the traced zonal_jet
+    # binding, one span per call over every point and pooled center
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    design = hopf_link_design()
+    k = 60
+    chart = adapted_chart(np.array([0.3, -0.5, 0.7, 0.4]))
+    pair = SpinorField3(tuple(synthesize(design.components[a], k, chart) for a in (0, 1)))
+    centers = len(np.unique(np.concatenate([c.centers for c in pair.components]), axis=0))
+    field = component_pullback(dirac_project(pair, k), 0, chart, k)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(50, 3))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        field(x)
+        field.jet(x)
+    spans = [s for s in tracer.dump() if s["name"] == "spinor3.zonal_jet"]
+    assert [s["counts"]["point_center_evals"] for s in spans] == [len(x) * centers] * 2
