@@ -318,24 +318,39 @@ def hopf_pair_at_base(k=60):
     return SpinorField3(tuple(ek.synthesize(design.components[a], k, chart) for a in (0, 1)))
 
 
-def test_projected_pair_shares_one_jet_pass(monkeypatch):
-    # the degree check evaluates nothing; the residual reads both components
-    # of the projected field, values and gradients, from one pass over the
-    # pooled centers, and values take one order-0 pass
-    pair = hopf_pair_at_base()
-    centers = len(np.unique(np.concatenate([c.centers for c in pair.components]), axis=0))
+def spy_zonal_jet(monkeypatch):
     calls = []
     inner = spinor3.zonal_jet
     monkeypatch.setattr(
         spinor3, "zonal_jet", lambda tables, p, order=0: calls.append((order, len(tables), tables.cols)) or inner(tables, p, order)
     )
+    return calls
+
+
+def pooled_centers(pair):
+    return len(np.unique(np.concatenate([c.centers for c in pair.components]), axis=0))
+
+
+def test_projected_values_make_one_first_order_pass(monkeypatch):
+    # the projection's first-order terms (x.beta) C'(x.p_j) live in the tables,
+    # so both components' values come from one order-0 pass over the pooled centers
+    pair = hopf_pair_at_base()
+    psi = dirac_project(pair, 60)
+    calls = spy_zonal_jet(monkeypatch)
+    psi.values(sphere_points(22, 30))
+    assert calls == [(0, pooled_centers(pair), (2,))]
+
+
+def test_projected_pair_shares_one_jet_pass(monkeypatch):
+    # the degree check evaluates nothing; the residual reads both components
+    # of the projected field, values and gradients, from one pass over the
+    # pooled centers
+    pair = hopf_pair_at_base()
+    calls = spy_zonal_jet(monkeypatch)
     psi = dirac_project(pair, 60)
     assert calls == []
     assert dirac_residual(psi, 61.5) <= 1e-10
-    assert calls == [(1, centers, (2,))]
-    calls.clear()
-    psi.values(sphere_points(22, 30))
-    assert calls == [(0, centers, (2,))]
+    assert calls == [(1, pooled_centers(pair), (2,))]
 
 
 @settings(max_examples=40, deadline=None)
