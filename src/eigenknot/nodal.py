@@ -36,10 +36,11 @@ of a generic projection.  A uniform grid of projected segment boxes, joined
 by one sort and a searchsorted, yields the few candidate segment pairs, so
 the count costs O(n log n) rather than one visit per segment pair; a
 crossing within tolerance of degenerate sends the count to the next of a
-few fixed directions, and curves that meet are refused.  The exact
-solid-angle form of the Gauss integral for segment pairs, summed over blocks
-of about 2^13 pairs whose point differences are held as three coordinate
-planes, stays as the independent check the tests compare against.
+few fixed directions, and curves that meet are refused.
+
+Hausdorff distances and the least vertex gap come from the exact
+nearest-neighbour search of the neighbours module, loaded on their first
+call, so that commands that never measure a distance do not compile it.
 """
 
 from __future__ import annotations
@@ -368,27 +369,40 @@ def extract_nodal(fieldfn, box, h: float) -> NodalSet:
     return NodalSet(curves, degenerate, h)
 
 
+def _vertices(c, name: str):
+    """Curve `name`'s vertices, a finite (M, 3) array, and whether it is closed (a bare array is)."""
+    p = c.vertices if isinstance(c, NodalCurve) else np.asarray(c, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValueError(f"{name}: vertices have shape {p.shape}, not (M, 3)")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name}: non-finite vertices")
+    return p, c.closed if isinstance(c, NodalCurve) else True
+
+
 def _closed_vertices(c, which: int) -> np.ndarray:
     """The vertices of closed curve `which` (1 or 2): a finite (M, 3) array, M >= 3."""
-    if isinstance(c, NodalCurve):
-        if not c.closed:
-            raise ValueError("linking_number requires closed curves")
-        p = c.vertices
-    else:
-        p = np.asarray(c, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 3:
-        raise ValueError(f"curve {which}: vertices have shape {p.shape}, not (M, 3)")
+    p, closed = _vertices(c, f"curve {which}")
+    if not closed:
+        raise ValueError("linking_number requires closed curves")
     if len(p) < 3:
         raise ValueError(f"curve {which}: a closed curve needs at least 3 vertices, got {len(p)}")
-    if not np.isfinite(p).all():
-        raise ValueError(f"curve {which}: non-finite vertices")
     return p
 
 
-#: Segment pairs per block of the Gauss sum: its planes of 2^13 doubles (64 KiB)
-#: stay in a typical L2 cache.  The crossing search takes its candidate pairs in
-#: blocks of the same size.
-_GAUSS_PAIRS = 1 << 13
+def _vertex_gap(p1, p2) -> float:
+    """The least distance between a vertex of p1 and a vertex of p2, from a
+    search that starts at radius extent / (vertices of the larger set)."""
+    from .neighbours import extreme
+
+    p, q = (np.ascontiguousarray(x.T) for x in (p1, p2))
+    extent = float((np.maximum(p.max(axis=1), q.max(axis=1)) - np.minimum(p.min(axis=1), q.min(axis=1))).max())
+    return extreme(p, q, extent / max(len(p1), len(p2)), least=True)
+
+
+#: Segment pairs per block of the crossing search: a few planes of 2^13
+#: doubles (64 KiB each) stay in a typical L2 cache.
+_BLOCK_PAIRS = 1 << 13
+
 
 #: Projection directions of the crossing search, tried in turn until one is
 #: generic for the pair: no crossing within tolerance of degenerate and an even
@@ -405,58 +419,6 @@ _DIRECTIONS = tuple(
 #: is degenerate (the predicate rounds at about eps * L^2), and curves within
 #: _CROSSING_TOL * L of each other intersect.
 _CROSSING_TOL = 1e-10
-
-
-def _dot(u, v):
-    """u . v for vectors given as three coordinate planes."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _gauss_blocks(p1, p2) -> tuple[float, float]:
-    """Gauss integral of two closed polylines and the least vertex distance.
-
-    Segments i and j see r1..r4 = d[i, j], d[i+1, j], d[i+1, j+1], d[i, j+1] with
-    d = p1[:, None] - p2, and their solid angle is the exact segment-pair form
-    (Klenin & Langowski, Biopolymers 54 (2000)).  Each block of rows holds d as
-    three coordinate planes of about _GAUSS_PAIRS entries, so r1..r4, their
-    norms and the neighbour products are shifted views of those planes.  The
-    norms cover every vertex pair, so their minimum is the gap between the
-    vertex sets.
-    """
-    a, c = (np.concatenate([p, p[:1]]) for p in (np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)))
-    rows = max(1, _GAUSS_PAIRS // len(c))
-    total = 0.0
-    gap = math.inf
-    for s in range(0, len(p1), rows):
-        d = [np.subtract.outer(a[s : s + rows + 1, i], c[:, i]) for i in range(3)]
-        n = np.sqrt(_dot(d, d))
-        gap = min(gap, float(n.min()))
-        down = _dot([x[:-1] for x in d], [x[1:] for x in d])
-        right = _dot([x[:, :-1] for x in d], [x[:, 1:] for x in d])
-        r1, r2, r3 = [x[:-1, :-1] for x in d], [x[1:, :-1] for x in d], [x[1:, 1:] for x in d]
-        cross = [r2[1] * r3[2] - r2[2] * r3[1], r2[2] * r3[0] - r2[0] * r3[2], r2[0] * r3[1] - r2[1] * r3[0]]
-        triple = _dot(r1, cross)
-        r31 = _dot(r3, r1)
-        n1, n2, n3, n4 = n[:-1, :-1], n[1:, :-1], n[1:, 1:], n[:-1, 1:]
-        d1 = n1 * n2 * n3 + down[:, :-1] * n3 + right[1:] * n1 + r31 * n2
-        d2 = n1 * n4 * n3 + right[:-1] * n3 + down[:, 1:] * n1 + r31 * n4
-        total += float(np.sum(np.arctan2(triple, d1) + np.arctan2(triple, d2)))
-    return total / (2.0 * math.pi), gap
-
-
-def gauss_linking_integral(p1, p2) -> float:
-    """Exact Gauss integral for polyline pairs (sum of segment solid angles)."""
-    return _gauss_blocks(p1, p2)[0]
-
-
-def _vertex_gap(p1, p2) -> float:
-    """The least distance between a vertex of p1 and a vertex of p2, in blocks of rows of p1."""
-    rows = max(1, _GAUSS_PAIRS // len(p2))
-    gap = math.inf
-    for s in range(0, len(p1), rows):
-        d = [np.subtract.outer(p1[s : s + rows, i], p2[:, i]) for i in range(3)]
-        gap = min(gap, float(np.sqrt(_dot(d, d)).min()))
-    return gap
 
 
 def _frame(d) -> np.ndarray:
@@ -519,7 +481,7 @@ def _candidate_pairs(a, b, n1, pad):
     and a searchsorted of the first's join the pieces that share a cell; a
     pair of overlapping boxes is kept only in the cell of its intersection's
     lower-left corner, so each piece pair is tested once.  `joined` counts
-    the pairs that share a cell; `blocks` yields, per block of _GAUSS_PAIRS
+    the pairs that share a cell; `blocks` yields, per block of _BLOCK_PAIRS
     of them, the segment indices (i, j) of the overlapping ones, so a segment
     pair may come from several of its pieces.  Memory stays O(n + block).
     """
@@ -563,8 +525,8 @@ def _candidate_pairs(a, b, n1, pad):
     joined = int(ends[-1]) if len(ends) else 0
 
     def blocks():
-        for start in range(0, joined, _GAUSS_PAIRS):
-            q = np.arange(start, min(start + _GAUSS_PAIRS, joined))
+        for start in range(0, joined, _BLOCK_PAIRS):
+            q = np.arange(start, min(start + _BLOCK_PAIRS, joined))
             e = np.searchsorted(ends, q, side="right")
             i, j = piece1[e], piece2[left[e] + q - (ends[e] - counts[e])]
             keep = (
@@ -672,21 +634,32 @@ def _densify(p: np.ndarray, closed: bool, step: float) -> np.ndarray:
 
 
 def hausdorff_dist(curve_a, curve_b, densify_step: float | None = None) -> float:
-    """Symmetric Hausdorff distance between two polylines (densified)."""
-    from scipy.spatial import cKDTree
+    """Symmetric Hausdorff distance between two polylines, each densified so
+    that no edge is longer than `densify_step`.
 
-    pa = curve_a.vertices if isinstance(curve_a, NodalCurve) else np.asarray(curve_a, dtype=float)
-    pb = curve_b.vertices if isinstance(curve_b, NodalCurve) else np.asarray(curve_b, dtype=float)
-    ca = curve_a.closed if isinstance(curve_a, NodalCurve) else True
-    cb = curve_b.closed if isinstance(curve_b, NodalCurve) else True
+    Curves are NodalCurves or (M, 3) vertex arrays, which count as closed; an
+    open curve keeps its ends.  The default step is 0.005 times the largest
+    coordinate range of either curve.  The distance is exact for the
+    densified vertex sets, from neighbours.extreme.
+    """
+    from .neighbours import extreme
+
+    pa, ca = _vertices(curve_a, "curve_a")
+    pb, cb = _vertices(curve_b, "curve_b")
+    for name, p in (("curve_a", pa), ("curve_b", pb)):
+        if not len(p):
+            raise ValueError(f"{name}: no vertices")
     if densify_step is None:
-        scale = max(np.ptp(pa, axis=0).max(), np.ptp(pb, axis=0).max(), 1e-12)
-        densify_step = 0.005 * scale
-    pa = _densify(pa, ca, densify_step)
-    pb = _densify(pb, cb, densify_step)
-    d1 = cKDTree(pb).query(pa)[0].max()
-    d2 = cKDTree(pa).query(pb)[0].max()
-    return float(max(d1, d2))
+        densify_step = 0.005 * max(np.ptp(pa, axis=0).max(), np.ptp(pb, axis=0).max(), 1e-12)
+    elif not (math.isfinite(densify_step) and densify_step > 0):
+        raise ValueError(f"densify_step must be finite and positive, got {densify_step!r}")
+    a, b = (np.ascontiguousarray(_densify(p, c, densify_step).T) for p, c in ((pa, ca), (pb, cb)))
+    # H is at least the largest offset between matching faces of the two
+    # bounding boxes, and where the curves are near copies of each other most
+    # nearest-neighbour distances lie just under H, so the first join reaches
+    # just past it; at most 4 steps, so that its cells hold a few dozen points
+    bound = max(float(np.abs(a.max(axis=1) - b.max(axis=1)).max()), float(np.abs(a.min(axis=1) - b.min(axis=1)).max()))
+    return extreme(a, b, max(densify_step, min(1.25 * bound, 4.0 * densify_step)))
 
 
 def curves_to_json(curves, extra: dict | None = None) -> str:

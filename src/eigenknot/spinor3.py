@@ -118,7 +118,8 @@ class ProjectedSpinor3:
 class ZonalTables:
     """psi_a(x) = sum_j alpha_ja C(x . p_j) + (x . beta_ja) C'(x . p_j), C = C^3_k, for the
     columns a of cols: () for one component, (2,) for both.  The tables are the
-    float views of alpha, beta, alpha p + beta and p (x) beta; len() is N, the
+    float views of alpha, beta, alpha p + beta and p (x) beta, where beta and
+    p (x) beta are None for a harmonic pair, whose beta is 0; len() is N, the
     number of centers p_j every point sums over."""
 
     centers: np.ndarray
@@ -154,19 +155,26 @@ def zonal_tables(psi, index: int | None = None) -> ZonalTables:
 
     def column(col):
         if pair is psi:
-            return c[:, col], np.zeros(p.shape, dtype=complex)
+            return c[:, col], None
         mu2 = 2.0 * (psi.k + 1)
         beta = sum((c @ GAMMA[i][col])[:, None] * (p @ E.T) for i, E in enumerate(FRAME_E)) / -mu2
         return (psi.k + 2.0) / mu2 * c[:, col], beta
 
     if index is None:
-        alpha, beta = (np.stack(part, axis=-1) for part in zip(column(0), column(1)))
+        (alpha, beta), (alpha2, beta2) = column(0), column(1)
+        alpha = np.stack([alpha, alpha2], axis=-1)
+        beta = None if beta is None else np.stack([beta, beta2], axis=-1)
     else:
         alpha, beta = column(index)
     cols = alpha.shape[1:]
     ps = p.reshape(p.shape + (1,) * len(cols))
-    tables = (alpha, beta, alpha[:, None] * ps + beta, ps[:, :, None] * beta[:, None])
-    return ZonalTables(p, a.k, cols, tuple(np.ascontiguousarray(t).reshape(len(p), -1).view(float) for t in tables))
+    if beta is None:
+        tables = (alpha, None, alpha[:, None] * ps, None)
+    else:
+        tables = (alpha, beta, alpha[:, None] * ps + beta, ps[:, :, None] * beta[:, None])
+    return ZonalTables(
+        p, a.k, cols, tuple(None if t is None else np.ascontiguousarray(t).reshape(len(p), -1).view(float) for t in tables)
+    )
 
 
 def zonal_jet(tables: ZonalTables, p, order: int = 0):
@@ -174,22 +182,28 @@ def zonal_jet(tables: ZonalTables, p, order: int = 0):
 
     order=1 gives [values, ambient gradients (M, 4, *cols)]: the gradient at x
     is sum_j C'(x . p_j) (alpha_j p_j + beta_j) + C''(x . p_j) (x . beta_j) p_j.
-    One gegenbauer3_chord_derivatives call to order + 1 per row block and a
-    few real matmuls; the values are bit-identical at either order.
+    One gegenbauer3_chord_derivatives call per row block, to order + 1 when
+    there is a beta and to order for a harmonic pair, whose beta terms are
+    skipped, and a few real matmuls; the values are bit-identical at either
+    order.
     """
     if order not in (0, 1):
         raise ValueError(f"zonal_jet gives values (order 0) and gradients (order 1), not order {order}")
     (a0, b, a1, pb), cols = tables.tables, tables.cols
 
     def block(q):
-        derivs = gegenbauer3_chord_derivatives(tables.k, _signed_chords(q, tables.centers), order + 1)
+        derivs = gegenbauer3_chord_derivatives(tables.k, _signed_chords(q, tables.centers), order + (b is not None))
         m = len(q)
         value = (derivs[0] @ a0).view(complex).reshape((m,) + cols)
-        value = value + np.einsum("ma...,ma->m...", (derivs[1] @ b).view(complex).reshape((m, 4) + cols), q)
+        if b is not None:
+            value = value + np.einsum("ma...,ma->m...", (derivs[1] @ b).view(complex).reshape((m, 4) + cols), q)
         if not order:
             return value
+        grad = (derivs[1] @ a1).view(complex).reshape((m, 4) + cols)
+        if b is None:
+            return [value, grad]
         curv = np.einsum("mab...,mb->ma...", (derivs[2] @ pb).view(complex).reshape((m, 4, 4) + cols), q)
-        return [value, (derivs[1] @ a1).view(complex).reshape((m, 4) + cols) + curv]
+        return [value, grad + curv]
 
     return sphere.eval_rows(block, p, 4, len(tables))
 

@@ -146,9 +146,10 @@ def test_no_numpy_polynomial(path):
 
 
 # Hopf design, then approximate -> verify and spinorize -> nodal through the
-# CLI on small configs, a designed circle without its nodal check, the
-# Fourier-Bessel modes of a density and of the design, and the pair kernels on
-# one block of PAIR_BLOCK chords and radii; prints the scipy and
+# CLI on small configs, a designed circle with its nodal check, the
+# Fourier-Bessel modes of a density and of the design, the pair kernels on one
+# block of PAIR_BLOCK chords and radii, and the Hausdorff distances and
+# separation-checked link of the nodal curves; prints the scipy and
 # numpy.polynomial modules loaded by the end
 PIPELINES = """
 import json, sys
@@ -168,7 +169,8 @@ radii = np.linspace(0.0, 40.0, PAIR_BLOCK)
 assert all(np.all(np.isfinite(bessel_kernel(n, radii))) for n in (3, 5))
 
 t = np.linspace(0.0, 2.0 * np.pi, 25)
-circle = eigenknot.design_bessel_sum([(np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1), 0)], budget=60)
+ring = np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1)
+circle = eigenknot.design_bessel_sum([(ring, 0)], budget=60, verify_tol=0.02)
 density = eigenknot.HerglotzDensity.from_function(3, lambda xi: xi[:, 2] + 0.5j, 8)
 for source in (density, circle.components[0]):
     series = fourier_bessel_truncate(source, 6)
@@ -191,6 +193,9 @@ for argv in runs:
 topology = json.loads(Path("curves.topology.json").read_text())
 links = [e["link"] for e in topology["linking"] if e["field"] == "cross"]
 assert links and abs(links[0]) == 1, links
+closed = [c for c in eigenknot.nodal.curves_from_json(Path("curves.json").read_text()) if c.closed]
+assert len(closed) == 2 and eigenknot.linking_number(*closed, min_separation=1e-3) == links[0]
+assert 0.0 < eigenknot.hausdorff_dist(*closed) == eigenknot.hausdorff_dist(closed[1], closed[0].vertices)
 watched = ("scipy", "numpy.polynomial")
 print(json.dumps(sorted(m for m in sys.modules if any(m == w or m.startswith(w + ".") for w in watched))))
 """

@@ -5,13 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from gauss_integral import gauss_blocks, gauss_linking_integral
 from hypothesis import assume, given, settings, strategies as st
 
-from eigenknot import nodal
+from eigenknot import neighbours, nodal
 from eigenknot.nodal import (
     NodalCurve,
     extract_nodal,
-    gauss_linking_integral,
     hausdorff_dist,
     linking_number,
     newton_polish,
@@ -210,7 +210,7 @@ def test_gauss_gap_is_the_least_vertex_distance():
     ]
     for p1, p2 in pairs:
         brute = min(float(np.sqrt(np.sum((p - p2) ** 2, axis=1)).min()) for p in p1)
-        assert nodal._gauss_blocks(p1, p2)[1] == brute
+        assert gauss_blocks(p1, p2)[1] == brute
 
 
 def _rotation(q):
@@ -398,7 +398,7 @@ def test_linking_is_independent_of_the_block_size(monkeypatch, block):
     c2 = circle(150, 1.0, (1.0, 0, 0), "xz")
     gauss = gauss_linking_integral(c1, c2)
     assert abs(gauss - round(gauss)) <= 1e-6 and abs(round(gauss)) == 1
-    monkeypatch.setattr(nodal, "_GAUSS_PAIRS", block)
+    monkeypatch.setattr(nodal, "_BLOCK_PAIRS", block)
     assert linking_number(c1, c2) == round(gauss)
 
 
@@ -524,6 +524,141 @@ def test_hausdorff_symmetric(sizes, closed, seed, step):
     rng = np.random.default_rng(seed)
     a, b = (NodalCurve(np.cumsum(rng.normal(size=(m, 3)), axis=0), c) for m, c in zip(sizes, closed))
     assert hausdorff_dist(a, b, densify_step=step) == hausdorff_dist(b, a, densify_step=step)
+
+
+def _brute_nearest(p, q):
+    """Squared distance from each point of p to its nearest point of q over every pair, 256 rows at a time."""
+    out = np.empty(len(p))
+    for s in range(0, len(p), 256):
+        d = [np.subtract.outer(p[s : s + 256, a], q[:, a]) for a in range(3)]
+        out[s : s + 256] = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).min(axis=1)
+    return out
+
+
+def _reference_distances(a, b, step):
+    """Hausdorff distance and vertex gap of two curves, from every pair and from scipy's k-d tree."""
+    from scipy.spatial import cKDTree
+
+    if step is None:
+        step = 0.005 * max(np.ptp(a.vertices, axis=0).max(), np.ptp(b.vertices, axis=0).max(), 1e-12)
+    da, db = nodal._densify(a.vertices, a.closed, step), nodal._densify(b.vertices, b.closed, step)
+    brute = math.sqrt(max(_brute_nearest(da, db).max(), _brute_nearest(db, da).max()))
+    tree = float(max(cKDTree(db).query(da)[0].max(), cKDTree(da).query(db)[0].max()))
+    gap = math.sqrt(_brute_nearest(a.vertices, b.vertices).min())
+    return (brute, tree), (gap, float(cKDTree(b.vertices).query(a.vertices)[0].min()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    closed=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**16),
+    scale=st.integers(-6, 6).map(lambda e: 10.0**e),
+    offset=st.sampled_from([0.0, 1e2, 1e5, 1e8]),
+    apart=st.sampled_from([0.0, 3.0, 30.0, 1e3]),
+    repeats=st.integers(1, 3),
+    step=st.one_of(st.none(), st.floats(0.05, 2.0)),
+)
+def test_hausdorff_and_gap_equal_every_pair_and_the_kd_tree(sizes, closed, seed, scale, offset, apart, repeats, step):
+    # random walks at scales 1e-6..1e6, up to 1e8 of their scale from the
+    # origin, up to 1e3 of it apart (the search grows its radius to reach
+    # across) and with vertices repeated up to 3 times
+    rng = np.random.default_rng(seed)
+    walks = [scale * np.cumsum(rng.normal(size=(m, 3)), axis=0) for m in sizes]
+    walks[1] += apart * scale * np.array([0.6, -0.8, 0.0])
+    a, b = (
+        NodalCurve(np.repeat(w + offset * scale * np.array([1.0, -0.5, 0.25]), rng.integers(1, repeats + 1, len(w)), axis=0), c)
+        for w, c in zip(walks, closed)
+    )
+    step = None if step is None else step * scale
+    (brute, tree), (gap, tree_gap) = _reference_distances(a, b, step)
+    assert hausdorff_dist(a, b, densify_step=step) == brute == tree
+    if min(sizes) >= 3:
+        assert nodal._vertex_gap(a.vertices, b.vertices) == gap == tree_gap
+
+
+@pytest.mark.parametrize("radius", [1e-12, 1e-3, 0.3, 50.0])
+def test_searches_are_exact_from_any_start_radius(radius):
+    # a radius far below the distances grows over many rounds; one far above
+    # puts every point in one cell
+    rng = np.random.default_rng(11)
+    p, q = rng.normal(size=(300, 3)), rng.normal(size=(250, 3)) + (2.0, 0.0, 0.0)
+    planes = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
+    want_p, want_q = _brute_nearest(p, q), _brute_nearest(q, p)
+    assert np.array_equal(neighbours.nearest(*planes, radius), want_p)
+    assert neighbours.extreme(*planes, radius) == math.sqrt(max(want_p.max(), want_q.max()))
+    assert neighbours.extreme(*planes, radius, least=True) == math.sqrt(want_p.min())
+
+
+def test_far_curves_are_searched_coarse_to_fine(monkeypatch):
+    # walks far apart at a fine step: the first join settles no point, and the
+    # exact searches run on far fewer points than the densified curves hold
+    rng = np.random.default_rng(13)
+    a, b = (NodalCurve(np.cumsum(rng.normal(size=(30, 3)), axis=0), c) for c in (True, False))
+    searched = []
+    inner = neighbours.nearest
+    monkeypatch.setattr(neighbours, "nearest", lambda p, q, radius: searched.append(p.shape[1]) or inner(p, q, radius))
+    got = hausdorff_dist(a, b, densify_step=0.02)
+    (brute, tree), _ = _reference_distances(a, b, 0.02)
+    assert got == brute == tree
+    densified = len(nodal._densify(a.vertices, True, 0.02)) + len(nodal._densify(b.vertices, False, 0.02))
+    assert 0 < sum(searched) < densified / 4
+
+
+def test_hausdorff_with_a_tiny_step():
+    # a step 2000 times below the distance between the curves (8 088 points)
+    a = NodalCurve(np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.0], [0.5, 0.9, 0.1]]), True)
+    b = NodalCurve(np.array([[0.0, 0.0, 1.0], [1.1, 0.1, 1.2]]), False)
+    (brute, tree), (gap, tree_gap) = _reference_distances(a, b, 5e-4)
+    assert hausdorff_dist(a, b, densify_step=5e-4) == brute == tree
+    assert nodal._vertex_gap(*(np.repeat(c.vertices, 2, axis=0) for c in (a, b))) == gap == tree_gap
+
+
+@pytest.mark.parametrize("block", [5, 1000])
+def test_nearest_is_independent_of_the_block_size(monkeypatch, block):
+    # 120 x 90 points within 1e-3 of each other and a step of 1: every point
+    # lies in one cell, and the 10 800 candidate pairs span many blocks
+    rng = np.random.default_rng(12)
+    a, b = NodalCurve(1e-3 * rng.random((120, 3)), False), NodalCurve(1e-3 * rng.random((90, 3)) + 5.0, True)
+    want = hausdorff_dist(a, b, densify_step=1.0)
+    assert want == _reference_distances(a, b, 1.0)[0][0]
+    monkeypatch.setattr(neighbours, "PAIRS", block)
+    assert hausdorff_dist(a, b, densify_step=1.0) == want
+    assert nodal._vertex_gap(a.vertices, b.vertices) == _reference_distances(a, b, 1.0)[1][0]
+
+
+def test_hausdorff_of_coincident_and_single_points():
+    point = NodalCurve(np.full((1, 3), 2.5), False)
+    assert hausdorff_dist(point, point) == 0.0
+    assert hausdorff_dist(point, np.full((4, 3), 2.5), densify_step=1e-9) == 0.0
+    assert hausdorff_dist(point, NodalCurve(np.array([[2.5, 2.5, 2.5], [2.5, 2.5, 5.5]]), False)) == 3.0
+
+
+@pytest.mark.parametrize("which", ["curve_a", "curve_b"])
+@pytest.mark.parametrize(
+    "bad, defect",
+    [
+        (_with_nan(circle(32, 1.0)), "non-finite vertices"),
+        (_with_inf(circle(32, 1.0)), "non-finite vertices"),
+        (NodalCurve(_with_nan(circle(32, 1.0)), False), "non-finite vertices"),
+        (np.empty((0, 3)), "no vertices"),
+        (NodalCurve(np.empty((0, 3)), False), "no vertices"),
+        (circle(32, 1.0)[:, :2], "vertices have shape (32, 2), not (M, 3)"),
+        ([], "vertices have shape (0,), not (M, 3)"),
+    ],
+    ids=["nan", "inf", "open-nan", "empty", "open-empty", "planar", "list"],
+)
+def test_hausdorff_refuses_bad_vertices(which, bad, defect):
+    good = circle(32, 1.0, (1.0, 0, 0), "xz")
+    curves = (bad, good) if which == "curve_a" else (good, bad)
+    with pytest.raises(ValueError, match=f"^{which}: {re.escape(defect)}$"):
+        hausdorff_dist(*curves)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_hausdorff_refuses_bad_densify_steps(step):
+    with pytest.raises(ValueError, match="^densify_step must be finite and positive, got"):
+        hausdorff_dist(circle(32, 1.0), circle(32, 1.0, (1.0, 0, 0), "xz"), densify_step=step)
 
 
 def _loop_densify(p, closed, step):

@@ -4,6 +4,7 @@ spinor3 evaluates a spinor through its per-center tables alone; the frame
 jets of frame_jets.py are the independent oracle they are checked against.
 """
 
+import math
 import re
 
 import mpmath
@@ -20,6 +21,7 @@ from eigenknot.spinor3 import (
     adapted_chart,
     GAMMA,
     SpinorField3,
+    ZonalTables,
     component_pullback,
     dirac_apply,
     dirac_project,
@@ -329,6 +331,38 @@ def spy_zonal_jet(monkeypatch):
 
 def pooled_centers(pair):
     return len(np.unique(np.concatenate([c.centers for c in pair.components]), axis=0))
+
+
+@pytest.mark.parametrize("index", [None, 0, 1])
+def test_harmonic_pair_skips_the_zero_beta_terms(monkeypatch, chart, index):
+    # an unprojected pair has beta = 0: its tables hold no beta, zonal_jet asks
+    # the kernel for one order fewer, and the values and gradients equal those
+    # of the same tables with explicit zero beta terms
+    psit = harmonic_pair_at(30, chart, False)
+    tables = zonal_tables(psit, index)
+    assert tables.tables[1] is None and tables.tables[3] is None
+    width = 2 * math.prod(tables.cols)
+    zero_beta = ZonalTables(
+        tables.centers,
+        tables.k,
+        tables.cols,
+        (tables.tables[0], np.zeros((len(tables), 4 * width)), tables.tables[2], np.zeros((len(tables), 16 * width))),
+    )
+    orders = []
+    inner = spinor3.gegenbauer3_chord_derivatives
+    monkeypatch.setattr(
+        spinor3, "gegenbauer3_chord_derivatives", lambda k, chord, order: orders.append(order) or inner(k, chord, order)
+    )
+    p = sphere_points(23, 40)
+    for order in (0, 1):
+        orders.clear()
+        got, ref = zonal_jet(tables, p, order), zonal_jet(zero_beta, p, order)
+        assert orders == [order, order + 1]
+        for g, r in zip(got, ref) if order else [(got, ref)]:
+            assert g.shape == r.shape and np.array_equal(g, r)
+    orders.clear()
+    zonal_jet(zonal_tables(dirac_project(psit, 30), index), p)
+    assert orders == [1]
 
 
 def test_projected_values_make_one_first_order_pass(monkeypatch):
