@@ -135,6 +135,14 @@ def _float(key: str, value) -> float:
     return float(value)
 
 
+def _seed(key: str, value) -> int:
+    """A seed: numpy's generators take non-negative integers only, so anything else names its key."""
+    out = _int(key, value)
+    if out < 0:
+        raise ConfigError(f"config key {key} must be a non-negative integer, got {value!r}")
+    return out
+
+
 def _positive(cast, key: str, value):
     """cast(key, value) for a key whose value must be > 0."""
     out = cast(key, value)
@@ -201,8 +209,8 @@ def _density_from_config(cfg: dict) -> HerglotzDensity:
         return HerglotzDensity.constant(n, 1.0, resolution)
     if kind == "linear_z":
         return HerglotzDensity.from_function(n, lambda xi: xi[:, -1].astype(complex), resolution)
-    seed = _int("seed", cfg.get("seed", 0))
-    rng = np.random.default_rng(_int("density_seed", cfg.get("density_seed", seed)))
+    seed = _seed("seed", cfg.get("seed", 0))
+    rng = np.random.default_rng(_seed("density_seed", cfg.get("density_seed", seed)))
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     b = rng.normal(size=(n, n))
 
@@ -250,8 +258,8 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
     (chart frame aligned with the left-invariant frame at the base point);
     scalar synthesis is chart-insensitive and defaults to a seeded frame."""
     kind = _choice("chart", cfg.get("chart", default_kind), ("adapted", "random"))
-    seed = _int("seed", cfg.get("seed", 0))
-    seed = _int("chart_seed", cfg.get("chart_seed", seed))
+    seed = _seed("seed", cfg.get("seed", 0))
+    seed = _seed("chart_seed", cfg.get("chart_seed", seed))
     base = cfg.get("chart_base")
     if base is not None:
         base = _floats("chart_base", base, n + 1)
@@ -270,7 +278,7 @@ def cmd_approximate(cfg: dict) -> int:
     density = _density_from_config(cfg)
     delta = _positive(_float, "delta", cfg.get("delta", 1e-3))
     radius = _positive(_float, "radius", cfg.get("radius", 2.5))
-    seed = _int("seed", cfg.get("seed", 0))
+    seed = _seed("seed", cfg.get("seed", 0))
     manifest = write_manifest(out, cfg, [])
     bsum = herglotz_discretize(density, delta, radius=radius, seed=seed)
     doc = bsum.to_dict()
@@ -327,7 +335,7 @@ def cmd_spinorize(cfg: dict) -> int:
         doc = y.to_dict()
         doc["chart"] = chart.to_dict()
         _write_json(path, doc, manifest)
-    resid = spinor3.dirac_residual(psi, 1.5 + k, samples=32, seed=_int("seed", cfg.get("seed", 0)))
+    resid = spinor3.dirac_residual(psi, 1.5 + k, samples=32, seed=_seed("seed", cfg.get("seed", 0)))
     _write_json(
         out,
         {
@@ -378,7 +386,7 @@ def cmd_verify(cfg: dict) -> int:
     m = _int("m", cfg.get("m", 2))
     if m not in (0, 1, 2):
         raise ConfigError(f"config key m must be 0, 1 or 2, got {m!r}")
-    seed = _int("seed", cfg.get("seed", 0))
+    seed = _seed("seed", cfg.get("seed", 0))
     h = _positive(_float, "h", cfg.get("h", 0.125))
     bsum = _three_dimensional("input", _load_bessel("input", src))
     for k in sweep:
@@ -497,7 +505,7 @@ def cmd_torus(cfg: dict) -> int:
         ks = [ks]
     ks = [_positive(_int, key, k) for k in ks]
     trials = _positive(_int, "trials", cfg.get("trials", 4000))
-    seed = _int("seed", cfg.get("seed", 0))
+    seed = _seed("seed", cfg.get("seed", 0))
     _density_kind(cfg)  # checked even when the run does not localize
     density = _density_from_config(cfg) if cfg.get("localize", False) else None
     manifest = write_manifest(out, cfg, [])

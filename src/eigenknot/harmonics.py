@@ -24,12 +24,11 @@ from .helmholtz import (
     BesselSum,
     _central_differences,
     _grid_rule_degree,
-    _pair_distances,
     _plane_wave_grid,
     eval_bessel_sum,
 )
 from .specialfn import (
-    gegenbauer3_chord_derivatives,
+    gegenbauer3_zonal,
     gegenbauer_cnk_derivatives,
     gegenbauer_ratio,
     jacobi_p,
@@ -159,24 +158,6 @@ def multi_synthesize(pairs, k: int, min_separation: float = 1e-6) -> Ultraspheri
     return UltrasphericalSum(n, k, coeffs, centers, chart=pairs[0][1])
 
 
-def _signed_chords(p: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """|p_i - c_j|, or -|p_i + c_j| where the antipode -c_j is nearer.
-
-    The negative chord is gegenbauer3_chord_derivatives' antipodal form, so
-    every pair carries its angle to the nearer pole at full relative precision.
-    """
-    chord = _pair_distances(p, centers)
-    far = np.flatnonzero(chord > math.sqrt(2.0))
-    rows, cols = np.divmod(far, len(centers))
-    anti = np.zeros(len(far))
-    for a in range(p.shape[1]):
-        plane = p[rows, a] + centers[cols, a]
-        plane *= plane
-        anti += plane
-    chord.flat[far] = -np.sqrt(anti)
-    return chord
-
-
 def zonal_derivatives(Y: UltrasphericalSum, p, order: int):
     """Ambient derivative tensors [G_0, ..., G_order] of Y at sphere points.
 
@@ -185,8 +166,8 @@ def zonal_derivatives(Y: UltrasphericalSum, p, order: int):
     shape (M,) + (n+1,)*d + Y.coeffs.shape[1:].  Each order is one real
     matmul of C^{(d)} against a p_j^{(x)d} (x) (Re c, Im c) table, read back
     as complex, so the (points x centers) block is never promoted to complex.
-    On S^3 the kernel is the closed form of gegenbauer3_chord_derivatives,
-    read from the chords |p - p_j| (or |p + p_j| past a right angle), so no
+    On S^3 the kernel is specialfn.gegenbauer3_zonal, which reads the points
+    and centers themselves (|p - p_j|, or |p + p_j| past a right angle), so no
     p . p_j is formed or clipped; other n take p . p_j, clipped to [-1, 1],
     through the Jacobi recurrence.
     """
@@ -198,7 +179,7 @@ def zonal_derivatives(Y: UltrasphericalSum, p, order: int):
 
     def block(pb):
         if Y.n == 3:
-            derivs = gegenbauer3_chord_derivatives(Y.k, _signed_chords(pb, Y.centers), order)
+            derivs = gegenbauer3_zonal(Y.k, pb, Y.centers, order)
         else:
             derivs = gegenbauer_cnk_derivatives(Y.n, Y.k, np.clip(pb @ Y.centers.T, -1.0, 1.0), order)
         return [

@@ -19,14 +19,14 @@ Everything downstream depends on three conventions fixed here:
 
 On S^3 (n = 3) the normalized kernel is elementary, C(cos theta) =
 sin((k+1) theta) / ((k+1) sin theta) (DLMF 18.5.2), and
-``gegenbauer3_chord_derivatives`` evaluates it and its t-derivatives from
-the chord |p - p_j| = 2 sin(theta/2) rather than from t = p . p_j: C in
-closed form from the half-chord everywhere, and for the derivatives a
-Taylor series near the pole, sincos and the Gegenbauer equation
-elsewhere.  Its cost does not depend on k and it keeps C(1) = 1 and every derivative within
-about 1e-15 of C^(d)(1), where the O(k) Jacobi recurrence fed t loses about
-k^2 eps.  Other n go through the recurrence, with the Gamma ratio as an exact
-product of k small factors.
+``gegenbauer3_zonal`` evaluates it and its t-derivatives for every pair of
+points and centers straight from q = sin^2(theta/2) = |p - p_j|^2 / 4,
+never from t = p . p_j: C in closed form everywhere, from one arcsin and
+one tan, and for the derivatives a Taylor series near the pole and the
+Gegenbauer equation elsewhere.  Its cost does not depend on k and it keeps
+C(1) = 1 and every derivative within about 1e-15 of C^(d)(1), where the
+O(k) Jacobi recurrence fed t loses about k^2 eps.  Other n go through the
+recurrence, with the Gamma ratio as an exact product of k small factors.
 """
 
 from __future__ import annotations
@@ -246,119 +246,137 @@ def gegenbauer_cnk_derivatives(n: int, k: int, t, max_order: int):
 
 
 #: Taylor terms for (k+1) theta < 3: there |z| < 4.5 and the j-th term is below 4.5^j / ((2j+1)!! j!).
-_CHORD_TERMS = 20
+_TAYLOR_TERMS = 20
 
 
-def gegenbauer3_chord_derivatives(k: int, chord, order: int):
-    """[C, C', ..., C^(order)] of C = gegenbauer_cnk(3, k, .) at t = 1 - chord^2/2.
+def gegenbauer3_zonal(k: int, p, centers, order: int):
+    """[C, C', ..., C^(order)] of C = gegenbauer_cnk(3, k, .) at t = p_i . c_j, as (M, N) arrays.
 
-    On S^3 the normalized kernel is C(cos theta) = sin((k+1) theta) /
-    ((k+1) sin theta) (DLMF 18.5.2), where theta = 2 asin(chord/2) is the
-    geodesic angle between unit vectors p, p_j at distance chord = |p - p_j|.
-    A chord near 2 fixes 1 + t only to about eps, so a caller may pass the
-    antipodal distance as a negative chord, chord = -|p + p_j|, which stands
-    for t = chord^2/2 - 1 (-0.0 included).  Angles past pi/2 fold back by parity,
-    C^(d)(-t) = (-1)^(k+d) C^(d)(t).
+    p holds M unit vectors as rows and centers N.  Their angle theta enters
+    only through q = sin^2(theta/2) = |p_i - c_j|^2 / 4, summed over the
+    coordinate planes, so no p . c_j is formed or clipped and a small angle
+    keeps full relative precision.  Each plane of halved differences is the
+    rank-2 product [p_a, -1] [1/2, c_a/2]^T: two exact products and one
+    rounding, as in a subtraction, at matmul speed (an outer subtraction
+    runs one short loop per row).  Where q > 1/2 it is read again as
+    |p_i + c_j|^2 / 4, the angle to -c_j, on those pairs only.
+    """
+    p = np.asarray(p, dtype=float)
+    left = np.stack([p.T, np.full_like(p.T, -1.0)], axis=-1)
+    p = np.multiply(p, 0.5)
+    c = np.multiply(centers, 0.5).T
+    right = np.stack([np.full_like(c, 0.5), c], axis=1)
+    q = left[0] @ right[0]
+    q *= q
+    plane = np.empty_like(q)
+    for a in range(1, len(left)):
+        np.matmul(left[a], right[a], out=plane)
+        plane *= plane
+        q += plane
+    del plane
+    far = np.flatnonzero(q > 0.5)
+    rows, cols = np.divmod(far, q.shape[1])
+    for a in range(len(left)):
+        plane = p[rows, a]
+        plane += c[a, cols]
+        plane *= plane
+        if a:
+            plane += q.flat[far]
+        q.flat[far] = plane
+    del plane, rows, cols  # the kernel's own block-sized arrays take their place
+    return _gegenbauer3_from_q(k, q, far, order)
 
-    Everything but theta itself comes from the half-chord h = sin(theta/2):
-    sin theta = 2 h sqrt(1 - h^2), t = 1 - 2 h^2 and 1 - t^2 = sin^2 theta,
-    so C and C' together cost one arcsin and one sincos of (k+1) theta.  C is
-    the closed form at every angle; where (k+1) theta < 2^-26, and so at
-    theta = 0, it rounds to 1 and is set to 1.  C' is
-    (t C - cos((k+1) theta)) / (1 - t^2), and higher orders come from the
-    differentiated Gegenbauer equation (DLMF 18.8)
+
+def _gegenbauer3_from_q(k: int, q: np.ndarray, far: np.ndarray, order: int):
+    """[C, ..., C^(order)] at t = 1 - 2q, and at t = 2q - 1 on the flat indices `far`.
+
+    q = sin^2(theta/2) <= 1/2, to p_j or to -p_j on `far`, is overwritten;
+    there C^(d)(-t) = (-1)^(k+d) C^(d)(t).  On S^3 C(cos theta) =
+    sin((k+1) theta) / ((k+1) sin theta) (DLMF 18.5.2).  With the tangent
+    u = tan((k+1) asin(sqrt q)) of half of (k+1) theta (see sincos for its
+    accuracy), sin((k+1) theta) = 2u / (1 + u^2) and sin theta = 2 sqrt(q - q^2),
+    so C = u / ((1 + u^2) (k+1) sqrt(q - q^2)) costs one arcsin and one tan.
+    Where (k+1) theta < 2^-26, and so at theta = 0, C rounds to 1 and is set
+    to 1.  C' is (t C - cos((k+1) theta)) / (1 - t^2), with cos((k+1) theta)
+    = 2 / (1 + u^2) - 1 and 1 - t^2 = sin^2 theta, and higher orders come
+    from the differentiated Gegenbauer equation (DLMF 18.8)
 
         (1 - t^2) y^(d+2) = (2d+3) t y^(d+1) + (d(d+2) - k(k+2)) y^(d).
 
     Both cancel near the pole, so for the orders d >= 1 the Taylor series in
-    z = -(k+1)^2 (1 - t) takes over there: C = sum_j alpha_j z^j with
-    alpha_0 = 1 and alpha_{j+1} = alpha_j (1 - (j+1)^2/(k+1)^2) / ((2j+3)(j+1))
-    (DLMF 18.5.7), exact for k < 20, differentiated term by term.  It serves
-    C' where (k+1) theta < 2 and the higher orders where (k+1) theta < 3,
-    because each step of the equation divides by 1 - t^2 and so amplifies
-    rounding near the pole.  Every order then stays within about 1.5e-15 of
-    C^(d)(1) from a 50-digit reference, and the cost does not grow with k.
+    z = -(k+1)^2 (1 - t) = -2 (k+1)^2 q takes over there: C = sum_j alpha_j z^j
+    with alpha_0 = 1 and alpha_{j+1} = alpha_j (1 - (j+1)^2/(k+1)^2) /
+    ((2j+3)(j+1)) (DLMF 18.5.7), exact for k < 20, differentiated term by
+    term.  It serves C' where (k+1) theta < 2 and the higher orders where
+    (k+1) theta < 3, because each step of the equation divides by 1 - t^2 and
+    so amplifies rounding near the pole.  Every order then stays within about
+    1.5e-15 of C^(d)(1) from a 50-digit reference, and the cost does not grow
+    with k.
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    chord = np.asarray(chord, dtype=float)
-    q = (k + 1.0) ** 2
-    # half-chord sin(theta/2) to the nearer of +-p_j; past pi/2 the antipodal
-    # one is sqrt((1 - a)(1 + a)), where 1 - a is exact
-    half = np.multiply(np.atleast_1d(chord), 0.5)
-    np.clip(half, -1.0, 1.0, out=half)
-    flip = np.signbit(half)  # -0.0 is the antipode itself
-    np.abs(half, out=half)
-    far = half > math.sqrt(0.5)
-    flip ^= far
-    far = np.flatnonzero(far)
-    a = half.flat[far]
-    half.flat[far] = np.sqrt((1.0 - a) * (1.0 + a))
-    # C is 1 at k = 0; otherwise below h = 2^-27 / (k+1), theta = 2 asin(h) is 2h to
-    # within h^3, so (k+1) theta < 2^-26 and 1 - C < ((k+1) theta)^2 / 6 < 2^-54 rounds C to 1
-    one = slice(None) if k == 0 else np.flatnonzero(half < 2.0**-27 / (k + 1))
-    # Taylor subsets of the orders d >= 1, by the seam (k+1) theta = 2 or 3 that each uses
-    seams = [None] + [1.0 if d < 2 else 1.5 for d in range(1, order + 1)]
+    kp = k + 1.0
+    # C is 1 at k = 0; otherwise below q = (2^-27 / (k+1))^2, theta = 2 asin(sqrt q) is below
+    # 2^-26 / (k+1) to within its cube, and 1 - C < ((k+1) theta)^2 / 6 < 2^-54 rounds C to 1
+    one = slice(None) if k == 0 else np.flatnonzero(q < (2.0**-27 / kp) ** 2)
+    # the Taylor subsets of the orders 1 <= d <= k, by the seam (k+1) theta = 2 or 3 that each uses
     taylor = {}
-    for seam in set(seams[1:]):
-        pole = np.flatnonzero(half < math.sin(seam / (k + 1)))
-        z = half.flat[pole]
-        z *= -2.0 * q * z
-        taylor[seam] = pole, z
-
-    # closed form everywhere (in place, one block per order); the Taylor
-    # series overwrites the subsets near the pole
-    sin = np.multiply(half, half)
+    for seam in {1.0 if d < 2 else 1.5 for d in range(1, min(order, k) + 1)}:
+        pole = np.flatnonzero(q < math.sin(seam / kp) ** 2)
+        taylor[seam] = pole, q.flat[pole] * (-2.0 * kp * kp)
     if order:
-        t = np.multiply(sin, -2.0)
+        t = np.multiply(q, -2.0)
         t += 1.0
-    np.subtract(1.0, sin, out=sin)
-    np.sqrt(sin, out=sin)
-    sin *= half
-    sin *= 2.0  # sin theta
-    theta = np.arcsin(half, out=half)
-    theta *= 2.0 * (k + 1)
+    w = np.subtract(1.0, q)
+    w *= q
+    w *= kp * kp
+    np.sqrt(w, out=w)  # (k+1) sin(theta) / 2
+    u = np.sqrt(q, out=q)
+    np.arcsin(u, out=u)
+    u *= kp
+    np.tan(u, out=u)
+    den = np.multiply(u, u)
+    den += 1.0
+    den *= w
     with np.errstate(all="ignore"):
-        sin_k, cos_k = sincos(theta)
-        del theta, half  # frees the angle's block before C' takes one
-        out = [sin_k]
-        out[0] /= sin
-        out[0] /= k + 1
-        out[0].flat[one] = 1.0
+        u /= den
+        u.flat[one] = 1.0
+        out = [u]
         if order:
-            sin *= sin  # 1 - t^2
-            c1 = np.multiply(t, out[0])
-            c1 -= cos_k
-            c1 /= sin
+            np.divide(w, den, out=den)
+            den *= 2.0
+            den -= 1.0  # cos((k+1) theta) = 2 / (1 + u^2) - 1
+            w *= w
+            w *= 4.0 / (kp * kp)  # 1 - t^2
+            c1 = np.multiply(t, u)
+            c1 -= den
+            c1 /= w
             out.append(c1)
         for d in range(order - 1):
-            nxt = np.multiply(t, out[d + 1], out=cos_k if d == 0 else None)
+            nxt = np.multiply(t, out[d + 1], out=den if d == 0 else None)
             nxt *= 2 * d + 3
             nxt += (d * (d + 2.0) - k * (k + 2.0)) * out[d]
-            nxt /= sin
+            nxt /= w
             out.append(nxt)
-    for arr in out[k + 1 :]:
-        arr[...] = 0.0  # C is a polynomial of degree k
 
-    alpha = [1.0]
-    for j in range(_CHORD_TERMS - 1):
-        alpha.append(alpha[-1] * (1.0 - (j + 1) ** 2 / q) / ((2 * j + 3) * (j + 1)))
-    for d, (arr, seam) in enumerate(zip(out, seams)):
+    j = np.arange(1.0, _TAYLOR_TERMS)
+    coef = np.cumprod(np.concatenate([[1.0], (1.0 - j * j / (kp * kp)) / ((2.0 * j + 1.0) * j)]))
+    for d, arr in enumerate(out):
+        if d > k:
+            arr[...] = 0.0  # C is a polynomial of degree k
+            continue
         if d:
-            pole, z = taylor[seam]
-            acc = np.zeros_like(z)
-            for j in range(_CHORD_TERMS - 1, d - 1, -1):
+            # the coefficients of C^(d) in powers of z: alpha_j j! / (j-d)! (k+1)^(2d), j >= d
+            coef = coef[1:] * np.arange(1.0, len(coef)) * (kp * kp)
+            pole, z = taylor[1.0 if d < 2 else 1.5]
+            acc = np.full_like(z, coef[-1])
+            for a in coef[-2::-1]:
                 acc *= z
-                acc += alpha[j] * math.perm(j, d) * q**d
+                acc += a
             arr.flat[pole] = acc
         if (k + d) % 2:
-            np.negative(arr, out=arr, where=flip)
-    return [arr.reshape(chord.shape) for arr in out]
-
-
-def gegenbauer_cnk_deriv(n: int, k: int, t):
-    """First derivative of gegenbauer_cnk in t."""
-    return gegenbauer_cnk_derivatives(n, k, t, 1)[1]
+            arr.flat[far] = -arr.flat[far]
+    return out
 
 
 def darboux_limit(n: int, t):

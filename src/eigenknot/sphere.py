@@ -17,12 +17,12 @@ _UNIT_TOL = 1e-12
 
 #: Most rows per block of the batched field evaluators.
 ROW_BLOCK = 4096
-#: Point-term pairs per block.  A kernel pass over a block keeps four to six
-#: float (rows x terms) intermediates alive (distances, the half-angle
-#: tangent, sin and cos, the kernel), so at 256 KiB each they fit a 2 MiB L2
-#: cache, where blocks of 2^17 pairs (1 MiB each) spill it.  Raw verify_sweep
-#: instances (one thread, 2-core Xeon VM) took 0.083, 0.073, 0.069, 0.068
-#: and 0.084 s at 2^13 to 2^17; 2^15 and 2^16 tie, and 2^15 holds less.
+#: Point-term pairs per block.  specialfn.gegenbauer3_zonal peaks at about 3,
+#: 5 and 6 float (rows x terms) arrays over a block at orders 0, 1 and 2,
+#: outputs included (tests/test_specialfn.py bounds it by 4, 7.2 and 7.3), so
+#: at 256 KiB each they fit a 2 MiB L2 cache, where 2^17 pairs (1 MiB) spill it.
+#: Raw verify_sweep instances (one thread, 2-core Xeon VM) took 0.083, 0.073,
+#: 0.069, 0.068 and 0.084 s at 2^13 to 2^17; 2^15 and 2^16 tie, and 2^15 holds less.
 PAIR_BLOCK = 1 << 15
 
 
@@ -100,13 +100,6 @@ class Chart:
     @classmethod
     def from_json(cls, s: str) -> "Chart":
         return cls.from_dict(json.loads(s))
-
-
-def standard_chart(n: int) -> Chart:
-    """Chart at the first coordinate pole with the coordinate axes as frame."""
-    p0 = np.zeros(n + 1)
-    p0[0] = 1.0
-    return Chart(p0, np.eye(n + 1)[1:])
 
 
 def unit_vector(v) -> np.ndarray:

@@ -22,10 +22,10 @@ pair's pooled centers p_j,
     psi_a(x) = sum_j alpha_ja C(x . p_j) + (x . beta_ja) C'(x . p_j).
 
 zonal_tables builds its real per-center tables once; zonal_jet evaluates
-them, values and ambient gradients, from one gegenbauer3_chord_derivatives
-pass.  values, dirac_apply, dirac_residual and the nodal pullbacks all call
-zonal_jet.  dirac_project evaluates nothing: the components carry their
-degree, so its degree check is exact.
+them, values and ambient gradients, from one specialfn.gegenbauer3_zonal
+pass over the points and the centers.  values, dirac_apply, dirac_residual
+and the nodal pullbacks all call zonal_jet.  dirac_project evaluates
+nothing: the components carry their degree, so its degree check is exact.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere
-from .harmonics import UltrasphericalSum, _signed_chords, kernel_norm
+from .harmonics import UltrasphericalSum, kernel_norm
 from .helmholtz import FLAT_GAMMA, lattice_stencils
-from .specialfn import gegenbauer3_chord_derivatives
+from .specialfn import gegenbauer3_zonal
 
 #: X_i(p) = E_i p for the left-invariant frame (right quaternion multiplication).
 FRAME_E = (
@@ -182,17 +182,16 @@ def zonal_jet(tables: ZonalTables, p, order: int = 0):
 
     order=1 gives [values, ambient gradients (M, 4, *cols)]: the gradient at x
     is sum_j C'(x . p_j) (alpha_j p_j + beta_j) + C''(x . p_j) (x . beta_j) p_j.
-    One gegenbauer3_chord_derivatives call per row block, to order + 1 when
-    there is a beta and to order for a harmonic pair, whose beta terms are
-    skipped, and a few real matmuls; the values are bit-identical at either
-    order.
+    One gegenbauer3_zonal call per row block, to order + 1 when there is a
+    beta and to order for a harmonic pair, whose beta terms are skipped, and
+    a few real matmuls; the values are bit-identical at either order.
     """
     if order not in (0, 1):
         raise ValueError(f"zonal_jet gives values (order 0) and gradients (order 1), not order {order}")
     (a0, b, a1, pb), cols = tables.tables, tables.cols
 
     def block(q):
-        derivs = gegenbauer3_chord_derivatives(tables.k, _signed_chords(q, tables.centers), order + (b is not None))
+        derivs = gegenbauer3_zonal(tables.k, q, tables.centers, order + (b is not None))
         m = len(q)
         value = (derivs[0] @ a0).view(complex).reshape((m,) + cols)
         if b is not None:

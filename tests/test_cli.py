@@ -531,6 +531,34 @@ def test_degree_at_or_below_the_input_radius_exit_code(tmp_path, capsys, command
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize(
+    "command, args, key, value",
+    [
+        ("approximate", ["--seed", "-1"], "seed", -1),
+        ("approximate", ["--set", "density=random", "--set", "density_seed=-3"], "density_seed", -3),
+        ("synthesize", ["--set", "input={single}", "--set", "k=3", "--seed", "-1"], "seed", -1),
+        ("synthesize", ["--set", "input={single}", "--set", "k=3", "--set", "chart_seed=-2"], "chart_seed", -2),
+        (
+            "spinorize",
+            ["--set", "input1={single}", "--set", "input2={single}", "--set", "k=3", "--set", "seed=-1"],
+            "seed",
+            -1,
+        ),
+        ("verify", ["--set", "input={single}", "--seed", "-1"], "seed", -1),
+        ("verify", ["--set", "input={single}", "--set", "chart_seed=-1.0"], "chart_seed", -1.0),
+        ("torus", ["--set", "seed=-1"], "seed", -1),
+    ],
+)
+def test_negative_seed_exit_code(tmp_path, capsys, command, args, key, value):
+    # numpy's generators take non-negative seeds only; the CLI names the key
+    # (exit 2) before anything is written, where numpy's message named none (exit 4)
+    args = [a.format(single=data_path("single_center.json")) for a in args]
+    assert main([command, "--out", str(tmp_path / "out"), *args]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": f"config key {key} must be a non-negative integer, got {value!r}"}
+    assert not list(tmp_path.iterdir())
+
+
 def test_nodal_curves_file_matches_the_encode_parse_encode_path(tmp_path, monkeypatch):
     # <out>.json is written from the curves' dicts; its bytes equal those of
     # encoding the curves, parsing the text and encoding it again

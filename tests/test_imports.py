@@ -148,7 +148,7 @@ def test_no_numpy_polynomial(path):
 # Hopf design, then approximate -> verify and spinorize -> nodal through the
 # CLI on small configs, a designed circle with its nodal check, the
 # Fourier-Bessel modes of a density and of the design, the pair kernels on one
-# block of PAIR_BLOCK chords and radii, and the Hausdorff distances and
+# block of PAIR_BLOCK point-center pairs and radii, and the Hausdorff distances and
 # separation-checked link of the nodal curves; prints the scipy and
 # numpy.polynomial modules loaded by the end
 PIPELINES = """
@@ -160,11 +160,14 @@ import numpy as np
 import eigenknot
 from eigenknot.cli import EXIT_OK, main
 from eigenknot.helmholtz import fourier_bessel_truncate
-from eigenknot.specialfn import bessel_kernel, gegenbauer3_chord_derivatives
+from eigenknot.specialfn import bessel_kernel, gegenbauer3_zonal
 from eigenknot.sphere import PAIR_BLOCK
 
-chords = np.linspace(-2.0, 2.0, PAIR_BLOCK)
-assert all(np.all(np.isfinite(c)) for c in gegenbauer3_chord_derivatives(60, chords, 3))
+points = np.random.default_rng(0).normal(size=(PAIR_BLOCK // 128 + 128, 4))
+points /= np.linalg.norm(points, axis=1, keepdims=True)
+points[-2:] = points[0], -points[1]  # a coincident and an antipodal pair
+zonal = gegenbauer3_zonal(60, points[:-128], points[-128:], 3)
+assert all(c.shape == (PAIR_BLOCK // 128, 128) and np.all(np.isfinite(c)) for c in zonal)
 radii = np.linspace(0.0, 40.0, PAIR_BLOCK)
 assert all(np.all(np.isfinite(bessel_kernel(n, radii))) for n in (3, 5))
 

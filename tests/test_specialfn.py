@@ -1,6 +1,7 @@
 """Special-function conventions against closed forms and independent oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -17,18 +18,19 @@ from eigenknot.specialfn import (
     darboux_error,
     darboux_limit,
     gauss_gegenbauer,
-    gegenbauer3_chord_derivatives,
+    gegenbauer3_zonal,
     gegenbauer_cnk,
-    gegenbauer_cnk_deriv,
     gegenbauer_cnk_derivatives,
     jacobi_p,
     jacobi_p_deriv,
     sincos,
 )
+from eigenknot.sphere import PAIR_BLOCK
 
 # Independent series oracle for J_1, used to bracket its first zero without
 # touching the implementation under test.
 J1_FIRST_ZERO = 3.831705970207513
+EPS = np.finfo(float).eps
 
 
 def j1_series(t, terms=60):
@@ -228,7 +230,7 @@ def test_gegenbauer_deriv_consistency():
     t = np.linspace(-0.9, 0.9, 7)
     h = 1e-6
     fd = (gegenbauer_cnk(4, 12, t + h) - gegenbauer_cnk(4, 12, t - h)) / (2 * h)
-    assert np.allclose(gegenbauer_cnk_deriv(4, 12, t), fd, rtol=1e-7, atol=1e-9)
+    assert np.allclose(gegenbauer_cnk_derivatives(4, 12, t, 1)[1], fd, rtol=1e-7, atol=1e-9)
 
 
 def test_darboux_limit_values():
@@ -258,7 +260,7 @@ def test_darboux_rate_window():
 
 
 # ---------------------------------------------------------------------------
-# The closed-form S^3 kernel read from chords
+# The closed-form S^3 kernel from points and centers
 # ---------------------------------------------------------------------------
 
 
@@ -275,16 +277,63 @@ def c3_scale(k: int, d: int) -> float:
     return max(c3_at_pole(k, d), 1.0)
 
 
-def chebyu_reference(k: int, chord: float, order: int):
-    """[C, ..., C^(order)] from 50-digit U_k, T_{k+1} and the Gegenbauer equation."""
+def chebyu_reference(k: int, t, order: int):
+    """[C, ..., C^(order)] at the mpmath number t from U_k, T_{k+1} and the Gegenbauer equation,
+    at the working precision."""
+    u = mpmath.chebyu(k, t)
+    y = [u / (k + 1), ((k + 1) * mpmath.chebyt(k + 1, t) - t * u) / ((t * t - 1) * (k + 1))]
+    for d in range(order - 1):
+        y.append(((2 * d + 3) * t * y[d + 1] + (d * (d + 2) - k * (k + 2)) * y[d]) / (1 - t * t))
+    return [float(v) for v in y[: order + 1]]
+
+
+def chord_reference(k: int, chord: float, order: int):
+    """The 50-digit reference at t = 1 - chord^2/2, or chord^2/2 - 1 for a negative chord -|p + p_j|."""
     with mpmath.workdps(50):
         c = mpmath.mpf(chord)
-        t = 1 - c * c / 2 if chord >= 0 else c * c / 2 - 1
-        u = mpmath.chebyu(k, t)
-        y = [u / (k + 1), ((k + 1) * mpmath.chebyt(k + 1, t) - t * u) / ((t * t - 1) * (k + 1))]
-        for d in range(order - 1):
-            y.append(((2 * d + 3) * t * y[d + 1] + (d * (d + 2) - k * (k + 2)) * y[d]) / (1 - t * t))
-        return [float(v) for v in y[: order + 1]]
+        return chebyu_reference(k, 1 - c * c / 2 if chord >= 0 else c * c / 2 - 1, order)
+
+
+def pair_reference(k: int, p, c, order: int):
+    """The reference at the angle the kernel reads between float vectors p and c.
+
+    q = |p - c|^2 / 4, or |p + c|^2 / 4 to the antipode past a right angle,
+    is exact at 80 digits.  Each order divides by 1 - t^2 = 4q(1 - q) once
+    more, so the working precision carries the digits that cancels.
+    """
+    with mpmath.workdps(80):
+        pm, cm = [mpmath.mpf(float(x)) for x in p], [mpmath.mpf(float(x)) for x in c]
+        q = sum((a - b) ** 2 for a, b in zip(pm, cm)) / 4
+        far = q > 0.5
+        if far:
+            q = sum((a + b) ** 2 for a, b in zip(pm, cm)) / 4
+        if q == 0:
+            return [(-1.0) ** ((k + d) * far) * c3_at_pole(k, d) for d in range(order + 1)]
+        lost = max(0, int(-mpmath.log10(q)))
+    with mpmath.workdps(50 + order * lost):
+        return chebyu_reference(k, 2 * q - 1 if far else 1 - 2 * q, order)
+
+
+def _q_form(chords):
+    """The kernel's input (q, far) for chords in the signed convention, far as a mask.
+
+    A chord c in [0, sqrt 2] is q = (c/2)^2 to p_j.  Past sqrt 2 the nearer
+    pole is -p_j, at q = (1 - c/2)(1 + c/2), where 1 - c/2 is exact.  A
+    negative chord -|p + p_j| (-0.0 included) stands for the antipode -p_j
+    and folds the same way.
+    """
+    half = np.multiply(np.atleast_1d(np.asarray(chords, dtype=float)), 0.5)
+    beyond = np.abs(half) > math.sqrt(0.5)
+    q = half * half
+    a = np.abs(half[beyond])
+    q[beyond] = (1.0 - a) * (1.0 + a)
+    return q, np.signbit(half) ^ beyond
+
+
+def chord_kernel(k: int, chords, order: int):
+    """The kernel at chords in the signed convention, shaped like them."""
+    q, far = _q_form(chords)
+    return [g.reshape(np.shape(chords)) for g in specialfn._gegenbauer3_from_q(k, q, np.flatnonzero(far), order)]
 
 
 def _kernel_chords(k: int):
@@ -300,9 +349,9 @@ def _kernel_chords(k: int):
 @pytest.mark.parametrize("k", [1, 2, 10, 60, 320, 2000, 10_000])
 def test_gegenbauer3_chord_matches_mpmath_chebyu(k):
     chords = _kernel_chords(k)
-    got = gegenbauer3_chord_derivatives(k, np.array(chords), 3)
+    got = chord_kernel(k, chords, 3)
     for i, chord in enumerate(chords):
-        ref = chebyu_reference(k, chord, 3)
+        ref = chord_reference(k, chord, 3)
         for d in range(4):
             assert abs(got[d][i] - ref[d]) <= 1e-14 * c3_scale(k, d), (k, chord, d, got[d][i], ref[d])
 
@@ -313,32 +362,38 @@ def test_gegenbauer3_chord_agrees_with_recurrence():
         seam = 2.0 * math.sin(1.5 / (k + 1))  # (k+1) theta = 3
         near = np.minimum(seam * rng.uniform(0.0, 3.0, 100), 2.0)
         chords = np.concatenate([rng.uniform(0.0, 2.0, 400), near, [0.0, 2.0]])
-        got = gegenbauer3_chord_derivatives(k, chords, 3)
+        got = chord_kernel(k, chords, 3)
         ref = gegenbauer_cnk_derivatives(3, k, 1.0 - 0.5 * chords**2, 3)
         for d in range(4):
             assert np.max(np.abs(got[d] - ref[d])) <= 1e-10 * c3_scale(k, d), (k, d)
 
 
+def _unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
 def test_gegenbauer3_chord_keeps_shape_and_refuses_negative_degree():
-    assert [np.shape(v) for v in gegenbauer3_chord_derivatives(5, 0.3, 2)] == [(), (), ()]
-    assert [v.shape for v in gegenbauer3_chord_derivatives(5, np.zeros((2, 3)), 1)] == [(2, 3), (2, 3)]
-    assert gegenbauer3_chord_derivatives(0, np.array([0.0, 1.0, 2.0]), 1)[0].tolist() == [1.0, 1.0, 1.0]
+    p, centers = _unit(np.random.default_rng(3).normal(size=(2, 2, 4)))
+    got = gegenbauer3_zonal(5, p, np.concatenate([centers, -p[:1]]), 2)
+    assert [v.shape for v in got] == [(2, 3)] * 3
+    assert gegenbauer3_zonal(0, p, np.concatenate([centers, p, -p]), 1)[0].tolist() == [[1.0] * 6] * 2
+    assert [v.shape for v in gegenbauer3_zonal(5, p[:0], centers, 1)] == [(0, 2)] * 2
     with pytest.raises(ValueError):
-        gegenbauer3_chord_derivatives(-1, 0.3, 0)
+        gegenbauer3_zonal(-1, p, centers, 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(0, 10_000), theta=st.floats(0.0, math.pi / 2))
 def test_gegenbauer3_chord_parity(k, theta):
     # C^(d)(-t) = (-1)^(k+d) C^(d)(t): the chord to p_j at angle theta against
-    # the chord at pi - theta, which the kernel folds back through sqrt((1-a)(1+a))
+    # the chord at pi - theta, which folds back through q = (1 - c/2)(1 + c/2)
     near, far = 2.0 * math.sin(theta / 2), 2.0 * math.cos(theta / 2)
-    a = gegenbauer3_chord_derivatives(k, near, 3)
-    b = gegenbauer3_chord_derivatives(k, far, 3)
+    a = chord_kernel(k, near, 3)
+    b = chord_kernel(k, far, 3)
     # the two float chords need not give exactly opposite t; bound the slack by
     # sup |C^(d+1)| = C^(d+1)(1) times the exact mismatch in t
     dt = abs(float(2 - (Fraction(near) ** 2 + Fraction(far) ** 2) / 2))
-    signed = gegenbauer3_chord_derivatives(k, -near, 3)
+    signed = chord_kernel(k, -near, 3)
     for d in range(4):
         sign = (-1.0) ** (k + d)
         slack = 2e-14 * c3_scale(k, d) + dt * c3_at_pole(k, d + 1)
@@ -349,7 +404,7 @@ def test_gegenbauer3_chord_parity(k, theta):
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(0, 10_000))
 def test_gegenbauer3_chord_exact_at_both_poles(k):
-    at_p, at_antipode, signed_zero = (gegenbauer3_chord_derivatives(k, c, 3) for c in (0.0, 2.0, -0.0))
+    at_p, at_antipode, signed_zero = (chord_kernel(k, c, 3) for c in (0.0, 2.0, -0.0))
     for d in range(4):
         pole = c3_at_pole(k, d)
         assert float(at_p[d]) == pytest.approx(pole, rel=1e-14, abs=0.0)
@@ -366,9 +421,9 @@ def test_gegenbauer3_chord_continuous_across_seams(k, seam):
     # each side is within 1e-14 of the reference
     chord = 2.0 * math.sin(seam / (k + 1))
     chords = chord + np.arange(-40, 41) * np.spacing(chord)
-    taylor = chords / 2 < math.sin(seam / (k + 1))
+    taylor = (chords / 2) ** 2 < math.sin(seam / (k + 1)) ** 2
     assert taylor.any() and not taylor.all()
-    got = gegenbauer3_chord_derivatives(k, chords, 3)
+    got = chord_kernel(k, chords, 3)
     for d in range(4):
         assert np.max(np.abs(np.diff(got[d]))) <= 1e-14 * c3_scale(k, d), d
 
@@ -391,17 +446,74 @@ def test_gegenbauer3_chord_order_zero_is_closed_form_near_the_pole(k):
     near = np.geomspace(1e-300, seam, 301)
     across = [c for c in seam * np.array([0.5, 0.999, 1.001, 1.5]) if c < 2.0]
     chords = np.concatenate([near, across, -near[::10], [0.0, -0.0]])
-    got = gegenbauer3_chord_derivatives(k, chords, 0)[0]
+    got = chord_kernel(k, chords, 0)[0]
     for chord, value in zip(chords, got):
         assert abs(value - c3_order0_reference(k, chord)) <= 1.5e-15, (k, chord, value)
     assert got[-2] == 1.0 and got[-1] == (-1.0) ** k
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.sampled_from([0, 1, 19, 20, 60, 1000]),
+    order=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    angles=st.lists(st.floats(0.0, 4.0), max_size=3),
+)
+def test_gegenbauer3_zonal_on_unit_vector_pairs(k, order, seed, angles):
+    # one block mixing near and far pairs: to a point p, the coincident center
+    # p, centers at (k+1) theta = 2 and 3 (both seams) and at the drawn
+    # (k+1) theta in [0, 4], the same angles from the antipode -p, 1e-9 rad
+    # from it, -p itself and random unit vectors; and a second random point
+    rng = np.random.default_rng(seed)
+    p = _unit(rng.normal(size=(2, 4)))
+    v = rng.normal(size=4)
+    v = _unit(v - (v @ p[0]) * p[0])
+    thetas = [x / (k + 1) for x in (2.0, 3.0, *angles)]
+    thetas += [math.pi - th for th in thetas] + [math.pi - 1e-9]
+    turned = _unit(np.array([math.cos(th) * p[0] + math.sin(th) * v for th in thetas]))
+    centers = np.concatenate([p[:1], turned, -p[:1], _unit(rng.normal(size=(2, 4)))])
+    got = gegenbauer3_zonal(k, p, centers, order)
+    assert [g.shape for g in got] == [(2, len(centers))] * (order + 1)
+    # the O(k) recurrence fed t = p . c loses about k^2 eps
+    recurrence = gegenbauer_cnk_derivatives(3, k, np.clip(p @ centers.T, -1.0, 1.0), order)
+    for i, j in np.ndindex(2, len(centers)):
+        ref = pair_reference(k, p[i], centers[j], order)
+        for d in range(order + 1):
+            value = got[d][i, j]
+            assert abs(value - ref[d]) <= 1e-14 * c3_scale(k, d), (i, j, d, value, ref[d])
+            assert abs(value - recurrence[d][i, j]) <= 4 * (k + 1) ** 2 * EPS * c3_scale(k, d), (i, j, d)
+
+
+def _pair_block(far: bool):
+    """One sphere.PAIR_BLOCK of pairs: 128 points and 256 centers, within 0.02 of one base point
+    (as on a localization lattice) or spread over the sphere, half of them past a right angle."""
+    rng = np.random.default_rng(11)
+    base = _unit(rng.normal(size=4))
+    spread = (lambda n: rng.normal(size=(n, 4))) if far else (lambda n: base + 0.02 * rng.normal(size=(n, 4)))
+    p, centers = _unit(spread(128)), _unit(spread(256))
+    assert len(p) * len(centers) == PAIR_BLOCK
+    return p, centers
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["near", "spread"])
+@pytest.mark.parametrize("order, bound", [(0, 4.0), (1, 7.2), (2, 7.3)])
+def test_gegenbauer3_zonal_peak_allocation_per_pair_block(far, order, bound):
+    # the peak of every array the kernel allocates over one block of pairs,
+    # outputs included, in units of one float (rows x terms) array
+    p, centers = _pair_block(far)
+    gegenbauer3_zonal(160, p, centers, order)
+    tracemalloc.start()
+    try:
+        gegenbauer3_zonal(160, p, centers, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * PAIR_BLOCK) <= bound
+
+
 # ---------------------------------------------------------------------------
 # sin and cos from the half-angle tangent
 # ---------------------------------------------------------------------------
-
-EPS = np.finfo(float).eps
 
 
 def _finite(lo, hi):
@@ -452,11 +564,25 @@ def _with_numpy_trig(fn, *args):
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(0, 10_000), chords=st.lists(_finite(-2.0, 2.0), min_size=1, max_size=30))
 def test_gegenbauer3_chord_sincos_matches_numpy_trig(k, chords):
+    # the kernel's sin and cos of (k+1) theta, from one half-angle tangent,
+    # against np.sin and np.cos in the closed forms of C and
+    # C' = (t C - cos((k+1) theta)) / (1 - t^2), and the Gegenbauer equation
+    # above them, wherever the kernel takes the closed form: C everywhere, C'
+    # where (k+1) theta >= 2 and higher orders where (k+1) theta >= 3
     chords = np.array(chords)
-    got = gegenbauer3_chord_derivatives(k, chords, 3)
-    ref = _with_numpy_trig(gegenbauer3_chord_derivatives, k, chords, 3)
+    got = chord_kernel(k, chords, 3)
+    q, far = _q_form(chords)
+    theta = 2.0 * np.arcsin(np.sqrt(q))
+    t, sin2 = 1.0 - 2.0 * q, 4.0 * q * (1.0 - q)  # 1 - t^2 without cancellation
+    with np.errstate(all="ignore"):
+        ref = [np.where(q > 0, np.sin((k + 1) * theta) / ((k + 1) * np.sin(theta)), 1.0)]
+        ref.append((t * ref[0] - np.cos((k + 1) * theta)) / sin2)
+        for d in range(2):
+            ref.append(((2 * d + 3) * t * ref[d + 1] + (d * (d + 2) - k * (k + 2)) * ref[d]) / sin2)
     for d in range(4):
-        assert np.max(np.abs(got[d] - ref[d])) <= 1e-14 * c3_scale(k, d), (k, d)
+        where = (k + 1) * theta >= (0.0, 2.0, 3.0, 3.0)[d]
+        signed = np.where(far, (-1.0) ** (k + d), 1.0) * ref[d]
+        assert np.all(np.abs(got[d] - signed)[where] <= 1e-14 * c3_scale(k, d)), (k, d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,8 +12,14 @@ from eigenknot.sphere import (
     geodesic_dist,
     random_chart,
     sphere_to_chart,
-    standard_chart,
 )
+
+
+def standard_chart(n: int) -> Chart:
+    """Chart at the first coordinate pole with the coordinate axes as frame."""
+    p0 = np.zeros(n + 1)
+    p0[0] = 1.0
+    return Chart(p0, np.eye(n + 1)[1:])
 
 
 def test_chart_center():

@@ -349,9 +349,9 @@ def test_harmonic_pair_skips_the_zero_beta_terms(monkeypatch, chart, index):
         (tables.tables[0], np.zeros((len(tables), 4 * width)), tables.tables[2], np.zeros((len(tables), 16 * width))),
     )
     orders = []
-    inner = spinor3.gegenbauer3_chord_derivatives
+    inner = spinor3.gegenbauer3_zonal
     monkeypatch.setattr(
-        spinor3, "gegenbauer3_chord_derivatives", lambda k, chord, order: orders.append(order) or inner(k, chord, order)
+        spinor3, "gegenbauer3_zonal", lambda k, p, centers, order: orders.append(order) or inner(k, p, centers, order)
     )
     p = sphere_points(23, 40)
     for order in (0, 1):
