@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sphere
-from .specialfn import bessel_kernel, gauss_gegenbauer, sincos
+from .specialfn import bessel_kernel, gauss_gegenbauer, sincos, squared_pair_distances
 from .sphere import eval_rows
 
 _TWO_PI = 2.0 * math.pi
@@ -172,23 +172,6 @@ class BesselSum:
         return cls.from_dict(json.loads(s))
 
 
-def _pair_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """|x_i - c_j| as an (N, M) array, built one coordinate plane at a time."""
-    dist = np.subtract.outer(x[:, 0], centers[:, 0])
-    dist *= dist
-    plane = np.empty_like(dist)
-    for a in range(1, x.shape[1]):
-        np.subtract.outer(x[:, a], centers[:, a], out=plane)
-        plane *= plane
-        dist += plane
-    return np.sqrt(dist, out=dist)
-
-
-def _kernel_matrix(n: int, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """bessel_kernel(n, |x_i - c_j|) for point rows x_i and centers c_j."""
-    return bessel_kernel(n, _pair_distances(x, centers))
-
-
 def _real_times_complex(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """a @ coeffs for a real array a and complex (N,) or (N, r) coeffs.
 
@@ -208,15 +191,19 @@ def _plane_wave_sum(x: np.ndarray, dirs: np.ndarray, coeffs: np.ndarray) -> np.n
 
 
 def eval_bessel_sum(s: BesselSum, x):
-    return eval_rows(
-        lambda xb: _real_times_complex(_kernel_matrix(s.n, xb, s.centers), s.coeffs), x, s.n, len(s)
-    )
+    def block(xb):
+        r = squared_pair_distances(xb, s.centers)
+        return _real_times_complex(bessel_kernel(s.n, np.sqrt(r, out=r)), s.coeffs)
+
+    return eval_rows(block, x, s.n, len(s))
 
 
 def eval_bessel_sum_jet(s: BesselSum, x):
     """[value, gradient in C^n] from one pass over the point-center distances.
 
-    The kernel derivative is -r * kernel_{n+2}(r), so the gradient is
+    One bessel_kernel call per row block gives the value kernel and, from
+    the same radii, kernel_{n+2}: at n = 3 both from one sincos.  The
+    kernel derivative is -r * kernel_{n+2}(r), so the gradient is
     sum_j c_j kernel_{n+2}(r_j) (x_j - x0) - (x - x0) sum_j c_j kernel_{n+2}(r_j)
     about the centers' mean x0: one real matmul against a (c_j, c_j (x_j - x0))
     table, with no (n, rows, centers) array and no rounding that grows with
@@ -226,17 +213,13 @@ def eval_bessel_sum_jet(s: BesselSum, x):
     table = np.concatenate([s.coeffs[:, None], s.coeffs[:, None] * (s.centers - x0)], axis=1)
 
     def block(xb):
-        r = _pair_distances(xb, s.centers)
-        moments = _real_times_complex(bessel_kernel(s.n + 2, r), table)
-        value = _real_times_complex(bessel_kernel(s.n, r), s.coeffs)
+        r = squared_pair_distances(xb, s.centers)
+        kernel, moment_kernel = bessel_kernel((s.n, s.n + 2), np.sqrt(r, out=r))
+        moments = _real_times_complex(moment_kernel, table)
+        value = _real_times_complex(kernel, s.coeffs)
         return [value, moments[:, 1:] - (xb - x0) * moments[:, :1]]
 
     return eval_rows(block, x, s.n, len(s))
-
-
-def eval_bessel_sum_grad(s: BesselSum, x):
-    """Gradient in C^n; the kernel derivative -r * kernel_{n+2}(r) is smooth at 0."""
-    return eval_bessel_sum_jet(s, x)[1]
 
 
 #: Bound on the plane-wave rule's truncation error per unit of kernel mass
@@ -313,7 +296,7 @@ def _plane_wave_rule(degree: int):
 def _grid_degree(s: BesselSum, axes) -> int:
     """The rule degree for D, the largest distance from a corner of the grid to a center."""
     corners = np.array(list(itertools.product(*((a.min(), a.max()) for a in axes))))
-    return _plane_wave_degree(float(_pair_distances(corners, s.centers).max()))
+    return _plane_wave_degree(math.sqrt(float(squared_pair_distances(corners, s.centers).max())))
 
 
 def _grid_centre(axes) -> np.ndarray:
@@ -826,25 +809,21 @@ def transported_frame(points: np.ndarray, closed: bool = True):
         tan = np.gradient(pts, axis=0)
     T = tan / np.linalg.norm(tan, axis=1, keepdims=True)
     u = np.zeros((S, 3))
-    v = np.zeros((S, 3))
     w = np.array([0.0, 0.0, 1.0])
     if abs(T[0] @ w) > 0.9:
         w = np.array([1.0, 0.0, 0.0])
-    u0 = w - (w @ T[0]) * T[0]
-    u[0] = u0 / np.linalg.norm(u0)
-    v[0] = np.cross(T[0], u[0])
-    for s in range(1, S):
-        cand = u[s - 1] - (u[s - 1] @ T[s]) * T[s]
-        u[s] = cand / np.linalg.norm(cand)
-        v[s] = np.cross(T[s], u[s])
+    prev = w  # u[0] is w transported onto the first normal plane
+    for s in range(S):
+        cand = prev - (prev @ T[s]) * T[s]
+        u[s] = prev = cand / np.linalg.norm(cand)
+    v = np.cross(T, u)
     if closed:
         back = u[S - 1] - (u[S - 1] @ T[0]) * T[0]
         back /= np.linalg.norm(back)
         hol = math.atan2(float(np.cross(back, u[0]) @ T[0]), float(back @ u[0]))
-        for s in range(S):
-            a = hol * s / S
-            cu, su = math.cos(a), math.sin(a)
-            u[s], v[s] = cu * u[s] + su * v[s], -su * u[s] + cu * v[s]
+        a = hol * np.arange(S) / S
+        cu, su = np.cos(a)[:, None], np.sin(a)[:, None]
+        u, v = cu * u + su * v, -su * u + cu * v
     return u, v
 
 
@@ -1002,9 +981,11 @@ def _spherical_j01(r):
     """Spherical Bessel j0(r) = sin(r)/r and j1(r) = (sin r - r cos r)/r^2.
 
     Read from the n = 3 and n = 5 plane-wave kernels, which are sqrt(2/pi)
-    times j0(r) and j1(r)/r, so below r = 1/2 their power series is used.
+    times j0(r) and j1(r)/r, from one bessel_kernel call (one sincos), so
+    below r = 1/2 their power series is used.
     """
-    return _SQRT_PI_2 * bessel_kernel(3, r), _SQRT_PI_2 * r * bessel_kernel(5, r)
+    k3, k5 = bessel_kernel((3, 5), r)
+    return _SQRT_PI_2 * k3, _SQRT_PI_2 * r * k5
 
 
 @dataclass

@@ -7,9 +7,10 @@ Everything downstream depends on three conventions fixed here:
   with the removable singularity at r=0 filled in by its power series.  For
   n = 3 and for its gradient kernel n = 5 the half-integer order makes it
   elementary (DLMF 10.49.3): sqrt(2/pi) sin(r)/r and
-  sqrt(2/pi) (sin r - r cos r)/r^3, evaluated with sincos; other n go
-  through scipy's jv, which loads scipy on its first call (importing this
-  module loads numpy only).
+  sqrt(2/pi) (sin r - r cos r)/r^3, evaluated with sincos, both from one
+  tan(r/2) as ``bessel_kernel((3, 5), r)``; other n go through scipy's jv,
+  which loads scipy on its first call (importing this module loads numpy
+  only).
 * ``gegenbauer_cnk(n, k, t)`` is the ultraspherical polynomial of dimension
   n+1 and degree k normalized so that C(1) = 1, i.e.
   Gamma(k+1) Gamma(n/2) / Gamma(k+n/2) * P_k^{(n/2-1, n/2-1)}(t).
@@ -20,8 +21,9 @@ Everything downstream depends on three conventions fixed here:
 On S^3 (n = 3) the normalized kernel is elementary, C(cos theta) =
 sin((k+1) theta) / ((k+1) sin theta) (DLMF 18.5.2), and
 ``gegenbauer3_zonal`` evaluates it and its t-derivatives for every pair of
-points and centers straight from q = sin^2(theta/2) = |p - p_j|^2 / 4,
-never from t = p . p_j: C in closed form everywhere, from one arcsin and
+points and centers straight from q = sin^2(theta/2) = |p - p_j|^2 / 4
+(squared_pair_distances, whose radii the R^n Bessel sums read too), never
+from t = p . p_j: C in closed form everywhere, from one arcsin and
 one tan, and for the derivatives a Taylor series near the pole and the
 Gegenbauer equation elsewhere.  Its cost does not depend on k and it keeps
 C(1) = 1 and every derivative within about 1e-15 of C^(d)(1), where the
@@ -85,51 +87,56 @@ def bessel_j(nu: float, t):
     return jv(nu, t)
 
 
-def bessel_kernel(n: int, r):
-    """J_{n/2-1}(r) / r^{n/2-1} with the r=0 singularity removed.
+def bessel_kernel(n, r):
+    """J_{n/2-1}(r) / r^{n/2-1} with the r=0 singularity removed; for a tuple n, the list of kernels.
 
     The limit at r=0 is 1 / (2^{n/2-1} Gamma(n/2)).  For r < 1/2 the power
-    series is summed directly (it converges to machine precision in a dozen
-    terms there).  Elsewhere n = 3 and n = 5 use the closed forms
-    J_{1/2}(r)/r^{1/2} = sqrt(2/pi) sin(r)/r and
-    J_{3/2}(r)/r^{3/2} = sqrt(2/pi) (sin r - r cos r)/r^3 (DLMF 10.49.3), and
-    every other n the quotient of library values.
+    series is summed on the index list of those radii (it converges to
+    machine precision in a dozen terms there).  Elsewhere n = 3 and n = 5 use
+    the closed forms J_{1/2}(r)/r^{1/2} = sqrt(2/pi) sin(r)/r and
+    J_{3/2}(r)/r^{3/2} = sqrt(2/pi) (sin r - r cos r)/r^3 (DLMF 10.49.3),
+    from one sincos for both, and every other n the quotient of library values.
     """
-    if n < 2:
+    dims = n if isinstance(n, tuple) else (n,)
+    if min(dims) < 2:
         raise ValueError("dimension n must be >= 2")
-    nu = 0.5 * n - 1.0
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if np.any(r < 0):
+    if r.size and r.min() < 0:
         raise ValueError("bessel_kernel requires r >= 0")
-    small = r < 0.5
-    if n in (3, 5):
-        # the closed form on every radius; the series overwrites r < 1/2
+    below = r < 0.5
+    small = np.flatnonzero(below)
+    out = {}
+    if 3 in dims or 5 in dims:
+        # the closed forms on every radius; the series overwrites r < 1/2
         with np.errstate(divide="ignore", invalid="ignore"):
             sin, cos = sincos(r)
-            if n == 3:
-                out = np.divide(sin, r, out=sin)
-            else:
+            if 5 in dims:
                 cos *= r
-                sin -= cos
-                out = np.divide(sin, r * r * r, out=sin)
-        out *= _SQRT_2_PI
-    else:
-        out = np.empty_like(r)
-        if not small.all():
-            rl = r[~small]
-            out[~small] = jv(nu, rl) / rl**nu
-    if small.any():
-        rs = r[small]
+                out[5] = np.divide(np.subtract(sin, cos, out=cos), r * r * r, out=cos)
+            if 3 in dims:
+                out[3] = np.divide(sin, r, out=sin)
+        for arr in out.values():
+            arr *= _SQRT_2_PI
+    for d in set(dims) - set(out):
+        nu = 0.5 * d - 1.0
+        out[d] = np.empty_like(r)
+        if len(small) < r.size:
+            out[d][~below] = jv(nu, r[~below]) / r[~below] ** nu
+    if len(small):
+        rs = r.flat[small]
         x = 0.25 * rs * rs
-        term = np.full_like(rs, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
-        acc = term.copy()
-        for m in range(1, 24):
-            term = -term * x / (m * (nu + m))
-            acc += term
-        out[small] = acc
-    return out[0] if scalar else out
+        for d, arr in out.items():
+            nu = 0.5 * d - 1.0
+            term = np.full_like(rs, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
+            acc = term.copy()
+            for m in range(1, 24):
+                term = -term * x / (m * (nu + m))
+                acc += term
+            arr.flat[small] = acc
+    kernels = [out[d][0] if scalar else out[d] for d in dims]
+    return kernels if isinstance(n, tuple) else kernels[0]
 
 
 def bessel_kernel_deriv(n: int, r):
@@ -245,6 +252,29 @@ def gegenbauer_cnk_derivatives(n: int, k: int, t, max_order: int):
     return out
 
 
+def squared_pair_distances(x, centers, scale=1.0):
+    """sum_a (scale (x_ia - c_ja))^2 over the coordinate planes a, as an (M, N) array.
+
+    x holds M points as rows and centers N.  Each plane is the rank-2 product
+    [x_a, -1] [scale, scale c_a]^T, built one at a time into one buffer.  For
+    a power-of-two scale both products are exact, so a plane is one rounding
+    of the difference, bit for bit np.subtract.outer(x_a, c_a) * scale, at
+    matmul speed (an outer subtraction runs one short loop per row).
+    """
+    x = np.asarray(x, dtype=float)
+    left = np.stack([x.T, np.full_like(x.T, -1.0)], axis=-1)
+    c = np.multiply(centers, scale).T
+    right = np.stack([np.full_like(c, scale), c], axis=1)
+    q = left[0] @ right[0]
+    q *= q
+    plane = np.empty_like(q)
+    for a in range(1, len(left)):
+        np.matmul(left[a], right[a], out=plane)
+        plane *= plane
+        q += plane
+    return q
+
+
 #: Taylor terms for (k+1) theta < 3: there |z| < 4.5 and the j-th term is below 4.5^j / ((2j+1)!! j!).
 _TAYLOR_TERMS = 20
 
@@ -253,30 +283,18 @@ def gegenbauer3_zonal(k: int, p, centers, order: int):
     """[C, C', ..., C^(order)] of C = gegenbauer_cnk(3, k, .) at t = p_i . c_j, as (M, N) arrays.
 
     p holds M unit vectors as rows and centers N.  Their angle theta enters
-    only through q = sin^2(theta/2) = |p_i - c_j|^2 / 4, summed over the
-    coordinate planes, so no p . c_j is formed or clipped and a small angle
-    keeps full relative precision.  Each plane of halved differences is the
-    rank-2 product [p_a, -1] [1/2, c_a/2]^T: two exact products and one
-    rounding, as in a subtraction, at matmul speed (an outer subtraction
-    runs one short loop per row).  Where q > 1/2 it is read again as
-    |p_i + c_j|^2 / 4, the angle to -c_j, on those pairs only.
+    only through q = sin^2(theta/2) = |p_i - c_j|^2 / 4, read from the
+    halved coordinate planes by squared_pair_distances, so no p . c_j is
+    formed or clipped and a small angle keeps full relative precision.
+    Where q > 1/2 it is read again as |p_i + c_j|^2 / 4, the angle to -c_j,
+    on those pairs only.
     """
-    p = np.asarray(p, dtype=float)
-    left = np.stack([p.T, np.full_like(p.T, -1.0)], axis=-1)
+    q = squared_pair_distances(p, centers, 0.5)
     p = np.multiply(p, 0.5)
     c = np.multiply(centers, 0.5).T
-    right = np.stack([np.full_like(c, 0.5), c], axis=1)
-    q = left[0] @ right[0]
-    q *= q
-    plane = np.empty_like(q)
-    for a in range(1, len(left)):
-        np.matmul(left[a], right[a], out=plane)
-        plane *= plane
-        q += plane
-    del plane
     far = np.flatnonzero(q > 0.5)
     rows, cols = np.divmod(far, q.shape[1])
-    for a in range(len(left)):
+    for a in range(len(c)):
         plane = p[rows, a]
         plane += c[a, cols]
         plane *= plane

@@ -16,7 +16,7 @@ from eigenknot.helmholtz import (
     PlaneWaveSpinor,
     ToleranceError,
     eval_bessel_sum,
-    eval_bessel_sum_grad,
+    eval_bessel_sum_jet,
     eval_herglotz,
     fourier_bessel_truncate,
     helmholtz_residual,
@@ -111,7 +111,7 @@ def test_bessel_sum_many_terms_against_pair_sum():
             k5 = SQRT_2_PI * (spherical_jn(1, r) / r if r > 0 else 1.0 / 3.0)
             grad[i] -= c * k5 * (x - xj)
     assert np.max(np.abs(eval_bessel_sum(s, pts) - val)) <= 1e-13 * np.max(np.abs(val))
-    assert np.max(np.abs(eval_bessel_sum_grad(s, pts) - grad)) <= 1e-13 * np.max(np.abs(grad))
+    assert np.max(np.abs(eval_bessel_sum_jet(s, pts)[1] - grad)) <= 1e-13 * np.max(np.abs(grad))
 
 
 def test_spherical_j01_match_library():
@@ -137,7 +137,7 @@ def test_bessel_sum_n3_needs_no_library_bessel(monkeypatch):
     s = _many_term_sum(rng)
     pts = _probe_points(rng, s)
     assert np.all(np.isfinite(eval_bessel_sum(s, pts)))
-    assert np.all(np.isfinite(eval_bessel_sum_grad(s, pts)))
+    assert np.all(np.isfinite(eval_bessel_sum_jet(s, pts)[1]))
 
 
 def test_bessel_sum_kernel_limit_general_n():
@@ -156,7 +156,7 @@ def test_bessel_sum_gradient_fd():
         4.0,
     )
     pts = ball_points(rng, 40, radius=1.5)
-    grad = eval_bessel_sum_grad(s, pts)
+    grad = eval_bessel_sum_jet(s, pts)[1]
     h = 1e-6
     for mu in range(3):
         e = np.zeros(3)

@@ -17,7 +17,6 @@ from eigenknot.helmholtz import (
     HerglotzDensity,
     PlaneWaveSpinor,
     eval_bessel_sum,
-    eval_bessel_sum_grad,
     eval_bessel_sum_grid,
     eval_bessel_sum_jet,
     eval_herglotz,
@@ -54,7 +53,8 @@ EVALUATORS = {
     "eval_herglotz": (lambda x: eval_herglotz(DENSITY, x), 3, len(DENSITY.nodes)),
     "eval_bessel_sum": (lambda x: eval_bessel_sum(BSUM, x), 3, len(BSUM)),
     "eval_bessel_sum_390": (lambda x: eval_bessel_sum(BIG_SUM, x), 3, len(BIG_SUM)),
-    "eval_bessel_sum_grad": (lambda x: eval_bessel_sum_grad(BSUM, x), 3, len(BSUM)),
+    # the gradient alone, as the second part of the jet
+    "eval_bessel_sum_grad": (lambda x: eval_bessel_sum_jet(BSUM, x)[1], 3, len(BSUM)),
     "eval_bessel_sum_jet_390": (lambda x: eval_bessel_sum_jet(BIG_SUM, x), 3, len(BIG_SUM)),
     "eval_harmonic": (lambda p: eval_harmonic(Y, p), 4, len(Y)),
     "eval_harmonic_grad": (lambda p: eval_harmonic_grad(Y, p), 4, len(Y)),

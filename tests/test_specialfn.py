@@ -24,8 +24,10 @@ from eigenknot.specialfn import (
     jacobi_p,
     jacobi_p_deriv,
     sincos,
+    squared_pair_distances,
 )
-from eigenknot.sphere import PAIR_BLOCK
+from eigenknot.helmholtz import BesselSum, _spherical_j01, eval_bessel_sum_jet
+from eigenknot.sphere import PAIR_BLOCK, block_rows
 
 # Independent series oracle for J_1, used to bracket its first zero without
 # touching the implementation under test.
@@ -594,3 +596,105 @@ def test_bessel_kernel_sincos_matches_numpy_trig(n, radii):
     ref = _with_numpy_trig(bessel_kernel, n, r)
     size = math.sqrt(2.0 / math.pi) * np.maximum(r, 1.0) ** (-0.5 * (n - 1))
     assert np.all(np.abs(got - ref) <= 1e-14 * size), n
+
+
+# ---------------------------------------------------------------------------
+# K3 and K5 from one sincos, over radii from the shared plane builder
+# ---------------------------------------------------------------------------
+
+_SPECIAL_RADII = [
+    0.0,
+    5e-324,
+    2.0**-1030,
+    np.nextafter(2.0**-1022, 0.0),
+    1e-8,
+    np.nextafter(0.5, 0.0),
+    0.5,
+    np.nextafter(0.5, 1.0),
+    1e3,
+]
+
+
+def _kernel_mp(n: int, r: float) -> float:
+    """J_{n/2-1}(r) / r^{n/2-1} to 50 digits, its limit 1 / (2^nu Gamma(nu + 1)) at r = 0."""
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(n) / 2 - 1
+        if r == 0.0:
+            return float(1 / (2**nu * mpmath.gamma(nu + 1)))
+        t = mpmath.mpf(r)
+        return float(mpmath.besselj(nu, t) / t**nu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=st.lists(_finite(0.0, 1e3) | _finite(0.0, 1.0), max_size=20))
+def test_fused_kernels_match_closed_forms_and_mpmath(radii):
+    # the fused call gives the single-n kernels bit for bit, on every shape,
+    # within 1e-14 of the kernel's size of the 50-digit values
+    r = np.array(_SPECIAL_RADII + radii)
+    k3, k5 = bessel_kernel((3, 5), r)
+    assert np.array_equal(k3, bessel_kernel(3, r)) and np.array_equal(k5, bessel_kernel(5, r))
+    column = bessel_kernel((3, 5), r[:, None])
+    assert all(np.array_equal(c[:, 0], k) for c, k in zip(column, (k3, k5)))
+    for n, got in ((3, k3), (5, k5)):
+        ref = np.array([_kernel_mp(n, t) for t in r])
+        size = math.sqrt(2.0 / math.pi) * np.maximum(r, 1.0) ** (-0.5 * (n - 1))
+        assert np.all(np.abs(got - ref) <= 1e-14 * size), n
+
+
+def test_fused_kernels_keep_scalars_checks_and_other_n():
+    k3, k5 = bessel_kernel((3, 5), 0.7)
+    assert np.ndim(k3) == np.ndim(k5) == 0
+    assert k3 == bessel_kernel(3, 0.7) and k5 == bessel_kernel(5, 0.7)
+    with pytest.raises(ValueError, match="r >= 0"):
+        bessel_kernel((3, 5), np.array([1.0, -1e-300]))
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        bessel_kernel((1, 3), 1.0)
+    r = np.linspace(0.0, 20.0, 401)
+    for pair in ((2, 4), (3, 4), (4, 6)):
+        assert all(np.array_equal(got, bessel_kernel(n, r)) for got, n in zip(bessel_kernel(pair, r), pair))
+    assert [np.size(k) for k in bessel_kernel((3, 5), np.empty((0, 4)))] == [0, 0]
+
+
+def _outer_planes(x, centers, scale):
+    """sum_a (scale * (x_a - c_a))^2 from np.subtract.outer, in the builder's order."""
+    q = None
+    for a in range(x.shape[1]):
+        plane = np.subtract.outer(x[:, a], centers[:, a]) * scale
+        plane *= plane
+        q = plane if q is None else q + plane
+    return q
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), far=st.booleans(), scale=st.sampled_from([1.0, 0.5]))
+def test_pair_planes_match_outer_subtraction(seed, far, scale):
+    # R^3 boxes, also moved 2^26 from the origin, at the R^3 scale and at the
+    # halved S^3 scale, and unit vectors of R^4 at the S^3 scale
+    rng = np.random.default_rng(seed)
+    offset = 2.0**26 if far else 0.0
+    x, centers = rng.uniform(-2.5, 2.5, (17, 3)) + offset, rng.uniform(-1.5, 1.5, (9, 3)) + offset
+    x[0] = centers[0]
+    assert np.array_equal(squared_pair_distances(x, centers, scale), _outer_planes(x, centers, scale))
+    p, c = _unit(rng.normal(size=(17, 4))), _unit(rng.normal(size=(9, 4)))
+    p[:2] = c[0], -c[1]
+    assert np.array_equal(squared_pair_distances(p, c, 0.5), _outer_planes(p, c, 0.5))
+
+
+def _count_sincos(monkeypatch):
+    calls = []
+    real = specialfn.sincos
+    monkeypatch.setattr(specialfn, "sincos", lambda x: calls.append(np.size(x)) or real(x))
+    return calls
+
+
+def test_bessel_sum_jet_runs_one_sincos_per_row_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    s = BesselSum(3, rng.normal(size=390) + 1j * rng.normal(size=390), rng.uniform(-2, 2, (390, 3)), 4.0)
+    rows = block_rows(len(s))
+    x = rng.uniform(-2.5, 2.5, (2 * rows + 5, 3))
+    calls = _count_sincos(monkeypatch)
+    eval_bessel_sum_jet(s, x)
+    assert calls == [rows * len(s)] * 2 + [5 * len(s)]
+    calls.clear()
+    _spherical_j01(np.linspace(0.0, 9.0, 50))
+    assert calls == [50]

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
+from eigenknot import helmholtz
 from eigenknot.harmonics import synthesize
-from eigenknot.helmholtz import hopf_link_design
+from eigenknot.helmholtz import BesselSum, hopf_link_design
+from eigenknot.sphere import block_rows
 from eigenknot.spinor3 import SpinorField3, adapted_chart, component_pullback, dirac_project
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -48,3 +50,26 @@ def test_traced_pullback_counts_point_center_pairs(monkeypatch):
         field.jet(x)
     spans = [s for s in tracer.dump() if s["name"] == "spinor3.zonal_jet"]
     assert [s["counts"]["point_center_evals"] for s in spans] == [len(x) * centers] * 2
+
+
+def test_traced_bessel_sum_jet_counts_each_radius_once(monkeypatch):
+    # the jet's one kernel call per row block gives K3 and K5 from the same
+    # radii, so the kernel span counts m N radii over m points and N
+    # centers, as a value pass through eval_bessel_sum does
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    rng = np.random.default_rng(9)
+    s = BesselSum(3, rng.normal(size=200) + 1j * rng.normal(size=200), rng.uniform(-2, 2, (200, 3)), 4.0)
+    x = rng.uniform(-2.5, 2.5, (2 * block_rows(len(s)) + 3, 3))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        helmholtz.eval_bessel_sum_jet(s, x)
+        jet_spans = tracer.dump()
+        helmholtz.eval_bessel_sum(s, x)
+        spans = tracer.dump()
+    assert {sp["name"] for sp in jet_spans} == {"specialfn.bessel_kernel"} and len(jet_spans) == 3
+    assert sum(sp["counts"]["radii"] for sp in jet_spans) == len(x) * len(s)
+    values = [sp for sp in spans[len(jet_spans):] if sp["name"] == "helmholtz.eval_bessel_sum"]
+    assert [sp["counts"]["pair_evals"] for sp in values] == [len(x) * len(s)]
+    value_kernels = [sp for sp in spans[len(jet_spans):] if sp["name"] == "specialfn.bessel_kernel"]
+    assert sum(sp["counts"]["radii"] for sp in value_kernels) == len(x) * len(s)
