@@ -5,10 +5,11 @@
   the achieved error and every row of the verify CSV (sup errors of orders
   0-2 and the eigenvalue-relative laplace residual).
 * ``spinorize -> nodal`` of the Hopf design at k = 60, 120, 240 for two chart
-  bases: the Dirac residual, each curve's field, closedness, vertex count,
-  smallest stability margin and Newton convergence, every linking number,
-  and the Hausdorff distance from each component's closed curves to its
-  design target.  The file's margins are ``reference_margins``, taken from
+  bases: the Dirac residual, each curve's field, closedness, vertex count and
+  smallest stability margin, every linking number, and the Hausdorff
+  distance from each component's closed curves to its design target.  Each
+  curve's Newton convergence is computed but not written: the test asserts
+  it from its own run.  The file's margins are ``reference_margins``, taken from
   field values only at the vertices the pipeline reported, not the
   pipeline's own margins, so they do not carry the noise of whichever
   Jacobian the pipeline used.
@@ -116,7 +117,7 @@ def reference_margins(fieldfn, vertices, steps=(1e-3, 5e-4)) -> np.ndarray:
 def hopf_case(work: pathlib.Path, base) -> dict:
     """The Hopf observables at every k, with ``reference_min_margin`` (per curve,
     from reference_margins at its reported vertices) next to the pipeline's
-    ``min_margin``."""
+    ``min_margin``, and each curve's ``converged`` flag."""
     design = helmholtz.hopf_link_design()
     inputs, boxes = [], []
     for a in (0, 1):
@@ -214,6 +215,7 @@ def _hopf_section(work: pathlib.Path) -> list:
         case = hopf_case(d, (np.asarray(base) / np.linalg.norm(base)).tolist())
         for entry in case["k"].values():
             entry["min_margin"] = entry.pop("reference_min_margin")
+            del entry["converged"]
         hopf.append(case)
     return hopf
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harmonics, nodal, sphere, spinor3, torus
+from . import __version__, sphere
 from .helmholtz import (
     BesselSum,
     HerglotzDensity,
@@ -268,6 +268,8 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
     if kind == "adapted":
         if n != 3:
             raise ConfigError("adapted charts are specific to S^3")
+        from . import spinor3
+
         return spinor3.adapted_chart(base if base is not None else np.array([1.0, 0, 0, 0]))
     return sphere.random_chart(n, seed, p0=base)
 
@@ -294,6 +296,8 @@ def cmd_approximate(cfg: dict) -> int:
 
 
 def cmd_synthesize(cfg: dict) -> int:
+    from . import harmonics
+
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
     k = _positive(_int, "k", _require(cfg, "k"))
@@ -310,14 +314,17 @@ def cmd_synthesize(cfg: dict) -> int:
 
 
 def _load_harmonic(path: str) -> tuple:
+    from . import harmonics
+
     doc = json.loads(Path(path).read_text())
     Y = harmonics.UltrasphericalSum.from_dict(doc)
-    chart = sphere.Chart.from_dict(doc["chart"]) if "chart" in doc else None
-    Y.chart = chart
-    return Y, chart
+    Y.chart = sphere.Chart.from_dict(doc["chart"]) if "chart" in doc else None
+    return Y, Y.chart
 
 
 def cmd_spinorize(cfg: dict) -> int:
+    from . import harmonics, spinor3
+
     out = Path(str(_require(cfg, "out")))
     src1 = str(_require(cfg, "input1"))
     src2 = str(_require(cfg, "input2"))
@@ -353,16 +360,23 @@ def cmd_spinorize(cfg: dict) -> int:
 
 
 def load_spinor(path: str):
+    from . import spinor3
+
     doc = json.loads(Path(path).read_text())
     # spinor3.GAMMA fixes the frame orientation; a file recorded with the other
     # one would be evaluated in the wrong convention
     if doc.get("orientation", 1) != 1:
         raise ConfigError(f"{path}: orientation must be 1, got {doc['orientation']!r}")
+    names, k = doc.get("components"), doc.get("k")
+    # a malformed file is a config error naming its key, never a numerical one
+    if not (isinstance(names, list) and len(names) == 2 and all(isinstance(name, str) for name in names)):
+        raise ConfigError(f"config key input names a spinor file without two component file names: {path}")
+    if type(k) is not int:
+        raise ConfigError(f"config key input names a spinor file whose k {k!r} is not an integer: {path}")
     base = Path(path).parent
-    k = int(doc["k"])
-    (y1, chart), (y2, _) = (_load_harmonic(str(base / name)) for name in doc["components"][:2])
+    (y1, chart), (y2, _) = (_load_harmonic(str(base / name)) for name in names)
     # a component of another degree or sphere is refused before anything is evaluated
-    for name, y in zip(doc["components"], (y1, y2)):
+    for name, y in zip(names, (y1, y2)):
         if (y.n, y.k) != (3, k):
             raise ConfigError(
                 f"config key input names a degree-{k} spinor whose component file {name} "
@@ -375,6 +389,8 @@ def load_spinor(path: str):
 
 
 def cmd_verify(cfg: dict) -> int:
+    from . import harmonics
+
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
     sweep = cfg.get("k_sweep", [40, 80, 160])
@@ -414,6 +430,8 @@ def cmd_verify(cfg: dict) -> int:
 
 def _link_entry(name: str, pair: list, c1, c2) -> dict:
     """A topology linking entry; a null link carries the reason it could not be certified."""
+    from . import nodal
+
     try:
         return {"field": name, "pair": pair, "link": nodal.linking_number(c1, c2)}
     except ValueError as exc:
@@ -440,6 +458,8 @@ def _field_box(cfg: dict, name: str, lo: np.ndarray, hi: np.ndarray) -> tuple:
 
 
 def cmd_nodal(cfg: dict) -> int:
+    from . import nodal
+
     out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
     h = _positive(_float, "h", cfg.get("h", 0.05))
@@ -448,6 +468,8 @@ def cmd_nodal(cfg: dict) -> int:
     doc = _read_input("input", src, ("spinor", "Bessel sum"))
     fields = []
     if "components" in doc:
+        from . import spinor3
+
         psi, chart, k = load_spinor(src)
         for a in (0, 1):
             fields.append((f"component{a + 1}", spinor3.component_pullback(psi, a, chart, k)))
@@ -497,6 +519,8 @@ def cmd_nodal(cfg: dict) -> int:
 
 
 def cmd_torus(cfg: dict) -> int:
+    from . import torus
+
     out = Path(str(_require(cfg, "out")))
     n = _choice("n", _int("n", cfg.get("n", 3)), (2, 3, 4))
     key = "k_sweep" if "k_sweep" in cfg else "k"

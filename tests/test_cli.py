@@ -412,6 +412,35 @@ def test_nodal_refuses_spinor_components_of_another_degree(tmp_path, capsys, edi
     assert not list(tmp_path.glob("curves*"))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {"components": doc["components"][:1]},
+        lambda doc: {"components": doc["components"][0]},
+        lambda doc: {"components": doc["components"] * 2},
+        lambda doc: {"k": "twelve"},
+        lambda doc: {"k": 12.5},
+    ],
+    ids=["one-component", "string-components", "four-components", "string-k", "fractional-k"],
+)
+def test_nodal_refuses_a_malformed_spinor_file(tmp_path, capsys, edit):
+    # a spinor file is an input like any other: its malformation is a config
+    # error naming the key, not a numerical failure in whatever reads it first
+    single = data_path("single_center.json")
+    spinor = tmp_path / "spinor.json"
+    argv = ["spinorize", "--out", str(spinor), "--set", f"input1={single}", "--set", f"input2={single}"]
+    assert main(argv + ["--set", "k=12"]) == EXIT_OK
+    doc = json.loads(spinor.read_text())
+    doc.update(edit(doc))
+    spinor.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={spinor}", "--set", "h=0.3"]
+    assert main(argv) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and err["detail"].startswith("config key input ")
+    assert not list(tmp_path.glob("curves*"))
+
+
 def test_nodal_field_box_sides_fall_back_separately(tmp_path, monkeypatch):
     from eigenknot import nodal
 

@@ -11,9 +11,16 @@ and the n = 3 and n = 5 Bessel kernels on pair-sized arrays; only the few
 functions those do not call import scipy, inside the function.  No package module reaches numpy.polynomial anywhere
 (its Gauss rules come from specialfn.gauss_gegenbauer), and the pipelines
 never load it either.
+
+The package is lazy: ``import eigenknot`` loads none of its modules, every
+``__all__`` name resolves to its home module's object, and a fresh
+interpreter pins the exact set of eigenknot modules that ``import
+eigenknot.cli`` and each CLI command load.
 """
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -45,13 +52,17 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported.update(ast.literal_eval(node.value))
+            # the list's string literals; a starred entry built at run time exempts nothing
+            exported.update(
+                n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
     return sorted((line, name) for name, line in imported.items() if name not in used | exported)
 
 
 def test_checker_finds_unused_names():
     source = "from __future__ import annotations\nimport os, sys\nfrom a import b as c, d\n__all__ = ['d']\nsys.exit()\n"
     assert unused_imports(source) == [(2, "os"), (3, "c")]
+    assert unused_imports("import os, sys\nNAMES = ['sys']\n__all__ = ['os', *NAMES]\n") == [(1, "sys")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -204,11 +215,107 @@ print(json.dumps(sorted(m for m in sys.modules if any(m == w or m.startswith(w +
 """
 
 
-def test_cli_pipelines_never_load_scipy(tmp_path):
+def _fresh(cwd, *args):
+    """The JSON last line printed by a fresh interpreter run with `args` in `cwd`."""
     src = str(Path(eigenknot.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", PIPELINES], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_pipelines_never_load_scipy(tmp_path):
+    assert _fresh(tmp_path, "-c", PIPELINES) == []
+
+
+def test_star_import_binds_every_name_from_its_home_module():
+    namespace = {}
+    exec("from eigenknot import *", namespace)
+    assert set(eigenknot.__all__) <= set(namespace)
+    for name in eigenknot.__all__:
+        value = namespace[name]
+        if name == "__version__":
+            assert value == eigenknot.__version__
+        elif isinstance(value, type(eigenknot)):
+            assert value is importlib.import_module(f"eigenknot.{name}")
+        else:
+            assert value.__module__.startswith("eigenknot."), name
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_package_dir_and_unknown_names():
+    assert set(eigenknot.__all__) <= set(dir(eigenknot))
+    assert not hasattr(eigenknot, "nope")
+    with pytest.raises(AttributeError, match="^module 'eigenknot' has no attribute 'nope'$"):
+        eigenknot.nope
+
+
+# runs the command line given as arguments, then prints its exit code and the
+# eigenknot modules loaded by the end
+COMMAND = """
+import json, sys
+from eigenknot.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eigenknot."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [("import eigenknot", []), ("import eigenknot.cli", ["cli", "helmholtz", "specialfn", "sphere"])],
+)
+def test_fresh_import_loads_only(tmp_path, statement, loaded):
+    code = f"import json, sys\n{statement}\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('eigenknot.'))))"
+    assert _fresh(tmp_path, "-c", code) == [f"eigenknot.{name}" for name in loaded]
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """A directory holding approximate's Bessel sum, the Hopf design's two
+    components and their spinor at k = 60, written in this process."""
+    from eigenknot.cli import EXIT_OK, main
+
+    work = tmp_path_factory.mktemp("commands")
+    design = eigenknot.hopf_link_design()
+    for a in (0, 1):
+        (work / f"hopf{a}.json").write_text(design.components[a].to_json())
+    runs = [
+        ["approximate", "--set", "density=linear_z", "--set", "resolution=8", "--out", "field.json"],
+        ["spinorize", "--set", "input1=hopf0.json", "--set", "input2=hopf1.json", "--set", "k=60",
+         "--out", "spinor.json"],
+    ]
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for argv in runs:
+            assert main(argv) == EXIT_OK, argv[0]
+    finally:
+        os.chdir(cwd)
+    return work
+
+
+HOPF_BOXES = ["--set", "component1_box_lo=-3.8,-3.8,-1.9", "--set", "component1_box_hi=3.8,3.8,1.9",
+              "--set", "component2_box_lo=-4.8,-1.9,-3.9", "--set", "component2_box_hi=1.6,1.9,3.9"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["approximate", "--set", "density=linear_z", "--set", "resolution=8"], []),
+        (["synthesize", "--set", "input=field.json", "--set", "k=40"], ["harmonics"]),
+        (["verify", "--set", "input=field.json", "--set", "k_sweep=40", "--set", "m=0"], ["harmonics"]),
+        (["spinorize", "--set", "input1=hopf0.json", "--set", "input2=hopf1.json", "--set", "k=60"],
+         ["harmonics", "spinor3"]),
+        (["nodal", "--set", "input=spinor.json", "--set", "h=0.26", *HOPF_BOXES], ["harmonics", "nodal", "spinor3"]),
+        (["nodal", "--set", "input=field.json", "--set", "h=0.4"], ["nodal"]),
+        (["torus", "--set", "k=3", "--set", "trials=100"], ["torus"]),
+    ],
+    ids=["approximate", "synthesize", "verify", "spinorize", "nodal-spinor", "nodal-bessel", "torus"],
+)
+def test_each_command_loads_only_what_it_runs(command_inputs, argv, loaded):
+    # every command needs cli, helmholtz, sphere and specialfn; the rest are
+    # loaded by the commands that run them
+    base = ["cli", "helmholtz", "specialfn", "sphere"]
+    code, modules = _fresh(command_inputs, "-c", COMMAND, *argv, "--out", "fresh.out")
+    assert code == 0
+    assert modules == sorted(f"eigenknot.{name}" for name in base + loaded)
