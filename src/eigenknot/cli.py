@@ -27,7 +27,6 @@ from .helmholtz import (
     BesselSum,
     HerglotzDensity,
     ToleranceError,
-    DesignError,
     bessel_sum_field,
     eval_bessel_sum,
     herglotz_discretize,
@@ -87,15 +86,16 @@ class _Config(dict):
     """A command's config that records the keys the command reads.
 
     write_manifest refuses any key not read by then, so a misspelt or
-    foreign key names itself (exit 2) instead of passing silently.  ``seed``
-    counts as read: main sets it for every command and every manifest
-    records it.
+    foreign key names itself (exit 2) instead of passing silently.  main
+    owns ``out`` and ``seed``: it reads both for every command and hands
+    them over as ``out`` (a Path) and ``seed`` (a validated int); the
+    manifest records the raw ``seed`` value.
     """
 
     def __init__(self, command: str, entries: dict):
         super().__init__(entries)
         self.command = command
-        self.read = {"seed"}
+        self.read = set()
 
     def __getitem__(self, key):
         self.read.add(key)
@@ -158,6 +158,11 @@ def _choice(key: str, value, options: tuple):
     return value
 
 
+def _ints(key: str, value) -> list:
+    """A config number or list as positive ints; anything else names its key."""
+    return [_positive(_int, key, v) for v in (value if isinstance(value, list) else [value])]
+
+
 def _floats(key: str, value, length: int) -> np.ndarray:
     """A config list as floats; anything but `length` finite numbers names its key."""
     if not isinstance(value, (list, tuple)) or len(value) != length:
@@ -173,27 +178,27 @@ def _hash_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_prefix: Path, cfg: _Config, inputs) -> str:
+def write_manifest(cfg: _Config, inputs) -> str:
     cfg.refuse_unread()
     # the output location is not an input to the computation; leaving it out
     # keeps manifests (and thus output bytes) identical across destinations
     manifest = {
         "config": {k: cfg[k] for k in sorted(cfg) if k != "out"},
         "inputs": {str(p): _hash_file(p) for p in inputs},
-        "seed": cfg.get("seed", 0),
+        "seed": cfg["seed"],
         "version": __version__,
     }
     text = _canonical(manifest)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{out_prefix}.manifest.json").write_text(text + "\n")
+    # every output lies next to the manifest, so this makes their directory too
+    cfg.out.parent.mkdir(parents=True, exist_ok=True)
+    Path(f"{cfg.out}.manifest.json").write_text(text + "\n")
     return digest
 
 
 def _write_json(path: Path, doc: dict, manifest: str):
     doc = dict(doc)
     doc["manifest"] = manifest
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_canonical(doc) + "\n")
 
 
@@ -201,7 +206,7 @@ def _density_kind(cfg: dict) -> str:
     return _choice("density", cfg.get("density", "constant"), ("constant", "linear_z", "random"))
 
 
-def _density_from_config(cfg: dict) -> HerglotzDensity:
+def _density_from_config(cfg: _Config) -> HerglotzDensity:
     n = _int("n", cfg.get("n", 3))
     resolution = _positive(_int, "resolution", cfg.get("resolution", 24))
     kind = _density_kind(cfg)
@@ -209,8 +214,7 @@ def _density_from_config(cfg: dict) -> HerglotzDensity:
         return HerglotzDensity.constant(n, 1.0, resolution)
     if kind == "linear_z":
         return HerglotzDensity.from_function(n, lambda xi: xi[:, -1].astype(complex), resolution)
-    seed = _seed("seed", cfg.get("seed", 0))
-    rng = np.random.default_rng(_seed("density_seed", cfg.get("density_seed", seed)))
+    rng = np.random.default_rng(_seed("density_seed", cfg.get("density_seed", cfg.seed)))
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     b = rng.normal(size=(n, n))
 
@@ -253,13 +257,12 @@ def _above_radius(key: str, k: int, *sums: BesselSum) -> None:
         raise ConfigError(f"config key {key} must exceed the input radius R = {radius:g}, got {k}")
 
 
-def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> sphere.Chart:
+def _chart_from_config(cfg: _Config, n: int, default_kind: str = "random") -> sphere.Chart:
     """chart = random | adapted.  Spinor work defaults to the adapted gauge
     (chart frame aligned with the left-invariant frame at the base point);
     scalar synthesis is chart-insensitive and defaults to a seeded frame."""
     kind = _choice("chart", cfg.get("chart", default_kind), ("adapted", "random"))
-    seed = _seed("seed", cfg.get("seed", 0))
-    seed = _seed("chart_seed", cfg.get("chart_seed", seed))
+    seed = _seed("chart_seed", cfg.get("chart_seed", cfg.seed))
     base = cfg.get("chart_base")
     if base is not None:
         base = _floats("chart_base", base, n + 1)
@@ -274,58 +277,43 @@ def _chart_from_config(cfg: dict, n: int, default_kind: str = "random") -> spher
     return sphere.random_chart(n, seed, p0=base)
 
 
-def cmd_approximate(cfg: dict) -> int:
-    out = Path(str(_require(cfg, "out")))
+def cmd_approximate(cfg: _Config) -> int:
     _choice("n", _int("n", cfg.get("n", 3)), (3,))
     density = _density_from_config(cfg)
     delta = _positive(_float, "delta", cfg.get("delta", 1e-3))
     radius = _positive(_float, "radius", cfg.get("radius", 2.5))
-    seed = _seed("seed", cfg.get("seed", 0))
-    manifest = write_manifest(out, cfg, [])
-    bsum = herglotz_discretize(density, delta, radius=radius, seed=seed)
+    manifest = write_manifest(cfg, [])
+    bsum = herglotz_discretize(density, delta, radius=radius, seed=cfg.seed)
     doc = bsum.to_dict()
     doc["achieved_error"] = bsum.report.achieved
     doc["achieved_bound"] = bsum.report.bound
     doc["error_constant"] = bsum.report.constant
-    _write_json(out, doc, manifest)
+    _write_json(cfg.out, doc, manifest)
     print(
-        f"wrote {out} (N={len(bsum)}, achieved={bsum.report.achieved:.3e}, bound={bsum.report.bound:.3e})",
+        f"wrote {cfg.out} (N={len(bsum)}, achieved={bsum.report.achieved:.3e}, bound={bsum.report.bound:.3e})",
         file=sys.stderr,
     )
     return EXIT_OK
 
 
-def cmd_synthesize(cfg: dict) -> int:
+def cmd_synthesize(cfg: _Config) -> int:
     from . import harmonics
 
-    out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
     k = _positive(_int, "k", _require(cfg, "k"))
     bsum = _load_bessel("input", src)
     _above_radius("k", k, bsum)
     chart = _chart_from_config(cfg, bsum.n)
-    manifest = write_manifest(out, cfg, [src])
+    manifest = write_manifest(cfg, [src])
     Y = harmonics.synthesize(bsum, k, chart)
-    doc = Y.to_dict()
-    doc["chart"] = chart.to_dict()
-    _write_json(out, doc, manifest)
-    print(f"wrote {out} (k={k}, N={len(Y)})", file=sys.stderr)
+    _write_json(cfg.out, Y.to_dict(), manifest)
+    print(f"wrote {cfg.out} (k={k}, N={len(Y)})", file=sys.stderr)
     return EXIT_OK
 
 
-def _load_harmonic(path: str) -> tuple:
-    from . import harmonics
-
-    doc = json.loads(Path(path).read_text())
-    Y = harmonics.UltrasphericalSum.from_dict(doc)
-    Y.chart = sphere.Chart.from_dict(doc["chart"]) if "chart" in doc else None
-    return Y, Y.chart
-
-
-def cmd_spinorize(cfg: dict) -> int:
+def cmd_spinorize(cfg: _Config) -> int:
     from . import harmonics, spinor3
 
-    out = Path(str(_require(cfg, "out")))
     src1 = str(_require(cfg, "input1"))
     src2 = str(_require(cfg, "input2"))
     k = _positive(_int, "k", _require(cfg, "k"))
@@ -333,18 +321,16 @@ def cmd_spinorize(cfg: dict) -> int:
     b2 = _three_dimensional("input2", _load_bessel("input2", src2))
     _above_radius("k", k, b1, b2)
     chart = _chart_from_config(cfg, 3, default_kind="adapted")
-    manifest = write_manifest(out, cfg, [src1, src2])
+    manifest = write_manifest(cfg, [src1, src2])
     y1 = harmonics.synthesize(b1, k, chart)
     y2 = harmonics.synthesize(b2, k, chart)
     psi = spinor3.dirac_project(spinor3.SpinorField3((y1, y2)), k)
-    comp_paths = [Path(f"{out}.comp{a}.json") for a in (1, 2)]
+    comp_paths = [Path(f"{cfg.out}.comp{a}.json") for a in (1, 2)]
     for path, y in zip(comp_paths, (y1, y2)):
-        doc = y.to_dict()
-        doc["chart"] = chart.to_dict()
-        _write_json(path, doc, manifest)
-    resid = spinor3.dirac_residual(psi, 1.5 + k, samples=32, seed=_seed("seed", cfg.get("seed", 0)))
+        _write_json(path, y.to_dict(), manifest)
+    resid = spinor3.dirac_residual(psi, 1.5 + k, samples=32, seed=cfg.seed)
     _write_json(
-        out,
+        cfg.out,
         {
             "components": [p.name for p in comp_paths],
             "orientation": 1,
@@ -355,12 +341,12 @@ def cmd_spinorize(cfg: dict) -> int:
         },
         manifest,
     )
-    print(f"wrote {out} (eigenvalue {1.5 + k}, residual {resid:.2e})", file=sys.stderr)
+    print(f"wrote {cfg.out} (eigenvalue {1.5 + k}, residual {resid:.2e})", file=sys.stderr)
     return EXIT_OK
 
 
 def load_spinor(path: str):
-    from . import spinor3
+    from . import harmonics, spinor3
 
     doc = json.loads(Path(path).read_text())
     # spinor3.GAMMA fixes the frame orientation; a file recorded with the other
@@ -374,7 +360,7 @@ def load_spinor(path: str):
     if type(k) is not int:
         raise ConfigError(f"config key input names a spinor file whose k {k!r} is not an integer: {path}")
     base = Path(path).parent
-    (y1, chart), (y2, _) = (_load_harmonic(str(base / name)) for name in names)
+    y1, y2 = (harmonics.UltrasphericalSum.from_dict(json.loads((base / name).read_text())) for name in names)
     # a component of another degree or sphere is refused before anything is evaluated
     for name, y in zip(names, (y1, y2)):
         if (y.n, y.k) != (3, k):
@@ -385,30 +371,25 @@ def load_spinor(path: str):
     psi = spinor3.SpinorField3((y1, y2))
     if doc.get("projected", False):
         psi = spinor3.dirac_project(psi, k)
-    return psi, chart, k
+    return psi, y1.chart, k
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: _Config) -> int:
     from . import harmonics
 
-    out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
-    sweep = cfg.get("k_sweep", [40, 80, 160])
-    if not isinstance(sweep, list):
-        sweep = [sweep]
-    sweep = [_positive(_int, "k_sweep", k) for k in sweep]
+    sweep = _ints("k_sweep", cfg.get("k_sweep", [40, 80, 160]))
     if sweep != sorted(sweep) or len(set(sweep)) != len(sweep):
         raise ConfigError("k_sweep must be strictly increasing")
     m = _int("m", cfg.get("m", 2))
     if m not in (0, 1, 2):
         raise ConfigError(f"config key m must be 0, 1 or 2, got {m!r}")
-    seed = _seed("seed", cfg.get("seed", 0))
     h = _positive(_float, "h", cfg.get("h", 0.125))
     bsum = _three_dimensional("input", _load_bessel("input", src))
     for k in sweep:
         _above_radius("k_sweep", k, bsum)
     chart = _chart_from_config(cfg, bsum.n)
-    manifest = write_manifest(out, cfg, [src])
+    manifest = write_manifest(cfg, [src])
     rows = []
     for k in sweep:
         Y = harmonics.synthesize(bsum, k, chart)
@@ -417,14 +398,13 @@ def cmd_verify(cfg: dict) -> int:
         # a step proportional to the wavelength keeps the O((kh)^2) stencil
         # error of the eigenvalue-relative residual the same at every k
         lap_h = 0.04 / k
-        lap = harmonics.laplace_residual(Y, samples=16, h=lap_h, seed=seed)
+        lap = harmonics.laplace_residual(Y, samples=16, h=lap_h, seed=cfg.seed)
         rows.append(("laplace", lap, lap_h, k))
     lines = [f"# manifest {manifest}", "order,sup_error,h,k"]
     for order, err, step, k in rows:
         lines.append(f"{order},{err:.17g},{step:.17g},{k}")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(rows)} rows)", file=sys.stderr)
+    cfg.out.write_text("\n".join(lines) + "\n")
+    print(f"wrote {cfg.out} ({len(rows)} rows)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -457,10 +437,9 @@ def _field_box(cfg: dict, name: str, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return bounds
 
 
-def cmd_nodal(cfg: dict) -> int:
+def cmd_nodal(cfg: _Config) -> int:
     from . import nodal
 
-    out = Path(str(_require(cfg, "out")))
     src = str(_require(cfg, "input"))
     h = _positive(_float, "h", cfg.get("h", 0.05))
     lo = _floats("box_lo", cfg.get("box_lo", [-0.8, -0.8, -0.8]), 3)
@@ -484,7 +463,7 @@ def cmd_nodal(cfg: dict) -> int:
         field.jet, field.grid = base.jet, base.grid
         fields.append(("field", field))
     boxes = [_field_box(cfg, name, lo, hi) for name, _ in fields]
-    manifest = write_manifest(out, cfg, [src])
+    manifest = write_manifest(cfg, [src])
 
     all_curves = []
     closed_by_field = []
@@ -511,40 +490,34 @@ def cmd_nodal(cfg: dict) -> int:
     if len(fields) == 2 and closed_by_field[0] and closed_by_field[1]:
         # principal (largest) closed curve of each component
         topo["linking"].append(_link_entry("cross", [0, 0], closed_by_field[0][0], closed_by_field[1][0]))
-    Path(f"{out}.ply").write_text(nodal.curves_to_ply(all_curves, comment=f"manifest {manifest}"))
-    _write_json(Path(f"{out}.json"), {"curves": [c.to_dict() for c in all_curves]}, manifest)
-    _write_json(Path(f"{out}.topology.json"), topo, manifest)
-    print(f"wrote {out}.ply/.json/.topology.json ({len(all_curves)} curves)", file=sys.stderr)
+    Path(f"{cfg.out}.ply").write_text(nodal.curves_to_ply(all_curves, comment=f"manifest {manifest}"))
+    _write_json(Path(f"{cfg.out}.json"), {"curves": [c.to_dict() for c in all_curves]}, manifest)
+    _write_json(Path(f"{cfg.out}.topology.json"), topo, manifest)
+    print(f"wrote {cfg.out}.ply/.json/.topology.json ({len(all_curves)} curves)", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_torus(cfg: dict) -> int:
+def cmd_torus(cfg: _Config) -> int:
     from . import torus
 
-    out = Path(str(_require(cfg, "out")))
     n = _choice("n", _int("n", cfg.get("n", 3)), (2, 3, 4))
     key = "k_sweep" if "k_sweep" in cfg else "k"
-    ks = cfg.get(key, [3])
-    if not isinstance(ks, list):
-        ks = [ks]
-    ks = [_positive(_int, key, k) for k in ks]
+    ks = _ints(key, cfg.get(key, [3]))
     trials = _positive(_int, "trials", cfg.get("trials", 4000))
-    seed = _seed("seed", cfg.get("seed", 0))
     _density_kind(cfg)  # checked even when the run does not localize
     density = _density_from_config(cfg) if cfg.get("localize", False) else None
-    manifest = write_manifest(out, cfg, [])
+    manifest = write_manifest(cfg, [])
     lines = [f"# manifest {manifest}", "k,count,discrepancy,localization_sup_error"]
     for k in ks:
         dirs = torus.lattice_directions(n, k)
-        disc = torus.cap_discrepancy(dirs, trials=trials, seed=seed)
+        disc = torus.cap_discrepancy(dirs, trials=trials, seed=cfg.seed)
         loc = ""
         if density is not None:
-            _, report = torus.torus_localize(density, k, trials=trials, seed=seed)
+            _, report = torus.torus_localize(density, k, trials=trials, seed=cfg.seed)
             loc = f"{report.sup_error:.17g}"
         lines.append(f"{k},{len(dirs)},{disc:.17g},{loc}")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+    cfg.out.write_text("\n".join(lines) + "\n")
+    print(f"wrote {cfg.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -579,15 +552,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         cfg.setdefault("seed", 0)
+        cfg.out = Path(str(_require(cfg, "out")))
+        cfg.seed = _seed("seed", cfg["seed"])
         return _COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError, KeyError) as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
-    except (ToleranceError, DesignError) as exc:
-        detail = {"error": "tolerance", "detail": str(exc)}
-        if isinstance(exc, ToleranceError):
-            detail["achieved"] = exc.achieved
-        print(json.dumps(detail), file=sys.stderr)
+    except ToleranceError as exc:
+        print(json.dumps({"error": "tolerance", "detail": str(exc), "achieved": exc.achieved}), file=sys.stderr)
         return EXIT_TOLERANCE
     except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
         print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)

@@ -82,7 +82,10 @@ def kernel_norm(n: int) -> float:
 
 @dataclass
 class UltrasphericalSum:
-    """Y(p) = sum_j c_j * kernel_norm(n) * C^n_k(p . p_j) on S^n in R^{n+1}."""
+    """Y(p) = sum_j c_j * kernel_norm(n) * C^n_k(p . p_j) on S^n in R^{n+1}.
+
+    ``chart``, the chart the sum was synthesized in, goes through to_dict and from_dict when set.
+    """
 
     n: int
     k: int
@@ -108,7 +111,7 @@ class UltrasphericalSum:
         return self.k * (self.n + self.k - 1)
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "n": self.n,
             "k": self.k,
             "terms": [
@@ -116,12 +119,16 @@ class UltrasphericalSum:
                 for c, p in zip(self.coeffs, self.centers)
             ],
         }
+        if self.chart is not None:
+            d["chart"] = self.chart.to_dict()
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "UltrasphericalSum":
         coeffs = np.array([complex(t["c"][0], t["c"][1]) for t in d["terms"]])
         centers = np.array([t["p"] for t in d["terms"]])
-        return cls(d["n"], d["k"], coeffs, centers)
+        chart = sphere.Chart.from_dict(d["chart"]) if "chart" in d else None
+        return cls(d["n"], d["k"], coeffs, centers, chart=chart)
 
 
 def synthesize(s: BesselSum, k: int, chart: sphere.Chart) -> UltrasphericalSum:

@@ -104,19 +104,6 @@ class HerglotzDensity:
         nodes, weights = sphere_quadrature(n, resolution)
         return cls(n, nodes, weights, np.full(len(nodes), value, dtype=complex))
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-            "values": [[z.real, z.imag] for z in self.values],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HerglotzDensity":
-        vals = np.array([complex(a, b) for a, b in d["values"]])
-        return cls(d["n"], np.array(d["nodes"]), np.array(d["weights"]), vals)
-
 
 def eval_herglotz(f: HerglotzDensity, x):
     """Quadrature value of integral f(xi) e^{i x.xi} dsigma(xi)."""
@@ -252,22 +239,25 @@ def _plane_wave_degree(radius: float) -> int:
     exact through degree L and with weights summing to 4 pi integrates
     e^{i y.xi} to 4 pi j0(|y|) within 4 pi times that tail wherever
     |y| <= radius.  The terms peak near l = radius / 2 and fall faster than
-    2^-l past l = radius, so they are read in logs from the far end down.
+    2^-l past l = radius; _beyond sums them from the far end down.
     """
-    log_r = math.log(max(radius, 1e-300))
+    beyond = _beyond(4 * math.ceil(radius) + 40, math.log(max(radius, 1e-300)))[0]
+    return int(np.argmax(2.0 * beyond <= _PLANE_WAVE_TAIL))
 
-    def term(l):
-        log_dfact = math.lgamma(2 * l + 2) - l * math.log(2.0) - math.lgamma(l + 1)
-        return math.exp(math.log(2 * l + 1) + l * log_r - log_dfact)
 
-    top = math.ceil(radius) + 1
-    while term(top) > 2.0**-40 * _PLANE_WAVE_TAIL:
-        top += 1
-    tail, degree = 0.0, top
-    while degree > 0 and 2.0 * (tail + term(degree)) <= _PLANE_WAVE_TAIL:
-        tail += term(degree)
-        degree -= 1
-    return degree
+def _beyond(count: int, log_x: float, log_y: float | None = None) -> np.ndarray:
+    """Tails of the plane-wave and kernel bound series over degrees l < count.
+
+    Row 0 holds sum_{j>l} (2j+1) x^j / (2j+1)!! at column l; given log_y, row 1
+    holds sum_{j>l} (2j+1) y^j / ((2j+1)!!)^2 / sqrt(pi/2).  Each sum adds the
+    small terms first.
+    """
+    l = np.arange(count)
+    log_dfact = np.cumsum(np.log(2 * l + 1.0))
+    base = np.log(2 * l + 1) - log_dfact
+    terms = np.exp([base + l * log_x] + ([] if log_y is None else [base + l * log_y - log_dfact]))
+    terms[1:] /= _SQRT_PI_2
+    return np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
 
 
 def _rule_size(degree: int) -> int:
@@ -661,13 +651,8 @@ def _fit_degree(radius: float, reach: float):
     amplitude mass and sqrt(2/pi) (2l+1) (radius reach)^l / ((2l+1)!!)^2 per
     unit of coefficient mass.  L is the least degree whose tails sum below _FIT_RCOND.
     """
-    l = np.arange(4 * math.ceil(radius * max(reach, 1.0)) + 40)
-    log_dfact = np.cumsum(np.log(2 * l + 1.0))
-    base = np.log(2 * l + 1) - log_dfact
-    terms = np.exp([base + l * math.log(radius), base + l * math.log(max(radius * reach, 1e-300)) - log_dfact])
-    terms[1] /= _SQRT_PI_2
-    # beyond[:, l] sums the terms past l, the small ones first
-    beyond = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
+    count = 4 * math.ceil(radius * max(reach, 1.0)) + 40
+    beyond = _beyond(count, math.log(radius), math.log(max(radius * reach, 1e-300)))
     degree = int(np.argmax(beyond.sum(axis=0) <= _FIT_RCOND))
     return degree, float(beyond[0, degree]), float(beyond[1, degree])
 

@@ -468,6 +468,16 @@ def _successors(n: int, n1: int) -> np.ndarray:
     return nxt
 
 
+def _pieces(start: np.ndarray, span: np.ndarray, parts: np.ndarray):
+    """(edge, piece starts) of edges start[e] -> start[e] + span[e], edge e cut into parts[e] equal pieces.
+
+    Piece k of m starts at start + (k / m) span; `edge` names each piece's edge.
+    """
+    edge = np.repeat(np.arange(len(parts)), parts)
+    frac = (np.arange(len(edge)) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[edge]
+    return edge, start[edge] + frac[:, None] * span[edge]
+
+
 def _candidate_pairs(a, b, n1, pad):
     """(joined, blocks) of the crossing search over projected segments a[k] -> b[k].
 
@@ -492,13 +502,11 @@ def _candidate_pairs(a, b, n1, pad):
     seg = np.arange(len(a))
     long = np.flatnonzero(side > size)
     if len(long):
-        # piece k of m runs from a + (k / m) (b - a) to a + ((k + 1) / m) (b - a);
-        # the pad covers the rounding of those ends
+        # the pad covers the rounding of the pieces' ends
         parts = np.ones(len(a), np.int64)
         parts[long] = np.ceil(side[long] / size)
-        seg = np.repeat(seg, parts)
-        step = (np.arange(len(seg)) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[seg]
-        start, span = start[seg] + step[:, None] * span[seg], span[seg] / parts[seg, None]
+        seg, start = _pieces(start, span, parts)
+        span = span[seg] / parts[seg, None]
     end = start + span
     lo, hi = np.minimum(start, end) - pad, np.maximum(start, end) + pad
     origin = lo.min(axis=0)
@@ -627,9 +635,7 @@ def _densify(p: np.ndarray, closed: bool, step: float) -> np.ndarray:
     a = p[:last]
     diff = p[(np.arange(last) + 1) % len(p)] - a
     k = np.maximum(1, np.ceil(np.linalg.norm(diff, axis=1) / step)).astype(int)
-    edge = np.repeat(np.arange(last), k)
-    frac = (np.arange(len(edge)) - np.repeat(np.cumsum(k) - k, k)) / k[edge]
-    out = a[edge] + frac[:, None] * diff[edge]
+    out = _pieces(a, diff, k)[1]
     return out if closed else np.concatenate([out, p[-1:]])
 
 
@@ -662,11 +668,8 @@ def hausdorff_dist(curve_a, curve_b, densify_step: float | None = None) -> float
     return extreme(a, b, max(densify_step, min(1.25 * bound, 4.0 * densify_step)))
 
 
-def curves_to_json(curves, extra: dict | None = None) -> str:
-    doc = {"curves": [c.to_dict() for c in curves]}
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, sort_keys=True)
+def curves_to_json(curves) -> str:
+    return json.dumps({"curves": [c.to_dict() for c in curves]}, sort_keys=True)
 
 
 def curves_from_json(s: str):

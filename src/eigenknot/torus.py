@@ -10,7 +10,6 @@ of the rescaled spherical harmonic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -49,9 +48,6 @@ class LatticeDirectionSet:
     @classmethod
     def from_dict(cls, d: dict) -> "LatticeDirectionSet":
         return cls(d["n"], d["k"], np.array(d["m"], dtype=np.int64))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 #: lattice_directions takes its first coordinates in blocks whose cube of

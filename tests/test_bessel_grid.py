@@ -156,9 +156,16 @@ def test_degree_rule_is_needed(circle_sum):
     assert errors[degree] <= GRID_RTOL < errors[degree - 5]
 
 
-def test_degree_rule_tail():
+@settings(max_examples=60, deadline=None)
+@given(radius=st.floats(1e-3, 60.0))
+@example(radius=0.5)
+@example(radius=1.0)
+@example(radius=4.3)
+@example(radius=9.0)
+@example(radius=30.0)
+def test_degree_rule_tail(radius):
     # the tail bound sits at or below 2^-56 at L and above it at L - 1
-    def tail(radius, degree):
+    def tail(degree):
         total, term = 0.0, 1.0
         for l in range(1, 400):
             term *= radius / (2 * l + 1)  # radius^l / (2l+1)!!
@@ -166,9 +173,8 @@ def test_degree_rule_tail():
                 total += (2 * l + 1) * term
         return 2.0 * total
 
-    for radius in (0.5, 1.0, 4.3, 9.0, 30.0):
-        degree = helmholtz._plane_wave_degree(radius)
-        assert tail(radius, degree) <= 2.0**-56 < tail(radius, degree - 1)
+    degree = helmholtz._plane_wave_degree(radius)
+    assert tail(degree) <= 2.0**-56 < tail(degree - 1)
 
 
 def test_plane_wave_rule_is_exact_through_its_degree():

@@ -170,6 +170,32 @@ def test_torus_command(tmp_path):
     assert int(rows[3][1]) == 30
 
 
+def test_torus_localize_column(tmp_path):
+    # the last column is the sup error of torus_localize for the same density,
+    # degree, trials and seed
+    from eigenknot import torus
+    from eigenknot.helmholtz import HerglotzDensity
+
+    out = tmp_path / "torus.csv"
+    settings = ["k=3", "trials=200", "localize=true", "resolution=8"]
+    assert main(["torus", "--out", str(out), "--seed", "4", *(a for s in settings for a in ("--set", s))]) == EXIT_OK
+    row = out.read_text().splitlines()[2].split(",")
+    _, report = torus.torus_localize(HerglotzDensity.constant(3, 1.0, 8), 3, trials=200, seed=4)
+    assert np.isfinite(float(row[3])) and float(row[3]) == report.sup_error
+
+
+@pytest.mark.parametrize(
+    "setting, detail",
+    [("k_sweep=80,40", "k_sweep must be strictly increasing"), ("k_sweep", "--set expects key=value, got 'k_sweep'")],
+)
+def test_verify_bad_sweep_setting_exit_code(tmp_path, capsys, setting, detail):
+    argv = ["verify", "--out", str(tmp_path / "out"), "--set", "input=" + data_path("single_center.json")]
+    assert main([*argv, "--set", setting]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "detail": detail}
+    assert not list(tmp_path.iterdir())
+
+
 def test_full_spinor_nodal_pipeline(tmp_path):
     # hopf-design components through the CLI: spinorize then nodal, with the
     # frame-adapted chart (the spinorize default) and per-component boxes
@@ -576,6 +602,7 @@ def test_degree_at_or_below_the_input_radius_exit_code(tmp_path, capsys, command
         ("verify", ["--set", "input={single}", "--seed", "-1"], "seed", -1),
         ("verify", ["--set", "input={single}", "--set", "chart_seed=-1.0"], "chart_seed", -1.0),
         ("torus", ["--set", "seed=-1"], "seed", -1),
+        ("nodal", ["--set", "input={single}", "--seed", "-1"], "seed", -1),
     ],
 )
 def test_negative_seed_exit_code(tmp_path, capsys, command, args, key, value):

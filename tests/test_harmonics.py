@@ -54,6 +54,18 @@ def sphere_points(seed, count):
     return p / np.linalg.norm(p, axis=1, keepdims=True)
 
 
+def test_dict_round_trip_keeps_the_chart(chart, small_sum):
+    Y = ek.synthesize(small_sum, 12, chart)
+    back = UltrasphericalSum.from_dict(Y.to_dict())
+    assert (back.n, back.k) == (Y.n, Y.k)
+    assert np.array_equal(back.coeffs, Y.coeffs) and np.array_equal(back.centers, Y.centers)
+    assert np.array_equal(back.chart.p0, chart.p0) and np.array_equal(back.chart.frame, chart.frame)
+    assert back.chart.seed == chart.seed
+    # a sum without a chart writes none and reads none back
+    bare = UltrasphericalSum(3, 12, Y.coeffs, Y.centers)
+    assert "chart" not in bare.to_dict() and UltrasphericalSum.from_dict(bare.to_dict()).chart is None
+
+
 def test_dimension_formulas():
     assert harmonic_space_dim(1, 3) == 4
     for k in range(6):

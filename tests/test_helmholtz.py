@@ -330,6 +330,25 @@ def test_discretize_stops_before_fitting_when_the_tail_misses_delta(monkeypatch)
     assert len(fits) == 1
 
 
+def test_discretize_refines_the_grid_until_the_bound_meets_delta():
+    # at radius 1.5 the constant density's tail floor is 1.1946e-8 and the
+    # first fit's bound 1.2360e-8; delta between them is met by the second
+    # fit, on the refined grid at radius 2.0
+    f = HerglotzDensity.constant(3)
+    s = herglotz_discretize(f, 1.222e-8, radius=1.5)
+    assert s.report.radius == 2.0 and s.report.spacing == pytest.approx(1.5 / 3.6 * 0.7, rel=1e-15)
+    assert s.report.achieved <= s.report.bound <= 1.222e-8 < 1.2360e-8
+
+
+def test_discretize_stops_at_max_terms_with_the_last_bound():
+    # the refined grid at radius 2.0 holds 1337 centers, over max_terms, so the
+    # error carries the first fit's bound
+    f = HerglotzDensity.constant(3)
+    with pytest.raises(ToleranceError, match="within 1000 terms") as err:
+        herglotz_discretize(f, 1.222e-8, radius=1.5, max_terms=1000)
+    assert f"{err.value.achieved:.4e}" == "1.2360e-08"
+
+
 def _mode_orders(L):
     l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
     return l, np.arange((L + 1) ** 2) - l * l - l

@@ -1,4 +1,4 @@
-"""Import hygiene of the package and the tests.
+"""Import hygiene of the package, the tests and the scripts.
 
 Stands in for a lint step.  No module imports a name it never uses: each
 module's syntax tree is walked for an imported name that never appears as a
@@ -32,7 +32,7 @@ import eigenknot
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "eigenknot").glob("*.py"))
-MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
