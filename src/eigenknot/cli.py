@@ -270,7 +270,7 @@ def _chart_from_config(cfg: _Config, n: int, default_kind: str = "random") -> sp
             raise ConfigError("config key chart_base must not be the zero vector")
     if kind == "adapted":
         if n != 3:
-            raise ConfigError("adapted charts are specific to S^3")
+            raise ConfigError(f"config key chart must be random on S^{n}: adapted charts are specific to S^3")
         from . import spinor3
 
         return spinor3.adapted_chart(base if base is not None else np.array([1.0, 0, 0, 0]))
@@ -380,7 +380,7 @@ def cmd_verify(cfg: _Config) -> int:
     src = str(_require(cfg, "input"))
     sweep = _ints("k_sweep", cfg.get("k_sweep", [40, 80, 160]))
     if sweep != sorted(sweep) or len(set(sweep)) != len(sweep):
-        raise ConfigError("k_sweep must be strictly increasing")
+        raise ConfigError(f"config key k_sweep must be strictly increasing, got {sweep}")
     m = _int("m", cfg.get("m", 2))
     if m not in (0, 1, 2):
         raise ConfigError(f"config key m must be 0, 1 or 2, got {m!r}")

@@ -34,29 +34,6 @@ from .specialfn import (
     jacobi_p,
 )
 
-__all__ = [
-    "UltrasphericalSum",
-    "CmErrorReport",
-    "harmonic_space_dim",
-    "dirac_multiplicity",
-    "spinor_rank",
-    "kernel_norm",
-    "synthesize",
-    "multi_synthesize",
-    "zonal_derivatives",
-    "eval_harmonic",
-    "eval_harmonic_grad",
-    "rescaled_pullback",
-    "laplace_residual",
-    "localization_error",
-    "multi_localization_reports",
-    "decay_profile",
-    # phi at single points, next to rescaled_pullback, and at localization_error's
-    # stencil support when its lattice is too small for the plane-wave product;
-    # bench/tracing.py wraps this binding
-    "eval_bessel_sum",
-]
-
 
 def spinor_rank(n: int) -> int:
     """Complex rank 2^floor(n/2) of the spinor bundle on S^n."""

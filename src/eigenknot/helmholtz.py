@@ -404,16 +404,13 @@ def bessel_sum_field(s: BesselSum):
     return field
 
 
-def _central_differences(vals: np.ndarray, h: float, m: int, laplacian: bool = False):
+def _central_differences(vals: np.ndarray, h: float, m: int):
     """[v, D1, D2] through order m on the lattice core (every point but the outer layer).
 
     D1 (n, *core) holds (v+ - v-) / (2h) along each axis; D2 (n, n, *core)
     holds (v+ - 2v + v-) / (h h) on its diagonal and
     (v++ - v+- - v-+ + v--) / (4h h) off it, the same array at [a, b] and
-    [b, a].  With `laplacian`, the order-2 entry is instead the trace of D2,
-    the 2n+1-point Laplacian, summed over the diagonal in axis order, and no
-    mixed difference is formed.  Each neighbour is a slice of vals, so
-    nothing is copied whole.
+    [b, a].  Each neighbour is a slice of vals, so nothing is copied whole.
     """
     n, e = vals.ndim, np.eye(vals.ndim, dtype=int)
     v = vals[(slice(1, -1),) * n]
@@ -421,18 +418,13 @@ def _central_differences(vals: np.ndarray, h: float, m: int, laplacian: bool = F
     def at(step):
         return vals[tuple(slice(1 + s, size - 1 + s) for s, size in zip(step, vals.shape))]
 
-    def second(a):
-        return (at(e[a]) - 2 * v + at(-e[a])) / (h * h)
-
     out = [v]
     if m >= 1:
         out.append(np.stack([(at(e[a]) - at(-e[a])) / (2 * h) for a in range(n)]))
-    if m >= 2 and laplacian:
-        out.append(sum((second(a) for a in range(1, n)), second(0)))
-    elif m >= 2:
+    if m >= 2:
         d2 = np.empty((n, n) + v.shape, dtype=np.result_type(vals, h))
         for a in range(n):
-            d2[a, a] = second(a)
+            d2[a, a] = (at(e[a]) - 2 * v + at(-e[a])) / (h * h)
             for b in range(a + 1, n):
                 d2[a, b] = d2[b, a] = (
                     at(e[a] + e[b]) - at(e[a] - e[b]) - at(e[b] - e[a]) + at(-e[a] - e[b])
@@ -446,8 +438,8 @@ def lattice_stencils(fieldfn, box, h: float):
 
     fieldfn is called once, on that lattice padded by one step; the
     differences stack on a leading axis of length n, and the Laplacian is
-    _central_differences' trace of the second differences, with no mixed
-    difference formed.
+    the trace of _central_differences' second differences, summed in axis
+    order.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"lattice step h must be finite and positive, got {h!r}")
@@ -457,7 +449,8 @@ def lattice_stencils(fieldfn, box, h: float):
     axes = [np.arange(a - h, b + h + 1e-12, h) for a, b in zip(lo, hi)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     vals = np.asarray(fieldfn(grid.reshape(-1, len(axes))), dtype=complex).reshape(grid.shape[:-1])
-    return _central_differences(vals, h, 2, laplacian=True)
+    v, d1, d2 = _central_differences(vals, h, 2)
+    return v, d1, sum((d2[a, a] for a in range(1, len(axes))), d2[0, 0])
 
 
 def helmholtz_residual(fieldfn, box, h: float) -> float:
@@ -824,13 +817,12 @@ class PlaneWaveSpinor:
         return eval_rows(lambda xb: _plane_wave_sum(xb, self.directions, w), x, 3, len(w))
 
     def dirac_residual(self, x) -> float:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ph = np.exp(1j * (x @ self.directions.T))
-        val = ph @ self.spinor_coeffs
-        out = -val
-        for mu in range(3):
-            gmu = ((1j * self.directions[:, mu])[None, :] * ph) @ self.spinor_coeffs
-            out = out + gmu @ FLAT_GAMMA[mu].T
+        """max |D_0 phi - phi| / max |phi| at points x (M, 3), from one plane-wave
+        sum over the coefficient columns (w, i xi_mu w) of phi and its partials."""
+        x, w = np.atleast_2d(np.asarray(x, dtype=float)), self.spinor_coeffs
+        cols = np.stack([w, *(1j * self.directions[:, mu, None] * w for mu in range(3))], axis=1)
+        val, *grad = np.moveaxis(_plane_wave_sum(x, self.directions, cols), 1, 0)
+        out = sum((grad[mu] @ FLAT_GAMMA[mu].T for mu in range(3)), -val)
         return float(np.max(np.abs(out)) / np.max(np.abs(val)))
 
 
@@ -1037,7 +1029,6 @@ _HOPF_TARGET_H = 0.2
 def hopf_link_design() -> HopfPairDesign:
     """Build the closed-form Hopf-pair eigenfield and extract its target curves."""
     beta, eps = _HOPF_BETA, _HOPF_EPS
-    sq = math.sqrt(math.pi / 2.0)
     e = np.eye(3) * eps
     centers = np.array([np.zeros(3), -e[2], e[2], -e[0], e[0], -e[1], e[1]])
     base = np.zeros(7, dtype=complex)
@@ -1045,10 +1036,10 @@ def hopf_link_design() -> HopfPairDesign:
     dz = np.array([0, 1, -1, 0, 0, 0, 0], dtype=complex) / (2 * eps)
     dx = np.array([0, 0, 0, 1, -1, 0, 0], dtype=complex) / (2 * eps)
     dy = np.array([0, 0, 0, 0, 0, 1, -1], dtype=complex) / (2 * eps)
-    up1 = sq * (base + 1j * dz)
-    up2 = sq * 1j * (dx + 1j * dy)
-    dn1 = sq * 1j * (dx - 1j * dy)
-    dn2 = sq * (base - 1j * dz)
+    up1 = _SQRT_PI_2 * (base + 1j * dz)
+    up2 = _SQRT_PI_2 * 1j * (dx + 1j * dy)
+    dn1 = _SQRT_PI_2 * 1j * (dx - 1j * dy)
+    dn2 = _SQRT_PI_2 * (base - 1j * dz)
     radius = math.sqrt(3.0) * eps + 1e-9
     comp = {
         0: BesselSum(3, up1 + 1j * beta * dn1, centers, radius),

@@ -99,10 +99,10 @@ def nearest(p, q, radius: float):
     return best
 
 
-def extreme(p, q, radius: float, least: bool = False) -> float:
+def extreme(p, q, radius: float) -> float:
     """The largest distance from a point of either set to the nearest point of
-    the other, their Hausdorff distance, or with least=True the smallest, the
-    gap between them.  Points are (3, n) and (3, m) coordinate planes.
+    the other, their Hausdorff distance.  Points are (3, n) and (3, m)
+    coordinate planes.
 
     One join of p to q at `radius` settles every point with a neighbour within
     it, in both directions at once, and sets that are near copies of each
@@ -110,25 +110,18 @@ def extreme(p, q, radius: float, least: bool = False) -> float:
     each cell of side c stands for its cell, its distance d to the other set
     is found by nearest, and a point at distance e from it lies within d + e
     and d - e of the set, as the distance to a set is 1-Lipschitz.  Points
-    whose bound cannot beat the extreme found so far are dropped, the rest are
+    whose bound cannot beat the largest found so far are dropped, the rest are
     split into cells of side c / 4, and the search ends when every point left
     stands for itself.  So only a few points far from the other set are
-    searched exactly, and the result is the exact extreme of the distances
+    searched exactly, and the result is the exact largest of the distances
     dx*dx + dy*dy + dz*dz, whose rounding the relative margin 1e-12 on the
     bounds covers.
     """
     near, far, r = join(p, q, radius)
     reach = (r * (1.0 - 1e-6)) ** 2
-    if least:
-        value = float(min(near.min(), far.min()))
-        if value <= reach:
-            return math.sqrt(value)
-        # the least distance from q to p is the least from p to q
-        todo = [(p, q, np.arange(p.shape[1]))]
-    else:
-        value = float(max(near[near <= reach].max(initial=0.0), far[far <= reach].max(initial=0.0)))
-        # a pair seen beyond the reach bounds its points from above
-        todo = [(p, q, np.flatnonzero(near > max(reach, value))), (q, p, np.flatnonzero(far > max(reach, value)))]
+    value = float(max(near[near <= reach].max(initial=0.0), far[far <= reach].max(initial=0.0)))
+    # a pair seen beyond the reach bounds its points from above
+    todo = [(p, q, np.flatnonzero(near > max(reach, value))), (q, p, np.flatnonzero(far > max(reach, value)))]
     for pts, other, rest in todo:
         width, radius = None, 2.0 * r
         while len(rest):
@@ -146,12 +139,8 @@ def extreme(p, q, radius: float, least: bool = False) -> float:
             e = x - x[:, first][:, inv]
             e = np.sqrt(e[0] * e[0] + e[1] * e[1] + e[2] * e[2])
             d = np.sqrt(dist)[inv]
-            if least:
-                value = min(value, float(dist.min()))
-                keep = (e > 0) & ((d - e) * (1.0 - 1e-12) < math.sqrt(value))
-            else:
-                value = max(value, float(dist.max()))
-                keep = (e > 0) & ((d + e) * (1.0 + 1e-12) > math.sqrt(value))
+            value = max(value, float(dist.max()))
+            keep = (e > 0) & ((d + e) * (1.0 + 1e-12) > math.sqrt(value))
             rest = rest[keep]
             radius = float((d + e)[keep].max(initial=0.0)) / (1.0 - 2e-6)
     return math.sqrt(value)

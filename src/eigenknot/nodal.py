@@ -390,13 +390,14 @@ def _closed_vertices(c, which: int) -> np.ndarray:
 
 
 def _vertex_gap(p1, p2) -> float:
-    """The least distance between a vertex of p1 and a vertex of p2, from a
-    search that starts at radius extent / (vertices of the larger set)."""
-    from .neighbours import extreme
+    """The least distance between a vertex of p1 and a vertex of p2: the least
+    over p1 of neighbours.nearest, from a search that starts at radius
+    extent / (vertices of the larger set)."""
+    from .neighbours import nearest
 
     p, q = (np.ascontiguousarray(x.T) for x in (p1, p2))
     extent = float((np.maximum(p.max(axis=1), q.max(axis=1)) - np.minimum(p.min(axis=1), q.min(axis=1))).max())
-    return extreme(p, q, extent / max(len(p1), len(p2)), least=True)
+    return math.sqrt(nearest(p, q, extent / max(len(p1), len(p2))).min())
 
 
 #: Segment pairs per block of the crossing search: a few planes of 2^13

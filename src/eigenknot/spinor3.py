@@ -153,19 +153,14 @@ def zonal_tables(psi, index: int | None = None) -> ZonalTables:
     np.add.at(c, (inv.ravel(), np.repeat([0, 1], [len(a), len(b)])), np.concatenate([a.coeffs, b.coeffs]))
     c *= kernel_norm(3)
 
-    def column(col):
-        if pair is psi:
-            return c[:, col], None
-        mu2 = 2.0 * (psi.k + 1)
-        beta = sum((c @ GAMMA[i][col])[:, None] * (p @ E.T) for i, E in enumerate(FRAME_E)) / -mu2
-        return (psi.k + 2.0) / mu2 * c[:, col], beta
-
-    if index is None:
-        (alpha, beta), (alpha2, beta2) = column(0), column(1)
-        alpha = np.stack([alpha, alpha2], axis=-1)
-        beta = None if beta is None else np.stack([beta, beta2], axis=-1)
+    if pair is psi:
+        alpha, beta = c, None
     else:
-        alpha, beta = column(index)
+        mu2 = 2.0 * (psi.k + 1)
+        alpha = (psi.k + 2.0) / mu2 * c
+        beta = sum((c @ GAMMA[i].T)[:, None] * (p @ E.T)[:, :, None] for i, E in enumerate(FRAME_E)) / -mu2
+    if index is not None:
+        alpha, beta = alpha[..., index], None if beta is None else beta[..., index]
     cols = alpha.shape[1:]
     ps = p.reshape(p.shape + (1,) * len(cols))
     if beta is None:

@@ -95,14 +95,16 @@ def lattice_directions(n: int, k: int) -> LatticeDirectionSet:
 
 
 def _cap_fraction(n: int, t: np.ndarray) -> np.ndarray:
-    """Normalized area of the cap {x . z >= t} on S^{n-1}."""
-    from scipy.special import betainc
-
-    t = np.asarray(t, dtype=float)
-    half = 0.5 * (n - 1)
-    x = np.clip(1.0 - t * t, 0.0, 1.0)
-    inc = 0.5 * betainc(half, 0.5, x)
-    return np.where(t >= 0, inc, 1.0 - inc)
+    """Normalized area of the cap {x . z >= t} on S^{n-1}, n in {2, 3, 4}:
+    arccos(t) / pi, (1 - t) / 2 and (arccos t - t sqrt(1 - t^2)) / pi."""
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    if n == 2:
+        return np.arccos(t) / math.pi
+    if n == 3:
+        return 0.5 * (1.0 - t)
+    if n == 4:
+        return (np.arccos(t) - t * np.sqrt((1.0 - t) * (1.0 + t))) / math.pi
+    raise ValueError(f"cap areas are closed forms for n in {{2, 3, 4}}, got n = {n}")
 
 
 def cap_discrepancy(s: LatticeDirectionSet, trials: int = 4000, seed: int = 0) -> float:

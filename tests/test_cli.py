@@ -184,10 +184,7 @@ def test_torus_localize_column(tmp_path):
     assert np.isfinite(float(row[3])) and float(row[3]) == report.sup_error
 
 
-@pytest.mark.parametrize(
-    "setting, detail",
-    [("k_sweep=80,40", "k_sweep must be strictly increasing"), ("k_sweep", "--set expects key=value, got 'k_sweep'")],
-)
+@pytest.mark.parametrize("setting, detail", [("k_sweep", "--set expects key=value, got 'k_sweep'")])
 def test_verify_bad_sweep_setting_exit_code(tmp_path, capsys, setting, detail):
     argv = ["verify", "--out", str(tmp_path / "out"), "--set", "input=" + data_path("single_center.json")]
     assert main([*argv, "--set", setting]) == EXIT_CONFIG
@@ -289,6 +286,8 @@ def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):
         ("torus", "trials=0", "trials"),
         ("approximate", "resolution=0", "resolution"),
         ("verify", "m=5", "m"),
+        # a sweep out of order
+        ("verify", "k_sweep=80,40", "k_sweep"),
         # dimensions without an implementation
         ("approximate", "n=4", "n"),
         ("torus", "n=1", "n"),
@@ -297,6 +296,13 @@ def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):
 )
 def test_non_integer_config_value_exit_code(tmp_path, capsys, command, setting, key):
     _config_error_names_key(tmp_path, capsys, command, setting, key)
+
+
+def test_adapted_chart_off_s3_exit_code(tmp_path, capsys):
+    # an n = 2 Bessel sum synthesizes on S^2, which has no adapted chart
+    field = tmp_path / "disc.json"
+    field.write_text(BesselSum(2, [1.0], [[0.0, 0.0]], 0.5).to_json())
+    _config_error_names_key(tmp_path, capsys, "synthesize", "chart=adapted", "chart", extra=[f"input={field}", "k=3"])
 
 
 @pytest.mark.parametrize(

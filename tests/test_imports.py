@@ -10,7 +10,8 @@ fourier_bessel_truncate, FourierBesselSeries.eval, and the S^3 chord kernel
 and the n = 3 and n = 5 Bessel kernels on pair-sized arrays; only the few
 functions those do not call import scipy, inside the function.  No package module reaches numpy.polynomial anywhere
 (its Gauss rules come from specialfn.gauss_gegenbauer), and the pipelines
-never load it either.
+never load it either.  No package module but ``__init__.py`` assigns
+``__all__``, so the package's ``_EXPORTS`` table stays its one export list.
 
 The package is lazy: ``import eigenknot`` loads none of its modules, every
 ``__all__`` name resolves to its home module's object, and a fresh
@@ -110,6 +111,33 @@ def test_checker_finds_module_level_scipy_imports():
     assert module_level_scipy_imports(source) == [1, 2, 6, 8]
 
 
+def all_assignments(source: str) -> list:
+    """Lines that bind ``__all__`` by a plain, augmented or annotated assignment, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_all_assignments():
+    source = "__all__ = ['a']\nx = __all__\nif x:\n    __all__ += ['b']\n__all__: list = []\nall = 1\n"
+    assert all_assignments(source) == [1, 4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_only_the_package_init_lists_exports(path):
+    # the package's _EXPORTS table is its one export list
+    found = all_assignments(path.read_text())
+    assert not found, "; ".join(f"{path.relative_to(ROOT)}:{line} assigns __all__" for line in found)
+
+
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
     found = module_level_scipy_imports(path.read_text())
@@ -157,7 +185,8 @@ def test_no_numpy_polynomial(path):
 
 
 # Hopf design, then approximate -> verify and spinorize -> nodal through the
-# CLI on small configs, a designed circle with its nodal check, the
+# CLI on small configs, torus at n = 2, 3 and 4 with localization, a designed
+# circle with its nodal check, the
 # Fourier-Bessel modes of a density and of the design, the pair kernels on one
 # block of PAIR_BLOCK point-center pairs and radii, and the Hausdorff distances and
 # separation-checked link of the nodal curves; prints the scipy and
@@ -201,6 +230,8 @@ runs = [
     ["nodal", "--out", "curves", "--set", "input=spinor.json", "--set", "h=0.26",
      "--set", "component1_box_lo=-3.8,-3.8,-1.9", "--set", "component1_box_hi=3.8,3.8,1.9",
      "--set", "component2_box_lo=-4.8,-1.9,-3.9", "--set", "component2_box_hi=1.6,1.9,3.9"],
+    *(["torus", "--out", f"torus{n}.csv", "--set", f"n={n}", "--set", "k=5", "--set", "trials=200",
+       "--set", "localize=true", "--set", "resolution=8"] for n in (2, 3, 4)),
 ]
 for argv in runs:
     assert main(argv) == EXIT_OK, argv[0]

@@ -587,7 +587,6 @@ def test_searches_are_exact_from_any_start_radius(radius):
     want_p, want_q = _brute_nearest(p, q), _brute_nearest(q, p)
     assert np.array_equal(neighbours.nearest(*planes, radius), want_p)
     assert neighbours.extreme(*planes, radius) == math.sqrt(max(want_p.max(), want_q.max()))
-    assert neighbours.extreme(*planes, radius, least=True) == math.sqrt(want_p.min())
 
 
 def test_far_curves_are_searched_coarse_to_fine(monkeypatch):

@@ -313,6 +313,25 @@ def test_pooled_pair_jets_match_separate_passes(chart, shared):
             assert np.max(np.abs(pooled[m][..., a] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("projected", [False, True])
+def test_one_component_tables_are_a_column_of_both(chart, projected):
+    # the tables of component `index` alone carry the bits of column `index`
+    # of the tables of both components
+    psit = harmonic_pair_at(30, chart, False)
+    psi = dirac_project(psit, 30) if projected else psit
+    both = zonal_tables(psi)
+    assert both.cols == (2,)
+    for index in (0, 1):
+        one = zonal_tables(psi, index)
+        assert one.cols == () and np.array_equal(one.centers, both.centers)
+        for table, pair in zip(one.tables, both.tables):
+            if table is None:
+                assert pair is None and not projected
+                continue
+            column = pair.view(complex).reshape(len(both), -1, 2)[..., index]
+            assert np.ascontiguousarray(column).view(float).tobytes() == table.tobytes()
+
+
 def hopf_pair_at_base(k=60):
     """The Hopf design's pair at degree k in the adapted chart at (0.3, -0.5, 0.7, 0.4)."""
     design = ek.hopf_link_design()

@@ -72,6 +72,18 @@ def test_powers_of_two_stay_on_axes():
         assert cap_discrepancy(s, trials=2000, seed=1) >= 0.2
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cap_fraction_closed_forms_match_betainc(n):
+    # the normalized cap area is I_{1 - t^2}((n - 1) / 2, 1 / 2) / 2 for t >= 0
+    from scipy.special import betainc
+
+    t = np.concatenate([np.linspace(-1.0, 1.0, 20001), [-1.0, 0.0, 1.0]])
+    half = 0.5 * betainc(0.5 * (n - 1), 0.5, np.clip(1.0 - t * t, 0.0, 1.0))
+    want = np.where(t >= 0, half, 1.0 - half)
+    assert np.max(np.abs(torus._cap_fraction(n, t) - want)) <= 1e-12
+    assert torus._cap_fraction(n, np.array([-1.0, 0.0, 1.0])).tolist() == [1.0, 0.5, 0.0]
+
+
 def test_six_point_set_cannot_equidistribute():
     assert cap_discrepancy(lattice_directions(3, 1), trials=2000, seed=0) >= 0.2
 
