@@ -206,8 +206,7 @@ def _density_kind(cfg: dict) -> str:
     return _choice("density", cfg.get("density", "constant"), ("constant", "linear_z", "random"))
 
 
-def _density_from_config(cfg: _Config) -> HerglotzDensity:
-    n = _int("n", cfg.get("n", 3))
+def _density_from_config(cfg: _Config, n: int) -> HerglotzDensity:
     resolution = _positive(_int, "resolution", cfg.get("resolution", 24))
     kind = _density_kind(cfg)
     if kind == "constant":
@@ -229,18 +228,26 @@ def _density_from_config(cfg: _Config) -> HerglotzDensity:
 _FILE_KINDS = (("components", "spinor"), ("k", "harmonic"), ("R", "Bessel sum"))
 
 
-def _read_input(key: str, path: str, kinds: tuple) -> dict:
-    """The JSON file named under `key`; a file of a kind outside `kinds` names that key."""
-    doc = json.loads(Path(path).read_text())
-    found = [kind for mark, kind in _FILE_KINDS if isinstance(doc, dict) and mark in doc]
-    kind = found[0] if found else "unrecognized"
+def _read_input(key: str, path: str, kinds: tuple):
+    """The BesselSum, UltrasphericalSum or spinor dict in the JSON file under `key`; a bad file names the key."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config key {key} names no readable JSON file ({exc}): {path}")
+    kind = next((kind for mark, kind in _FILE_KINDS if isinstance(doc, dict) and mark in doc), "unrecognized")
     if kind not in kinds:
-        raise ConfigError(f"config key {key} must name a {' or '.join(kinds)} file, got a {kind} file: {path}")
+        article = "an" if kind == "unrecognized" else "a"
+        raise ConfigError(f"config key {key} must name a {' or '.join(kinds)} file, got {article} {kind} file: {path}")
+    try:
+        if kind == "Bessel sum":
+            return BesselSum.from_dict(doc)
+        if kind == "harmonic":
+            from . import harmonics
+
+            return harmonics.UltrasphericalSum.from_dict(doc)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key} names a malformed {kind} file ({type(exc).__name__}: {exc}): {path}")
     return doc
-
-
-def _load_bessel(key: str, path: str) -> BesselSum:
-    return BesselSum.from_dict(_read_input(key, path, ("Bessel sum",)))
 
 
 def _three_dimensional(key: str, bsum: BesselSum) -> BesselSum:
@@ -278,8 +285,7 @@ def _chart_from_config(cfg: _Config, n: int, default_kind: str = "random") -> sp
 
 
 def cmd_approximate(cfg: _Config) -> int:
-    _choice("n", _int("n", cfg.get("n", 3)), (3,))
-    density = _density_from_config(cfg)
+    density = _density_from_config(cfg, 3)
     delta = _positive(_float, "delta", cfg.get("delta", 1e-3))
     radius = _positive(_float, "radius", cfg.get("radius", 2.5))
     manifest = write_manifest(cfg, [])
@@ -301,7 +307,7 @@ def cmd_synthesize(cfg: _Config) -> int:
 
     src = str(_require(cfg, "input"))
     k = _positive(_int, "k", _require(cfg, "k"))
-    bsum = _load_bessel("input", src)
+    bsum = _read_input("input", src, ("Bessel sum",))
     _above_radius("k", k, bsum)
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(cfg, [src])
@@ -317,8 +323,8 @@ def cmd_spinorize(cfg: _Config) -> int:
     src1 = str(_require(cfg, "input1"))
     src2 = str(_require(cfg, "input2"))
     k = _positive(_int, "k", _require(cfg, "k"))
-    b1 = _three_dimensional("input1", _load_bessel("input1", src1))
-    b2 = _three_dimensional("input2", _load_bessel("input2", src2))
+    b1 = _three_dimensional("input1", _read_input("input1", src1, ("Bessel sum",)))
+    b2 = _three_dimensional("input2", _read_input("input2", src2, ("Bessel sum",)))
     _above_radius("k", k, b1, b2)
     chart = _chart_from_config(cfg, 3, default_kind="adapted")
     manifest = write_manifest(cfg, [src1, src2])
@@ -345,22 +351,22 @@ def cmd_spinorize(cfg: _Config) -> int:
     return EXIT_OK
 
 
-def load_spinor(path: str):
-    from . import harmonics, spinor3
+def load_spinor(path: str, doc: dict):
+    """(psi, chart, k, the paths of the spinor and its component files) of the spinor file `path`, parsed as `doc`."""
+    from . import spinor3
 
-    doc = json.loads(Path(path).read_text())
     # spinor3.GAMMA fixes the frame orientation; a file recorded with the other
     # one would be evaluated in the wrong convention
     if doc.get("orientation", 1) != 1:
-        raise ConfigError(f"{path}: orientation must be 1, got {doc['orientation']!r}")
+        raise ConfigError(f"config key input names a spinor file of orientation {doc['orientation']!r}, not 1: {path}")
     names, k = doc.get("components"), doc.get("k")
     # a malformed file is a config error naming its key, never a numerical one
     if not (isinstance(names, list) and len(names) == 2 and all(isinstance(name, str) for name in names)):
         raise ConfigError(f"config key input names a spinor file without two component file names: {path}")
     if type(k) is not int:
         raise ConfigError(f"config key input names a spinor file whose k {k!r} is not an integer: {path}")
-    base = Path(path).parent
-    y1, y2 = (harmonics.UltrasphericalSum.from_dict(json.loads((base / name).read_text())) for name in names)
+    paths = [str(Path(path).parent / name) for name in names]
+    y1, y2 = (_read_input("input", p, ("harmonic",)) for p in paths)
     # a component of another degree or sphere is refused before anything is evaluated
     for name, y in zip(names, (y1, y2)):
         if (y.n, y.k) != (3, k):
@@ -371,7 +377,7 @@ def load_spinor(path: str):
     psi = spinor3.SpinorField3((y1, y2))
     if doc.get("projected", False):
         psi = spinor3.dirac_project(psi, k)
-    return psi, y1.chart, k
+    return psi, y1.chart, k, [path, *paths]
 
 
 def cmd_verify(cfg: _Config) -> int:
@@ -381,13 +387,10 @@ def cmd_verify(cfg: _Config) -> int:
     sweep = _ints("k_sweep", cfg.get("k_sweep", [40, 80, 160]))
     if sweep != sorted(sweep) or len(set(sweep)) != len(sweep):
         raise ConfigError(f"config key k_sweep must be strictly increasing, got {sweep}")
-    m = _int("m", cfg.get("m", 2))
-    if m not in (0, 1, 2):
-        raise ConfigError(f"config key m must be 0, 1 or 2, got {m!r}")
+    m = _choice("m", _int("m", cfg.get("m", 2)), (0, 1, 2))
     h = _positive(_float, "h", cfg.get("h", 0.125))
-    bsum = _three_dimensional("input", _load_bessel("input", src))
-    for k in sweep:
-        _above_radius("k_sweep", k, bsum)
+    bsum = _three_dimensional("input", _read_input("input", src, ("Bessel sum",)))
+    _above_radius("k_sweep", sweep[0], bsum)  # the least degree, as the sweep increases
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(cfg, [src])
     rows = []
@@ -444,16 +447,16 @@ def cmd_nodal(cfg: _Config) -> int:
     h = _positive(_float, "h", cfg.get("h", 0.05))
     lo = _floats("box_lo", cfg.get("box_lo", [-0.8, -0.8, -0.8]), 3)
     hi = _floats("box_hi", cfg.get("box_hi", [0.8, 0.8, 0.8]), 3)
-    doc = _read_input("input", src, ("spinor", "Bessel sum"))
-    fields = []
-    if "components" in doc:
+    source = _read_input("input", src, ("spinor", "Bessel sum"))
+    fields, inputs = [], [src]
+    if isinstance(source, dict):
         from . import spinor3
 
-        psi, chart, k = load_spinor(src)
+        psi, chart, k, inputs = load_spinor(src, source)
         for a in (0, 1):
             fields.append((f"component{a + 1}", spinor3.component_pullback(psi, a, chart, k)))
     else:
-        bsum = _three_dimensional("input", BesselSum.from_dict(doc))
+        bsum = _three_dimensional("input", source)
         # extract_nodal reads this field only through its grid and its jet,
         # both bessel_sum_field's, and never makes the plain call; that call
         # goes through this module's eval_bessel_sum only to keep the binding
@@ -463,7 +466,7 @@ def cmd_nodal(cfg: _Config) -> int:
         field.jet, field.grid = base.jet, base.grid
         fields.append(("field", field))
     boxes = [_field_box(cfg, name, lo, hi) for name, _ in fields]
-    manifest = write_manifest(cfg, [src])
+    manifest = write_manifest(cfg, inputs)
 
     all_curves = []
     closed_by_field = []
@@ -505,16 +508,13 @@ def cmd_torus(cfg: _Config) -> int:
     ks = _ints(key, cfg.get(key, [3]))
     trials = _positive(_int, "trials", cfg.get("trials", 4000))
     _density_kind(cfg)  # checked even when the run does not localize
-    density = _density_from_config(cfg) if cfg.get("localize", False) else None
+    density = _density_from_config(cfg, n) if cfg.get("localize", False) else None
     manifest = write_manifest(cfg, [])
     lines = [f"# manifest {manifest}", "k,count,discrepancy,localization_sup_error"]
     for k in ks:
         dirs = torus.lattice_directions(n, k)
         disc = torus.cap_discrepancy(dirs, trials=trials, seed=cfg.seed)
-        loc = ""
-        if density is not None:
-            _, report = torus.torus_localize(density, k, trials=trials, seed=cfg.seed)
-            loc = f"{report.sup_error:.17g}"
+        loc = "" if density is None else f"{torus.torus_localize(density, dirs)[1]:.17g}"
         lines.append(f"{k},{len(dirs)},{disc:.17g},{loc}")
     cfg.out.write_text("\n".join(lines) + "\n")
     print(f"wrote {cfg.out}", file=sys.stderr)

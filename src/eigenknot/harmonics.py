@@ -118,7 +118,11 @@ def synthesize(s: BesselSum, k: int, chart: sphere.Chart) -> UltrasphericalSum:
     return UltrasphericalSum(s.n, k, s.coeffs.copy(), np.atleast_2d(centers), chart=chart)
 
 
-def multi_synthesize(pairs, k: int, min_separation: float = 1e-6) -> UltrasphericalSum:
+#: multi_synthesize refuses base points this close to each other or to each other's antipodes.
+_MIN_SEPARATION = 1e-6
+
+
+def multi_synthesize(pairs, k: int) -> UltrasphericalSum:
     """Sum of per-chart syntheses for localization at several base points.
 
     Base points must be pairwise non-coincident and non-antipodal; with
@@ -132,9 +136,9 @@ def multi_synthesize(pairs, k: int, min_separation: float = 1e-6) -> Ultraspheri
     for alpha, (_, ca) in enumerate(pairs):
         for _, cb in pairs[alpha + 1 :]:
             d = float(sphere.geodesic_dist(ca.p0, cb.p0))
-            if d < min_separation:
+            if d < _MIN_SEPARATION:
                 raise ValueError("coincident base points are not allowed")
-            if math.pi - d < min_separation:
+            if math.pi - d < _MIN_SEPARATION:
                 raise ValueError("antipodal base points are not allowed")
     parts = [synthesize(s, k, c) for s, c in pairs]
     coeffs = np.concatenate([p.coeffs for p in parts])

@@ -154,10 +154,6 @@ class BesselSum:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, s: str) -> "BesselSum":
-        return cls.from_dict(json.loads(s))
-
 
 def _real_times_complex(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """a @ coeffs for a real array a and complex (N,) or (N, r) coeffs.
@@ -611,12 +607,10 @@ def fourier_bessel_truncate(source, L: int) -> FourierBesselSeries:
 class DiscretizeReport:
     """The sampled sup error `achieved` = constant * delta next to the fit's bound, degree and SVD rank."""
 
-    delta: float
     achieved: float
     constant: float
     radius: float
     spacing: float
-    n_terms: int
     bound: float
     degree: int
     rank: int
@@ -685,8 +679,10 @@ def _fit_kernel_sum(dirs, amps, radius, spacing):
     return [BesselSum(3, c, centers, radius) for c in coeffs.T], bounds.tolist(), degree, int(keep.sum())
 
 
-#: herglotz_discretize checks its sup error at this many seeded points of the unit ball.
+#: herglotz_discretize checks its sup error at this many seeded points of the unit ball,
+#: and refuses a grid of more than _MAX_TERMS centers.
 _CHECK_POINTS = 1000
+_MAX_TERMS = 4000
 
 
 def _ball_samples(count: int, radius: float, seed: int) -> np.ndarray:
@@ -700,7 +696,6 @@ def herglotz_discretize(
     f: HerglotzDensity,
     delta: float,
     radius: float = 2.5,
-    max_terms: int = 4000,
     seed: int = 0,
 ) -> BesselSum:
     """Approximate the Herglotz field of f by a BesselSum on a grid of B_R, with a computed error bound.
@@ -737,13 +732,11 @@ def herglotz_discretize(
     spacing = radius / 3.6
     attempt = None
     for _ in range(3):
-        if len(_ball_grid(radius, spacing)) > max_terms:
+        if len(_ball_grid(radius, spacing)) > _MAX_TERMS:
             break
         (attempt,), (bound,), degree, rank = _fit_kernel_sum(f.nodes, amps, radius, spacing)
         achieved = float(np.max(np.abs(eval_bessel_sum(attempt, pts) - reference)))
-        attempt.report = DiscretizeReport(
-            delta, achieved, achieved / delta, radius, spacing, len(attempt), bound, degree, rank
-        )
+        attempt.report = DiscretizeReport(achieved, achieved / delta, radius, spacing, bound, degree, rank)
         if max(bound, achieved) <= delta:
             return attempt
         spacing *= 0.7
@@ -751,7 +744,7 @@ def herglotz_discretize(
     bound = attempt.report.bound if attempt is not None else float("inf")
     raise ToleranceError(
         f"herglotz_discretize reached a bound of {bound:.3e} > delta={delta:.3e} "
-        f"within {max_terms} terms",
+        f"within {_MAX_TERMS} terms",
         bound,
     )
 
@@ -978,7 +971,6 @@ class HopfPairDesign:
     """
 
     beta: float
-    eps: float
     components: dict
     targets: dict
     boxes: dict = field(default_factory=dict)
@@ -1049,7 +1041,7 @@ def hopf_link_design() -> HopfPairDesign:
         0: (np.array([-3.8, -3.8, -1.9]), np.array([3.8, 3.8, 1.9])),
         1: (np.array([-4.8, -1.9, -3.9]), np.array([1.6, 1.9, 3.9])),
     }
-    design = HopfPairDesign(beta, eps, comp, {}, boxes)
+    design = HopfPairDesign(beta, comp, {}, boxes)
 
     from . import nodal
 

@@ -89,7 +89,6 @@ class NodalSet:
 
     curves: list
     degenerate_cells: int = 0
-    h: float = 0.0
 
     def __iter__(self):
         return iter(self.curves)
@@ -366,7 +365,7 @@ def extract_nodal(fieldfn, box, h: float) -> NodalSet:
         margins = _smallest_singular_values(jac)
         curves.append(NodalCurve(pts, bool(closed and not on_boundary), margins, bool(converged.all())))
     curves.sort(key=lambda c: -len(c.vertices))
-    return NodalSet(curves, degenerate, h)
+    return NodalSet(curves, degenerate)
 
 
 def _vertices(c, name: str):

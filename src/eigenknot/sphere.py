@@ -8,7 +8,6 @@ the exponential map cos(|x|) p0 + sin(|x|) (frame^T x)/|x|.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,13 +92,6 @@ class Chart:
     @classmethod
     def from_dict(cls, d: dict) -> "Chart":
         return cls(np.array(d["p0"]), np.array(d["frame"]), d.get("seed"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "Chart":
-        return cls.from_dict(json.loads(s))
 
 
 def unit_vector(v) -> np.ndarray:

@@ -11,7 +11,7 @@ of the rescaled spherical harmonic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class LatticeDirectionSet:
     @property
     def directions(self) -> np.ndarray:
         return self.vectors.astype(float) / self.k
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "m": self.vectors.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatticeDirectionSet":
-        return cls(d["n"], d["k"], np.array(d["m"], dtype=np.int64))
 
 
 #: lattice_directions takes its first coordinates in blocks whose cube of
@@ -142,49 +135,26 @@ class TorusEigenfunction:
         return (2.0 * math.pi * self.k) ** 2
 
 
-@dataclass
-class TorusLocalizationReport:
-    k: int
-    n_directions: int
-    discrepancy: float
-    sup_error: float
-    grid: int = field(default=0)
+#: torus_localize compares the fields on the points of this many-per-axis
+#: grid of [-1, 1]^n that lie in the unit ball.
+_GRID = 9
 
 
-def torus_localize(
-    f: HerglotzDensity,
-    k: int,
-    discrepancy_threshold: float | None = None,
-    trials: int = 4000,
-    seed: int = 0,
-    grid: int = 9,
-):
-    """Reweight a Herglotz density onto height-k rational directions.
+def torus_localize(f: HerglotzDensity, dirs: LatticeDirectionSet):
+    """Reweight a Herglotz density onto the height-k rational directions `dirs`.
 
     Each quadrature node sends its weight*value to the nearest available
-    lattice direction; the C^0 report compares u(y / (2 pi k)) with the
-    Herglotz field of f on a grid of the unit ball.
+    lattice direction.  Returns (u, sup_error): sup_error compares
+    u(y / (2 pi k)) with the Herglotz field of f on a grid of the unit ball.
     """
-    dirs = lattice_directions(f.n, k)
-    disc = cap_discrepancy(dirs, trials=trials, seed=seed)
-    if discrepancy_threshold is not None and disc > discrepancy_threshold:
-        raise ValueError(
-            f"direction set too sparse: cap discrepancy {disc:.4f} > {discrepancy_threshold}"
-        )
     unit = dirs.directions
     owner = np.argmax(f.nodes @ unit.T, axis=1)
     coeffs = np.zeros(len(dirs), dtype=complex)
     np.add.at(coeffs, owner, f.weights * f.values)
-    u = TorusEigenfunction(f.n, k, dirs.vectors, coeffs)
+    u = TorusEigenfunction(f.n, dirs.k, dirs.vectors, coeffs)
 
-    ax = np.linspace(-1.0, 1.0, grid)
+    ax = np.linspace(-1.0, 1.0, _GRID)
     mesh = np.stack(np.meshgrid(*([ax] * f.n), indexing="ij"), axis=-1).reshape(-1, f.n)
     mesh = mesh[np.linalg.norm(mesh, axis=1) <= 1.0]
-    sup = float(
-        np.max(
-            np.abs(
-                u.eval(mesh / (2.0 * math.pi * k)) - eval_herglotz(f, mesh)
-            )
-        )
-    )
-    return u, TorusLocalizationReport(k, len(dirs), disc, sup, grid)
+    sup = float(np.max(np.abs(u.eval(mesh / (2.0 * math.pi * dirs.k)) - eval_herglotz(f, mesh))))
+    return u, sup

@@ -171,8 +171,8 @@ def test_torus_command(tmp_path):
 
 
 def test_torus_localize_column(tmp_path):
-    # the last column is the sup error of torus_localize for the same density,
-    # degree, trials and seed
+    # the last column is the sup error of torus_localize for the same density
+    # on the same height's directions
     from eigenknot import torus
     from eigenknot.helmholtz import HerglotzDensity
 
@@ -180,8 +180,29 @@ def test_torus_localize_column(tmp_path):
     settings = ["k=3", "trials=200", "localize=true", "resolution=8"]
     assert main(["torus", "--out", str(out), "--seed", "4", *(a for s in settings for a in ("--set", s))]) == EXIT_OK
     row = out.read_text().splitlines()[2].split(",")
-    _, report = torus.torus_localize(HerglotzDensity.constant(3, 1.0, 8), 3, trials=200, seed=4)
-    assert np.isfinite(float(row[3])) and float(row[3]) == report.sup_error
+    _, sup = torus.torus_localize(HerglotzDensity.constant(3, 1.0, 8), torus.lattice_directions(3, 3))
+    assert np.isfinite(float(row[3])) and float(row[3]) == sup
+
+
+def test_torus_enumerates_and_scores_each_height_once(tmp_path, monkeypatch):
+    # with localize=true each height's directions are enumerated and scored
+    # once, and torus_localize reuses them for the localization column
+    from eigenknot import torus
+    from eigenknot.helmholtz import HerglotzDensity
+
+    enumerate_, score = torus.lattice_directions, torus.cap_discrepancy
+    calls = []
+    monkeypatch.setattr(torus, "lattice_directions", lambda n, k: calls.append(("enumerate", k)) or enumerate_(n, k))
+    monkeypatch.setattr(torus, "cap_discrepancy", lambda s, **kw: calls.append(("score", s.k)) or score(s, **kw))
+    out = tmp_path / "torus.csv"
+    settings = ["n=2", "k_sweep=5,13", "trials=300", "localize=true", "resolution=8"]
+    assert main(["torus", "--out", str(out), *(a for s in settings for a in ("--set", s))]) == EXIT_OK
+    assert calls == [("enumerate", 5), ("score", 5), ("enumerate", 13), ("score", 13)]
+    monkeypatch.undo()
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    density = HerglotzDensity.constant(2, 1.0, 8)
+    for row, k in zip(rows, (5, 13)):
+        assert float(row[3]) == torus.torus_localize(density, torus.lattice_directions(2, k))[1]
 
 
 @pytest.mark.parametrize("setting, detail", [("k_sweep", "--set expects key=value, got 'k_sweep'")])
@@ -289,7 +310,6 @@ def _config_error_names_key(tmp_path, capsys, command, setting, key, extra=()):
         # a sweep out of order
         ("verify", "k_sweep=80,40", "k_sweep"),
         # dimensions without an implementation
-        ("approximate", "n=4", "n"),
         ("torus", "n=1", "n"),
         ("torus", "n=5", "n"),
     ],
@@ -374,6 +394,8 @@ def test_unknown_string_config_value_exit_code(tmp_path, capsys, command, settin
         ("nodal", ["input={single}", "component1_box_lo=0,0,0"], "component1_box_lo"),
         ("torus", ["bogus_key=3"], "bogus_key"),
         ("torus", ["k=3", "k_sweep=3"], "k"),
+        # approximate works in n = 3 only and reads no dimension
+        ("approximate", ["n=4"], "n"),
     ],
 )
 def test_unread_config_key_exit_code(tmp_path, capsys, command, settings, key):
@@ -473,6 +495,94 @@ def test_nodal_refuses_a_malformed_spinor_file(tmp_path, capsys, edit):
     assert not list(tmp_path.glob("curves*"))
 
 
+_MALFORMED_BESSEL_FILES = {
+    "not-json": "{'n': 3,",
+    "radius-below-a-center": json.dumps({"n": 3, "terms": [{"c": [1.0, 0.0], "x": [1.0, 0.0, 0.0]}], "R": 0.5}),
+    "one-number-coefficient": json.dumps({"n": 3, "terms": [{"c": [1.0], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
+    "no-terms": json.dumps({"n": 3, "R": 1.0}),
+}
+
+
+@pytest.mark.parametrize("content", list(_MALFORMED_BESSEL_FILES.values()), ids=list(_MALFORMED_BESSEL_FILES))
+@pytest.mark.parametrize(
+    "command, settings, key",
+    [
+        ("verify", ["input={bad}"], "input"),
+        ("synthesize", ["input={bad}", "k=3"], "input"),
+        ("spinorize", ["input1={bad}", "input2={single}", "k=12"], "input1"),
+        ("spinorize", ["input1={single}", "input2={bad}", "k=12"], "input2"),
+        ("nodal", ["input={bad}"], "input"),
+    ],
+    ids=["verify", "synthesize", "spinorize-input1", "spinorize-input2", "nodal"],
+)
+def test_malformed_input_file_exit_code(tmp_path, capsys, content, command, settings, key):
+    # an input file that is not JSON, or that BesselSum.from_dict or its
+    # constructor refuses, is a config error naming its key: never a
+    # numerical failure, a traceback or a bare missing-key message
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    settings = [item.format(bad=bad, single=data_path("single_center.json")) for item in settings]
+    args = [arg for item in settings for arg in ("--set", item)]
+    assert main([command, "--out", str(tmp_path / "out"), *args]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and err["detail"].startswith(f"config key {key} ")
+    assert err["detail"].endswith(str(bad))
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: "{'n': 3,",
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "terms"}),
+        lambda doc: json.dumps(dict(doc, terms=[dict(t, c=t["c"][:1]) for t in doc["terms"]])),
+        lambda doc: json.dumps(dict(doc, terms=[dict(t, p=[2.0, 0.0, 0.0, 0.0]) for t in doc["terms"]])),
+        lambda doc: json.dumps(BesselSum(3, [1.0], [[0.0, 0.0, 0.0]], 0.0).to_dict()),
+    ],
+    ids=["not-json", "no-terms", "one-number-coefficient", "center-off-the-sphere", "bessel-sum"],
+)
+def test_nodal_refuses_a_malformed_component_file(tmp_path, capsys, edit):
+    # a spinor's component files go through the same reader as every input
+    single = data_path("single_center.json")
+    spinor = tmp_path / "spinor.json"
+    argv = ["spinorize", "--out", str(spinor), "--set", f"input1={single}", "--set", f"input2={single}"]
+    assert main(argv + ["--set", "k=12"]) == EXIT_OK
+    comp = tmp_path / json.loads(spinor.read_text())["components"][1]
+    comp.write_text(edit(json.loads(comp.read_text())))
+    capsys.readouterr()
+    argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={spinor}", "--set", "h=0.3"]
+    assert main(argv) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and err["detail"].startswith("config key input ")
+    assert err["detail"].endswith(str(comp))
+    assert not list(tmp_path.glob("curves*"))
+
+
+def test_nodal_manifest_hashes_the_component_files(tmp_path):
+    # the component files decide the curves, so rewriting one changes the
+    # manifest's inputs and the manifest hash that every output carries
+    single = data_path("single_center.json")
+    spinor = tmp_path / "spinor.json"
+    argv = ["spinorize", "--out", str(spinor), "--set", f"input1={single}", "--set", f"input2={single}"]
+    assert main(argv + ["--set", "k=12"]) == EXIT_OK
+    names = json.loads(spinor.read_text())["components"]
+
+    def run(out):
+        assert main(["nodal", "--out", str(out), "--set", f"input={spinor}", "--set", "h=0.3"]) == EXIT_OK
+        topo = json.loads(Path(f"{out}.topology.json").read_text())
+        return json.loads(Path(f"{out}.manifest.json").read_text())["inputs"], topo["manifest"]
+
+    before, digest = run(tmp_path / "a")
+    assert sorted(before) == sorted([str(spinor), *(str(tmp_path / name) for name in names)])
+    comp = tmp_path / names[1]
+    doc = json.loads(comp.read_text())
+    doc["terms"] = [dict(t, c=[2 * t["c"][0], 2 * t["c"][1]]) for t in doc["terms"]]
+    comp.write_text(json.dumps(doc))
+    after, changed = run(tmp_path / "b")
+    assert after[str(comp)] != before[str(comp)] and changed != digest
+    assert {p: h for p, h in after.items() if p != str(comp)} == {p: h for p, h in before.items() if p != str(comp)}
+
+
 def test_nodal_field_box_sides_fall_back_separately(tmp_path, monkeypatch):
     from eigenknot import nodal
 
@@ -500,7 +610,7 @@ def test_nodal_null_link_says_why(tmp_path, monkeypatch):
     hoop = np.stack([1 + np.cos(t), 0 * t, np.sin(t)], axis=-1)
     # curve 2 repeats curve 0, so that pair intersects; both link curve 1
     curves = [nodal.NodalCurve(p, True, np.ones(64)) for p in (ring, hoop, ring)]
-    monkeypatch.setattr(nodal, "extract_nodal", lambda fn, box, h: nodal.NodalSet(curves, 0, h))
+    monkeypatch.setattr(nodal, "extract_nodal", lambda fn, box, h: nodal.NodalSet(curves, 0))
     out = tmp_path / "curves"
     assert main(["nodal", "--out", str(out), "--set", "input=" + data_path("single_center.json")]) == EXIT_OK
     links = json.loads(Path(f"{out}.topology.json").read_text())["linking"]

@@ -1,5 +1,6 @@
 """Herglotz fields, Bessel sums, residuals, discretization, Fourier-Bessel."""
 
+import json
 import math
 
 import numpy as np
@@ -174,7 +175,7 @@ def test_bessel_sum_validation():
 
 def test_bessel_sum_json_roundtrip():
     s = BesselSum(3, [1.0 + 2.0j, -0.5], [[0.1, 0.2, 0.3], [-1.0, 0.0, 0.5]], 2.0)
-    s2 = BesselSum.from_json(s.to_json())
+    s2 = BesselSum.from_dict(json.loads(s.to_json()))
     assert s2.n == 3 and s2.radius == 2.0
     assert np.allclose(s2.coeffs, s.coeffs)
     assert np.allclose(s2.centers, s.centers)
@@ -292,7 +293,7 @@ def test_discretize_reported_bound_holds():
 def test_discretize_unreachable_tolerance():
     f = HerglotzDensity.constant(3)
     with pytest.raises(ToleranceError) as err:
-        herglotz_discretize(f, 1e-30, max_terms=40)
+        herglotz_discretize(f, 1e-30)
     assert err.value.achieved > 1e-30
 
 
@@ -340,12 +341,13 @@ def test_discretize_refines_the_grid_until_the_bound_meets_delta():
     assert s.report.achieved <= s.report.bound <= 1.222e-8 < 1.2360e-8
 
 
-def test_discretize_stops_at_max_terms_with_the_last_bound():
-    # the refined grid at radius 2.0 holds 1337 centers, over max_terms, so the
-    # error carries the first fit's bound
+def test_discretize_stops_at_max_terms_with_the_last_bound(monkeypatch):
+    # the refined grid at radius 2.0 holds 1337 centers, over the term cap, so
+    # the error carries the first fit's bound
+    monkeypatch.setattr(helmholtz, "_MAX_TERMS", 1000)
     f = HerglotzDensity.constant(3)
     with pytest.raises(ToleranceError, match="within 1000 terms") as err:
-        herglotz_discretize(f, 1.222e-8, radius=1.5, max_terms=1000)
+        herglotz_discretize(f, 1.222e-8, radius=1.5)
     assert f"{err.value.achieved:.4e}" == "1.2360e-08"
 
 

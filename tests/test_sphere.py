@@ -47,11 +47,16 @@ def test_round_trip():
     assert np.max(np.abs(back - x)) <= 1e-10
 
 
+def _invertible_basis(v) -> bool:
+    # a zero pivot, such as a drawn subnormal entry underflowing to 0, makes
+    # det take log(0) and warn; its det is 0, so the basis is refused either way
+    with np.errstate(divide="ignore"):
+        return abs(np.linalg.det(np.reshape(v, (4, 4)))) > 1e-3
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    basis=st.lists(st.floats(-1, 1), min_size=16, max_size=16).filter(
-        lambda v: abs(np.linalg.det(np.reshape(v, (4, 4)))) > 1e-3
-    ),
+    basis=st.lists(st.floats(-1, 1), min_size=16, max_size=16).filter(_invertible_basis),
     radii=st.lists(st.floats(0.0, math.pi - 1e-3), min_size=1, max_size=20),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -127,7 +132,7 @@ def test_frame_validation_and_serialization():
     c = random_chart(4, 3)
     gram = c.frame @ c.frame.T
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
-    c2 = Chart.from_json(c.to_json())
+    c2 = Chart.from_dict(c.to_dict())
     assert np.allclose(c2.p0, c.p0)
     assert np.allclose(c2.frame, c.frame)
     assert c2.seed == 3
