@@ -135,7 +135,7 @@ def hopf_case(work: pathlib.Path, base) -> dict:
         _run(["nodal", "--out", str(curves), "--set", f"input={spinor}", "--set", f"h={HOPF_H}", *boxes])
         topo = json.loads(pathlib.Path(f"{curves}.topology.json").read_text())
         polylines = nodal.curves_from_json(pathlib.Path(f"{curves}.json").read_text())
-        psi, chart, _, _ = cli.load_spinor(str(spinor), json.loads(spinor.read_text()))
+        psi, chart, _ = cli.load_spinor(str(spinor), json.loads(spinor.read_text()))
         fields = {f"component{a + 1}": spinor3.component_pullback(psi, a, chart, k) for a in (0, 1)}
         hausdorff = []
         for a, name in enumerate(("component1", "component2")):

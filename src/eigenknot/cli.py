@@ -229,7 +229,7 @@ _FILE_KINDS = (("components", "spinor"), ("k", "harmonic"), ("R", "Bessel sum"))
 
 
 def _read_input(key: str, path: str, kinds: tuple):
-    """The BesselSum, UltrasphericalSum or spinor dict in the JSON file under `key`; a bad file names the key."""
+    """The BesselSum or spinor dict in the JSON file under `key`; a bad file names the key."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -238,16 +238,12 @@ def _read_input(key: str, path: str, kinds: tuple):
     if kind not in kinds:
         article = "an" if kind == "unrecognized" else "a"
         raise ConfigError(f"config key {key} must name a {' or '.join(kinds)} file, got {article} {kind} file: {path}")
+    if kind == "spinor":
+        return doc
     try:
-        if kind == "Bessel sum":
-            return BesselSum.from_dict(doc)
-        if kind == "harmonic":
-            from . import harmonics
-
-            return harmonics.UltrasphericalSum.from_dict(doc)
+        return BesselSum.from_dict(doc)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key} names a malformed {kind} file ({type(exc).__name__}: {exc}): {path}")
-    return doc
 
 
 def _three_dimensional(key: str, bsum: BesselSum) -> BesselSum:
@@ -328,20 +324,16 @@ def cmd_spinorize(cfg: _Config) -> int:
     _above_radius("k", k, b1, b2)
     chart = _chart_from_config(cfg, 3, default_kind="adapted")
     manifest = write_manifest(cfg, [src1, src2])
-    y1 = harmonics.synthesize(b1, k, chart)
-    y2 = harmonics.synthesize(b2, k, chart)
-    psi = spinor3.dirac_project(spinor3.SpinorField3((y1, y2)), k)
-    comp_paths = [Path(f"{cfg.out}.comp{a}.json") for a in (1, 2)]
-    for path, y in zip(comp_paths, (y1, y2)):
-        _write_json(path, y.to_dict(), manifest)
+    pair = [harmonics.synthesize(b, k, chart) for b in (b1, b2)]
+    psi = spinor3.dirac_project(spinor3.SpinorField3(tuple(pair)), k)
     resid = spinor3.dirac_residual(psi, 1.5 + k, samples=32, seed=cfg.seed)
     _write_json(
         cfg.out,
         {
-            "components": [p.name for p in comp_paths],
-            "orientation": 1,
-            "projected": True,
             "k": k,
+            "chart": chart.to_dict(),
+            "components": [y.to_dict()["terms"] for y in pair],
+            "orientation": 1,
             "eigenvalue": 1.5 + k,
             "dirac_residual": resid,
         },
@@ -352,32 +344,27 @@ def cmd_spinorize(cfg: _Config) -> int:
 
 
 def load_spinor(path: str, doc: dict):
-    """(psi, chart, k, the paths of the spinor and its component files) of the spinor file `path`, parsed as `doc`."""
-    from . import spinor3
+    """(psi, chart, k) of the spinor file `path`, parsed as `doc`: psi is the Dirac projection of its pair."""
+    from . import harmonics, spinor3
 
-    # spinor3.GAMMA fixes the frame orientation; a file recorded with the other
-    # one would be evaluated in the wrong convention
-    if doc.get("orientation", 1) != 1:
-        raise ConfigError(f"config key input names a spinor file of orientation {doc['orientation']!r}, not 1: {path}")
-    names, k = doc.get("components"), doc.get("k")
     # a malformed file is a config error naming its key, never a numerical one
-    if not (isinstance(names, list) and len(names) == 2 and all(isinstance(name, str) for name in names)):
-        raise ConfigError(f"config key input names a spinor file without two component file names: {path}")
-    if type(k) is not int:
-        raise ConfigError(f"config key input names a spinor file whose k {k!r} is not an integer: {path}")
-    paths = [str(Path(path).parent / name) for name in names]
-    y1, y2 = (_read_input("input", p, ("harmonic",)) for p in paths)
-    # a component of another degree or sphere is refused before anything is evaluated
-    for name, y in zip(names, (y1, y2)):
-        if (y.n, y.k) != (3, k):
-            raise ConfigError(
-                f"config key input names a degree-{k} spinor whose component file {name} "
-                f"holds a degree-{y.k} harmonic on S^{y.n}: {path}"
-            )
-    psi = spinor3.SpinorField3((y1, y2))
-    if doc.get("projected", False):
-        psi = spinor3.dirac_project(psi, k)
-    return psi, y1.chart, k, [path, *paths]
+    try:
+        terms, k = doc["components"], doc.get("k")
+        # spinor3.GAMMA fixes the frame orientation; a file recorded with the
+        # other one would be evaluated in the wrong convention
+        if doc.get("orientation", 1) != 1:
+            raise ValueError(f"orientation {doc['orientation']!r}, not 1")
+        if not (isinstance(terms, list) and len(terms) == 2 and all(isinstance(t, list) for t in terms)):
+            raise ValueError("components must be two term lists")
+        if type(k) is not int:
+            raise ValueError(f"k {k!r} is not an integer")
+        chart = sphere.Chart.from_dict(doc["chart"])
+        if chart.n != 3:
+            raise ValueError(f"chart on S^{chart.n}, not S^3")
+        pair = [harmonics.UltrasphericalSum.from_dict({"n": 3, "k": k, "terms": t}) for t in terms]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config key input names a malformed spinor file ({type(exc).__name__}: {exc}): {path}")
+    return spinor3.dirac_project(spinor3.SpinorField3(tuple(pair)), k), chart, k
 
 
 def cmd_verify(cfg: _Config) -> int:
@@ -448,11 +435,11 @@ def cmd_nodal(cfg: _Config) -> int:
     lo = _floats("box_lo", cfg.get("box_lo", [-0.8, -0.8, -0.8]), 3)
     hi = _floats("box_hi", cfg.get("box_hi", [0.8, 0.8, 0.8]), 3)
     source = _read_input("input", src, ("spinor", "Bessel sum"))
-    fields, inputs = [], [src]
+    fields = []
     if isinstance(source, dict):
         from . import spinor3
 
-        psi, chart, k, inputs = load_spinor(src, source)
+        psi, chart, k = load_spinor(src, source)
         for a in (0, 1):
             fields.append((f"component{a + 1}", spinor3.component_pullback(psi, a, chart, k)))
     else:
@@ -466,7 +453,7 @@ def cmd_nodal(cfg: _Config) -> int:
         field.jet, field.grid = base.jet, base.grid
         fields.append(("field", field))
     boxes = [_field_box(cfg, name, lo, hi) for name, _ in fields]
-    manifest = write_manifest(cfg, inputs)
+    manifest = write_manifest(cfg, [src])
 
     all_curves = []
     closed_by_field = []
@@ -508,7 +495,8 @@ def cmd_torus(cfg: _Config) -> int:
     ks = _ints(key, cfg.get(key, [3]))
     trials = _positive(_int, "trials", cfg.get("trials", 4000))
     _density_kind(cfg)  # checked even when the run does not localize
-    density = _density_from_config(cfg, n) if cfg.get("localize", False) else None
+    localize = _choice("localize", cfg.get("localize", False), (False, True))
+    density = _density_from_config(cfg, n) if localize else None
     manifest = write_manifest(cfg, [])
     lines = [f"# manifest {manifest}", "k,count,discrepancy,localization_sup_error"]
     for k in ks:

@@ -71,12 +71,16 @@ class UltrasphericalSum:
     chart: sphere.Chart | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.k)):
+            raise ValueError(f"n and k must be integers, got {self.n!r} and {self.k!r}")
         if self.k < 1:
             raise ValueError("degree k must be >= 1")
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if self.centers.shape != (len(self.coeffs), self.n + 1):
             raise ValueError("centers must be sphere points matching coeffs")
+        if not (np.isfinite(self.coeffs).all() and np.isfinite(self.centers).all()):
+            raise ValueError("coefficients and centers must be finite")
         if np.max(np.abs(np.linalg.norm(self.centers, axis=1) - 1.0)) > 1e-10:
             raise ValueError("centers must be unit vectors")
 

@@ -122,12 +122,16 @@ class BesselSum:
     report: "DiscretizeReport | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"dimension n must be an integer, got {self.n!r}")
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if len(self.coeffs) != len(self.centers) or len(self.coeffs) < 1:
             raise ValueError("need N >= 1 coefficient/center pairs")
         if self.centers.shape[1] != self.n:
             raise ValueError("centers must be points in R^n")
+        if not (np.isfinite(self.coeffs).all() and np.isfinite(self.centers).all()):
+            raise ValueError("coefficients and centers must be finite")
         rmax = float(np.max(np.linalg.norm(self.centers, axis=1)))
         if not np.isfinite(self.radius) or self.radius < rmax - 1e-12:
             raise ValueError("radius must be finite and cover all centers")

@@ -71,6 +71,8 @@ class Chart:
         n = self.frame.shape[0]
         if self.frame.shape != (n, n + 1) or self.p0.shape != (n + 1,):
             raise ValueError("frame must be (n, n+1) with p0 of length n+1")
+        if not (np.isfinite(self.p0).all() and np.isfinite(self.frame).all()):
+            raise ValueError("chart base point and frame must be finite")
         if abs(np.linalg.norm(self.p0) - 1.0) > _UNIT_TOL:
             raise ValueError("chart base point must be a unit vector")
         gram = self.frame @ self.frame.T

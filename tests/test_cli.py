@@ -1,11 +1,16 @@
 """CLI behavior: determinism, manifests, exit codes, bundled examples."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigenknot.helmholtz import BesselSum
 from eigenknot.cli import (
@@ -154,8 +159,10 @@ def test_spinorize_pipeline(tmp_path):
     assert doc["eigenvalue"] == 13.5
     assert doc["dirac_residual"] <= 1e-8
     assert doc["orientation"] == 1
-    for name in doc["components"]:
-        assert (tmp_path / name).is_file()
+    # one self-contained document: the chart and both components' terms, no component files
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spinor.json", "spinor.json.manifest.json"]
+    assert sorted(doc["chart"]) == ["frame", "p0"] and "projected" not in doc
+    assert [[sorted(t) for t in terms] for terms in doc["components"]] == [[["c", "p"]], [["c", "p"]]]
 
 
 def test_torus_command(tmp_path):
@@ -425,11 +432,17 @@ def test_bessel_input_outside_three_dimensions_exit_code(tmp_path, capsys, comma
     _config_error_names_key(tmp_path, capsys, command, settings[0], key, extra=settings[1:])
 
 
-def test_nodal_refuses_other_orientation(tmp_path, capsys):
+def _spinor_file(directory: Path) -> Path:
+    """A degree-12 spinorize output of the bundled single-center field in `directory`."""
     single = data_path("single_center.json")
-    spinor = tmp_path / "spinor.json"
+    spinor = directory / "spinor.json"
     argv = ["spinorize", "--out", str(spinor), "--set", f"input1={single}", "--set", f"input2={single}"]
     assert main(argv + ["--set", "k=12"]) == EXIT_OK
+    return spinor
+
+
+def test_nodal_refuses_other_orientation(tmp_path, capsys):
+    spinor = _spinor_file(tmp_path)
     doc = json.loads(spinor.read_text())
     doc["orientation"] = -1
     spinor.write_text(json.dumps(doc))
@@ -438,32 +451,6 @@ def test_nodal_refuses_other_orientation(tmp_path, capsys):
     assert main(argv) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config" and "orientation" in err["detail"]
-
-
-@pytest.mark.parametrize(
-    "edit, bad",
-    [({"projected": False}, 1), ({"projected": True}, 1), ({"k": 13}, 0)],
-    ids=["unprojected", "projected", "k-edited"],
-)
-def test_nodal_refuses_spinor_components_of_another_degree(tmp_path, capsys, edit, bad):
-    # a degree-12 spinor file pointing at a degree-13 component: the file's k
-    # is checked against every component before anything is evaluated
-    single = data_path("single_center.json")
-    for k in (12, 13):
-        argv = ["spinorize", "--out", str(tmp_path / f"spinor{k}.json"), "--set", f"input1={single}"]
-        assert main(argv + ["--set", f"input2={single}", "--set", f"k={k}"]) == EXIT_OK
-    doc = json.loads((tmp_path / "spinor12.json").read_text())
-    doc["components"][1] = "spinor13.json.comp2.json"
-    doc.update(edit)
-    spinor = tmp_path / "mixed.json"
-    spinor.write_text(json.dumps(doc))
-    capsys.readouterr()
-    argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={spinor}", "--set", "h=0.3"]
-    assert main(argv) == EXIT_CONFIG
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "config" and err["detail"].startswith("config key input ")
-    assert f"component file {doc['components'][bad]} " in err["detail"]
-    assert not list(tmp_path.glob("curves*"))
 
 
 @pytest.mark.parametrize(
@@ -480,10 +467,7 @@ def test_nodal_refuses_spinor_components_of_another_degree(tmp_path, capsys, edi
 def test_nodal_refuses_a_malformed_spinor_file(tmp_path, capsys, edit):
     # a spinor file is an input like any other: its malformation is a config
     # error naming the key, not a numerical failure in whatever reads it first
-    single = data_path("single_center.json")
-    spinor = tmp_path / "spinor.json"
-    argv = ["spinorize", "--out", str(spinor), "--set", f"input1={single}", "--set", f"input2={single}"]
-    assert main(argv + ["--set", "k=12"]) == EXIT_OK
+    spinor = _spinor_file(tmp_path)
     doc = json.loads(spinor.read_text())
     doc.update(edit(doc))
     spinor.write_text(json.dumps(doc))
@@ -500,6 +484,12 @@ _MALFORMED_BESSEL_FILES = {
     "radius-below-a-center": json.dumps({"n": 3, "terms": [{"c": [1.0, 0.0], "x": [1.0, 0.0, 0.0]}], "R": 0.5}),
     "one-number-coefficient": json.dumps({"n": 3, "terms": [{"c": [1.0], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
     "no-terms": json.dumps({"n": 3, "R": 1.0}),
+    "nan-coefficient": json.dumps({"n": 3, "terms": [{"c": [float("nan"), 0.0], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
+    "inf-coefficient": json.dumps({"n": 3, "terms": [{"c": [1.0, float("inf")], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
+    "null-coefficient": json.dumps({"n": 3, "terms": [{"c": [None, 0.0], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
+    "nan-center": json.dumps({"n": 3, "terms": [{"c": [1.0, 0.0], "x": [0.0, float("nan"), 0.0]}], "R": 1.0}),
+    "null-center": json.dumps({"n": 3, "terms": [{"c": [1.0, 0.0], "x": [0.0, None, 0.0]}], "R": 1.0}),
+    "float-dimension": json.dumps({"n": 3.0, "terms": [{"c": [1.0, 0.0], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
 }
 
 
@@ -530,42 +520,65 @@ def test_malformed_input_file_exit_code(tmp_path, capsys, content, command, sett
     assert not list(tmp_path.glob("out*"))
 
 
+def _terms(edit):
+    """A spinor edit that applies `edit` to every term of component 2."""
+    return lambda doc: dict(doc, components=[doc["components"][0], [edit(t) for t in doc["components"][1]]])
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda doc: "{'n': 3,",
-        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "terms"}),
-        lambda doc: json.dumps(dict(doc, terms=[dict(t, c=t["c"][:1]) for t in doc["terms"]])),
-        lambda doc: json.dumps(dict(doc, terms=[dict(t, p=[2.0, 0.0, 0.0, 0.0]) for t in doc["terms"]])),
-        lambda doc: json.dumps(BesselSum(3, [1.0], [[0.0, 0.0, 0.0]], 0.0).to_dict()),
+        lambda doc: json.dumps(doc)[:100],
+        lambda doc: dict(doc, components=[doc["components"][0], []]),
+        lambda doc: dict(doc, components=[doc["components"][0], {"terms": doc["components"][1]}]),
+        _terms(lambda t: dict(t, c=t["c"][:1])),
+        _terms(lambda t: dict(t, p=[2.0, 0.0, 0.0, 0.0])),
+        _terms(lambda t: {"c": t["c"], "x": [0.0, 0.0, 0.0]}),
+        _terms(lambda t: dict(t, c=[float("nan"), 0.0])),
+        _terms(lambda t: dict(t, c=[1.0, float("inf")])),
+        _terms(lambda t: dict(t, c=[None, 0.0])),
+        _terms(lambda t: dict(t, p=[float("nan"), *t["p"][1:]])),
+        lambda doc: {key: value for key, value in doc.items() if key != "chart"},
+        lambda doc: dict(doc, chart=dict(doc["chart"], p0=[float("nan"), *doc["chart"]["p0"][1:]])),
+        lambda doc: dict(doc, chart=dict(doc["chart"], frame=[[None] * 4, *doc["chart"]["frame"][1:]])),
+        lambda doc: dict(doc, components=["spinor.json.comp1.json", "spinor.json.comp2.json"], projected=True),
     ],
-    ids=["not-json", "no-terms", "one-number-coefficient", "center-off-the-sphere", "bessel-sum"],
+    ids=[
+        "not-json",
+        "no-terms",
+        "not-a-list",
+        "one-number-coefficient",
+        "center-off-the-sphere",
+        "bessel-sum",
+        "nan-coefficient",
+        "inf-coefficient",
+        "null-coefficient",
+        "nan-center",
+        "no-chart",
+        "nan-chart-base",
+        "null-chart-frame",
+        "old-layout",
+    ],
 )
 def test_nodal_refuses_a_malformed_component_file(tmp_path, capsys, edit):
-    # a spinor's component files go through the same reader as every input
-    single = data_path("single_center.json")
-    spinor = tmp_path / "spinor.json"
-    argv = ["spinorize", "--out", str(spinor), "--set", f"input1={single}", "--set", f"input2={single}"]
-    assert main(argv + ["--set", "k=12"]) == EXIT_OK
-    comp = tmp_path / json.loads(spinor.read_text())["components"][1]
-    comp.write_text(edit(json.loads(comp.read_text())))
+    # a spinor's components and chart live in its one file and are read with it:
+    # a malformed one is a config error naming input, and no curves are written
+    spinor = _spinor_file(tmp_path)
+    doc = edit(json.loads(spinor.read_text()))
+    spinor.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     capsys.readouterr()
     argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={spinor}", "--set", "h=0.3"]
     assert main(argv) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config" and err["detail"].startswith("config key input ")
-    assert err["detail"].endswith(str(comp))
+    assert err["detail"].endswith(str(spinor))
     assert not list(tmp_path.glob("curves*"))
 
 
-def test_nodal_manifest_hashes_the_component_files(tmp_path):
-    # the component files decide the curves, so rewriting one changes the
-    # manifest's inputs and the manifest hash that every output carries
-    single = data_path("single_center.json")
-    spinor = tmp_path / "spinor.json"
-    argv = ["spinorize", "--out", str(spinor), "--set", f"input1={single}", "--set", f"input2={single}"]
-    assert main(argv + ["--set", "k=12"]) == EXIT_OK
-    names = json.loads(spinor.read_text())["components"]
+def test_nodal_manifest_hashes_the_spinor_file(tmp_path):
+    # the spinor file alone decides the curves: it is the manifest's one input,
+    # and rewriting one coefficient in it changes the hash every output carries
+    spinor = _spinor_file(tmp_path)
 
     def run(out):
         assert main(["nodal", "--out", str(out), "--set", f"input={spinor}", "--set", "h=0.3"]) == EXIT_OK
@@ -573,14 +586,12 @@ def test_nodal_manifest_hashes_the_component_files(tmp_path):
         return json.loads(Path(f"{out}.manifest.json").read_text())["inputs"], topo["manifest"]
 
     before, digest = run(tmp_path / "a")
-    assert sorted(before) == sorted([str(spinor), *(str(tmp_path / name) for name in names)])
-    comp = tmp_path / names[1]
-    doc = json.loads(comp.read_text())
-    doc["terms"] = [dict(t, c=[2 * t["c"][0], 2 * t["c"][1]]) for t in doc["terms"]]
-    comp.write_text(json.dumps(doc))
+    assert list(before) == [str(spinor)]
+    doc = json.loads(spinor.read_text())
+    doc["components"][1][0]["c"][0] *= 2
+    spinor.write_text(json.dumps(doc))
     after, changed = run(tmp_path / "b")
-    assert after[str(comp)] != before[str(comp)] and changed != digest
-    assert {p: h for p, h in after.items() if p != str(comp)} == {p: h for p, h in before.items() if p != str(comp)}
+    assert list(after) == [str(spinor)] and after != before and changed != digest
 
 
 def test_nodal_field_box_sides_fall_back_separately(tmp_path, monkeypatch):
@@ -759,3 +770,115 @@ def test_nodal_curves_file_matches_the_encode_parse_encode_path(tmp_path, monkey
     doc = json.loads(nodal.curves_to_json(curves))
     doc["manifest"] = json.loads(written)["manifest"]
     assert written == (cli._canonical(doc) + "\n").encode()
+
+
+#: Config values a mutation writes, as --set would give them.  None of them only
+#: sets the size of the work (a tiny h, a huge k, trials or resolution).
+_CONFIG_VALUES = ["nan", "inf", "-1", "0", "2.5", "x", "true", "1,2"]
+
+#: Per command: a cheap valid configuration, whose {file} is the input file a
+#: mutation may edit, and every key the command reads.
+_COMMAND_RUNS = {
+    "approximate": (["resolution=4", "delta=0.5"], ["density", "resolution", "delta", "radius", "seed"]),
+    "synthesize": (["input={file}", "k=3"], ["input", "k", "chart", "chart_seed", "chart_base", "seed"]),
+    "spinorize": (
+        ["input1={file}", "input2={single}", "k=3"],
+        ["input1", "input2", "k", "chart", "chart_seed", "chart_base", "seed"],
+    ),
+    "verify": (
+        ["input={file}", "k_sweep=3", "m=0", "h=0.5"],
+        ["input", "k_sweep", "m", "h", "chart", "chart_seed", "chart_base", "seed"],
+    ),
+    "nodal": (
+        ["input={file}", "h=0.4"],
+        ["input", "h", "box_lo", "box_hi", "field_box_lo", "component1_box_hi", "seed"],
+    ),
+    "torus": (["k=3", "trials=50"], ["n", "k", "k_sweep", "trials", "density", "localize", "seed"]),
+}
+
+#: Spinor fields that no reader reads, so a non-finite value there may pass.
+_UNREAD_FIELDS = ("eigenvalue", "dirac_residual", "manifest")
+
+
+def _json_paths(doc, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutated(doc, path, how):
+    """A copy of doc with the value at `path` dropped, retyped, non-finite, resized or an int written as a float."""
+    doc = json.loads(json.dumps(doc))
+    holder, last = _value_at(doc, path[:-1]), path[-1]
+    value = holder[last]
+    if how == "drop":
+        del holder[last]
+    elif how == "shorter":
+        holder[last] = value[:-1]
+    elif how == "longer":
+        holder[last] = value + value[-1:]
+    elif how == "float":
+        holder[last] = float(value)
+    else:
+        holder[last] = {"string": "x", "object": {}, "nan": float("nan"), "inf": float("inf"), "null": None}[how]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """The bundled single-center field and its degree-12 spinorize output, as parsed documents."""
+    single = json.loads(Path(data_path("single_center.json")).read_text())
+    spinor = json.loads(_spinor_file(tmp_path_factory.mktemp("spinor")).read_text())
+    return {"Bessel sum": single, "spinor": spinor}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_input_never_ends_in_a_traceback_or_a_non_finite_output(mutation_inputs, data):
+    """One mutated input file or config value: the documented exit code, a named key, finite outputs.
+
+    main is called in-process, so an exception leaving it fails the example.
+    """
+    command = data.draw(st.sampled_from(sorted(_COMMAND_RUNS)))
+    items, keys = _COMMAND_RUNS[command]
+    kind = "spinor" if command == "nodal" and data.draw(st.booleans()) else "Bessel sum"
+    doc, refuse = mutation_inputs[kind], False
+    if any("{file}" in item for item in items) and data.draw(st.booleans()):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = _value_at(doc, path)
+        hows = ["drop", "string", "object", "nan", "inf", "null"]
+        hows += ["shorter", "longer"] if isinstance(value, list) and value else []
+        hows += ["float"] if type(value) is int else []
+        how = data.draw(st.sampled_from(hows))
+        doc = _mutated(doc, path, how)
+        # a number that is not one, in a field the reader reads, never passes
+        refuse = how in ("nan", "inf", "null") and path[0] not in _UNREAD_FIELDS
+    else:
+        items = [*items, f"{data.draw(st.sampled_from(keys))}={data.draw(st.sampled_from(_CONFIG_VALUES))}"]
+    with tempfile.TemporaryDirectory() as work:
+        source = Path(work, "input.json")
+        source.write_text(json.dumps(doc))
+        out = Path(work, "out")
+        out.mkdir()
+        argv = [command, "--out", str(out / "result")]
+        for item in items:
+            argv += ["--set", item.format(file=source, single=data_path("single_center.json"))]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE, EXIT_NUMERICAL)
+        assert not (refuse and code == EXIT_OK)
+        if code == EXIT_CONFIG:
+            detail = json.loads(stderr.getvalue().strip().splitlines()[-1])["detail"]
+            assert detail.startswith("config key "), detail
+        if code == EXIT_OK:
+            for written in out.iterdir():
+                assert not re.search(r"\b(nan|inf|infinity)\b", written.read_text(), re.IGNORECASE), written.name
