@@ -380,10 +380,11 @@ def cmd_verify(cfg: _Config) -> int:
     _above_radius("k_sweep", sweep[0], bsum)  # the least degree, as the sweep increases
     chart = _chart_from_config(cfg, bsum.n)
     manifest = write_manifest(cfg, [src])
+    lattice = harmonics.localization_lattice(bsum, m, h=h)
     rows = []
     for k in sweep:
         Y = harmonics.synthesize(bsum, k, chart)
-        report = harmonics.localization_error(bsum, Y, m=m, h=h)
+        report = harmonics.localization_error(lattice, Y)
         rows.extend(report.to_csv_rows())
         # a step proportional to the wavelength keeps the O((kh)^2) stencil
         # error of the eigenvalue-relative residual the same at every k
@@ -391,8 +392,7 @@ def cmd_verify(cfg: _Config) -> int:
         lap = harmonics.laplace_residual(Y, samples=16, h=lap_h, seed=cfg.seed)
         rows.append(("laplace", lap, lap_h, k))
     lines = [f"# manifest {manifest}", "order,sup_error,h,k"]
-    for order, err, step, k in rows:
-        lines.append(f"{order},{err:.17g},{step:.17g},{k}")
+    lines += [f"{order},{err:.17g},{step:.17g},{k}" for order, err, step, k in rows]
     cfg.out.write_text("\n".join(lines) + "\n")
     print(f"wrote {cfg.out} ({len(rows)} rows)", file=sys.stderr)
     return EXIT_OK

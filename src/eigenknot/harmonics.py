@@ -14,6 +14,7 @@ pullback Y(Psi^{-1}(x/k)) reproduces phi on the unit ball up to O(1/k).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .helmholtz import (
     _grid_rule_degree,
     _plane_wave_grid,
     eval_bessel_sum,
+    json_coefficient,
 )
 from .specialfn import (
     gegenbauer3_zonal,
@@ -106,7 +108,7 @@ class UltrasphericalSum:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UltrasphericalSum":
-        coeffs = np.array([complex(t["c"][0], t["c"][1]) for t in d["terms"]])
+        coeffs = np.array([json_coefficient(t["c"]) for t in d["terms"]])
         centers = np.array([t["p"] for t in d["terms"]])
         chart = sphere.Chart.from_dict(d["chart"]) if "chart" in d else None
         return cls(d["n"], d["k"], coeffs, centers, chart=chart)
@@ -203,6 +205,25 @@ def rescaled_pullback(Y: UltrasphericalSum, x, chart: sphere.Chart | None = None
     return eval_harmonic(Y, sphere.chart_to_sphere(c, x / Y.k))
 
 
+@functools.lru_cache(maxsize=8)
+def _laplace_samples(n: int, samples: int, seed: int):
+    """laplace_residual's sample points, and the base points and frames of their charts, as read-only arrays.
+
+    They depend on (n, samples, seed) alone, so a k-sweep builds them once.
+    Sample i is a seeded Gaussian direction p_i; its chart is
+    sphere.random_chart(n, seed + 1000 + i, p0=p_i), whose base point is p_i
+    normalized once more.
+    """
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(samples, n + 1))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    charts = [sphere.random_chart(n, seed + 1000 + i, p0=p[i]) for i in range(samples)]
+    out = (p, np.stack([c.p0 for c in charts]), np.stack([c.frame for c in charts]))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def laplace_residual(
     Y: UltrasphericalSum, samples: int = 64, h: float = 1e-3, seed: int = 0
 ) -> float:
@@ -212,14 +233,17 @@ def laplace_residual(
     eigenvalue on degree k; at the center of normal coordinates Delta equals
     minus the sum of chart second differences, exactly to O(h^2).  Relative
     to lambda the stencil error is O((kh)^2), so a step h ~ 1/k measures the
-    same thing at every degree.
+    same thing at every degree.  The sample points and their charts do not
+    depend on Y or h (_laplace_samples, built once per (n, samples, seed)),
+    so a k-sweep builds them once; the 2n stencil points of every sample are
+    chart_to_sphere's exponential map, taken at all base points and frames
+    in one pass.
     """
-    rng = np.random.default_rng(seed)
-    p = rng.normal(size=(samples, Y.n + 1))
-    p /= np.linalg.norm(p, axis=1, keepdims=True)
-    offsets = np.concatenate([h * np.eye(Y.n), -h * np.eye(Y.n)])
-    charts = [sphere.random_chart(Y.n, seed + 1000 + i, p0=p[i]) for i in range(samples)]
-    pts = np.concatenate([p] + [sphere.chart_to_sphere(c, offsets) for c in charts])
+    p, p0, frames = _laplace_samples(Y.n, samples, seed)
+    x = np.concatenate([h * np.eye(Y.n), -h * np.eye(Y.n)])
+    r = np.sqrt(np.einsum("mi,mi->m", x, x))
+    stencil = np.cos(r)[:, None] * p0[:, None, :] + (x * (np.sin(r) / r)[:, None]) @ frames
+    pts = np.concatenate([p, stencil.reshape(-1, Y.n + 1)])
     vals, stencil = np.split(eval_harmonic(Y, pts), [samples])
     lap = -2.0 * Y.n * vals + stencil.reshape(samples, 2 * Y.n).sum(axis=1)
     resid = np.abs(-lap / (h * h) - Y.energy * vals)
@@ -265,33 +289,40 @@ def _positive_finite(name: str, value) -> float:
     return value
 
 
-def localization_error(
-    phi: BesselSum,
-    Y: UltrasphericalSum,
-    m: int = 2,
-    *,
-    h: float,
-    radius: float = 1.0,
-    chart: sphere.Chart | None = None,
-) -> CmErrorReport:
-    """C^j sup discrepancies (j = 0..m) between phi and Y's rescaled pullback.
+@dataclass(frozen=True, eq=False)
+class LocalizationLattice:
+    """The k-independent part of a localization report, built by localization_lattice; its arrays are read-only.
 
-    Derivatives are helmholtz._central_differences on a uniform lattice of
-    step h covering the ball of the given radius, read at interior points:
-    lattice points whose six axis neighbours lie in the ball.
+    A lattice of step h pads the ball of radius R by two layers: `axes` are
+    its three (equal) axes, `mask` its points in the ball, `interior` the
+    core points (every point but the outer layer) whose six axis neighbours
+    lie in the ball, and `support` the points the order-m stencils at
+    interior points read.  `points` are the support's chart coordinates, in
+    its order, and `phi` the field there.
+    """
 
-    The pullback is evaluated only where the stencils read: the ball itself
-    for m <= 1 (the axis neighbours of interior points lie in it), plus the
-    diagonal neighbours of interior points that the mixed second differences
-    reach for m = 2.  That is about a quarter of the padded cube (2457 of
-    9261 points at h = 0.125, radius 1).  phi does not depend on k.  Where
-    the plane-wave product pays on the lattice (helmholtz._grid_rule_degree,
-    the rule of eval_bessel_sum_grid) phi is that product on the lattice
-    axes, of which only the support is read; otherwise it is the direct sum
-    at the support's points alone.  Every other
-    lattice point of the difference holds NaN, so a stencil that strayed
-    outside the support would make an order non-finite, which raises rather
-    than returning a number.
+    m: int
+    h: float
+    axes: tuple
+    mask: np.ndarray
+    interior: np.ndarray
+    support: np.ndarray
+    points: np.ndarray
+    phi: np.ndarray
+
+
+def localization_lattice(phi: BesselSum, m: int = 2, *, h: float, radius: float = 1.0) -> LocalizationLattice:
+    """The lattice of step h over the ball of the given radius, with phi on its order-m stencil support.
+
+    The support is the ball itself for m <= 1 (the axis neighbours of
+    interior points lie in it), plus the diagonal neighbours of interior
+    points that the mixed second differences reach for m = 2: about a
+    quarter of the padded cube (2457 of 9261 points at h = 0.125, radius 1).
+    Where the plane-wave product pays on the lattice
+    (helmholtz._grid_rule_degree, the rule of eval_bessel_sum_grid) phi is
+    that product on the lattice axes, of which only the support is kept;
+    otherwise it is the direct sum at the support's points alone.  None of
+    this depends on k, so a k-sweep builds it once.
     """
     if m not in (0, 1, 2):
         raise ValueError(f"m must be 0, 1 or 2, got {m!r}")
@@ -312,23 +343,39 @@ def localization_error(
             f"in the ball of radius {radius:g}; the order-{m} stencils need a smaller h"
         )
     support = _stencil_support(mask, interior, m)
-    diff = np.full(mask.shape, np.nan, dtype=complex)
-    diff[support] = rescaled_pullback(Y, flat[support.ravel()], chart)
-    axes = [ax] * 3
+    points = flat[support.ravel()]
+    axes = (ax,) * 3
     degree = _grid_rule_degree(phi, axes)
-    if degree is None:
-        diff[support] -= eval_bessel_sum(phi, flat[support.ravel()])
-    else:
-        diff[support] -= _plane_wave_grid(phi, axes, degree)[support]
-    orders = [float(np.abs(diff[mask]).max())] + [
-        float(np.abs(d[..., interior]).max()) for d in _central_differences(diff, h, m)[1:]
+    values = eval_bessel_sum(phi, points) if degree is None else _plane_wave_grid(phi, axes, degree)[support]
+    for a in (ax, mask, interior, support, points, values):
+        a.flags.writeable = False
+    return LocalizationLattice(m, h, axes, mask, interior, support, points, values)
+
+
+def localization_error(
+    lattice: LocalizationLattice, Y: UltrasphericalSum, chart: sphere.Chart | None = None
+) -> CmErrorReport:
+    """C^j sup discrepancies (j = 0..m) between phi and Y's rescaled pullback, on phi's lattice.
+
+    The lattice (localization_lattice) holds phi on the stencil support; the
+    pullback through `chart` (Y's own by default) is evaluated there, the one
+    per-k part of the report.  Derivatives are
+    helmholtz._central_differences of the difference, read at interior
+    points.  Every other lattice point of the difference holds NaN, so a
+    stencil that strayed outside the support would make an order non-finite,
+    which raises rather than returning a number.
+    """
+    diff = np.full(lattice.mask.shape, np.nan, dtype=complex)
+    diff[lattice.support] = rescaled_pullback(Y, lattice.points, chart) - lattice.phi
+    orders = [float(np.abs(diff[lattice.mask]).max())] + [
+        float(np.abs(d[..., lattice.interior]).max()) for d in _central_differences(diff, lattice.h, lattice.m)[1:]
     ]
     if not np.all(np.isfinite(orders)):
         raise FloatingPointError(
-            f"non-finite C^j discrepancy {orders} at h = {h:g}: a field is not finite "
+            f"non-finite C^j discrepancy {orders} at h = {lattice.h:g}: a field is not finite "
             "on the lattice, or a stencil read a point outside its support"
         )
-    return CmErrorReport(orders, h, Y.k, m)
+    return CmErrorReport(orders, lattice.h, Y.k, lattice.m)
 
 
 def multi_localization_reports(pairs, Y: UltrasphericalSum, m: int = 0, h: float = 0.125):
@@ -337,7 +384,7 @@ def multi_localization_reports(pairs, Y: UltrasphericalSum, m: int = 0, h: float
     Comparing each phi_alpha with the pullback of the complete Y through its
     own chart makes the cross-ball leakage part of the reported error.
     """
-    return [localization_error(s, Y, m=m, h=h, chart=c) for s, c in pairs]
+    return [localization_error(localization_lattice(s, m, h=h), Y, chart=c) for s, c in pairs]
 
 
 def decay_profile(n: int, k: int, rho: float) -> float:

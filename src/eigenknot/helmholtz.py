@@ -58,13 +58,8 @@ def sphere_quadrature(n: int, resolution: int):
     sub_nodes, sub_w = sphere_quadrature(n - 1, resolution)
     u, w = gauss_gegenbauer(resolution, 0.5 * (n - 2))
     s = np.sqrt(1.0 - u * u)
-    nodes = np.concatenate(
-        [
-            np.repeat(u, len(sub_nodes))[:, None],
-            (s[:, None, None] * sub_nodes[None, :, :]).reshape(-1, n - 1),
-        ],
-        axis=1,
-    )
+    polar = np.repeat(u, len(sub_nodes))[:, None]
+    nodes = np.concatenate([polar, (s[:, None, None] * sub_nodes[None, :, :]).reshape(-1, n - 1)], axis=1)
     weights = (w[:, None] * sub_w[None, :]).reshape(-1)
     return nodes, weights
 
@@ -111,6 +106,14 @@ def eval_herglotz(f: HerglotzDensity, x):
     return eval_rows(lambda xb: _plane_wave_sum(xb, f.nodes, coef), x, f.n, len(coef))
 
 
+def json_coefficient(c) -> complex:
+    """A term's "c", the pair [re, im] of a file: exactly two real numbers, neither a bool."""
+    real = lambda v: isinstance(v, (int, float)) and type(v) is not bool
+    if not (isinstance(c, list) and len(c) == 2 and real(c[0]) and real(c[1])):
+        raise ValueError(f"a coefficient must be two real numbers [re, im], got {c!r}")
+    return complex(c[0], c[1])
+
+
 @dataclass
 class BesselSum:
     """phi(x) = sum_j c_j J_{n/2-1}(|x - x_j|) / |x - x_j|^{n/2-1}."""
@@ -140,18 +143,12 @@ class BesselSum:
         return len(self.coeffs)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"c": [c.real, c.imag], "x": x.tolist()}
-                for c, x in zip(self.coeffs, self.centers)
-            ],
-            "R": self.radius,
-        }
+        terms = [{"c": [c.real, c.imag], "x": x.tolist()} for c, x in zip(self.coeffs, self.centers)]
+        return {"n": self.n, "terms": terms, "R": self.radius}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BesselSum":
-        coeffs = np.array([complex(t["c"][0], t["c"][1]) for t in d["terms"]])
+        coeffs = np.array([json_coefficient(t["c"]) for t in d["terms"]])
         centers = np.array([t["x"] for t in d["terms"]])
         return cls(d["n"], coeffs, centers, d["R"])
 

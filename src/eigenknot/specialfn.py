@@ -286,22 +286,20 @@ def gegenbauer3_zonal(k: int, p, centers, order: int):
     only through q = sin^2(theta/2) = |p_i - c_j|^2 / 4, read from the
     halved coordinate planes by squared_pair_distances, so no p . c_j is
     formed or clipped and a small angle keeps full relative precision.
-    Where q > 1/2 it is read again as |p_i + c_j|^2 / 4, the angle to -c_j,
-    on those pairs only.
+    Where q > 1/2 it is read again as |p_i + c_j|^2 / 4, the angle to -c_j:
+    squared_pair_distances against -c_j, on the rows that hold such a pair,
+    an eighth of the rows at a time.  Its halved planes are exact products,
+    so each is one rounding of p_ia / 2 + c_ja / 2, as a direct sum gives.
     """
+    p = np.asarray(p, dtype=float)
     q = squared_pair_distances(p, centers, 0.5)
-    p = np.multiply(p, 0.5)
-    c = np.multiply(centers, 0.5).T
-    far = np.flatnonzero(q > 0.5)
-    rows, cols = np.divmod(far, q.shape[1])
-    for a in range(len(c)):
-        plane = p[rows, a]
-        plane += c[a, cols]
-        plane *= plane
-        if a:
-            plane += q.flat[far]
-        q.flat[far] = plane
-    del plane, rows, cols  # the kernel's own block-sized arrays take their place
+    is_far = q > 0.5
+    far, rows = np.flatnonzero(is_far), np.flatnonzero(is_far.any(axis=1))
+    step = max(1, len(q) // 8)
+    for lo in range(0, len(rows), step):
+        r = rows[lo : lo + step]
+        q[r] = np.where(is_far[r], squared_pair_distances(p[r], np.negative(centers), 0.5), q[r])
+    del is_far  # the kernel's own block-sized arrays take its place
     return _gegenbauer3_from_q(k, q, far, order)
 
 

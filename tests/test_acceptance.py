@@ -83,10 +83,11 @@ def test_criterion_3_localization_rates():
     detail = []
     for seed in range(5):
         phi = _random_bessel_sum(100 + seed)
+        lattice = H.localization_lattice(phi, 2, h=0.125)
         reports = []
         for k in (40, 80, 160):
             Y = ek.synthesize(phi, k, chart)
-            reports.append(H.localization_error(phi, Y, m=2, h=0.125))
+            reports.append(H.localization_error(lattice, Y))
         zero = [r.orders[0] for r in reports]
         ratios = [b / a for a, b in zip(zero, zero[1:])]
         ok = all(0.3 <= r <= 0.8 for r in ratios)
@@ -136,7 +137,7 @@ def test_criterion_6_multi_ball():
     combined = ek.multi_synthesize(pairs, k)
     reports = H.multi_localization_reports(pairs, combined, m=0, h=0.125)
     singles = [
-        H.localization_error(s, ek.synthesize(s, k, c_), m=0, h=0.125) for s, c_ in pairs
+        H.localization_error(H.localization_lattice(s, 0, h=0.125), ek.synthesize(s, k, c_)) for s, c_ in pairs
     ]
     ratios = [r.orders[0] / s.orders[0] for r, s in zip(reports, singles)]
     ok = all(r <= 1.5 for r in ratios)

@@ -483,6 +483,8 @@ _MALFORMED_BESSEL_FILES = {
     "not-json": "{'n': 3,",
     "radius-below-a-center": json.dumps({"n": 3, "terms": [{"c": [1.0, 0.0], "x": [1.0, 0.0, 0.0]}], "R": 0.5}),
     "one-number-coefficient": json.dumps({"n": 3, "terms": [{"c": [1.0], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
+    "three-number-coefficient": json.dumps({"n": 3, "terms": [{"c": [1.0, 0.0, 7.0], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
+    "bool-coefficient": json.dumps({"n": 3, "terms": [{"c": [True, False], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
     "no-terms": json.dumps({"n": 3, "R": 1.0}),
     "nan-coefficient": json.dumps({"n": 3, "terms": [{"c": [float("nan"), 0.0], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
     "inf-coefficient": json.dumps({"n": 3, "terms": [{"c": [1.0, float("inf")], "x": [0.0, 0.0, 0.0]}], "R": 1.0}),
@@ -532,6 +534,8 @@ def _terms(edit):
         lambda doc: dict(doc, components=[doc["components"][0], []]),
         lambda doc: dict(doc, components=[doc["components"][0], {"terms": doc["components"][1]}]),
         _terms(lambda t: dict(t, c=t["c"][:1])),
+        _terms(lambda t: dict(t, c=[*t["c"], 7.0])),
+        _terms(lambda t: dict(t, c=[True, False])),
         _terms(lambda t: dict(t, p=[2.0, 0.0, 0.0, 0.0])),
         _terms(lambda t: {"c": t["c"], "x": [0.0, 0.0, 0.0]}),
         _terms(lambda t: dict(t, c=[float("nan"), 0.0])),
@@ -548,6 +552,8 @@ def _terms(edit):
         "no-terms",
         "not-a-list",
         "one-number-coefficient",
+        "three-number-coefficient",
+        "bool-coefficient",
         "center-off-the-sphere",
         "bessel-sum",
         "nan-coefficient",
@@ -654,6 +660,42 @@ def test_verify_laplace_row_certifies_at_high_degree(tmp_path):
     for k, (resid, h) in laplace.items():
         assert h == 0.04 / k
         assert resid < 1e-3, (k, resid)
+
+
+def test_verify_sweep_rows_equal_single_degree_runs(tmp_path, monkeypatch):
+    # phi's lattice and the laplace samples' charts do not depend on k: a
+    # sweep builds each once (the 16 sample charts and the config's own
+    # chart are 17 random_chart calls, not 1 + 16 per k), and its rows are,
+    # byte for byte, the rows of one run per degree with the same seed
+    from eigenknot import harmonics, sphere
+
+    field = tmp_path / "field.json"
+    approximate = ["approximate", "--out", str(field), "--set", "density=random", "--set", "density_seed=3"]
+    assert main([*approximate, "--set", "delta=1e-3"]) == EXIT_OK
+    calls = {"phi": 0, "charts": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harmonics, "_plane_wave_grid", counted("phi", harmonics._plane_wave_grid))
+    monkeypatch.setattr(harmonics, "eval_bessel_sum", counted("phi", harmonics.eval_bessel_sum))
+    monkeypatch.setattr(sphere, "random_chart", counted("charts", sphere.random_chart))
+    harmonics._laplace_samples.cache_clear()
+
+    def rows(out, sweep):
+        argv = ["verify", "--out", str(out), "--set", f"input={field}", "--set", "chart_seed=5", "--set", "seed=2"]
+        assert main([*argv, "--set", f"k_sweep={sweep}"]) == EXIT_OK
+        return out.read_text().splitlines()[2:]
+
+    swept = rows(tmp_path / "sweep.csv", "40,80,160")
+    assert calls == {"phi": 1, "charts": 17}
+    single = [line for k in (40, 80, 160) for line in rows(tmp_path / f"k{k}.csv", k)]
+    assert calls == {"phi": 4, "charts": 20}
+    assert len(swept) == 3 * 4 and swept == single
 
 
 def test_verify_step_too_coarse_for_stencils_names_h(tmp_path, capsys):
@@ -861,6 +903,8 @@ def test_malformed_input_never_ends_in_a_traceback_or_a_non_finite_output(mutati
         doc = _mutated(doc, path, how)
         # a number that is not one, in a field the reader reads, never passes
         refuse = how in ("nan", "inf", "null") and path[0] not in _UNREAD_FIELDS
+        # and a term's coefficient is exactly the pair [re, im]
+        refuse = refuse or (how in ("shorter", "longer") and path[-1] == "c")
     else:
         items = [*items, f"{data.draw(st.sampled_from(keys))}={data.draw(st.sampled_from(_CONFIG_VALUES))}"]
     with tempfile.TemporaryDirectory() as work:

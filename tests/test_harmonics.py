@@ -199,10 +199,11 @@ def test_localization_identical_field_is_zero(chart):
 
 def test_localization_single_center(chart):
     single = BesselSum(3, [1.0], [[0.0, 0.0, 0.0]], 0.5)
+    lattice = H.localization_lattice(single, 2, h=0.1)
     reports = {}
     for k in (50, 100):
         Y = ek.synthesize(single, k, chart)
-        reports[k] = H.localization_error(single, Y, m=2, h=0.1)
+        reports[k] = H.localization_error(lattice, Y)
     assert all(err <= 0.05 for err in reports[100].orders)
     rows = reports[100].to_csv_rows()
     assert rows[0][0] == 0 and rows[0][3] == 100
@@ -214,10 +215,11 @@ def test_localization_single_center(chart):
 def test_localization_rates_seeded(chart):
     for seed in range(5):
         phi = random_bessel_sum(100 + seed)
+        lattice = H.localization_lattice(phi, 0, h=0.125)
         errs = []
         for k in (40, 80, 160):
             Y = ek.synthesize(phi, k, chart)
-            errs.append(H.localization_error(phi, Y, m=0, h=0.125).orders[0])
+            errs.append(H.localization_error(lattice, Y).orders[0])
         for a, b in zip(errs, errs[1:]):
             assert 0.3 <= b / a <= 0.8, (seed, errs)
 
@@ -287,7 +289,7 @@ def _assert_matches_reference(got, want):
 def test_localization_support_matches_full_lattice(seed, m, h, radius, k):
     phi = random_bessel_sum(seed)
     Y = ek.synthesize(phi, k, ek.random_chart(3, seed + 1))
-    got = H.localization_error(phi, Y, m=m, h=h, radius=radius)
+    got = H.localization_error(H.localization_lattice(phi, m, h=h, radius=radius), Y)
     _assert_matches_reference(got, _full_lattice_report(phi, Y, m=m, h=h, radius=radius))
 
 
@@ -319,7 +321,7 @@ def test_localization_evaluates_only_the_stencil_support(chart, monkeypatch, m, 
     monkeypatch.setattr(helmholtz, "eval_bessel_sum", count_points)
     rng = np.random.default_rng(5)
     phi = BesselSum(3, rng.normal(size=120) + 1j * rng.normal(size=120), rng.uniform(-1.5, 1.5, (120, 3)), 2.6)
-    H.localization_error(phi, ek.synthesize(phi, 40, chart), m=m, h=0.125)
+    H.localization_error(H.localization_lattice(phi, m, h=0.125), ek.synthesize(phi, 40, chart))
     assert seen["pullback"] == [rows] and rows != 21**3
     assert seen["points"] == []
     (axes,) = seen["grid"]
@@ -342,10 +344,10 @@ def test_localization_evaluates_few_centers_only_on_the_support(chart, monkeypat
     stencil_support, points = H._stencil_support, H.eval_bessel_sum
     monkeypatch.setattr(H, "_stencil_support", lambda *a: supports.append(stencil_support(*a)) or supports[-1])
     monkeypatch.setattr(H, "eval_bessel_sum", lambda s, x: seen.append(len(x)) or points(s, x))
-    report = H.localization_error(phi, Y, m=2, h=h)
+    report = H.localization_error(H.localization_lattice(phi, 2, h=h), Y)
     assert seen == [supports[0].sum()] == [2457]
     monkeypatch.setattr(H, "eval_bessel_sum", lambda s, x: helmholtz.eval_bessel_sum_grid(s, lattice)[supports[0]])
-    assert H.localization_error(phi, Y, m=2, h=h) == report
+    assert H.localization_error(H.localization_lattice(phi, 2, h=h), Y) == report
 
 
 def test_localization_stencil_outside_support_raises(chart, monkeypatch):
@@ -353,9 +355,9 @@ def test_localization_stencil_outside_support_raises(chart, monkeypatch):
     monkeypatch.setattr(H, "_stencil_support", lambda mask, interior, m: mask)
     phi = random_bessel_sum(5)
     Y = ek.synthesize(phi, 40, chart)
-    assert len(H.localization_error(phi, Y, m=1, h=0.125).orders) == 2
+    assert len(H.localization_error(H.localization_lattice(phi, 1, h=0.125), Y).orders) == 2
     with pytest.raises(FloatingPointError, match="outside its support"):
-        H.localization_error(phi, Y, m=2, h=0.125)
+        H.localization_error(H.localization_lattice(phi, 2, h=0.125), Y)
 
 
 @pytest.mark.parametrize(
@@ -377,11 +379,9 @@ def test_localization_stencil_outside_support_raises(chart, monkeypatch):
         ({"m": 0, "h": 5.0, "radius": 0.5}, "h"),
     ],
 )
-def test_localization_rejects_bad_arguments(chart, kwargs, name):
-    phi = random_bessel_sum(5)
-    Y = ek.synthesize(phi, 40, chart)
+def test_localization_rejects_bad_arguments(kwargs, name):
     with pytest.raises(ValueError, match=rf"^{name} "):
-        H.localization_error(phi, Y, **{"h": 0.125, **kwargs})
+        H.localization_lattice(random_bessel_sum(5), **{"h": 0.125, **kwargs})
 
 
 def test_multi_synthesize_single_pair_matches(chart, small_sum):
@@ -418,7 +418,7 @@ def test_multi_ball_leakage(chart):
     combined = ek.multi_synthesize(pairs, k)
     reports = H.multi_localization_reports(pairs, combined, m=0, h=0.125)
     singles = [
-        H.localization_error(s, ek.synthesize(s, k, c), m=0, h=0.125) for s, c in pairs
+        H.localization_error(H.localization_lattice(s, 0, h=0.125), ek.synthesize(s, k, c)) for s, c in pairs
     ]
     for rep, single in zip(reports, singles):
         assert rep.orders[0] <= 1.5 * single.orders[0]
@@ -459,11 +459,12 @@ def test_localization_rate_at_high_energy():
     )
     phi = ek.herglotz_discretize(density, 1e-3)
     chart = ek.random_chart(3, 5)
+    lattice = H.localization_lattice(phi, 0, h=0.125)
     sup0 = []
     for k in (2500, 5000, 10_000):
         start = time.perf_counter()
         Y = ek.synthesize(phi, k, chart)
-        sup0.append(H.localization_error(phi, Y, m=0, h=0.125).orders[0])
+        sup0.append(H.localization_error(lattice, Y).orders[0])
         lap = H.laplace_residual(Y, samples=16, h=0.04 / k)
         elapsed = time.perf_counter() - start
         assert lap <= 1e-3, (k, lap)

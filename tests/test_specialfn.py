@@ -486,6 +486,44 @@ def test_gegenbauer3_zonal_on_unit_vector_pairs(k, order, seed, angles):
             assert abs(value - recurrence[d][i, j]) <= 4 * (k + 1) ** 2 * EPS * c3_scale(k, d), (i, j, d)
 
 
+def _gathered_zonal(k: int, p, centers, order: int):
+    """gegenbauer3_zonal with |p_i + c_j|^2 / 4 gathered pair by pair at the divmod of each far index."""
+    q = squared_pair_distances(p, centers, 0.5)
+    half_p, half_c = np.multiply(p, 0.5), np.multiply(centers, 0.5).T
+    far = np.flatnonzero(q > 0.5)
+    rows, cols = np.divmod(far, q.shape[1])
+    for a in range(len(half_c)):
+        plane = half_p[rows, a] + half_c[a, cols]
+        plane *= plane
+        if a:
+            plane += q.flat[far]
+        q.flat[far] = plane
+    return specialfn._gegenbauer3_from_q(k, q, far, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_gegenbauer3_zonal_far_planes_equal_the_gathered_sum(order):
+    # the far planes come from squared_pair_distances against -c_j on the rows
+    # holding a far pair, a slice of rows at a time; their halved products are
+    # exact, so every order is bit for bit the gathered sum.  Block 1: cluster
+    # rows hold no far pair and spread rows mix near and far; block 2 adds
+    # pairs at exactly a right angle (q = 1/2, not far) and antipodal pairs
+    rng = np.random.default_rng(17)
+    base = _unit(rng.normal(size=4))
+    cluster = _unit(base + 0.05 * rng.normal(size=(24, 4)))
+    spread = _unit(rng.normal(size=(40, 4)))
+    axes = np.eye(4)
+    p = np.concatenate([cluster[:12], spread, axes[:1]])
+    blocks = [(p, cluster[12:]), (p, np.concatenate([cluster[12:], axes[1:], -spread[:5], -axes[:1]]))]
+    assert squared_pair_distances(axes[:1], axes[1:], 0.5).tolist() == [[0.5] * 3]
+    far_rows = (squared_pair_distances(p, cluster[12:], 0.5) > 0.5).any(axis=1)
+    assert not far_rows[:12].any() and far_rows[12:-1].any() and not far_rows[12:-1].all()
+    for k in (0, 1, 7, 160):
+        for pb, cb in blocks:
+            got, want = gegenbauer3_zonal(k, pb, cb, order), _gathered_zonal(k, pb, cb, order)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], k
+
+
 def _pair_block(far: bool):
     """One sphere.PAIR_BLOCK of pairs: 128 points and 256 centers, within 0.02 of one base point
     (as on a localization lattice) or spread over the sphere, half of them past a right angle."""

@@ -73,3 +73,28 @@ def test_traced_bessel_sum_jet_counts_each_radius_once(monkeypatch):
     assert [sp["counts"]["pair_evals"] for sp in values] == [len(x) * len(s)]
     value_kernels = [sp for sp in spans[len(jet_spans):] if sp["name"] == "specialfn.bessel_kernel"]
     assert sum(sp["counts"]["radii"] for sp in value_kernels) == len(x) * len(s)
+
+
+def test_traced_verify_has_one_localization_span_per_degree(monkeypatch, tmp_path):
+    # verify builds phi's lattice once, before its k loop, and calls
+    # harmonics.localization_error once per degree with the harmonic second:
+    # one span per k carrying that k and the order-0 sup error of its row,
+    # and no evaluation of phi inside any of them
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    from eigenknot import cli
+
+    field = Path(cli.__file__).parent / "data" / "single_center.json"
+    out = tmp_path / "errors.csv"
+    sweep = [40, 80, 160]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        argv = ["verify", "--out", str(out), "--set", f"input={field}", "--set", "m=0"]
+        assert cli.main([*argv, "--set", "k_sweep=" + ",".join(map(str, sweep))]) == cli.EXIT_OK
+    spans = tracer.dump()
+    located = [i for i, s in enumerate(spans) if s["name"] == "harmonics.localization_error"]
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    sup0 = {int(k): float(err) for order, err, _, k in rows if order == "0"}
+    assert [spans[i]["counts"] for i in located] == [{"k": k, "sup0": sup0[k]} for k in sweep]
+    phi = [s for s in spans if s["name"] == "helmholtz.eval_bessel_sum"]
+    assert len(phi) == 1 and phi[0]["parent"] not in located
