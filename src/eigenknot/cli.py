@@ -427,6 +427,28 @@ def _field_box(cfg: dict, name: str, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return bounds
 
 
+def _inside_chart_ball(cfg: dict, name: str, bounds: tuple, chart: sphere.Chart, k: int):
+    """Refuse a box of spinor component `name` that leaves the chart ball |x| < pi k.
+
+    The pullback reads the component at exp(x / k), and x / k must lie in the
+    ball of the chart.  The box's farthest corner takes on each axis the bound
+    of larger size, and it is checked by the map itself; a box past it names
+    the most specific key that set one of that corner's bounds.
+    """
+    lo, hi = bounds
+    upper = np.abs(hi) >= np.abs(lo)
+    corner = np.where(upper, hi, lo)
+    try:
+        sphere.chart_to_sphere(chart, corner[None] / k)
+    except ValueError:
+        sides = [side for side, used in (("hi", upper.any()), ("lo", not upper.all())) if used]
+        key = next(key for key in [f"{name}_box_{s}" for s in sides] + [f"box_{s}" for s in sides] if key in cfg)
+        raise ConfigError(
+            f"config key {key} puts the box of {name} outside the chart ball |x| < pi k = {math.pi * k:.6g} "
+            f"of the spinor file: its corner {corner.tolist()} is at |x| = {float(np.linalg.norm(corner)):.6g}"
+        ) from None
+
+
 def cmd_nodal(cfg: _Config) -> int:
     from . import nodal
 
@@ -453,6 +475,9 @@ def cmd_nodal(cfg: _Config) -> int:
         field.jet, field.grid = base.jet, base.grid
         fields.append(("field", field))
     boxes = [_field_box(cfg, name, lo, hi) for name, _ in fields]
+    if isinstance(source, dict):
+        for (name, _), bounds in zip(fields, boxes):
+            _inside_chart_ball(cfg, name, bounds, chart, k)
     manifest = write_manifest(cfg, [src])
 
     all_curves = []

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sphere
 from .specialfn import bessel_kernel, gauss_gegenbauer, sincos, squared_pair_distances
-from .sphere import eval_rows
+from .sphere import as_batch_rows, eval_rows
 
 _TWO_PI = 2.0 * math.pi
 
@@ -1003,12 +1003,15 @@ class HopfPairDesign:
         return [alpha * j0 + j1_r * vx, radial[:, None] * x + j1_r[:, None] * v]
 
     def exact_field(self, a: int):
-        """x -> exact_component(a, x) for nodal extraction, with exact_jet as its ``jet``."""
+        """x -> exact_component(a, x) for nodal extraction, with exact_jet as its ``jet``,
+        both evaluated a row block at a time (eval_rows), each block bit for bit
+        as in one pass over all rows (as_batch_rows)."""
 
-        def field(x):
-            return self.exact_component(a, x)
+        def rows(fn):
+            return lambda x: eval_rows(lambda xb: as_batch_rows(lambda r: fn(a, r), xb), np.atleast_2d(x), 3, 1)
 
-        field.jet = lambda x: self.exact_jet(a, x)
+        field = rows(self.exact_component)
+        field.jet = rows(self.exact_jet)
         return field
 
 

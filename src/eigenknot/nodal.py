@@ -4,18 +4,23 @@ Extraction runs marching tetrahedra on the Kuhn (6 tets per cube, shared
 main diagonal) decomposition: inside each tetrahedron the real part's zero
 set is a triangle or quad by linear interpolation, and the imaginary part
 cut through it yields at most one segment per triangle, so there are no
-ambiguous cases.  The march runs on arrays: each cube packs the signs at its
-8 corners into one byte per part, each Kuhn type reads its 4-bit sign mask
-from that byte, and a 16-entry sign-mask table gives the cut edges of every
-active tetrahedron.  Segments are stitched into polylines by sorting the
-integer endpoint keys round(p / (1e-6 h)) into node ids and walking them,
-then Newton-polished onto the true zero set with least-norm steps; steps
-longer than h are refused.
+ambiguous cases.  The march runs on arrays: a grid value of exactly +-0
+counts as positive, and each cube packs the signs at its 8 corners into one
+byte per part, built by three shift-or passes that join neighbours along z,
+then y, then x.  Each Kuhn type reads its 4-bit sign mask from that byte, and
+a 16-entry sign-mask table gives the cut edges of every active tetrahedron;
+only the corners of those tetrahedra are gathered, with a zero read as
+1e-300.  Segments are stitched into polylines by numbering the integer
+endpoint keys round(p / (1e-6 h)) in the order of one lexsort and walking
+them, then Newton-polished onto the true zero set with least-norm steps;
+steps longer than h are refused.
 
 The march's grid values come from the field's ``grid`` attribute when the
 callable carries one (axes -> values on their product grid, as eigenknot's
 Bessel-sum fields do through helmholtz.eval_bessel_sum_grid); plain
-callables get the grid's points in one call.
+callables get the grid's points in one call.  The points and the complex
+values are the only grid-sized arrays an extraction makes, besides a byte
+or two per grid point for the signs and codes.
 
 The 2x3 Jacobian of (Re f, Im f) comes from the field's analytic jet when the
 callable carries one (a ``jet`` attribute returning the value and the complex
@@ -131,66 +136,100 @@ def _cut_table():
 _CUT_PAIRS, _CUT_COUNT = _cut_table()
 
 
-def _march(u, w, lo, hvec, degeneracy_scale):
-    """Segments (m, 2, 3) of {u = w = 0} by Kuhn type, cell and triangle, and the
-    number of tetrahedra with a cut triangle whose |w| < `degeneracy_scale`."""
-    ns = np.array(u.shape) - 1
+def _corner_codes(positive, strides):
+    """The 8-bit code of every cube of a C-ordered grid of sign bits, by the flat
+    index of its low corner: corner (dx, dy, dz) at bit 4 dx + 2 dy + dz, from
+    neighbours joined along z, then y, then x.  The codes run to the last cube
+    and hold junk at indices whose corner is the last on some axis."""
+    code = positive.view(np.uint8).ravel()
+    for step, bit in zip(strides[::-1], (1, 2, 4)):
+        code = code[:-step] | (code[step:] << bit)
+    return code
 
-    def corner_code(positive):
-        code = np.zeros(tuple(ns), dtype=np.uint8)
-        for bit, (dx, dy, dz) in enumerate(itertools.product((0, 1), repeat=3)):
-            code |= positive[dx : dx + ns[0], dy : dy + ns[1], dz : dz + ns[2]].astype(np.uint8) << bit
-        return code.ravel()
 
-    ucode, wcode = corner_code(u > 0), corner_code(w > 0)
-    cells = np.nonzero((ucode % 255 != 0) & (wcode % 255 != 0))[0]
+def _march(vals, lo, hvec, degeneracy_scale):
+    """Segments (m, 2, 3) of {Re f = Im f = 0} by Kuhn type, cell and triangle from the
+    grid values `vals`, and the number of tetrahedra with a cut triangle whose
+    |Im f| < `degeneracy_scale`.  Values of exactly +-0 count as positive, and
+    on the corners of the active tetrahedra they read as 1e-300."""
+    shape = vals.shape
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    ucode, wcode = _corner_codes(vals.real >= 0, strides), _corner_codes(vals.imag >= 0, strides)
+    cells = np.flatnonzero((ucode != 0) & (ucode != 255) & (wcode != 0) & (wcode != 255))
+    cells = cells[(cells // shape[2] % shape[1] != shape[1] - 1) & (cells % shape[2] != shape[2] - 1)]
     umask, wmask = _TET_MASK[:, ucode[cells]], _TET_MASK[:, wcode[cells]]
     kind, sel = np.nonzero((umask % 15 != 0) & (wmask % 15 != 0))
     umask = umask[kind, sel]
-    idx = np.stack(np.unravel_index(cells[sel], ns), axis=-1)[:, None, :] + _KUHN[kind]
-    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), u.shape)
-    uu, ww, pos = u.ravel()[flat], w.ravel()[flat], lo + idx * hvec
+    idx = np.stack(np.unravel_index(cells, shape), axis=-1)[sel, None] + _KUHN[kind]
+    pos = (lo + idx * hvec).reshape(-1, 3)
+    values = vals.ravel()[(idx @ strides).ravel()]
+    uu, ww = (np.where(part == 0, 1e-300, part) for part in (values.real, values.imag))
 
-    # corners of every cut triangle: the zero of u on tetrahedron edge (i, j)
+    # corners of every cut triangle: the zero of u on tetrahedron edge (i, j), by
+    # their flat indices into the corners of the active tetrahedra
     row, slot = np.nonzero(np.arange(2) < _CUT_COUNT[umask][:, None])
-    ij = _CUT_PAIRS[umask[row], slot]
-    r, i, j = row[:, None], ij[..., 0], ij[..., 1]
-    t = uu[r, i] / (uu[r, i] - uu[r, j])
-    q = pos[r, i] + t[..., None] * (pos[r, j] - pos[r, i])
-    wq = ww[r, i] + t * (ww[r, j] - ww[r, i])
+    ij = 4 * row[:, None, None] + _CUT_PAIRS[umask[row], slot]
+    i, j = ij[..., 0], ij[..., 1]
+    t = uu[i] / (uu[i] - uu[j])
+    pi = pos[i]
+    q = pi + t[..., None] * (pos[j] - pi)
+    wq = ww[i] + t * (ww[j] - ww[i])
 
-    # triangle edge e joins corners e and e + 1; w changes sign on none or two
-    cross = (wq > 0) != np.roll(wq > 0, -1, axis=1)
-    keep = cross.any(axis=1)
-    degenerate = np.unique(row[keep & (np.abs(wq).max(axis=1) < degeneracy_scale)]).size
+    # triangle edge e joins corners e and e + 1; w changes sign on none or two,
+    # so on edge 0 or 1 when on any
+    above = wq > 0
+    cross = above != np.roll(above, -1, axis=1)
+    keep = cross[:, 0] | cross[:, 1]
+    size = np.abs(wq)
+    hit = row[keep & (np.maximum(np.maximum(size[:, 0], size[:, 1]), size[:, 2]) < degeneracy_scale)]  # sorted
+    degenerate = int(np.count_nonzero(hit[1:] != hit[:-1])) + bool(len(hit))
     q, wq, cross = q[keep], wq[keep], cross[keep]
     a = np.stack([np.argmax(cross, axis=1), np.where(cross[:, 2], 2, 1)], axis=1)
     b, k = (a + 1) % 3, np.arange(len(q))[:, None]
-    s = wq[k, a] / (wq[k, a] - wq[k, b])
-    return q[k, a] + s[..., None] * (q[k, b] - q[k, a]), degenerate
+    qa, wa = q[k, a], wq[k, a]
+    s = wa / (wa - wq[k, b])
+    return qa + s[..., None] * (q[k, b] - qa), degenerate
 
 
 def _stitch(segs, h):
     """Chains (points, closed) of segments joined where endpoint keys agree.
 
-    Zero-length and repeated segments (exact grid/zero-set alignment makes
-    neighboring tetrahedra emit coincident ones) are dropped, and with them
-    gone there may be no chain at all; a chain grows from the second, then
-    the first end along the first unused segment.
+    Endpoints are numbered by one lexsort of their keys.  Zero-length and
+    repeated segments (exact grid/zero-set alignment makes neighboring
+    tetrahedra emit coincident ones) are dropped, and with them gone there
+    may be no chain at all; a chain grows from the second, then the first end
+    along the first unused segment: at a node of two ends that is the other
+    end's, and a node of more ends is searched in order.
     """
     quant = 1e-6 * h
     keys = np.round(segs.reshape(-1, 3) / quant).astype(np.int64)
-    node = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1, 2)
-    lo, hi = node.min(axis=1), node.max(axis=1)
+    order = np.lexsort(keys.T[::-1])
+    differ = keys[order]
+    differ = differ[1:] != differ[:-1]
+    step = np.ones(len(keys), dtype=np.intp)
+    step[1:] = differ[:, 0] | differ[:, 1] | differ[:, 2]
+    node = np.empty(len(keys), dtype=np.intp)
+    node[order] = np.cumsum(step) - 1
+    node = node.reshape(-1, 2)
+    lo, hi = np.minimum(node[:, 0], node[:, 1]), np.maximum(node[:, 0], node[:, 1])
     live = np.nonzero(lo != hi)[0]
     first = np.unique(lo[live] * len(keys) + hi[live], return_index=True)[1]
     keep = live[np.sort(first)]
     if not len(keep):
         return []
-    ends, node = segs[keep].reshape(-1, 3), node[keep].ravel().tolist()
-    at = [[] for _ in range(max(node) + 1)]  # segment ends 2 si + e at each node, in order
-    for e, n in enumerate(node):
-        at[n].append(e)
+    ends, node = segs[keep].reshape(-1, 3), node[keep].ravel()
+    # the segment ends 2 si + e at each node, in order; the end a walk goes on
+    # to from each end: the far end of the segment of the other end at a node
+    # of two, -1 at a node of one and -2 at a node of more
+    at = np.argsort(node, kind="stable")
+    count = np.bincount(node)
+    start = np.cumsum(count) - count
+    slot = np.empty_like(at)
+    slot[at] = np.arange(len(at))
+    degree = count[node]
+    onward = np.where(degree == 2, at[(2 * start[node] + 1 - slot).clip(0, len(at) - 1)] ^ 1, -1)
+    onward[degree > 2] = -2
+    onward = onward.tolist()
     used = [False] * len(keep)
     chains = []
     for si in range(len(keep)):
@@ -198,12 +237,22 @@ def _stitch(segs, h):
             continue
         used[si] = True
         grown = []
-        for end in (2 * si + 1, 2 * si):
-            run = [end]
-            while (e := next((e for e in at[node[run[-1]]] if not used[e >> 1]), None)) is not None:
-                used[e >> 1] = True
-                run.append(e ^ 1)
-            grown.append(run[1:])
+        for e in (2 * si + 1, 2 * si):
+            run = []
+            while True:
+                nxt = onward[e]
+                if nxt == -2:
+                    n = node[e]
+                    for nxt in at[start[n] : start[n] + count[n]].tolist():
+                        if not used[nxt >> 1]:
+                            break
+                    nxt ^= 1
+                if nxt < 0 or used[nxt >> 1]:
+                    break
+                used[nxt >> 1] = True
+                run.append(nxt)
+                e = nxt
+            grown.append(run)
         pts = ends[grown[1][::-1] + [2 * si, 2 * si + 1] + grown[0]]
         closed = np.linalg.norm(pts[0] - pts[-1]) < 10 * quant
         if closed:
@@ -317,6 +366,14 @@ def newton_polish(fieldfn, pts, *, max_step=math.inf):
     return pts, (np.abs(vals) <= _TOL) & ~refused, jac
 
 
+def _grid_points(axes) -> np.ndarray:
+    """The points of axes[0] x axes[1] x axes[2], in C order, as one (M, 3) array."""
+    points = np.empty(tuple(len(a) for a in axes) + (3,))
+    for d, a in enumerate(axes):
+        points[..., d] = a.reshape([-1 if e == d else 1 for e in range(3)])
+    return points.reshape(-1, 3)
+
+
 def extract_nodal(fieldfn, box, h: float) -> NodalSet:
     """Extract polyline components of {Re f = Im f = 0} inside a box.
 
@@ -341,17 +398,12 @@ def extract_nodal(fieldfn, box, h: float) -> NodalSet:
     if grid is not None:
         vals = np.asarray(grid(axes))
     else:
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        vals = np.asarray(fieldfn(points)).reshape(tuple(ns + 1))
-    u = vals.real.copy()
-    w = vals.imag.copy()
-    u[u == 0] = 1e-300
-    w[w == 0] = 1e-300
+        vals = np.asarray(fieldfn(_grid_points(axes))).reshape(tuple(ns + 1))
     scale = float(np.percentile(np.abs(vals), 95))
     degeneracy_scale = 1e-9 * max(scale, 1e-30)
 
     hvec = (hi - lo) / ns
-    segs, degenerate = _march(u, w, lo, hvec, degeneracy_scale)
+    segs, degenerate = _march(vals, lo, hvec, degeneracy_scale)
 
     curves = []
     boundary_tol = 1e-3 * h

@@ -102,7 +102,7 @@ def bessel_kernel(n, r):
         raise ValueError("dimension n must be >= 2")
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
-    r = np.atleast_1d(r)
+    r = np.ascontiguousarray(np.atleast_1d(r))  # so that ravel() is a view of it and its kernels
     if r.size and r.min() < 0:
         raise ValueError("bessel_kernel requires r >= 0")
     below = r < 0.5
@@ -125,7 +125,7 @@ def bessel_kernel(n, r):
         if len(small) < r.size:
             out[d][~below] = jv(nu, r[~below]) / r[~below] ** nu
     if len(small):
-        rs = r.flat[small]
+        rs = r.ravel()[small]
         x = 0.25 * rs * rs
         for d, arr in out.items():
             nu = 0.5 * d - 1.0
@@ -134,7 +134,7 @@ def bessel_kernel(n, r):
             for m in range(1, 24):
                 term = -term * x / (m * (nu + m))
                 acc += term
-            arr.flat[small] = acc
+            arr.ravel()[small] = acc
     kernels = [out[d][0] if scalar else out[d] for d in dims]
     return kernels if isinstance(n, tuple) else kernels[0]
 
@@ -262,9 +262,13 @@ def squared_pair_distances(x, centers, scale=1.0):
     matmul speed (an outer subtraction runs one short loop per row).
     """
     x = np.asarray(x, dtype=float)
-    left = np.stack([x.T, np.full_like(x.T, -1.0)], axis=-1)
     c = np.multiply(centers, scale).T
-    right = np.stack([np.full_like(c, scale), c], axis=1)
+    left = np.empty(x.T.shape + (2,))
+    left[..., 0] = x.T
+    left[..., 1] = -1.0
+    right = np.empty((len(c), 2, c.shape[1]))
+    right[:, 0] = scale
+    right[:, 1] = c
     q = left[0] @ right[0]
     q *= q
     plane = np.empty_like(q)
@@ -290,9 +294,12 @@ def gegenbauer3_zonal(k: int, p, centers, order: int):
     squared_pair_distances against -c_j, on the rows that hold such a pair,
     an eighth of the rows at a time.  Its halved planes are exact products,
     so each is one rounding of p_ia / 2 + c_ja / 2, as a direct sum gives.
+    A block with no q past 1/2, as near a chart base, skips that pass.
     """
     p = np.asarray(p, dtype=float)
     q = squared_pair_distances(p, centers, 0.5)
+    if not q.size or q.max() <= 0.5:
+        return _gegenbauer3_from_q(k, q, _NONE, order)
     is_far = q > 0.5
     far, rows = np.flatnonzero(is_far), np.flatnonzero(is_far.any(axis=1))
     step = max(1, len(q) // 8)
@@ -303,10 +310,14 @@ def gegenbauer3_zonal(k: int, p, centers, order: int):
     return _gegenbauer3_from_q(k, q, far, order)
 
 
+#: The flat indices of no pair.
+_NONE = np.empty(0, dtype=np.intp)
+
+
 def _gegenbauer3_from_q(k: int, q: np.ndarray, far: np.ndarray, order: int):
     """[C, ..., C^(order)] at t = 1 - 2q, and at t = 2q - 1 on the flat indices `far`.
 
-    q = sin^2(theta/2) <= 1/2, to p_j or to -p_j on `far`, is overwritten;
+    q = sin^2(theta/2) <= 1/2, to p_j or to -p_j on `far`, is C-contiguous and overwritten;
     there C^(d)(-t) = (-1)^(k+d) C^(d)(t).  On S^3 C(cos theta) =
     sin((k+1) theta) / ((k+1) sin theta) (DLMF 18.5.2).  With the tangent
     u = tan((k+1) asin(sqrt q)) of half of (k+1) theta (see sincos for its
@@ -334,12 +345,19 @@ def _gegenbauer3_from_q(k: int, q: np.ndarray, far: np.ndarray, order: int):
     kp = k + 1.0
     # C is 1 at k = 0; otherwise below q = (2^-27 / (k+1))^2, theta = 2 asin(sqrt q) is below
     # 2^-26 / (k+1) to within its cube, and 1 - C < ((k+1) theta)^2 / 6 < 2^-54 rounds C to 1
-    one = slice(None) if k == 0 else np.flatnonzero(q < (2.0**-27 / kp) ** 2)
-    # the Taylor subsets of the orders 1 <= d <= k, by the seam (k+1) theta = 2 or 3 that each uses
-    taylor = {}
-    for seam in {1.0 if d < 2 else 1.5 for d in range(1, min(order, k) + 1)}:
-        pole = np.flatnonzero(q < math.sin(seam / kp) ** 2)
-        taylor[seam] = pole, q.flat[pole] * (-2.0 * kp * kp)
+    tiny = (2.0**-27 / kp) ** 2
+    # the Taylor orders 1 <= d <= k: z on the pole of the last one's seam, (k+1) theta = 2 for
+    # d = 1 and 3 above, and `inner`, the points of that pole inside the seam of d = 1; the
+    # pole holds every q where C is 1
+    taylor = min(order, k)
+    if taylor:
+        pole = np.flatnonzero(q < math.sin((1.0 if taylor < 2 else 1.5) / kp) ** 2)
+        z = q.ravel()[pole]
+        inner = np.flatnonzero(z < math.sin(1.0 / kp) ** 2) if taylor > 1 else slice(None)
+        one = pole[z < tiny]
+        z *= -2.0 * kp * kp
+    else:
+        one = slice(None) if k == 0 else np.flatnonzero(q < tiny)
     if order:
         t = np.multiply(q, -2.0)
         t += 1.0
@@ -356,7 +374,7 @@ def _gegenbauer3_from_q(k: int, q: np.ndarray, far: np.ndarray, order: int):
     den *= w
     with np.errstate(all="ignore"):
         u /= den
-        u.flat[one] = 1.0
+        u.ravel()[one] = 1.0
         out = [u]
         if order:
             np.divide(w, den, out=den)
@@ -375,23 +393,26 @@ def _gegenbauer3_from_q(k: int, q: np.ndarray, far: np.ndarray, order: int):
             nxt /= w
             out.append(nxt)
 
-    j = np.arange(1.0, _TAYLOR_TERMS)
-    coef = np.cumprod(np.concatenate([[1.0], (1.0 - j * j / (kp * kp)) / ((2.0 * j + 1.0) * j)]))
+    if taylor and len(pole):
+        j = np.arange(1.0, _TAYLOR_TERMS)
+        coef = np.cumprod(np.concatenate([[1.0], (1.0 - j * j / (kp * kp)) / ((2.0 * j + 1.0) * j)]))
     for d, arr in enumerate(out):
         if d > k:
             arr[...] = 0.0  # C is a polynomial of degree k
             continue
-        if d:
+        flat = arr.ravel()
+        if d and len(pole):
             # the coefficients of C^(d) in powers of z: alpha_j j! / (j-d)! (k+1)^(2d), j >= d
-            coef = coef[1:] * np.arange(1.0, len(coef)) * (kp * kp)
-            pole, z = taylor[1.0 if d < 2 else 1.5]
-            acc = np.full_like(z, coef[-1])
+            coef = coef[1:] * j[: len(coef) - 1] * (kp * kp)
+            sub = inner if d == 1 else slice(None)
+            zd = z[sub]
+            acc = np.full_like(zd, coef[-1])
             for a in coef[-2::-1]:
-                acc *= z
+                acc *= zd
                 acc += a
-            arr.flat[pole] = acc
-        if (k + d) % 2:
-            arr.flat[far] = -arr.flat[far]
+            flat[pole[sub]] = acc
+        if (k + d) % 2 and len(far):
+            flat[far] = -flat[far]
     return out
 
 

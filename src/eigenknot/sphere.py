@@ -22,6 +22,12 @@ ROW_BLOCK = 4096
 #: at 256 KiB each they fit a 2 MiB L2 cache, where 2^17 pairs (1 MiB) spill it.
 #: Raw verify_sweep instances (one thread, 2-core Xeon VM) took 0.083, 0.073,
 #: 0.069, 0.068 and 0.084 s at 2^13 to 2^17; 2^15 and 2^16 tie, and 2^15 holds less.
+#: spinor3.zonal_jet counts two terms per center, since its blocks also hold
+#: the sphere points, the chart map's arrays and the sums against its tables.
+#: A nodal pullback maps its chart points to the sphere inside those blocks
+#: (ChartPoints), so an extraction holds its grid's points and values and, past
+#: them, about the kernel's order-1 peak over one block (tests/test_nodal.py
+#: bounds it by 7.8 such arrays).
 PAIR_BLOCK = 1 << 15
 
 
@@ -44,17 +50,25 @@ def eval_rows(fn, x, dim, terms):
 
     fn maps an (m, dim) block to an array, or a list of arrays, with m leading
     rows; `terms` is the number of centers, nodes or directions each row sums
-    over.  A 1-D x is one point and gives fn's value there without the row
-    axis; an (0, dim) x gives empty arrays.
+    over.  x may also be a ChartPoints, whose blocks are ChartPoints.  A 1-D
+    x is one point and gives fn's value there without the row axis; an
+    (0, dim) x gives empty arrays.  Each block's values are copied into the
+    output as it comes, so the output is the only batch-sized array made.
     """
-    x, single = _as_batch(x, dim)
+    x, single = (x, False) if isinstance(x, ChartPoints) else _as_batch(x, dim)
     rows = block_rows(terms)
-    blocks = [fn(x[s : s + rows]) for s in range(0, max(len(x), 1), rows)]
-    if isinstance(blocks[0], list):
-        out = [np.concatenate(parts) for parts in zip(*blocks)]
-        return [a[0] for a in out] if single else out
-    out = np.concatenate(blocks)
-    return out[0] if single else out
+    first = fn(x[:rows])
+    listed = isinstance(first, list)
+    out = first if listed else [first]
+    if len(x) > rows:
+        out = [np.empty((len(x),) + a.shape[1:], a.dtype) for a in out]
+        for s in range(0, len(x), rows):
+            block = first if s == 0 else fn(x[s : s + rows])
+            for whole, part in zip(out, block if listed else [block]):
+                whole[s : s + rows] = part
+    if single:
+        out = [a[0] for a in out]
+    return out if listed else out[0]
 
 
 @dataclass
@@ -120,6 +134,59 @@ def random_chart(n: int, seed: int, p0=None) -> Chart:
     return Chart(p0, np.stack(vecs[1:]), seed=seed)
 
 
+def as_batch_rows(fn, *arrays):
+    """fn(*arrays), for arrays of M rows, with each row rounded as in a batch of rows.
+
+    numpy multiplies a one-row matrix through another BLAS routine than a
+    taller one, with other roundings, so one row goes in twice over and the
+    first row of each output is kept.  Blocks of a batch then round as the
+    whole batch does, whatever block a row falls in.
+    """
+    if len(arrays[0]) != 1:
+        return fn(*arrays)
+    out = fn(*(np.repeat(a, 2, axis=0) for a in arrays))
+    return [a[:1] for a in out] if isinstance(out, list) else out[:1]
+
+
+@dataclass
+class ChartPoints:
+    """The sphere points chart_to_sphere(chart, x / scale) of (M, n) chart coordinates x.
+
+    An evaluator given these maps them a row block at a time (eval_rows
+    slices them), so the (M, n+1) array of sphere points is never formed
+    whole.  len() and size are those of that array, so work counters that
+    read np.size count its points.  The map and its chain rule round every
+    row as in a batch (as_batch_rows), so a block's points are bit for bit
+    those of one map over all M rows.
+    """
+
+    chart: Chart
+    x: np.ndarray
+    scale: float = 1.0
+
+    def __post_init__(self):
+        self.x = _as_batch(np.atleast_2d(self.x), self.chart.n)[0]
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, rows: slice) -> "ChartPoints":
+        return ChartPoints(self.chart, self.x[rows], self.scale)
+
+    @property
+    def size(self) -> int:
+        return len(self.x) * (self.chart.n + 1)
+
+    def points(self) -> np.ndarray:
+        """The (M, n+1) sphere points."""
+        return as_batch_rows(lambda y: chart_to_sphere(self.chart, y), self.x / self.scale)
+
+    def gradient(self, g) -> np.ndarray:
+        """The chart gradient of a function with ambient gradients g at the points:
+        (1 / scale) (d exp_y)^T g at y = x / scale, by chart_gradient."""
+        return as_batch_rows(lambda y, g: chart_gradient(self.chart, y, g), self.x / self.scale, g) / self.scale
+
+
 def chart_to_sphere(chart: Chart, x):
     """Exponential map: chart coordinates x (|x| < pi) to sphere points.
 
@@ -130,8 +197,14 @@ def chart_to_sphere(chart: Chart, x):
     if np.any(r >= np.pi):
         raise ValueError("chart coordinates must satisfy |x| < pi")
     sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
-    out = np.multiply.outer(np.cos(r), chart.p0)
-    out += (x * sinc[:, None]) @ chart.frame
+    cos = np.cos(r)
+    # column by column: a broadcast over rows of n or n + 1 runs one short loop per row
+    scaled = np.empty_like(x)
+    for i in range(chart.n):
+        np.multiply(x[:, i], sinc, out=scaled[:, i])
+    out = scaled @ chart.frame
+    for j, c in enumerate(chart.p0):
+        out[:, j] += cos * c
     return out[0] if single else out
 
 
@@ -147,9 +220,10 @@ def chart_gradient(chart: Chart, x, g):
     r = np.linalg.norm(x, axis=1)
     safe = np.where(r > 0, r, 1.0)
     u = x / safe[:, None]
-    sinc = np.where(r > 0, np.sin(r) / safe, 1.0)
+    sin = np.sin(r)
+    sinc = np.where(r > 0, sin / safe, 1.0)
     F = g @ chart.frame.T
-    radial = (np.cos(r) - sinc) * np.einsum("mi,mi->m", u, F) - np.sin(r) * (g @ chart.p0)
+    radial = (np.cos(r) - sinc) * np.einsum("mi,mi->m", u, F) - sin * (g @ chart.p0)
     return sinc[:, None] * F + radial[:, None] * u
 
 

@@ -179,13 +179,16 @@ def zonal_jet(tables: ZonalTables, p, order: int = 0):
     is sum_j C'(x . p_j) (alpha_j p_j + beta_j) + C''(x . p_j) (x . beta_j) p_j.
     One gegenbauer3_zonal call per row block, to order + 1 when there is a
     beta and to order for a harmonic pair, whose beta terms are skipped, and
-    a few real matmuls; the values are bit-identical at either order.
+    a few real matmuls; the values are bit-identical at either order.  p may
+    be a sphere.ChartPoints, mapped to the sphere inside each block; then the
+    tables of one component give chart gradients (M, 3), by its chain rule.
     """
     if order not in (0, 1):
         raise ValueError(f"zonal_jet gives values (order 0) and gradients (order 1), not order {order}")
     (a0, b, a1, pb), cols = tables.tables, tables.cols
 
-    def block(q):
+    def block(x):
+        q = x.points() if isinstance(x, sphere.ChartPoints) else x
         derivs = gegenbauer3_zonal(tables.k, q, tables.centers, order + (b is not None))
         m = len(q)
         value = (derivs[0] @ a0).view(complex).reshape((m,) + cols)
@@ -194,12 +197,17 @@ def zonal_jet(tables: ZonalTables, p, order: int = 0):
         if not order:
             return value
         grad = (derivs[1] @ a1).view(complex).reshape((m, 4) + cols)
-        if b is None:
-            return [value, grad]
-        curv = np.einsum("mab...,mb->ma...", (derivs[2] @ pb).view(complex).reshape((m, 4, 4) + cols), q)
-        return [value, grad + curv]
+        if b is not None:
+            grad = grad + np.einsum("mab...,mb->ma...", (derivs[2] @ pb).view(complex).reshape((m, 4, 4) + cols), q)
+        return [value, x.gradient(grad) if isinstance(x, sphere.ChartPoints) else grad]
 
-    return sphere.eval_rows(block, p, 4, len(tables))
+    # two terms per center: beside the kernel's arrays a block holds the sphere
+    # points, the chart map's arrays and the (rows x 8) sums against the tables,
+    # about 10 (rows x centers) arrays in all.  Half a pair block keeps them in
+    # a 2 MiB L2 cache, and small enough for the heap to keep them from block to
+    # block: at one term per center, the benchmark's hopf_link instances each
+    # faulted in about 11,500 fresh pages, against about 2,300
+    return sphere.eval_rows(block, p, 4, 2 * len(tables))
 
 
 def _dirac(psi, p):
@@ -269,24 +277,20 @@ def component_pullback(psi, index: int, chart: sphere.Chart, k: int):
     """Callable x -> psi_index(Psi^{-1}(x/k)) for nodal extraction in the chart.
 
     The component's tables (zonal_tables) are built once here, and each call
-    is one call of this module's zonal_jet.  The ``jet`` attribute maps (M, 3)
-    points to the value and the gradient in C^3 from one order-1 call: the
-    chain rule through y = x/k gives (1/k) (d exp_y)^T of the ambient gradient
-    (sphere.chart_gradient), with values bit-identical to the call's.  The
-    attribute lives in the function's own ``__dict__``, which
-    ``functools.wraps`` copies onto a wrapper.
+    is one call of this module's zonal_jet on the sphere.ChartPoints of x and
+    k, so the points reach the sphere a row block at a time.  The ``jet``
+    attribute maps (M, 3) points to the value and the gradient in C^3 from one
+    order-1 call: the chain rule through y = x/k gives (1/k) (d exp_y)^T of
+    the ambient gradient (sphere.chart_gradient), with values bit-identical to
+    the call's.  The attribute lives in the function's own ``__dict__``,
+    which ``functools.wraps`` copies onto a wrapper.
     """
     tables = zonal_tables(psi, index)
 
     def fn(x):
-        return zonal_jet(tables, sphere.chart_to_sphere(chart, np.atleast_2d(np.asarray(x, dtype=float)) / k))
+        return zonal_jet(tables, sphere.ChartPoints(chart, x, k))
 
-    def jet(x):
-        y = np.atleast_2d(np.asarray(x, dtype=float)) / k
-        value, grad = zonal_jet(tables, sphere.chart_to_sphere(chart, y), 1)
-        return value, sphere.chart_gradient(chart, y, grad) / k
-
-    fn.jet = jet
+    fn.jet = lambda x: zonal_jet(tables, sphere.ChartPoints(chart, x, k), 1)
     return fn
 
 

@@ -581,6 +581,29 @@ def test_nodal_refuses_a_malformed_component_file(tmp_path, capsys, edit):
     assert not list(tmp_path.glob("curves*"))
 
 
+@pytest.mark.parametrize(
+    "settings, key",
+    [
+        (["box_lo=-40,-40,-40", "box_hi=40,40,40"], "box_hi"),
+        (["box_lo=-40,-1,-1"], "box_lo"),
+        (["component2_box_hi=30,30,30"], "component2_box_hi"),
+        (["box_hi=30,30,30", "component1_box_lo=-1,-1,-40"], "component1_box_lo"),
+    ],
+)
+def test_nodal_refuses_a_box_outside_the_chart_ball(tmp_path, capsys, settings, key):
+    # the degree-12 pullback reads psi at x / 12, so every box corner needs
+    # |x| < 12 pi = 37.7; past that the box is a config error naming the key
+    # of the far corner's bound, before any evaluation, and no curves are written
+    spinor = _spinor_file(tmp_path)
+    capsys.readouterr()
+    argv = ["nodal", "--out", str(tmp_path / "curves"), "--set", f"input={spinor}", "--set", "h=0.5"]
+    assert main(argv + [arg for item in settings for arg in ("--set", item)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and err["detail"].startswith(f"config key {key} ")
+    assert "outside the chart ball" in err["detail"]
+    assert not list(tmp_path.glob("curves*"))
+
+
 def test_nodal_manifest_hashes_the_spinor_file(tmp_path):
     # the spinor file alone decides the curves: it is the manifest's one input,
     # and rewriting one coefficient in it changes the hash every output carries

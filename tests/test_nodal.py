@@ -2,13 +2,15 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from gauss_integral import gauss_blocks, gauss_linking_integral
 from hypothesis import assume, given, settings, strategies as st
 
-from eigenknot import neighbours, nodal
+from eigenknot import helmholtz, neighbours, nodal, sphere, spinor3
+from eigenknot.harmonics import synthesize
 from eigenknot.nodal import (
     NodalCurve,
     extract_nodal,
@@ -809,3 +811,185 @@ def test_ply_matches_reference_writer(comment):
     short = NodalCurve(rng.normal(size=(1, 3)), False)
     for curves in ([], [open_curve], [closed_curve], [closed_curve, open_curve, short, closed_curve]):
         assert curves_to_ply(curves, comment=comment) == _reference_ply(curves, comment)
+
+
+# ---------------------------------------------------------------------------
+# The march and the stitch against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_march(vals, lo, hvec, degeneracy_scale):
+    """The march as it was: zeros patched to 1e-300 on copies of the whole grid,
+    each corner code built in eight astype-shift-or passes."""
+    u, w = vals.real.copy(), vals.imag.copy()
+    u[u == 0] = 1e-300
+    w[w == 0] = 1e-300
+    ns = np.array(u.shape) - 1
+
+    def corner_code(positive):
+        code = np.zeros(tuple(ns), dtype=np.uint8)
+        for bit, (dx, dy, dz) in enumerate(np.ndindex(2, 2, 2)):
+            code |= positive[dx : dx + ns[0], dy : dy + ns[1], dz : dz + ns[2]].astype(np.uint8) << bit
+        return code.ravel()
+
+    ucode, wcode = corner_code(u > 0), corner_code(w > 0)
+    cells = np.nonzero((ucode % 255 != 0) & (wcode % 255 != 0))[0]
+    umask, wmask = nodal._TET_MASK[:, ucode[cells]], nodal._TET_MASK[:, wcode[cells]]
+    kind, sel = np.nonzero((umask % 15 != 0) & (wmask % 15 != 0))
+    umask = umask[kind, sel]
+    idx = np.stack(np.unravel_index(cells[sel], ns), axis=-1)[:, None, :] + nodal._KUHN[kind]
+    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), u.shape)
+    uu, ww, pos = u.ravel()[flat], w.ravel()[flat], lo + idx * hvec
+    row, slot = np.nonzero(np.arange(2) < nodal._CUT_COUNT[umask][:, None])
+    ij = nodal._CUT_PAIRS[umask[row], slot]
+    r, i, j = row[:, None], ij[..., 0], ij[..., 1]
+    t = uu[r, i] / (uu[r, i] - uu[r, j])
+    q = pos[r, i] + t[..., None] * (pos[r, j] - pos[r, i])
+    wq = ww[r, i] + t * (ww[r, j] - ww[r, i])
+    cross = (wq > 0) != np.roll(wq > 0, -1, axis=1)
+    keep = cross.any(axis=1)
+    degenerate = np.unique(row[keep & (np.abs(wq).max(axis=1) < degeneracy_scale)]).size
+    q, wq, cross = q[keep], wq[keep], cross[keep]
+    a = np.stack([np.argmax(cross, axis=1), np.where(cross[:, 2], 2, 1)], axis=1)
+    b, k = (a + 1) % 3, np.arange(len(q))[:, None]
+    s = wq[k, a] / (wq[k, a] - wq[k, b])
+    return q[k, a] + s[..., None] * (q[k, b] - q[k, a]), degenerate
+
+
+def _reference_stitch(segs, h):
+    """The stitch as it was: node ids from np.unique(axis=0), and each step of a
+    walk a generator over the segment ends at its node."""
+    quant = 1e-6 * h
+    keys = np.round(segs.reshape(-1, 3) / quant).astype(np.int64)
+    node = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1, 2)
+    lo, hi = node.min(axis=1), node.max(axis=1)
+    live = np.nonzero(lo != hi)[0]
+    first = np.unique(lo[live] * len(keys) + hi[live], return_index=True)[1]
+    keep = live[np.sort(first)]
+    if not len(keep):
+        return []
+    ends, node = segs[keep].reshape(-1, 3), node[keep].ravel().tolist()
+    at = [[] for _ in range(max(node) + 1)]
+    for e, n in enumerate(node):
+        at[n].append(e)
+    used = [False] * len(keep)
+    chains = []
+    for si in range(len(keep)):
+        if used[si]:
+            continue
+        used[si] = True
+        grown = []
+        for end in (2 * si + 1, 2 * si):
+            run = [end]
+            while (e := next((e for e in at[node[run[-1]]] if not used[e >> 1]), None)) is not None:
+                used[e >> 1] = True
+                run.append(e ^ 1)
+            grown.append(run[1:])
+        pts = ends[grown[1][::-1] + [2 * si, 2 * si + 1] + grown[0]]
+        closed = np.linalg.norm(pts[0] - pts[-1]) < 10 * quant
+        if closed:
+            pts = pts[:-1]
+        chains.append((pts, closed))
+    return chains
+
+
+def _signed_zeros(rng, part, share=0.1):
+    """part with a share of its entries set to 0.0 and as many to -0.0."""
+    part = part.copy().ravel()
+    spots = rng.permutation(part.size)[: 2 * int(share * part.size)]
+    part[spots[: len(spots) // 2]], part[spots[len(spots) // 2 :]] = 0.0, -0.0
+    return part
+
+
+def _march_grids():
+    """Seeded grids: Gaussian values with exact 0.0 and -0.0 in both parts, values
+    in {-1, -0, 0, 1}, the grid-line zero set x + 1e-3j y and a helical field."""
+    rng = np.random.default_rng(21)
+    grids = []
+    for shape in [(2, 2, 2), (5, 4, 3), (9, 7, 8)]:
+        re, im = (_signed_zeros(rng, rng.normal(size=shape)).reshape(shape) for _ in range(2))
+        grids.append(re + 1j * im)
+        choice = np.array([-1.0, -0.0, 0.0, 1.0])
+        grids.append(choice[rng.integers(4, size=shape)] + 1j * choice[rng.integers(4, size=shape)])
+    axes = [np.linspace(-1.0, 1.0, 21)] * 3
+    x = nodal._grid_points(axes)
+    for f in (lambda x: x[:, 0] + 1e-3j * x[:, 1], helical):
+        grids.append(f(x).reshape(21, 21, 21))
+    return grids
+
+
+def _same_chains(got, want):
+    assert len(got) == len(want)
+    for (p, closed), (q, closed_want) in zip(got, want):
+        assert p.tobytes() == q.tobytes() and closed == closed_want
+
+
+@pytest.mark.parametrize("grid", range(8))
+def test_march_and_stitch_match_the_reference_loops(grid):
+    vals = _march_grids()[grid]
+    lo, hvec = np.array([-1.0, -0.5, 0.25]), np.array([0.1, 0.07, 0.13])
+    scale = 1e-9 * float(np.percentile(np.abs(vals), 95))
+    segs, degenerate = nodal._march(vals, lo, hvec, scale)
+    want, want_degenerate = _reference_march(vals, lo, hvec, scale)
+    assert segs.tobytes() == want.tobytes() and degenerate == want_degenerate
+    _same_chains(nodal._stitch(segs, 0.07), _reference_stitch(want, 0.07))
+
+
+def test_the_grid_line_zero_set_emits_repeated_segments():
+    # the march case above whose segments the stitch drops as zero-length or repeated
+    segs, _ = nodal._march(_march_grids()[6], np.zeros(3), np.full(3, 0.1), 0.0)
+    keys = np.round(segs / 1e-7).astype(np.int64)
+    assert len(segs) and (keys[:, 0] == keys[:, 1]).all(axis=1).any()
+    assert len(np.unique(keys.reshape(len(keys), -1), axis=0)) < len(keys)
+
+
+def _star_and_eight():
+    """Segments with repeats, reversed repeats and zero-length ones: a figure eight,
+    whose two loops share a node of four ends, and a T, with a node of three."""
+    loop = lambda c, s: [(c, (c[0] + s, c[1], 0)), ((c[0] + s, c[1], 0), (c[0] + s, c[1] + 1, 0)), ((c[0] + s, c[1] + 1, 0), c)]
+    eight = loop((0, 0, 0), 1) + loop((0, 0, 0), -1)
+    tee = [((5, 0, 0), (6, 0, 0)), ((6, 0, 0), (7, 0, 0)), ((6, 0, 0), (6, 1, 0)), ((6, 1, 0), (6, 2, 0))]
+    extra = [eight[1], eight[1][::-1], ((3, 3, 3), (3, 3, 3)), tee[2][::-1]]
+    return np.array(eight + tee + extra, dtype=float)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stitch_matches_the_reference_at_nodes_of_any_degree(seed):
+    # a handful of lattice points joined at random: repeated and zero-length
+    # segments and nodes of three and more ends, in any order of segments
+    rng = np.random.default_rng(seed)
+    star = _star_and_eight()
+    points = rng.integers(0, 3, size=(7, 3)) * 0.5
+    random = points[rng.integers(len(points), size=(25, 2))]
+    for segs in (star, star[rng.permutation(len(star))], random, np.concatenate([random, star])):
+        segs = segs + rng.normal(size=segs.shape) * 1e-9  # within the key's rounding
+        keys = np.round(segs / 1e-7).astype(np.int64).reshape(-1, 3)
+        assert np.unique(keys, axis=0, return_counts=True)[1].max() > 2
+        _same_chains(nodal._stitch(segs, 0.1), _reference_stitch(segs, 0.1))
+
+
+def test_extraction_holds_no_grid_sized_temporary():
+    # over a Hopf pullback, extract_nodal's peak is the grid's points and
+    # complex values plus about 7.6 float arrays over one of zonal_jet's row
+    # blocks: the kernel's order-1 peak of 7.2 (test_specialfn.py), with the
+    # map to the sphere inside the same blocks.  One more float, or even one
+    # byte, per grid point (70304 of them) breaks the bound.
+    design = helmholtz.hopf_link_design()
+    k = 60
+    chart = spinor3.adapted_chart(np.array([0.3, -0.5, 0.7, 0.4]))
+    pair = spinor3.SpinorField3(tuple(synthesize(design.components[a], k, chart) for a in (0, 1)))
+    field = spinor3.component_pullback(spinor3.dirac_project(pair, k), 0, chart, k)
+    centers = len(spinor3.zonal_tables(pair, 0))
+    lo, hi = design.boxes[0]
+    h = 0.15
+    points = int(np.prod(np.round((hi - lo) / h) + 1))
+    assert points == 70304
+    extract_nodal(field, (lo, hi), h)
+    tracemalloc.start()
+    try:
+        extract_nodal(field, (lo, hi), h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * sphere.block_rows(2 * centers) * centers
+    assert (peak - (24 + 16) * points) / block <= 7.8

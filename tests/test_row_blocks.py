@@ -22,7 +22,7 @@ from eigenknot.helmholtz import (
     eval_herglotz,
 )
 from eigenknot.sphere import ROW_BLOCK, block_rows, random_chart
-from eigenknot.spinor3 import SpinorField3, dirac_project, zonal_jet, zonal_tables
+from eigenknot.spinor3 import SpinorField3, adapted_chart, component_pullback, dirac_project, zonal_jet, zonal_tables
 
 RNG = np.random.default_rng(5)
 BSUM = BesselSum(
@@ -59,7 +59,8 @@ EVALUATORS = {
     "eval_harmonic": (lambda p: eval_harmonic(Y, p), 4, len(Y)),
     "eval_harmonic_grad": (lambda p: eval_harmonic_grad(Y, p), 4, len(Y)),
     "PlaneWaveSpinor.component": (lambda x: PLANE_WAVES.component(1, x), 3, len(PLANE_WAVES.directions)),
-    "zonal_jet": (lambda p: zonal_jet(TABLES, p, 1), 4, len(TABLES)),
+    # two terms per center: a zonal_jet block holds about twice the kernel's arrays
+    "zonal_jet": (lambda p: zonal_jet(TABLES, p, 1), 4, 2 * len(TABLES)),
     "zonal_derivatives": (lambda p: zonal_derivatives(Y, p, 2), 4, len(Y)),
     "zonal_derivatives_190": (lambda p: zonal_derivatives(Y190, p, 2), 4, len(Y190)),
 }
@@ -158,3 +159,51 @@ def test_evaluators_size_blocks_by_their_terms(name, monkeypatch):
     monkeypatch.setattr(sphere, "block_rows", lambda n: seen.append(n) or real(n))
     fn(_points(dim, 2))
     assert seen and set(seen) == {terms}
+
+
+# (ROW_BLOCK, PAIR_BLOCK): the defaults; a seam one row short of the 4851
+# points, which leaves a one-row block; 613 rows for the Hopf pair's 7
+# centers, which zonal_jet counts twice; and 256 rows for every evaluator
+BLOCK_SIZES = [(ROW_BLOCK, sphere.PAIR_BLOCK), (4850, 1 << 20), (ROW_BLOCK, 14 * 613), (256, 1 << 15)]
+HOPF = helmholtz.hopf_link_design()
+
+
+def _hopf_grid(a):
+    """The 21 x 21 x 11 grid of component a's nodal box: 4851 points, more than one block."""
+    lo, hi = HOPF.boxes[a]
+    axes = [np.linspace(lo[d], hi[d], n) for d, n in enumerate((21, 21, 11))]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("row_block, pair_block", BLOCK_SIZES)
+def test_pullback_grid_pass_does_not_depend_on_the_blocks(monkeypatch, row_block, pair_block):
+    # the pullback maps its chart points to the sphere inside zonal_jet's row
+    # blocks; its values and chart gradients are bit for bit those of the map
+    # and the chain rule over the whole grid at once, whatever the blocks
+    monkeypatch.setattr(sphere, "ROW_BLOCK", row_block)
+    monkeypatch.setattr(sphere, "PAIR_BLOCK", pair_block)
+    k = 60
+    chart = adapted_chart(np.array([0.3, -0.5, 0.7, 0.4]))
+    psi = dirac_project(SpinorField3(tuple(synthesize(HOPF.components[a], k, chart) for a in (0, 1))), k)
+    for a in (0, 1):
+        x = _hopf_grid(a)
+        assert len(x) > block_rows(2 * len(zonal_tables(psi, a)))
+        field = component_pullback(psi, a, chart, k)
+        y = x / k
+        p = sphere.chart_to_sphere(chart, y)
+        tables = zonal_tables(psi, a)
+        value, grad = zonal_jet(tables, p, 1)
+        assert field(x).tobytes() == zonal_jet(tables, p).tobytes()
+        got = field.jet(x)
+        assert got[0].tobytes() == value.tobytes()
+        assert got[1].tobytes() == (sphere.chart_gradient(chart, y, grad) / k).tobytes()
+
+
+@pytest.mark.parametrize("row_block, pair_block", BLOCK_SIZES)
+def test_exact_hopf_field_does_not_depend_on_the_blocks(monkeypatch, row_block, pair_block):
+    monkeypatch.setattr(sphere, "ROW_BLOCK", row_block)
+    monkeypatch.setattr(sphere, "PAIR_BLOCK", pair_block)
+    for a in (0, 1):
+        x = _hopf_grid(a)
+        assert len(x) > block_rows(1)
+        assert HOPF.exact_field(a)(x).tobytes() == HOPF.exact_component(a, x).tobytes()

@@ -34,7 +34,9 @@ def test_tracer_bindings_exist(monkeypatch):
 
 def test_traced_pullback_counts_point_center_pairs(monkeypatch):
     # the nodal step's field and jet calls go through the traced zonal_jet
-    # binding, one span per call over every point and pooled center
+    # binding, one span per call over every point and pooled center, also on
+    # a grid of more than one row block: the points reach the sphere inside
+    # the call's blocks, and the span still counts each of them once
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     design = hopf_link_design()
@@ -43,7 +45,7 @@ def test_traced_pullback_counts_point_center_pairs(monkeypatch):
     pair = SpinorField3(tuple(synthesize(design.components[a], k, chart) for a in (0, 1)))
     centers = len(np.unique(np.concatenate([c.centers for c in pair.components]), axis=0))
     field = component_pullback(dirac_project(pair, k), 0, chart, k)
-    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(50, 3))
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2 * block_rows(centers) + 50, 3))
     tracer = tracing.Tracer()
     with tracer.installed():
         field(x)
